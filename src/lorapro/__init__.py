@@ -22,6 +22,7 @@ from .gradadjust import (
     AdjustedGrads,
     DampingPolicy,
     GradBundle,
+    TangentGeometry,
     adjust,
     choose_x,
     equivalent_gradient,
@@ -70,6 +71,7 @@ __all__ = [
     "SpectrumError",
     "StaleCacheError",
     "SylvesterProblem",
+    "TangentGeometry",
     "adjust",
     "apply_decayed_merge_step",
     "backward",

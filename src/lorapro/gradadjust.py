@@ -17,24 +17,28 @@ Sylvester equation  B^T B X + X A A^T = -(1/s^2) (B^T B)^{-1} g_a_raw A^T.
 
 Gram inversions are Tikhonov-damped per a DampingPolicy so the adjustment
 stays defined when B starts at zero (the standard adapter initialization).
+Both Grams are eigendecomposed once per layer-step in a TangentGeometry,
+which serves the damped Gram solves and the Sylvester X to every function here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DescentViolationError, ShapeError, SpectrumError
-from .linalg import as_matrix, frob_inner, frob_norm, numerical_rank, spd_solve
+from .errors import DescentViolationError, EigenDecompositionError, ShapeError, SpectrumError
+from .linalg import as_matrix, factorization_error, frob_inner, frob_norm, numerical_rank
 from .lora import LoraLayer
-from .sylvester import SylvesterProblem, solve_sylvester
+from .sylvester import DENOMINATOR_FLOOR_REL, divide_by_pair_sums
 
 __all__ = [
     "X_STRATEGIES",
     "GradBundle",
     "AdjustedGrads",
     "DampingPolicy",
+    "TangentGeometry",
     "lora_raw_grads",
     "equivalent_gradient",
     "choose_x",
@@ -156,15 +160,99 @@ def equivalent_gradient(layer: LoraLayer, g_a: np.ndarray, g_b: np.ndarray) -> n
     return s * (layer.b @ g_a) + s * (g_b @ layer.a)
 
 
-def _grams(layer: LoraLayer, policy: DampingPolicy):
-    gram_b = layer.b.T @ layer.b
-    gram_a = layer.a @ layer.a.T
-    return gram_b, policy.damping_for(gram_b), gram_a, policy.damping_for(gram_a)
+class TangentGeometry:
+    """The Gram geometry of one layer at one step, shared by every solve on it.
+
+    One stacked eigendecomposition of the symmetrized (B^T B, A A^T) serves
+    the damped solves that ``adjust``, ``choose_x`` and
+    ``loss_decrease_certificate`` make, and the Sylvester X, which becomes an
+    entrywise divide in the two eigenbases. The solves go through the
+    whitening factors W = U diag(lam)^-1/2 (so that W W^T is the damped
+    inverse) and the basis Q = B W_b (so that Q Q^T = B (B^T B)^-1 B^T): like
+    Cholesky factors, these see only the square root of a Gram's condition
+    number, where an explicit inverse would amplify rounding by all of it.
+
+    ``passthrough`` is decided first, from B alone. The eigendecomposition
+    runs on first use, and a damped Gram that is not positive definite raises
+    FactorizationError only when a solve with it is asked for.
+    """
+
+    def __init__(self, layer: LoraLayer, policy: DampingPolicy = DampingPolicy()):
+        self.layer = layer
+        self.policy = policy
+        self.passthrough = policy.fallback == "passthrough" and numerical_rank(layer.b) == 0
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, tuple[float, float], np.ndarray, np.ndarray]:
+        b, a = self.layer.b, self.layer.a
+        grams = np.stack((b.T @ b, a @ a.T))
+        grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+        damping = (self.policy.damping_for(grams[0]), self.policy.damping_for(grams[1]))
+        try:
+            w, v = np.linalg.eigh(grams)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh failure is pathological
+            raise EigenDecompositionError(
+                "symmetric eigendecomposition of the layer Grams did not converge"
+            ) from exc
+        return grams, damping, w, v
+
+    def _whitener(self, k: int) -> np.ndarray:
+        grams, damping, w, v = self._spectra
+        lam = w[k] + damping[k]
+        if not lam[0] > 0.0:
+            coeff = grams[k] + damping[k] * np.eye(grams.shape[1])
+            raise factorization_error(coeff, damping[k])
+        return v[k] / np.sqrt(lam)
+
+    @cached_property
+    def white_b(self) -> np.ndarray:
+        """W_b with W_b W_b^T = (B^T B + eps_b I)^-1, eps_b the policy's damping."""
+        return self._whitener(0)
+
+    @cached_property
+    def white_a(self) -> np.ndarray:
+        """W_a with W_a W_a^T = (A A^T + eps_a I)^-1, eps_a the policy's damping."""
+        return self._whitener(1)
+
+    @cached_property
+    def basis_b(self) -> np.ndarray:
+        """Q = B W_b, orthonormal columns spanning B's column space when undamped."""
+        return self.layer.b @ self.white_b
+
+    def solve_b(self, rhs: np.ndarray) -> np.ndarray:
+        """(B^T B + eps_b I)^-1 rhs."""
+        return self.white_b @ (self.white_b.T @ rhs)
+
+    def solve_a_right(self, lhs: np.ndarray) -> np.ndarray:
+        """lhs (A A^T + eps_a I)^-1."""
+        return (lhs @ self.white_a) @ self.white_a.T
+
+    def project_out_b(self, g_b: np.ndarray) -> np.ndarray:
+        """(I - B (B^T B + eps_b I)^-1 B^T) g_b."""
+        q = self.basis_b
+        return g_b - q @ (q.T @ g_b)
+
+    def solve_sylvester(self, c: np.ndarray) -> np.ndarray:
+        """X with (B^T B + eps_b I) X + X A A^T = c, by the spectral route of ``sylvester``.
+
+        Applies the same relative floor to the eigenvalue-pair sums and raises
+        the same SpectrumError as ``sylvester.solve_sylvester``.
+        """
+        _, damping, w, v = self._spectra
+        lam, mu = w[0] + damping[0], w[1]
+        u, q = v[0], v[1]
+        floor = DENOMINATOR_FLOOR_REL * (float(np.linalg.norm(lam)) + float(np.linalg.norm(mu)))
+        return u @ divide_by_pair_sums(u.T @ c @ q, lam, mu, floor) @ q.T
 
 
-def _right_solve(gram: np.ndarray, mat: np.ndarray, damping: float) -> np.ndarray:
-    # mat @ (gram + damping I)^-1 for symmetric gram, via a transposed left solve
-    return spd_solve(gram, mat.T, damping).T
+def _geometry(
+    layer: LoraLayer, policy: DampingPolicy, geometry: TangentGeometry | None
+) -> TangentGeometry:
+    if geometry is None:
+        return TangentGeometry(layer, policy)
+    if geometry.layer is not layer or geometry.policy != policy:
+        raise ValueError("geometry was built for another layer or damping policy")
+    return geometry
 
 
 def choose_x(
@@ -172,8 +260,13 @@ def choose_x(
     bundle: GradBundle,
     strategy: str = "sylvester",
     policy: DampingPolicy = DampingPolicy(),
+    geometry: TangentGeometry | None = None,
 ) -> np.ndarray:
-    """Pick the free r x r parameter of the adjustment for a given strategy."""
+    """Pick the free r x r parameter of the adjustment for a given strategy.
+
+    ``geometry`` is this layer's TangentGeometry under ``policy``, if the
+    caller already holds one; without it one is built.
+    """
     if strategy not in X_STRATEGIES:
         raise ValueError(f"unknown X strategy {strategy!r}, expected one of {X_STRATEGIES}")
     validate_bundle(layer, bundle)
@@ -182,16 +275,15 @@ def choose_x(
         return np.zeros((r, r))
 
     s = layer.scaling
-    gram_b, eps_b, gram_a, eps_a = _grams(layer, policy)
+    geo = _geometry(layer, policy, geometry)
     if strategy == "symmetry":
         # X = -(1/(2 s^2)) (B^T B)^-1 B^T g_b_raw (A A^T)^-1, which balances
         # the two terms of the equivalent gradient: g_b A = B g_a.
-        inner = spd_solve(gram_b, layer.b.T @ bundle.g_b_lora, eps_b)
-        return -0.5 / s**2 * _right_solve(gram_a, inner, eps_a)
+        return -0.5 / s**2 * geo.solve_a_right(geo.solve_b(layer.b.T @ bundle.g_b_lora))
 
-    rhs = -1.0 / s**2 * (spd_solve(gram_b, bundle.g_a_lora, eps_b) @ layer.a.T)
+    rhs = -1.0 / s**2 * (geo.solve_b(bundle.g_a_lora) @ layer.a.T)
     try:
-        return solve_sylvester(SylvesterProblem(p=gram_b, q=gram_a, c=rhs), damping=eps_b)
+        return geo.solve_sylvester(rhs)
     except SpectrumError as exc:
         raise SpectrumError(
             f"X selection '{strategy}' failed: {exc}", pair=exc.pair
@@ -204,17 +296,20 @@ def adjust(
     strategy: str = "sylvester",
     policy: DampingPolicy = DampingPolicy(),
     x_override: np.ndarray | None = None,
+    geometry: TangentGeometry | None = None,
 ) -> AdjustedGrads:
     """Replace raw factor gradients with the optimal adjusted pair.
 
     ``x_override`` bypasses the strategy and uses the given X directly (the
     equivalent gradient does not depend on it).  With a ``passthrough``
     policy and B at numerical rank zero, the raw gradients are returned
-    unchanged for this step.
+    unchanged for this step. ``geometry`` is this layer's TangentGeometry
+    under ``policy``, if the caller already holds one.
     """
     _check_bundle_shapes(layer, bundle)
     r = layer.rank
-    if policy.fallback == "passthrough" and numerical_rank(layer.b) == 0:
+    geo = _geometry(layer, policy, geometry)
+    if geo.passthrough:
         return AdjustedGrads(
             g_a=bundle.g_a_lora.copy(),
             g_b=bundle.g_b_lora.copy(),
@@ -223,20 +318,17 @@ def adjust(
         )
 
     s = layer.scaling
-    gram_b, eps_b, gram_a, eps_a = _grams(layer, policy)
-
     if x_override is not None:
         x = as_matrix(x_override, "x_override")
         if x.shape != (r, r):
             raise ShapeError(f"x_override must be {r}x{r}, got {x.shape}")
         label = "override"
     else:
-        x = choose_x(layer, bundle, strategy, policy)
+        x = choose_x(layer, bundle, strategy, policy, geometry=geo)
         label = strategy
 
-    base_a = spd_solve(gram_b, bundle.g_a_lora, eps_b) / s**2
-    corr = spd_solve(gram_b, layer.b.T @ bundle.g_b_lora, eps_b)
-    base_b = _right_solve(gram_a, bundle.g_b_lora - layer.b @ corr, eps_a) / s**2
+    base_a = geo.solve_b(bundle.g_a_lora) / s**2
+    base_b = geo.solve_a_right(geo.project_out_b(bundle.g_b_lora)) / s**2
 
     return AdjustedGrads(
         g_a=base_a + x @ layer.a,
@@ -252,6 +344,7 @@ def loss_decrease_certificate(
     adjusted: AdjustedGrads,
     lr: float,
     policy: DampingPolicy = DampingPolicy(),
+    geometry: TangentGeometry | None = None,
 ) -> float:
     """Predicted first-order loss change of the adjusted step; never positive.
 
@@ -262,18 +355,20 @@ def loss_decrease_certificate(
     same number must come out of -lr*(<g_a_raw, g_a> + <g_b_raw, g_b>) with
     the adjusted pair (the X terms cancel for chain-rule-consistent raw
     gradients); a mismatch or a positive value signals an implementation bug
-    and raises. Pass the same ``policy`` that produced ``adjusted``.
+    and raises. Pass the same ``policy`` that produced ``adjusted``, and
+    ``geometry`` if the caller already holds this layer's TangentGeometry.
     """
     if lr < 0.0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     _check_bundle_shapes(layer, bundle)
     s = layer.scaling
-    gram_b, eps_b, gram_a, eps_a = _grams(layer, policy)
+    geo = _geometry(layer, policy, geometry)
 
-    term_a = frob_inner(bundle.g_a_lora, spd_solve(gram_b, bundle.g_a_lora, eps_b)) / s**2
-    corr = spd_solve(gram_b, layer.b.T @ bundle.g_b_lora, eps_b)
-    projected = bundle.g_b_lora - layer.b @ corr
-    term_b = frob_inner(bundle.g_b_lora, _right_solve(gram_a, projected, eps_a)) / s**2
+    # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2
+    whitened_a = geo.white_b.T @ bundle.g_a_lora
+    term_a = frob_inner(whitened_a, whitened_a) / s**2
+    projected = geo.project_out_b(bundle.g_b_lora)
+    term_b = frob_inner(bundle.g_b_lora @ geo.white_a, projected @ geo.white_a) / s**2
     dl = -lr * (term_a + term_b)
 
     via_pairing = -lr * (

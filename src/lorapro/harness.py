@@ -22,7 +22,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import METHODS, RunConfig
 from .errors import ConfigError, DescentViolationError, NonFiniteError
-from .gradadjust import adjust, equivalent_gradient, loss_decrease_certificate
+from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
 from .linalg import frob_norm, numerical_rank
 from .lora import InitScheme, init_layer, layer_from_state, layer_state
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
@@ -221,13 +221,17 @@ class Trainer:
                     layer, self.states_a[i], self.states_b[i], bundle, hp_now
                 )
                 return new_layer, (sa, sb), disc, None
-            adjusted = adjust(layer, bundle, strategy="zero", policy=self.policy)
+            # one geometry serves the metric adjustment, the certificate and the step
+            geometry = TangentGeometry(layer, self.policy)
+            adjusted = adjust(
+                layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
+            )
             g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
             disc = frob_norm(g_tilde - bundle.g_full)
             certificate = None
-            if adjusted.x_strategy != "passthrough":
+            if not geometry.passthrough:
                 certificate = loss_decrease_certificate(
-                    layer, bundle, adjusted, hp_now.lr, policy=self.policy
+                    layer, bundle, adjusted, hp_now.lr, policy=self.policy, geometry=geometry
                 )
                 if certificate > CERTIFICATE_CEILING:
                     raise DescentViolationError(
@@ -236,7 +240,12 @@ class Trainer:
                     )
             if cfg.method == "lora_pro_sgd":
                 new_layer = lorapro_sgd_step(
-                    layer, bundle, hp_now, strategy=cfg.x_strategy, policy=self.policy
+                    layer,
+                    bundle,
+                    hp_now,
+                    strategy=cfg.x_strategy,
+                    policy=self.policy,
+                    geometry=geometry,
                 )
                 return new_layer, None, disc, certificate
             new_layer, state = lorapro_adamw_step(
@@ -246,6 +255,8 @@ class Trainer:
                 hp_now,
                 policy=self.policy,
                 x_strategy=cfg.x_strategy,
+                geometry=geometry,
+                adjusted=adjusted,
             )
             return new_layer, state, disc, certificate
 

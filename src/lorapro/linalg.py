@@ -4,13 +4,13 @@ Matrices are plain 2-D float64 numpy arrays in row-major (C) order. All
 operations are pure functions: inputs are never mutated and outputs are
 freshly allocated, so values can be shared freely across threads. Heavy
 lifting (products, Cholesky, symmetric eigendecomposition) is delegated to
-numpy/scipy LAPACK bindings; this module pins the contracts on top of them.
+numpy's LAPACK bindings, so a process loads a single BLAS runtime; this
+module pins the contracts on top of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import EigenDecompositionError, FactorizationError, NonFiniteError, ShapeError
 
@@ -21,6 +21,7 @@ __all__ = [
     "frob_norm",
     "spd_solve",
     "spd_inverse",
+    "factorization_error",
     "sym_eig",
     "numerical_rank",
 ]
@@ -102,17 +103,36 @@ def spd_solve(p, rhs, damping: float = 0.0) -> np.ndarray:
     if damping > 0.0:
         coeff = coeff + damping * np.eye(p.shape[0])
 
-    c, info = lapack.dpotrf(coeff, lower=1)
-    if info != 0:
-        raise FactorizationError(
-            f"Cholesky factorization failed at leading minor {info} "
-            f"(matrix of dimension {p.shape[0]}, damping {damping})",
-            leading_minor=int(info),
-        )
-    x, info = lapack.dpotrs(c, rhs, lower=1)
-    if info != 0:  # pragma: no cover - dpotrs only fails on bad arguments
-        raise FactorizationError(f"triangular solve failed with info={info}")
+    try:
+        lower = np.linalg.cholesky(coeff)
+    except np.linalg.LinAlgError:
+        raise factorization_error(coeff, damping) from None
+    x = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     return _finite_output(np.ascontiguousarray(x), "spd_solve")
+
+
+def factorization_error(coeff: np.ndarray, damping: float) -> FactorizationError:
+    """The typed error for a symmetric ``coeff`` that is not positive definite.
+
+    ``leading_minor`` is the order of the first leading k x k block that does
+    not factor, which is where a Cholesky of the whole matrix stops; the
+    blocks are factored here, so only the error path pays for the search. A
+    matrix whose every block factors (an eigenvalue test can be stricter than
+    the pivots) reports its full dimension.
+    """
+    n = coeff.shape[0]
+    minor = n
+    for k in range(1, n + 1):
+        try:
+            np.linalg.cholesky(coeff[:k, :k])
+        except np.linalg.LinAlgError:
+            minor = k
+            break
+    return FactorizationError(
+        f"Cholesky factorization failed at leading minor {minor} "
+        f"(matrix of dimension {n}, damping {damping})",
+        leading_minor=minor,
+    )
 
 
 def spd_inverse(p, damping: float = 0.0) -> np.ndarray:

@@ -19,8 +19,10 @@ import numpy as np
 
 from .errors import ShapeError
 from .gradadjust import (
+    AdjustedGrads,
     DampingPolicy,
     GradBundle,
+    TangentGeometry,
     adjust,
     equivalent_gradient,
     lora_raw_grads,
@@ -143,11 +145,16 @@ def lorapro_sgd_step(
     hp: HyperParams,
     strategy: str = "sylvester",
     policy: DampingPolicy = DampingPolicy(),
+    geometry: TangentGeometry | None = None,
 ) -> LoraLayer:
-    """Plain gradient descent on the factors with adjusted gradients; no decay."""
+    """Plain gradient descent on the factors with adjusted gradients; no decay.
+
+    ``geometry`` is the layer's TangentGeometry under ``policy``, if the
+    caller already holds one.
+    """
     if hp.weight_decay != 0.0:
         raise ValueError("the SGD loop has no weight decay; got a nonzero weight_decay")
-    adjusted = adjust(layer, bundle, strategy=strategy, policy=policy)
+    adjusted = adjust(layer, bundle, strategy=strategy, policy=policy, geometry=geometry)
     return replace(
         layer,
         b=layer.b - hp.lr * adjusted.g_b,
@@ -162,6 +169,8 @@ def lorapro_adamw_step(
     hp: HyperParams,
     policy: DampingPolicy = DampingPolicy(),
     x_strategy: str = "sylvester",
+    geometry: TangentGeometry | None = None,
+    adjusted: AdjustedGrads | None = None,
 ) -> tuple[LoraLayer, AdamWState]:
     """AdamW on the equivalent gradient.
 
@@ -170,17 +179,26 @@ def lorapro_adamw_step(
     run it through the moment transform, re-project the result onto the
     factor shapes, adjust a second time with the configured X selection,
     apply decomposed weight decay, then update the factors.
+
+    A caller that already holds the layer's TangentGeometry under ``policy``
+    passes it as ``geometry``, and the X = 0 adjustment of ``bundle`` as
+    ``adjusted``; both adjustments then share the one geometry.
     """
     if state.m.shape != layer.shape:
         raise ShapeError(
             f"moment shape {state.m.shape} does not match layer shape {layer.shape}"
         )
-    first = adjust(layer, bundle, strategy="zero", policy=policy)
-    g_tilde = equivalent_gradient(layer, first.g_a, first.g_b)
+    if geometry is None:
+        geometry = TangentGeometry(layer, policy)
+    if adjusted is None:
+        adjusted = adjust(layer, bundle, strategy="zero", policy=policy, geometry=geometry)
+    g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
     direction, state = adamw_transform(state, g_tilde)
 
     reprojected = lora_raw_grads(layer, direction)
-    second = adjust(layer, reprojected, strategy=x_strategy, policy=policy)
+    second = adjust(
+        layer, reprojected, strategy=x_strategy, policy=policy, geometry=geometry
+    )
 
     if not hp.decay_after_update:
         layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ShapeError, SpectrumError
 from .linalg import as_matrix, frob_norm, sym_eig
 
-__all__ = ["SylvesterProblem", "solve_sylvester"]
+__all__ = ["SylvesterProblem", "solve_sylvester", "divide_by_pair_sums"]
 
 SYMMETRY_RTOL = 1e-10
 DENOMINATOR_FLOOR_REL = 1e-12
@@ -60,8 +60,20 @@ def solve_sylvester(prob: SylvesterProblem, damping: float = 0.0) -> np.ndarray:
     lam, u = sym_eig(p)
     mu, v = sym_eig(prob.q)
 
-    pair_sums = lam[:, None] + mu[None, :]
     floor = DENOMINATOR_FLOOR_REL * (frob_norm(p) + frob_norm(prob.q))
+    rotated = u.T @ prob.c @ v
+    return np.ascontiguousarray(u @ divide_by_pair_sums(rotated, lam, mu, floor) @ v.T)
+
+
+def divide_by_pair_sums(
+    rotated: np.ndarray, lam: np.ndarray, mu: np.ndarray, floor: float
+) -> np.ndarray:
+    """Entrywise rotated[i, j] / (lam[i] + mu[j]), the spectral step of the solve.
+
+    Raises SpectrumError with the offending eigenvalue pair if some
+    lambda_i + mu_j falls at or below ``floor``.
+    """
+    pair_sums = lam[:, None] + mu[None, :]
     bad = pair_sums <= floor
     if np.any(bad):
         i, j = map(int, np.argwhere(bad)[0])
@@ -70,6 +82,4 @@ def solve_sylvester(prob: SylvesterProblem, damping: float = 0.0) -> np.ndarray:
             f"(lambda={lam[i]:.3e}, mu={mu[j]:.3e}); coefficients share eigenvalues up to sign",
             pair=(float(lam[i]), float(mu[j])),
         )
-
-    rotated = u.T @ prob.c @ v
-    return np.ascontiguousarray(u @ (rotated / pair_sums) @ v.T)
+    return rotated / pair_sums

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import EXACT
-from lorapro.errors import DescentViolationError, ShapeError
+from lorapro.errors import DescentViolationError, FactorizationError, ShapeError, SpectrumError
 from lorapro.gradadjust import (
+    X_STRATEGIES,
     DampingPolicy,
     GradBundle,
+    TangentGeometry,
     adjust,
     choose_x,
     equivalent_gradient,
@@ -15,6 +17,13 @@ from lorapro.gradadjust import (
 )
 from lorapro.linalg import frob_norm, numerical_rank
 from lorapro.lora import LoraLayer
+from lorapro.oracle import (
+    brute_force_optimal_grads,
+    projection_residual_norm_sq,
+    solve_sylvester_kron,
+    x_objective_scan,
+)
+from lorapro.sylvester import SylvesterProblem, solve_sylvester
 
 
 def test_raw_grads_hand_values(unit_instance):
@@ -217,3 +226,130 @@ def test_rank_bound_on_random_instances():
         adj = adjust(layer, lora_raw_grads(layer, g), strategy="zero", policy=EXACT)
         g_tilde = equivalent_gradient(layer, adj.g_a, adj.g_b)
         assert numerical_rank(g_tilde) <= 2 * r
+
+
+def _factor(rng, rows, cols, cond):
+    # singular values spread geometrically over [1/cond, 1]
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, k)))
+    return u @ np.diag(np.geomspace(1.0, 1.0 / cond, k)) @ v.T
+
+
+def _rel(diff, *scales):
+    return diff / max(1e-12, *map(abs, scales))
+
+
+def test_shared_geometry_changes_nothing():
+    rng = np.random.default_rng(24)
+    cases = []
+    for gram_cond in (1.0, 1e4, 1e8):
+        for _ in range(4):
+            m, n = int(rng.integers(4, 9)), int(rng.integers(4, 9))
+            r = int(rng.integers(2, 4))
+            factor_cond = np.sqrt(gram_cond)
+            layer = LoraLayer(w0=np.zeros((m, n)), b=_factor(rng, m, r, factor_cond),
+                              a=_factor(rng, r, n, factor_cond), alpha=2.0 * r, rank=r,
+                              scaling_mode="lora")
+            cases.append((gram_cond, layer, EXACT))
+    # the damped start of training: B = 0
+    for _ in range(2):
+        a = rng.normal(size=(3, 7))
+        cases.append((None, LoraLayer(w0=np.zeros((6, 7)), b=np.zeros((6, 3)), a=a,
+                                      alpha=16.0, rank=3), DampingPolicy()))
+
+    for gram_cond, layer, policy in cases:
+        g = rng.normal(size=layer.shape)
+        bundle = lora_raw_grads(layer, g)
+        geometry = TangentGeometry(layer, policy)
+        tildes = []
+        for strategy in X_STRATEGIES:
+            own = adjust(layer, bundle, strategy, policy)
+            shared = adjust(layer, bundle, strategy, policy, geometry=geometry)
+            for name in ("g_a", "g_b", "x"):
+                assert np.array_equal(getattr(own, name), getattr(shared, name)), name
+            assert np.array_equal(choose_x(layer, bundle, strategy, policy),
+                                  choose_x(layer, bundle, strategy, policy, geometry=geometry))
+            cert_own = loss_decrease_certificate(layer, bundle, own, 0.1, policy)
+            cert_shared = loss_decrease_certificate(layer, bundle, shared, 0.1, policy,
+                                                    geometry=geometry)
+            assert cert_own == cert_shared
+            tildes.append(equivalent_gradient(layer, shared.g_a, shared.g_b))
+        if gram_cond is None:
+            continue  # the oracles need full-rank factors
+
+        # the existing selfcheck tolerances against the independent references
+        _, _, brute = brute_force_optimal_grads(layer, g)
+        formula = projection_residual_norm_sq(layer, g)
+        for g_tilde in tildes:
+            ours = float(np.sum((g_tilde - g) ** 2))
+            assert _rel(abs(ours - brute), ours, brute, 1.0) <= 1e-7
+            assert _rel(abs(ours - formula), ours, formula, 1.0) <= 1e-8
+            assert _rel(frob_norm(g_tilde - tildes[0]), frob_norm(tildes[0]), 1.0) <= 1e-9
+        # undamped, the certificate is -lr ||g_tilde||^2 = -lr (||g||^2 - residual)
+        expected = -0.1 * (float(np.sum(g**2)) - formula)
+        assert _rel(abs(cert_shared - expected), expected, 1.0) <= 1e-8
+
+        x_star = choose_x(layer, bundle, "sylvester", policy, geometry=geometry)
+        best = x_objective_scan(layer, bundle, x_star)
+        for _ in range(10):
+            delta = rng.normal(size=x_star.shape)
+            other = x_objective_scan(layer, bundle, x_star + 1e-3 * delta / frob_norm(delta))
+            assert _rel(best - other, best, other, 1.0) <= 1e-8
+        if gram_cond <= 1e4:
+            # selfcheck's Kronecker agreement holds at its own conditioning; at Gram
+            # condition 1e8 every float64 route is only good to about cond * eps
+            s = layer.scaling
+            gram_b, gram_a = layer.b.T @ layer.b, layer.a @ layer.a.T
+            rhs = -np.linalg.solve(gram_b, bundle.g_a_lora) @ layer.a.T / s**2
+            x_ref = solve_sylvester_kron(gram_b, gram_a, rhs)
+            assert _rel(frob_norm(x_star - x_ref), frob_norm(x_ref), 1.0) <= 1e-8
+
+
+def test_geometry_rejects_another_layer(unit_instance):
+    layer, g = unit_instance
+    bundle = lora_raw_grads(layer, g)
+    other = LoraLayer(w0=layer.w0, b=layer.b.copy(), a=layer.a.copy(), alpha=layer.alpha,
+                      rank=layer.rank, scaling_mode=layer.scaling_mode)
+    with pytest.raises(ValueError, match="another layer"):
+        adjust(layer, bundle, policy=EXACT, geometry=TangentGeometry(other, EXACT))
+    with pytest.raises(ValueError, match="another layer"):
+        adjust(layer, bundle, policy=EXACT, geometry=TangentGeometry(layer, DampingPolicy()))
+
+
+def test_singular_gram_reports_leading_minor():
+    # undamped, a zero column of B leaves B^T B singular at that column's minor
+    g = np.arange(12.0).reshape(4, 3)
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    for zero_col, minor in ((0, 1), (1, 2)):
+        b = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
+        b[:, zero_col] = 0.0
+        layer = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, alpha=2.0, rank=2,
+                          scaling_mode="lora")
+        bundle = lora_raw_grads(layer, g)
+        for call in (
+            lambda: adjust(layer, bundle, "zero", EXACT),
+            lambda: choose_x(layer, bundle, "sylvester", EXACT),
+            lambda: loss_decrease_certificate(
+                layer, bundle, adjust(layer, bundle, "zero", DampingPolicy()), 0.1, EXACT
+            ),
+        ):
+            with pytest.raises(FactorizationError) as excinfo:
+                call()
+            assert excinfo.value.leading_minor == minor
+
+
+def test_sylvester_x_spectrum_error_matches_solver():
+    # B^T B = diag(1, 1e-14) still factors, but A A^T = diag(1, 0) and the
+    # pair sum 1e-14 + 0 falls below the relative floor
+    b = np.array([[1.0, 0.0], [0.0, 1e-7], [0.0, 0.0]])
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    layer = LoraLayer(w0=np.zeros((3, 3)), b=b, a=a, alpha=2.0, rank=2, scaling_mode="lora")
+    bundle = lora_raw_grads(layer, np.ones((3, 3)))
+    with pytest.raises(SpectrumError, match="X selection 'sylvester' failed") as ours:
+        choose_x(layer, bundle, "sylvester", EXACT)
+    gram_b, gram_a = b.T @ b, a @ a.T
+    rhs = -np.linalg.solve(gram_b, bundle.g_a_lora) @ a.T / layer.scaling**2
+    with pytest.raises(SpectrumError) as reference:
+        solve_sylvester(SylvesterProblem(p=gram_b, q=gram_a, c=rhs))
+    assert ours.value.pair == pytest.approx(reference.value.pair, rel=1e-6, abs=1e-20)

@@ -1,5 +1,9 @@
 import json
+import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,8 @@ from lorapro.config import RunConfig
 from lorapro.errors import ConfigError
 from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
 from lorapro.selfcheck import run_selfcheck
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(tmp_path, **overrides):
@@ -237,3 +243,47 @@ def test_non_finite_loss_aborts_with_step_index(tmp_path):
     trainer.task.targets = trainer.task.targets * -1e200
     with pytest.raises(NonFiniteError, match="step 1"):
         trainer.step()
+
+
+@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
+def test_passthrough_without_damping_trains_from_zero_b(tmp_path, method):
+    # B starts at zero: step 1 must pass the raw gradients through without
+    # factoring the singular, undamped B^T B
+    cfg = small_config(tmp_path, method=method, steps=3, damping=0.0, fallback="passthrough")
+    trainer = Trainer(cfg)
+    records = [trainer.step() for _ in range(3)]
+    assert all(math.isfinite(rec.train_loss) for rec in records)
+    assert all(lm.dl_certificate is None for lm in records[0].per_layer)
+    assert all(lm.dl_certificate is not None for lm in records[-1].per_layer)
+
+
+def test_training_loads_one_blas_runtime(tmp_path):
+    import lorapro
+
+    script = textwrap.dedent(
+        """
+        import fnmatch, json, os, sys
+        from lorapro.config import parse_config_file
+        from lorapro.harness import Trainer
+
+        cfg = parse_config_file(sys.argv[1]).with_overrides(out_dir=sys.argv[2])
+        Trainer(cfg).step()
+        blas = None
+        if os.path.exists("/proc/self/maps"):
+            with open("/proc/self/maps") as fh:
+                paths = {line.split()[-1] for line in fh if len(line.split()) >= 6}
+            blas = sorted(p for p in paths if fnmatch.fnmatch(os.path.basename(p), "*openblas*"))
+        print(json.dumps({"scipy": "scipy" in sys.modules, "openblas": blas}))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lorapro.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "configs" / "teacher_student.cfg"),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert loaded["scipy"] is False
+    if loaded["openblas"] is not None:
+        assert len(loaded["openblas"]) == 1, loaded["openblas"]

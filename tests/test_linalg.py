@@ -121,6 +121,28 @@ def test_spd_solve_failure_reports_leading_minor():
     assert excinfo.value.leading_minor == 2
 
 
+def test_spd_solve_leading_minor_matches_lapack_info():
+    # scipy's dpotrf is the reference for the failing minor; the library itself
+    # factors through numpy alone
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            # p = L D L^T with L nonsingular lower triangular: the leading minors
+            # below order k are positive definite and the k-th pivot is negative
+            lower = np.tril(rng.normal(size=(n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
+            pivots = rng.uniform(0.5, 2.0, n)
+            pivots[k - 1] = -rng.uniform(0.5, 2.0)
+            p = lower @ np.diag(pivots) @ lower.T
+            p = 0.5 * (p + p.T)
+            _, info = lapack.dpotrf(p, lower=1)
+            assert info == k
+            with pytest.raises(FactorizationError) as excinfo:
+                spd_solve(p, np.ones((n, 1)))
+            assert excinfo.value.leading_minor == info
+
+
 def test_spd_solve_damping_recovers_singular():
     x = spd_solve(np.zeros((3, 3)), np.zeros((3, 1)), damping=1e-8)
     assert np.array_equal(x, np.zeros((3, 1)))
