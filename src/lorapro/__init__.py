@@ -2,11 +2,13 @@
 
 The package provides a small dense linear-algebra kernel, a Sylvester solver,
 adapter layers, the gradient adjustment itself with its loss-decrease
-certificate, adjusted and baseline optimizer loops, brute-force oracles that
-certify the closed forms, and a seeded experiment harness with a CLI.
+certificate, the adjusted optimizer loops beside plain-LoRA and full
+fine-tuning AdamW references, brute-force oracles that certify the closed
+forms, and a seeded experiment harness with a CLI.
 """
 
 from .errors import (
+    CheckpointError,
     ConfigError,
     DescentViolationError,
     EigenDecompositionError,
@@ -40,7 +42,6 @@ from .model import Batch, Network, backward, forward
 from .optim import (
     AdamWState,
     HyperParams,
-    baseline_step,
     init_adamw_state,
     lorapro_adamw_step,
     lorapro_sgd_step,
@@ -54,6 +55,7 @@ __all__ = [
     "AdamWState",
     "AdjustedGrads",
     "Batch",
+    "CheckpointError",
     "ConfigError",
     "DampingPolicy",
     "DescentViolationError",
@@ -75,7 +77,6 @@ __all__ = [
     "adjust",
     "apply_decayed_merge_step",
     "backward",
-    "baseline_step",
     "choose_x",
     "effective_weight",
     "equivalent_gradient",

@@ -55,3 +55,7 @@ class StaleCacheError(LoraProError, RuntimeError):
 
 class ConfigError(LoraProError, ValueError):
     """Invalid run configuration; the message names the offending key."""
+
+
+class CheckpointError(LoraProError, ValueError):
+    """A checkpoint file is damaged or is not a checkpoint; the message names the fault."""

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DescentViolationError, EigenDecompositionError, ShapeError, SpectrumError
 from .linalg import as_matrix, factorization_error, frob_inner, frob_norm, numerical_rank
 from .lora import LoraLayer
-from .sylvester import DENOMINATOR_FLOOR_REL, divide_by_pair_sums
+from .sylvester import solve_in_eigenbases
 
 __all__ = [
     "X_STRATEGIES",
@@ -233,16 +233,9 @@ class TangentGeometry:
         return g_b - q @ (q.T @ g_b)
 
     def solve_sylvester(self, c: np.ndarray) -> np.ndarray:
-        """X with (B^T B + eps_b I) X + X A A^T = c, by the spectral route of ``sylvester``.
-
-        Applies the same relative floor to the eigenvalue-pair sums and raises
-        the same SpectrumError as ``sylvester.solve_sylvester``.
-        """
+        """X with (B^T B + eps_b I) X + X A A^T = c, by ``sylvester.solve_in_eigenbases``."""
         _, damping, w, v = self._spectra
-        lam, mu = w[0] + damping[0], w[1]
-        u, q = v[0], v[1]
-        floor = DENOMINATOR_FLOOR_REL * (float(np.linalg.norm(lam)) + float(np.linalg.norm(mu)))
-        return u @ divide_by_pair_sums(u.T @ c @ q, lam, mu, floor) @ q.T
+        return solve_in_eigenbases(c, w[0] + damping[0], v[0], w[1], v[1])
 
 
 def _geometry(

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -50,7 +48,6 @@ __all__ = [
 
 CSV_HEADER = "step,lr,train_loss,layer,discrepancy,rank_a,rank_b,dl_certificate"
 CERTIFICATE_CEILING = 1e-12
-THREADS_ENV = "LORAPRO_THREADS"
 
 
 @dataclass
@@ -87,23 +84,6 @@ class CompareResult:
     verdicts: dict
     csv_path: Path
     json_path: Path
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {THREADS_ENV} value {raw!r}") from exc
-    return max(1, cap)
-
-
-def _map_ordered(fn, count: int) -> list:
-    workers = min(_thread_cap(), count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _fmt(value) -> str:
@@ -210,73 +190,71 @@ class Trainer:
         cfg = self.config
         loss, cache = forward(self.network, batch)
         bundles = backward(self.network, cache)
-        layers = self.network.layers
 
-        def one_layer(i: int):
-            layer, bundle = layers[i], bundles[i]
+        # every layer is computed before any is committed, so a step that
+        # raises leaves the trainer as it was
+        new_layers, new_states, metrics = [], [], []
+        for i, (layer, bundle) in enumerate(zip(self.network.layers, bundles)):
+            certificate = None
             if cfg.method == "lora":
                 g_tilde = equivalent_gradient(layer, bundle.g_a_lora, bundle.g_b_lora)
-                disc = frob_norm(g_tilde - bundle.g_full)
                 new_layer, sa, sb = lora_adamw_step(
                     layer, self.states_a[i], self.states_b[i], bundle, hp_now
                 )
-                return new_layer, (sa, sb), disc, None
-            # one geometry serves the metric adjustment, the certificate and the step
-            geometry = TangentGeometry(layer, self.policy)
-            adjusted = adjust(
-                layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
-            )
-            g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
-            disc = frob_norm(g_tilde - bundle.g_full)
-            certificate = None
-            if not geometry.passthrough:
-                certificate = loss_decrease_certificate(
-                    layer, bundle, adjusted, hp_now.lr, policy=self.policy, geometry=geometry
+                new_states.append((sa, sb))
+            else:
+                # one geometry serves the metric adjustment, the certificate and the step
+                geometry = TangentGeometry(layer, self.policy)
+                adjusted = adjust(
+                    layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
                 )
-                if certificate > CERTIFICATE_CEILING:
-                    raise DescentViolationError(
-                        f"layer {i}: predicted loss change {certificate:.3e} above "
-                        f"{CERTIFICATE_CEILING:.0e}"
+                g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
+                if not geometry.passthrough:
+                    certificate = loss_decrease_certificate(
+                        layer, bundle, adjusted, hp_now.lr, policy=self.policy, geometry=geometry
                     )
-            if cfg.method == "lora_pro_sgd":
-                new_layer = lorapro_sgd_step(
-                    layer,
-                    bundle,
-                    hp_now,
-                    strategy=cfg.x_strategy,
-                    policy=self.policy,
-                    geometry=geometry,
-                )
-                return new_layer, None, disc, certificate
-            new_layer, state = lorapro_adamw_step(
-                layer,
-                self.states[i],
-                bundle,
-                hp_now,
-                policy=self.policy,
-                x_strategy=cfg.x_strategy,
-                geometry=geometry,
-                adjusted=adjusted,
-            )
-            return new_layer, state, disc, certificate
-
-        outcomes = _map_ordered(one_layer, len(layers))
-
-        metrics = []
-        for i, (new_layer, state, disc, certificate) in enumerate(outcomes):
-            layers[i] = new_layer
-            if cfg.method == "lora":
-                self.states_a[i], self.states_b[i] = state
-            elif cfg.method == "lora_pro_adamw":
-                self.states[i] = state
+                    if certificate > CERTIFICATE_CEILING:
+                        raise DescentViolationError(
+                            f"layer {i}: predicted loss change {certificate:.3e} above "
+                            f"{CERTIFICATE_CEILING:.0e}"
+                        )
+                if cfg.method == "lora_pro_sgd":
+                    new_layer = lorapro_sgd_step(
+                        layer,
+                        bundle,
+                        hp_now,
+                        strategy=cfg.x_strategy,
+                        policy=self.policy,
+                        geometry=geometry,
+                    )
+                else:
+                    new_layer, state = lorapro_adamw_step(
+                        layer,
+                        self.states[i],
+                        bundle,
+                        hp_now,
+                        policy=self.policy,
+                        x_strategy=cfg.x_strategy,
+                        geometry=geometry,
+                        g_tilde=g_tilde,
+                    )
+                    new_states.append(state)
+            new_layers.append(new_layer)
             metrics.append(
                 LayerMetrics(
-                    discrepancy=disc,
+                    discrepancy=frob_norm(g_tilde - bundle.g_full),
                     rank_a=numerical_rank(new_layer.a),
                     rank_b=numerical_rank(new_layer.b),
                     dl_certificate=certificate,
                 )
             )
+
+        self.network.layers[:] = new_layers
+        if cfg.method == "lora":
+            self.states_a = [sa for sa, _ in new_states]
+            self.states_b = [sb for _, sb in new_states]
+        elif cfg.method == "lora_pro_adamw":
+            self.states = new_states
         return loss, metrics
 
     # --- checkpointing ---------------------------------------------------

@@ -3,7 +3,7 @@
 Matrices are plain 2-D float64 numpy arrays in row-major (C) order. All
 operations are pure functions: inputs are never mutated and outputs are
 freshly allocated, so values can be shared freely across threads. Heavy
-lifting (products, Cholesky, symmetric eigendecomposition) is delegated to
+lifting (Cholesky, symmetric eigendecomposition) is delegated to
 numpy's LAPACK bindings, so a process loads a single BLAS runtime; this
 module pins the contracts on top of them.
 """
@@ -16,11 +16,9 @@ from .errors import EigenDecompositionError, FactorizationError, NonFiniteError,
 
 __all__ = [
     "as_matrix",
-    "gemm",
     "frob_inner",
     "frob_norm",
     "spd_solve",
-    "spd_inverse",
     "factorization_error",
     "sym_eig",
     "numerical_rank",
@@ -49,19 +47,6 @@ def _finite_output(x: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"{op} produced non-finite entries")
     return x
-
-
-def gemm(a, b, transpose_a: bool = False, transpose_b: bool = False) -> np.ndarray:
-    """General matrix product with optional transposition of either operand."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    op_a = a.T if transpose_a else a
-    op_b = b.T if transpose_b else b
-    if op_a.shape[1] != op_b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions do not agree: effective shapes {op_a.shape} x {op_b.shape}"
-        )
-    return _finite_output(op_a @ op_b, "gemm")
 
 
 def frob_inner(a, b) -> float:
@@ -133,16 +118,6 @@ def factorization_error(coeff: np.ndarray, damping: float) -> FactorizationError
         f"(matrix of dimension {n}, damping {damping})",
         leading_minor=minor,
     )
-
-
-def spd_inverse(p, damping: float = 0.0) -> np.ndarray:
-    """Explicit (p + damping*I)^-1, i.e. the SPD solve against the identity.
-
-    Only for the few places that consume the inverse as a matrix in its own
-    right; prefer spd_solve everywhere else.
-    """
-    p = as_matrix(p, "p")
-    return spd_solve(p, np.eye(p.shape[0]), damping)
 
 
 def sym_eig(p) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
-"""Optimizer steps: adjusted-gradient SGD and AdamW, plus the baselines.
+"""Optimizer steps: adjusted-gradient SGD and AdamW, and the two AdamW references.
 
 The AdamW variant tracks first and second moments of the *equivalent
 gradient* at the full m x n weight shape (the price of mimicking full
 fine-tuning), re-projects the moment-transformed gradient onto the factors,
 adjusts a second time, and applies weight decay in the decomposed form that
-decays the merged weight exactly.
+decays the merged weight exactly. The references are the ``lora`` method
+(AdamW with per-factor moments on the raw factor gradients) and the
+``full_ft`` method (AdamW on the weight matrix itself).
 
 All step functions are functional: they return fresh layer/state values and
 never mutate their inputs.
@@ -19,7 +21,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .gradadjust import (
-    AdjustedGrads,
     DampingPolicy,
     GradBundle,
     TangentGeometry,
@@ -38,14 +39,11 @@ __all__ = [
     "adamw_transform",
     "lorapro_sgd_step",
     "lorapro_adamw_step",
-    "lora_sgd_step",
     "lora_adamw_step",
     "full_ft_adamw_step",
-    "baseline_step",
 ]
 
 SCHEDULES = ("constant", "cosine_with_warmup")
-BASELINE_KINDS = ("lora_sgd", "lora_adamw", "full_ft_adamw")
 
 
 @dataclass
@@ -170,7 +168,7 @@ def lorapro_adamw_step(
     policy: DampingPolicy = DampingPolicy(),
     x_strategy: str = "sylvester",
     geometry: TangentGeometry | None = None,
-    adjusted: AdjustedGrads | None = None,
+    g_tilde: np.ndarray | None = None,
 ) -> tuple[LoraLayer, AdamWState]:
     """AdamW on the equivalent gradient.
 
@@ -181,8 +179,9 @@ def lorapro_adamw_step(
     apply decomposed weight decay, then update the factors.
 
     A caller that already holds the layer's TangentGeometry under ``policy``
-    passes it as ``geometry``, and the X = 0 adjustment of ``bundle`` as
-    ``adjusted``; both adjustments then share the one geometry.
+    passes it as ``geometry``, and the equivalent gradient of the X = 0
+    adjustment of ``bundle`` as ``g_tilde``; the step then adjusts only once,
+    in that geometry.
     """
     if state.m.shape != layer.shape:
         raise ShapeError(
@@ -190,9 +189,9 @@ def lorapro_adamw_step(
         )
     if geometry is None:
         geometry = TangentGeometry(layer, policy)
-    if adjusted is None:
+    if g_tilde is None:
         adjusted = adjust(layer, bundle, strategy="zero", policy=policy, geometry=geometry)
-    g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
+        g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
     direction, state = adamw_transform(state, g_tilde)
 
     reprojected = lora_raw_grads(layer, direction)
@@ -210,15 +209,6 @@ def lorapro_adamw_step(
     if hp.decay_after_update:
         layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
     return layer, state
-
-
-def lora_sgd_step(layer: LoraLayer, bundle: GradBundle, hp: HyperParams) -> LoraLayer:
-    """Unadjusted baseline: descend each factor along its raw gradient."""
-    return replace(
-        layer,
-        b=layer.b - hp.lr * bundle.g_b_lora,
-        a=layer.a - hp.lr * bundle.g_a_lora,
-    )
 
 
 def lora_adamw_step(
@@ -247,14 +237,3 @@ def full_ft_adamw_step(
     w = as_matrix(w, "w")
     direction, state = adamw_transform(state, g)
     return (1.0 - hp.lr * hp.weight_decay) * w - hp.lr * direction, state
-
-
-def baseline_step(kind: str, **kwargs):
-    """Dispatch one baseline update by name."""
-    if kind == "lora_sgd":
-        return lora_sgd_step(**kwargs)
-    if kind == "lora_adamw":
-        return lora_adamw_step(**kwargs)
-    if kind == "full_ft_adamw":
-        return full_ft_adamw_step(**kwargs)
-    raise ValueError(f"unknown baseline kind {kind!r}, expected one of {BASELINE_KINDS}")

@@ -3,7 +3,8 @@
 Both coefficients in every call this package makes are Gram matrices, so a
 spectral route suffices: eigendecompose P = U L U^T and Q = V M V^T, divide
 the rotated right-hand side entrywise by the eigenvalue-pair sums, and rotate
-back. No Schur decomposition is needed.
+back. No Schur decomposition is needed. ``solve_in_eigenbases`` is that
+spectral step alone, for callers that already hold both eigenbases.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import ShapeError, SpectrumError
 from .linalg import as_matrix, frob_norm, sym_eig
 
-__all__ = ["SylvesterProblem", "solve_sylvester", "divide_by_pair_sums"]
+__all__ = ["SylvesterProblem", "solve_sylvester", "solve_in_eigenbases"]
 
 SYMMETRY_RTOL = 1e-10
 DENOMINATOR_FLOOR_REL = 1e-12
@@ -59,20 +60,20 @@ def solve_sylvester(prob: SylvesterProblem, damping: float = 0.0) -> np.ndarray:
     p = prob.p if damping == 0.0 else prob.p + damping * np.eye(prob.p.shape[0])
     lam, u = sym_eig(p)
     mu, v = sym_eig(prob.q)
-
-    floor = DENOMINATOR_FLOOR_REL * (frob_norm(p) + frob_norm(prob.q))
-    rotated = u.T @ prob.c @ v
-    return np.ascontiguousarray(u @ divide_by_pair_sums(rotated, lam, mu, floor) @ v.T)
+    return solve_in_eigenbases(prob.c, lam, u, mu, v)
 
 
-def divide_by_pair_sums(
-    rotated: np.ndarray, lam: np.ndarray, mu: np.ndarray, floor: float
+def solve_in_eigenbases(
+    c: np.ndarray, lam: np.ndarray, u: np.ndarray, mu: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Entrywise rotated[i, j] / (lam[i] + mu[j]), the spectral step of the solve.
+    """X with P X + X Q = c, given P = U diag(lam) U^T and Q = V diag(mu) V^T.
 
-    Raises SpectrumError with the offending eigenvalue pair if some
-    lambda_i + mu_j falls at or below ``floor``.
+    Rotates c into the two eigenbases, divides entrywise by the pair sums
+    lambda_i + mu_j, and rotates back. Raises SpectrumError with the offending
+    eigenvalue pair if some pair sum falls at or below
+    DENOMINATOR_FLOOR_REL * (||lam|| + ||mu||).
     """
+    floor = DENOMINATOR_FLOOR_REL * (float(np.linalg.norm(lam)) + float(np.linalg.norm(mu)))
     pair_sums = lam[:, None] + mu[None, :]
     bad = pair_sums <= floor
     if np.any(bad):
@@ -82,4 +83,4 @@ def divide_by_pair_sums(
             f"(lambda={lam[i]:.3e}, mu={mu[j]:.3e}); coefficients share eigenvalues up to sign",
             pair=(float(lam[i]), float(mu[j])),
         )
-    return rotated / pair_sums
+    return u @ ((u.T @ c @ v) / pair_sums) @ v.T

@@ -6,11 +6,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import lorapro.harness as harness
+from lorapro.checkpoint import load_checkpoint
 from lorapro.cli import main as cli_main
-from lorapro.config import RunConfig
-from lorapro.errors import ConfigError
+from lorapro.config import RunConfig, parse_config_text
+from lorapro.errors import CheckpointError, ConfigError, LoraProError
 from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
 from lorapro.selfcheck import run_selfcheck
 
@@ -34,6 +37,12 @@ def small_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def desk_config(tmp_path, steps=2):
+    """The benchmark's desk workload: the shipped 8-16-4, r=2 config."""
+    text = (ROOT / "perfbench" / "configs" / "desk.cfg").read_text(encoding="utf-8")
+    return parse_config_text(text.format(steps=steps, seed=3, out_dir=tmp_path / "desk"))
 
 
 def test_run_writes_artifacts_and_schema(tmp_path):
@@ -89,6 +98,90 @@ def test_checkpoint_rejects_other_config(tmp_path):
         Trainer.from_checkpoint(cfg.with_overrides(lr=1e-4), ckpt)
 
 
+def _flip_bit(data: bytes, offset: int, bit: int) -> bytes:
+    out = bytearray(data)
+    out[offset] ^= 1 << bit
+    return bytes(out)
+
+
+HEADER_AT = 16  # 8-byte magic, then the 8-byte header length
+CHECKPOINT_DAMAGE = {
+    "bad_magic": lambda data: _flip_bit(data, 0, 0),
+    "short_length_field": lambda data: data[:HEADER_AT - 3],
+    "oversized_header_length": lambda data: _flip_bit(data, HEADER_AT - 1, 7),
+    "undecodable_header": lambda data: _flip_bit(data, HEADER_AT, 7),
+    "truncated_payload": lambda data: data[:-8],
+    "trailing_bytes": lambda data: data + b"\0",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_damaged_checkpoint_raises_typed_error(tmp_path, damage):
+    trainer = Trainer(desk_config(tmp_path))
+    trainer.step()
+    intact = tmp_path / "state.bin"
+    trainer.save(intact)
+    load_checkpoint(str(intact))
+    damaged = tmp_path / "damaged.bin"
+    damaged.write_bytes(CHECKPOINT_DAMAGE[damage](intact.read_bytes()))
+    with pytest.raises(CheckpointError) as excinfo:
+        load_checkpoint(str(damaged))
+    # existing callers catch ValueError; the CLI catches LoraProError
+    assert isinstance(excinfo.value, ValueError)
+    assert isinstance(excinfo.value, LoraProError)
+    assert str(damaged) in str(excinfo.value)
+
+
+def test_failed_step_commits_no_layer(tmp_path, monkeypatch):
+    trainer = Trainer(desk_config(tmp_path))
+    trainer.step()
+    layers = [(layer.b.copy(), layer.a.copy()) for layer in trainer.network.layers]
+    states = [(st.m.copy(), st.v.copy(), st.t) for st in trainer.states]
+    calls = []
+    real_step = harness.lorapro_adamw_step
+
+    def fail_on_second_layer(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure on layer 1")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "lorapro_adamw_step", fail_on_second_layer)
+    with pytest.raises(RuntimeError, match="injected"):
+        trainer.step()
+    assert len(calls) == 2
+    assert trainer.step_count == 1
+    for layer, (b, a) in zip(trainer.network.layers, layers):
+        assert np.array_equal(layer.b, b) and np.array_equal(layer.a, a)
+    for st, (m, v, t) in zip(trainer.states, states):
+        assert np.array_equal(st.m, m) and np.array_equal(st.v, v) and st.t == t
+
+
+def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch):
+    # perfbench/tracer.py looks up every watched lorapro function by name; a
+    # deletion or rename in the library would break its --trace 1 pass
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    step = vars(Trainer)["step"]
+    adjust = harness.adjust
+    cfg = desk_config(tmp_path, steps=1)
+    recorder = tracer.Tracer()
+    with recorder:
+        assert vars(Trainer)["step"] is not step
+        assert harness.adjust is not adjust
+        harness.run(cfg)  # through the module, whose bindings the tracer wraps
+    assert vars(Trainer)["step"] is step
+    assert harness.adjust is adjust
+
+    names = {span[tracer.NAME] for span in recorder.spans}
+    assert {tracer.STEP, tracer.RUN, "harness>gradadjust.adjust"} <= names
+    assert any(name.endswith(">linalg.as_matrix") for name in names)
+    metrics, counts = tracer.step_metrics(recorder.spans, cfg.method, n_layers=2)
+    assert counts["gradadjust.adjust"] > 0 and counts["linalg.as_matrix"] > 0
+    assert all(math.isfinite(value) for value in metrics.values())
+
+
 def test_compare_needs_two_methods(tmp_path):
     with pytest.raises(ConfigError):
         compare(small_config(tmp_path), ["full_ft"])
@@ -135,17 +228,6 @@ def test_full_rank_limit_run_matches_full_fine_tuning(tmp_path):
     result = compare(cfg, ["lora_pro_adamw", "full_ft"])
     losses = result.verdicts["final_loss"]
     assert abs(losses["lora_pro_adamw"] - losses["full_ft"]) < 1e-4
-
-
-def test_threaded_layer_updates_match_serial(tmp_path):
-    cfg = small_config(tmp_path, steps=10)
-    serial = run(cfg.with_overrides(out_dir=str(tmp_path / "s")))
-    os.environ["LORAPRO_THREADS"] = "2"
-    try:
-        threaded = run(cfg.with_overrides(out_dir=str(tmp_path / "t")))
-    finally:
-        del os.environ["LORAPRO_THREADS"]
-    assert Path(serial.csv_path).read_bytes() == Path(threaded.csv_path).read_bytes()
 
 
 def test_selfcheck_passes_and_is_seed_stable():

@@ -5,71 +5,10 @@ from lorapro.errors import FactorizationError, NonFiniteError, ShapeError
 from lorapro.linalg import (
     frob_inner,
     frob_norm,
-    gemm,
     numerical_rank,
-    spd_inverse,
     spd_solve,
     sym_eig,
 )
-
-
-def naive_product(a, b):
-    # independent triple-loop reference
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-def test_gemm_identity_passthrough():
-    g = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(gemm(np.eye(2), g), g)
-
-
-def test_gemm_transpose_flag():
-    a = np.array([[1.0], [0.0]])
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    got = gemm(a, b, transpose_a=True)
-    assert np.allclose(got, [[1.0, 2.0]])
-    assert np.allclose(got, naive_product(a.T, b))
-
-
-def test_gemm_zero_annihilates():
-    z = np.zeros((3, 4))
-    b = np.arange(8.0).reshape(4, 2)
-    assert np.array_equal(gemm(z, b), np.zeros((3, 2)))
-
-
-def test_gemm_matches_naive_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 5)))
-        b = rng.normal(size=(a.shape[1], rng.integers(1, 5)))
-        assert np.allclose(gemm(a, b), naive_product(a, b), atol=1e-12)
-
-
-def test_gemm_dimension_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        gemm(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-def test_gemm_associativity():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        dims = rng.integers(1, 7, size=4)
-        a = rng.normal(size=(dims[0], dims[1]))
-        b = rng.normal(size=(dims[1], dims[2]))
-        c = rng.normal(size=(dims[2], dims[3]))
-        left = gemm(gemm(a, b), c)
-        right = gemm(a, gemm(b, c))
-        assert frob_norm(left - right) <= 1e-10 * max(1.0, frob_norm(left))
-
-
-def test_gemm_rejects_non_finite():
-    with pytest.raises(NonFiniteError):
-        gemm(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 def test_frob_inner_direct_sum():
@@ -96,7 +35,7 @@ def test_spd_solve_identity_inverse():
 
 def test_spd_solve_diagonal_inverse_with_residual():
     p = np.diag([4.0, 9.0])
-    x = spd_inverse(p)
+    x = spd_solve(p, np.eye(2))
     assert np.allclose(x, np.diag([0.25, 1.0 / 9.0]), atol=1e-14)
     assert frob_norm(p @ x - np.eye(2)) < 1e-12
 
@@ -148,6 +87,13 @@ def test_spd_solve_damping_recovers_singular():
     assert np.array_equal(x, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         spd_solve(np.eye(2), np.eye(2), damping=-1.0)
+
+
+def test_spd_solve_rejects_non_finite():
+    with pytest.raises(NonFiniteError):
+        spd_solve(np.array([[np.nan]]), np.array([[1.0]]))
+    with pytest.raises(NonFiniteError):
+        spd_solve(np.array([[1.0]]), np.array([[np.inf]]))
 
 
 def test_sym_eig_already_diagonal():

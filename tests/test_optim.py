@@ -10,11 +10,9 @@ from lorapro.optim import (
     AdamWState,
     HyperParams,
     adamw_transform,
-    baseline_step,
     full_ft_adamw_step,
     init_adamw_state,
     lora_adamw_step,
-    lora_sgd_step,
     lorapro_adamw_step,
     lorapro_sgd_step,
     lr_at,
@@ -151,6 +149,28 @@ def test_adamw_moment_recurrences_replay(unit_instance):
         assert states[k].t == k
 
 
+def test_adamw_step_with_callers_g_tilde_is_bit_identical():
+    # the harness hands over the equivalent gradient of its own X = 0 pair;
+    # the step must land on exactly the bytes it computes without it
+    from lorapro.gradadjust import TangentGeometry, adjust, equivalent_gradient
+
+    rng = np.random.default_rng(44)
+    layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
+                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
+    bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
+    state = init_adamw_state((6, 5))
+    hp = HyperParams(lr=0.01, weight_decay=0.1)
+    alone, alone_state = lorapro_adamw_step(layer, state, bundle, hp)
+    geometry = TangentGeometry(layer)
+    adj = adjust(layer, bundle, strategy="zero", geometry=geometry)
+    g_tilde = equivalent_gradient(layer, adj.g_a, adj.g_b)
+    shared, shared_state = lorapro_adamw_step(layer, state, bundle, hp,
+                                              geometry=geometry, g_tilde=g_tilde)
+    for got, want in ((shared.a, alone.a), (shared.b, alone.b), (shared.w0, alone.w0),
+                      (shared_state.m, alone_state.m), (shared_state.v, alone_state.v)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_adamw_shape_mismatch(unit_instance):
     layer, g = unit_instance
     with pytest.raises(ShapeError):
@@ -168,15 +188,6 @@ def test_adamw_decay_order_switch(unit_instance):
     post, _ = lorapro_adamw_step(layer, init_adamw_state((2, 2)), bundle, hp_post,
                                  policy=EXACT)
     assert not np.allclose(pre.a, post.a)
-
-
-def test_baseline_lora_sgd_hand_values(unit_instance):
-    layer, g = unit_instance
-    bundle = lora_raw_grads(layer, g)
-    out = lora_sgd_step(layer, bundle, HyperParams(lr=0.1))
-    # a - 0.1*[[1,2]] and b - 0.1*[[1],[3]]
-    assert np.allclose(out.a, [[0.9, -0.2]], atol=1e-12)
-    assert np.allclose(out.b, [[0.9], [-0.3]], atol=1e-12)
 
 
 def test_baseline_full_ft_zero_lr():
@@ -205,15 +216,6 @@ def test_baseline_lora_adamw_moves_both_factors(unit_instance):
     assert not np.array_equal(out.a, layer.a)
     assert not np.array_equal(out.b, layer.b)
     assert sa.t == 1 and sb.t == 1
-
-
-def test_baseline_dispatcher(unit_instance):
-    layer, g = unit_instance
-    bundle = lora_raw_grads(layer, g)
-    out = baseline_step("lora_sgd", layer=layer, bundle=bundle, hp=HyperParams(lr=0.1))
-    assert np.allclose(out.a, [[0.9, -0.2]])
-    with pytest.raises(ValueError):
-        baseline_step("momentum_sgd")
 
 
 def test_adamw_state_validation():
