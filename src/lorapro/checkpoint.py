@@ -2,14 +2,18 @@
 
 Layout: an 8-byte magic with version, a little-endian uint64 header length,
 a UTF-8 JSON header, then the raw array payloads. The header carries
-arbitrary JSON metadata plus the shape table; payloads are float64,
-row-major, little-endian, in the header's order (names sorted). Round
-trips are bit-exact, which is what makes resumed runs reproduce the
-uninterrupted trajectory.
+arbitrary JSON metadata, the shape table and the SHA-256 of the payload;
+payloads are float64, row-major, little-endian, in the header's order (names
+sorted). Round trips are bit-exact, which is what makes resumed runs
+reproduce the uninterrupted trajectory. A save writes a temporary file in
+the target's directory and renames it over the target, so a save that fails
+partway leaves any earlier checkpoint at that path as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import struct
@@ -20,7 +24,7 @@ from .errors import CheckpointError, ShapeError
 
 __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"LRPCKP01"
+MAGIC = b"LRPCKP02"
 
 
 def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -32,20 +36,34 @@ def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> Non
             raise ShapeError(f"checkpoint array {name!r} must be 2-D, got ndim={arr.ndim}")
         table.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1]})
         payload += arr.astype("<f8").tobytes(order="C")
-    header = json.dumps({"meta": meta, "arrays": table}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(payload)
+    header = json.dumps(
+        {"meta": meta, "arrays": table, "payload_sha256": hashlib.sha256(payload).hexdigest()},
+        sort_keys=True,
+    ).encode("utf-8")
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint written by ``save_checkpoint``.
 
     Raises CheckpointError (a ValueError) if the file is not a checkpoint, if
-    its length field or header is cut short or cannot be decoded, or if its
-    payload is shorter or longer than the header's array table says.
+    its length field or header is cut short or cannot be decoded, if its
+    payload is shorter or longer than the header's array table says, or if
+    the payload's SHA-256 differs from the one in the header.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -66,6 +84,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             meta = header["meta"]
             table = [(e["name"], int(e["rows"]), int(e["cols"])) for e in header["arrays"]]
+            digest = str(header["payload_sha256"])
             if any(rows < 0 or cols < 0 for _, rows, cols in table):
                 raise ValueError("negative array shape")
         except (ValueError, KeyError, TypeError) as exc:
@@ -76,10 +95,18 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: payload truncated ({left} of {expected} bytes)")
         if left > expected:
             raise CheckpointError(f"{path}: {left - expected} trailing bytes after the payload")
-        arrays: dict[str, np.ndarray] = {}
-        for name, rows, cols in table:
-            buf = fh.read(rows * cols * 8)
-            if len(buf) != rows * cols * 8:
-                raise CheckpointError(f"{path}: truncated while reading {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        payload = fh.read(expected)
+    if len(payload) != expected:
+        raise CheckpointError(f"{path}: payload truncated while reading")
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise CheckpointError(f"{path}: payload SHA-256 does not match the header's")
+    arrays: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, rows, cols in table:
+        arrays[name] = (
+            np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
+            .astype(np.float64)
+            .reshape(rows, cols)
+        )
+        offset += 8 * rows * cols
     return meta, arrays

@@ -23,13 +23,20 @@ which serves the damped Gram solves and the Sylvester X to every function here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DescentViolationError, EigenDecompositionError, ShapeError, SpectrumError
-from .linalg import as_matrix, factorization_error, frob_inner, frob_norm, numerical_rank
+from .errors import (
+    DescentViolationError,
+    EigenDecompositionError,
+    NonFiniteError,
+    ShapeError,
+    SpectrumError,
+)
+from .linalg import as_matrix, build_unchecked, factorization_error, frob_norm, numerical_rank
 from .lora import LoraLayer
 from .sylvester import solve_in_eigenbases
 
@@ -61,6 +68,8 @@ class GradBundle:
     g_a_lora: np.ndarray
     g_b_lora: np.ndarray
     g_full: np.ndarray | None = None
+    # (B, A, g_a_lora, g_b_lora, g_full, s) of a bundle lora_raw_grads built
+    _origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.g_a_lora = as_matrix(self.g_a_lora, "g_a_lora")
@@ -117,10 +126,25 @@ def _check_bundle_shapes(layer: LoraLayer, bundle: GradBundle):
         raise ShapeError(f"g_full must be {m}x{n}, got {bundle.g_full.shape}")
 
 
+def _built_from(bundle: GradBundle, layer: LoraLayer) -> bool:
+    """Whether ``lora_raw_grads`` built ``bundle`` from ``layer``'s current factors."""
+    if bundle._origin is None:
+        return False
+    *arrays, scaling = bundle._origin
+    current = (layer.b, layer.a, bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
+    return scaling == layer.scaling and all(x is y for x, y in zip(arrays, current))
+
+
 def validate_bundle(layer: LoraLayer, bundle: GradBundle, tol: float = BUNDLE_CONSISTENCY_TOL):
-    """Check the chain-rule identities against g_full when it is present."""
+    """Check the chain-rule identities against g_full when it is present.
+
+    A bundle that ``lora_raw_grads`` built from this layer's factors, still
+    holding the arrays it was built with, satisfies them by construction, so
+    only its shapes are checked. Arrays written in place afterwards are not
+    re-read.
+    """
     _check_bundle_shapes(layer, bundle)
-    if bundle.g_full is None:
+    if bundle.g_full is None or _built_from(bundle, layer):
         return
     s = layer.scaling
     expect_a = s * (layer.b.T @ bundle.g_full)
@@ -139,10 +163,14 @@ def lora_raw_grads(layer: LoraLayer, g_full: np.ndarray) -> GradBundle:
     if g_full.shape != layer.shape:
         raise ShapeError(f"g_full must be {layer.shape}, got {g_full.shape}")
     s = layer.scaling
-    return GradBundle(
-        g_a_lora=s * (layer.b.T @ g_full),
-        g_b_lora=s * (g_full @ layer.a.T),
+    g_a = s * (layer.b.T @ g_full)
+    g_b = s * (g_full @ layer.a.T)
+    return build_unchecked(
+        GradBundle,
+        g_a_lora=g_a,
+        g_b_lora=g_b,
         g_full=g_full,
+        _origin=(layer.b, layer.a, g_a, g_b, g_full, s),
     )
 
 
@@ -156,8 +184,14 @@ def equivalent_gradient(layer: LoraLayer, g_a: np.ndarray, g_b: np.ndarray) -> n
         raise ShapeError(f"g_a must be {r}x{n}, got {g_a.shape}")
     if g_b.shape != (m, r):
         raise ShapeError(f"g_b must be {m}x{r}, got {g_b.shape}")
+    # s*(B g_a) + s*(g_b A) in two m x n buffers, same operations in the same order
     s = layer.scaling
-    return s * (layer.b @ g_a) + s * (g_b @ layer.a)
+    out = layer.b @ g_a
+    out *= s
+    right = g_b @ layer.a
+    right *= s
+    out += right
+    return out
 
 
 class TangentGeometry:
@@ -331,6 +365,11 @@ def adjust(
     )
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """The Frobenius inner product of two same-shaped arrays the certificate computed."""
+    return float(np.dot(a.ravel(), b.ravel()))
+
+
 def loss_decrease_certificate(
     layer: LoraLayer,
     bundle: GradBundle,
@@ -354,19 +393,26 @@ def loss_decrease_certificate(
     if lr < 0.0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     _check_bundle_shapes(layer, bundle)
+    g_a = as_matrix(adjusted.g_a, "adjusted g_a")
+    g_b = as_matrix(adjusted.g_b, "adjusted g_b")
+    if g_a.shape != bundle.g_a_lora.shape or g_b.shape != bundle.g_b_lora.shape:
+        raise ShapeError(
+            f"adjusted pair {g_a.shape}/{g_b.shape} does not match the raw pair "
+            f"{bundle.g_a_lora.shape}/{bundle.g_b_lora.shape}"
+        )
     s = layer.scaling
     geo = _geometry(layer, policy, geometry)
 
     # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2
     whitened_a = geo.white_b.T @ bundle.g_a_lora
-    term_a = frob_inner(whitened_a, whitened_a) / s**2
+    term_a = _inner(whitened_a, whitened_a) / s**2
     projected = geo.project_out_b(bundle.g_b_lora)
-    term_b = frob_inner(bundle.g_b_lora @ geo.white_a, projected @ geo.white_a) / s**2
+    term_b = _inner(bundle.g_b_lora @ geo.white_a, projected @ geo.white_a) / s**2
     dl = -lr * (term_a + term_b)
 
-    via_pairing = -lr * (
-        frob_inner(bundle.g_a_lora, adjusted.g_a) + frob_inner(bundle.g_b_lora, adjusted.g_b)
-    )
+    via_pairing = -lr * (_inner(bundle.g_a_lora, g_a) + _inner(bundle.g_b_lora, g_b))
+    if not (math.isfinite(dl) and math.isfinite(via_pairing)):
+        raise NonFiniteError(f"certificate {dl} or gradient pairing {via_pairing} is not finite")
     scale = max(1.0, abs(dl), abs(via_pairing))
     if abs(dl - via_pairing) > 1e-9 * scale:
         raise DescentViolationError(

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import METHODS, RunConfig
 from .errors import ConfigError, DescentViolationError, NonFiniteError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
-from .linalg import frob_norm, numerical_rank
+from .linalg import as_matrix, frob_norm, numerical_rank
 from .lora import InitScheme, init_layer, layer_from_state, layer_state
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
@@ -84,6 +84,19 @@ class CompareResult:
     verdicts: dict
     csv_path: Path
     json_path: Path
+
+
+def _check_commit(i: int, values: dict[str, np.ndarray]) -> None:
+    """A step's one finiteness check of what it is about to commit for layer ``i``.
+
+    The values inside a step derive from inputs checked where they entered
+    it, so only overflow can make them non-finite; checking them once here,
+    before anything is committed, catches it without re-checking every
+    intermediate. A finite second moment also bounds the gradient that fed
+    it, so the first moment needs no check of its own.
+    """
+    for name, value in values.items():
+        as_matrix(value, f"layer {i}: new {name}")
 
 
 def _fmt(value) -> str:
@@ -176,10 +189,15 @@ class Trainer:
         acts, loss_kind = self.network.activations, self.network.loss_kind
         loss, cache = forward_with_weights(self.weights, acts, loss_kind, batch)
         grads = backward_weight_grads(cache, acts, loss_kind)
-        for i, g in enumerate(grads):
-            self.weights[i], self.ft_states[i] = full_ft_adamw_step(
-                self.weights[i], self.ft_states[i], g, hp_now
-            )
+        # every layer is computed and checked before any is committed
+        new = [
+            full_ft_adamw_step(w, state, g, hp_now)
+            for w, state, g in zip(self.weights, self.ft_states, grads)
+        ]
+        for i, (w, state) in enumerate(new):
+            _check_commit(i, {"w": w, "v": state.v})
+        self.weights = [w for w, _ in new]
+        self.ft_states = [state for _, state in new]
         metrics = [
             LayerMetrics(discrepancy=0.0, rank_a=None, rank_b=None, dl_certificate=None)
             for _ in grads
@@ -189,19 +207,22 @@ class Trainer:
     def _step_adapters(self, batch: Batch, hp_now) -> tuple[float, list[LayerMetrics]]:
         cfg = self.config
         loss, cache = forward(self.network, batch)
+        # backward checks each weight gradient as it comes out, naming the
+        # layer, and skips its stale-cache recompute for the cache just made
         bundles = backward(self.network, cache)
 
-        # every layer is computed before any is committed, so a step that
-        # raises leaves the trainer as it was
+        # every layer is computed and checked before any is committed, so a
+        # step that raises leaves the trainer as it was
         new_layers, new_states, metrics = [], [], []
         for i, (layer, bundle) in enumerate(zip(self.network.layers, bundles)):
-            certificate = None
+            certificate, moments = None, {}
             if cfg.method == "lora":
                 g_tilde = equivalent_gradient(layer, bundle.g_a_lora, bundle.g_b_lora)
                 new_layer, sa, sb = lora_adamw_step(
                     layer, self.states_a[i], self.states_b[i], bundle, hp_now
                 )
                 new_states.append((sa, sb))
+                moments = {"v_a": sa.v, "v_b": sb.v}
             else:
                 # one geometry serves the metric adjustment, the certificate and the step
                 geometry = TangentGeometry(layer, self.policy)
@@ -239,10 +260,13 @@ class Trainer:
                         g_tilde=g_tilde,
                     )
                     new_states.append(state)
+                    moments = {"v": state.v}
+            _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
             new_layers.append(new_layer)
+            g_tilde -= bundle.g_full  # the step is done with g_tilde; reuse its buffer
             metrics.append(
                 LayerMetrics(
-                    discrepancy=frob_norm(g_tilde - bundle.g_full),
+                    discrepancy=frob_norm(g_tilde),
                     rank_a=numerical_rank(new_layer.a),
                     rank_b=numerical_rank(new_layer.b),
                     dl_certificate=certificate,

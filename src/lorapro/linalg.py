@@ -16,6 +16,8 @@ from .errors import EigenDecompositionError, FactorizationError, NonFiniteError,
 
 __all__ = [
     "as_matrix",
+    "build_unchecked",
+    "replace_unchecked",
     "frob_inner",
     "frob_norm",
     "spd_solve",
@@ -38,9 +40,32 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return a
+
+
+def build_unchecked(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, without ``__post_init__``.
+
+    For values a step derives from inputs that were checked where they
+    entered it: re-running the constructor's checks would only re-read every
+    array. Fields left out keep their class-level defaults.
+    """
+    out = object.__new__(cls)
+    # attribute by attribute, in field order, as the generated __init__ does,
+    # so the instance keeps the class's compact shared-key attribute storage
+    for name in cls.__dataclass_fields__:
+        if name in fields:
+            setattr(out, name, fields[name])
+    return out
+
+
+def replace_unchecked(value, **changes):
+    """``dataclasses.replace`` without re-running ``__post_init__``; see ``build_unchecked``."""
+    cls = type(value)
+    current = {name: getattr(value, name) for name in cls.__dataclass_fields__}
+    return build_unchecked(cls, **{**current, **changes})
 
 
 def _finite_output(x: np.ndarray, op: str) -> np.ndarray:

@@ -8,12 +8,12 @@ scaling s is alpha/r in "lora" mode and alpha/sqrt(r) in "rslora" mode
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import as_matrix
+from .linalg import as_matrix, replace_unchecked
 
 __all__ = [
     "SCALING_MODES",
@@ -124,7 +124,12 @@ def init_layer(
 
 def effective_weight(layer: LoraLayer) -> np.ndarray:
     """The weight the layer exposes to the forward pass: w0 + s*b*a."""
-    return layer.w0 + layer.scaling * (layer.b @ layer.a)
+    # in one m x n buffer; w0 is added last, which gives the same bits since
+    # floating-point addition commutes
+    weight = layer.b @ layer.a
+    weight *= layer.scaling
+    weight += layer.w0
+    return weight
 
 
 def apply_decayed_merge_step(layer: LoraLayer, lr: float, weight_decay: float) -> LoraLayer:
@@ -141,7 +146,7 @@ def apply_decayed_merge_step(layer: LoraLayer, lr: float, weight_decay: float) -
         return layer
     factor = 1.0 - gamma_lambda
     root = math.sqrt(factor)
-    return replace(layer, w0=factor * layer.w0, b=root * layer.b, a=root * layer.a)
+    return replace_unchecked(layer, w0=factor * layer.w0, b=root * layer.b, a=root * layer.a)
 
 
 def layer_state(layer: LoraLayer, prefix: str = "") -> tuple[dict, dict]:

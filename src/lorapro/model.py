@@ -9,7 +9,7 @@ reference every adjustment check compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -90,6 +90,8 @@ class ForwardCache:
     post_activations: list[np.ndarray]  # index 0 is the input batch
     batch: Batch
     loss: float
+    # per layer (w0, copy of b, copy of a, scaling), when ``forward`` made the cache
+    layers_seen: list[tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -180,7 +182,30 @@ def forward_with_weights(
 
 
 def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
-    return forward_with_weights(net.effective_weights(), net.activations, net.loss_kind, batch)
+    loss, cache = forward_with_weights(
+        net.effective_weights(), net.activations, net.loss_kind, batch
+    )
+    cache.layers_seen = [
+        (layer.w0, layer.b.copy(), layer.a.copy(), layer.scaling) for layer in net.layers
+    ]
+    return loss, cache
+
+
+def _unchanged_since(cache: ForwardCache, net: Network) -> bool:
+    """Whether every layer still has the w0, factor values and scaling ``forward`` saw.
+
+    w0 is frozen, so it is compared by identity; the factors, which a
+    training loop may write in place, by value.
+    """
+    if cache.layers_seen is None or len(cache.layers_seen) != len(net.layers):
+        return False
+    return all(
+        layer.w0 is w0
+        and layer.scaling == scaling
+        and np.array_equal(layer.b, b)
+        and np.array_equal(layer.a, a)
+        for layer, (w0, b, a, scaling) in zip(net.layers, cache.layers_seen)
+    )
 
 
 def backward_weight_grads(cache: ForwardCache, activations: Sequence[str],
@@ -197,12 +222,26 @@ def backward_weight_grads(cache: ForwardCache, activations: Sequence[str],
 
 
 def backward(net: Network, cache: ForwardCache) -> list[GradBundle]:
-    """Per-layer gradient bundles (full weight gradient plus raw factor gradients)."""
-    current = net.effective_weights()
-    if len(current) != len(cache.weights) or any(
-        w.shape != cw.shape or not np.array_equal(w, cw)
-        for w, cw in zip(current, cache.weights)
-    ):
-        raise StaleCacheError("cache does not match the network's current weights")
+    """Per-layer gradient bundles (full weight gradient plus raw factor gradients).
+
+    Raises StaleCacheError if the network's effective weights are no longer
+    the ones ``cache`` was computed with. A cache that ``forward`` made from
+    layers whose w0, factors and scaling are unchanged passes without
+    recomputing the effective weights. A non-finite weight gradient raises
+    NonFiniteError naming its layer.
+    """
+    if not _unchanged_since(cache, net):
+        current = net.effective_weights()
+        if len(current) != len(cache.weights) or any(
+            w.shape != cw.shape or not np.array_equal(w, cw)
+            for w, cw in zip(current, cache.weights)
+        ):
+            raise StaleCacheError("cache does not match the network's current weights")
     grads = backward_weight_grads(cache, net.activations, net.loss_kind)
-    return [lora_raw_grads(layer, g) for layer, g in zip(net.layers, grads)]
+    bundles = []
+    for i, (layer, g) in enumerate(zip(net.layers, grads)):
+        try:
+            bundles.append(lora_raw_grads(layer, g))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"layer {i}: {exc}") from exc
+    return bundles

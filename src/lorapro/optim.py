@@ -9,13 +9,15 @@ decays the merged weight exactly. The references are the ``lora`` method
 ``full_ft`` method (AdamW on the weight matrix itself).
 
 All step functions are functional: they return fresh layer/state values and
-never mutate their inputs.
+never mutate their inputs. The values they return are computed from inputs
+that were checked where they entered, so they are built without re-running
+the constructors' checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .gradadjust import (
     equivalent_gradient,
     lora_raw_grads,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, replace_unchecked
 from .lora import LoraLayer, apply_decayed_merge_step
 
 __all__ = [
@@ -129,12 +131,24 @@ def adamw_transform(state: AdamWState, grad: np.ndarray) -> tuple[np.ndarray, Ad
     if grad.shape != state.m.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    direction = m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return direction, replace(state, m=m, v=v, t=t)
+    beta1, beta2 = state.beta1, state.beta2
+    # m = beta1*m + (1-beta1)*g,  v = beta2*v + (1-beta2)*g**2,
+    # direction = (m / (1-beta1**t)) / (sqrt(v / (1-beta2**t)) + epsilon),
+    # in the three returned arrays and one scratch array, with the same
+    # operations in the same order
+    scratch = np.multiply(grad, 1.0 - beta1)
+    m = np.multiply(state.m, beta1)
+    m += scratch
+    np.square(grad, out=scratch)
+    scratch *= 1.0 - beta2
+    v = np.multiply(state.v, beta2)
+    v += scratch
+    direction = np.divide(m, 1.0 - beta1**t)
+    np.divide(v, 1.0 - beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.epsilon
+    direction /= scratch
+    return direction, replace_unchecked(state, m=m, v=v, t=t)
 
 
 def lorapro_sgd_step(
@@ -153,7 +167,7 @@ def lorapro_sgd_step(
     if hp.weight_decay != 0.0:
         raise ValueError("the SGD loop has no weight decay; got a nonzero weight_decay")
     adjusted = adjust(layer, bundle, strategy=strategy, policy=policy, geometry=geometry)
-    return replace(
+    return replace_unchecked(
         layer,
         b=layer.b - hp.lr * adjusted.g_b,
         a=layer.a - hp.lr * adjusted.g_a,
@@ -201,7 +215,7 @@ def lorapro_adamw_step(
 
     if not hp.decay_after_update:
         layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
-    layer = replace(
+    layer = replace_unchecked(
         layer,
         b=layer.b - hp.lr * second.g_b,
         a=layer.a - hp.lr * second.g_a,
@@ -222,7 +236,7 @@ def lora_adamw_step(
     dir_a, state_a = adamw_transform(state_a, bundle.g_a_lora)
     dir_b, state_b = adamw_transform(state_b, bundle.g_b_lora)
     decay = 1.0 - hp.lr * hp.weight_decay
-    layer = replace(
+    layer = replace_unchecked(
         layer,
         a=decay * layer.a - hp.lr * dir_a,
         b=decay * layer.b - hp.lr * dir_b,
@@ -236,4 +250,8 @@ def full_ft_adamw_step(
     """Reference trajectory: AdamW directly on the weight matrix."""
     w = as_matrix(w, "w")
     direction, state = adamw_transform(state, g)
-    return (1.0 - hp.lr * hp.weight_decay) * w - hp.lr * direction, state
+    # (1 - lr*wd)*w - lr*direction, in one new array
+    new_w = np.multiply(w, 1.0 - hp.lr * hp.weight_decay)
+    direction *= hp.lr
+    new_w -= direction
+    return new_w, state

@@ -17,6 +17,7 @@ from lorapro.gradadjust import (
 )
 from lorapro.linalg import frob_norm, numerical_rank
 from lorapro.lora import LoraLayer
+from lorapro.optim import HyperParams, init_adamw_state, lorapro_adamw_step, lorapro_sgd_step
 from lorapro.oracle import (
     brute_force_optimal_grads,
     projection_residual_norm_sq,
@@ -201,6 +202,44 @@ def test_validate_bundle_rejects_inconsistency(unit_instance):
     bad = GradBundle(g_a_lora=np.ones((1, 2)) * 5.0, g_b_lora=np.ones((2, 1)), g_full=g)
     with pytest.raises(ShapeError):
         validate_bundle(layer, bad)
+
+
+CONSUMERS = {
+    "adjust": lambda layer, bundle: adjust(layer, bundle, policy=EXACT),
+    "choose_x": lambda layer, bundle: choose_x(layer, bundle, policy=EXACT),
+    "lorapro_sgd_step": lambda layer, bundle: lorapro_sgd_step(
+        layer, bundle, HyperParams(lr=0.1), policy=EXACT),
+    "lorapro_adamw_step": lambda layer, bundle: lorapro_adamw_step(
+        layer, init_adamw_state(layer.shape), bundle, HyperParams(lr=0.1), policy=EXACT),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+@pytest.mark.parametrize("factor", ["g_a_lora", "g_b_lora"])
+def test_user_bundle_inconsistent_with_g_full_is_rejected(unit_instance, consumer, factor):
+    layer, g = unit_instance
+    derived = lora_raw_grads(layer, g)
+    parts = {"g_a_lora": derived.g_a_lora.copy(), "g_b_lora": derived.g_b_lora.copy()}
+    consistent = GradBundle(**parts, g_full=g)
+    CONSUMERS[consumer](layer, consistent)
+    parts[factor] = parts[factor] + 1e-6
+    with pytest.raises(ShapeError, match=f"{factor} inconsistent with g_full"):
+        CONSUMERS[consumer](layer, GradBundle(**parts, g_full=g))
+
+
+def test_derived_bundle_is_rechecked_once_it_no_longer_matches(unit_instance):
+    layer, g = unit_instance
+    bundle = lora_raw_grads(layer, g)
+    validate_bundle(layer, bundle)
+    # the same bundle against other factors of the same shapes
+    other = LoraLayer(w0=layer.w0, b=np.array([[0.0], [1.0]]), a=layer.a, alpha=1.0, rank=1,
+                      scaling_mode="lora")
+    with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
+        validate_bundle(other, bundle)
+    # a factor gradient swapped out after lora_raw_grads built the bundle
+    bundle.g_b_lora = bundle.g_b_lora + 1.0
+    with pytest.raises(ShapeError, match="g_b_lora inconsistent"):
+        validate_bundle(layer, bundle)
 
 
 def test_adjust_shape_mismatch(unit_instance):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lorapro.checkpoint as checkpoint
 import lorapro.harness as harness
+import lorapro.model as model
 from lorapro.checkpoint import load_checkpoint
 from lorapro.cli import main as cli_main
 from lorapro.config import RunConfig, parse_config_text
-from lorapro.errors import CheckpointError, ConfigError, LoraProError
+from lorapro.errors import CheckpointError, ConfigError, LoraProError, NonFiniteError
 from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
 from lorapro.selfcheck import run_selfcheck
 
@@ -112,6 +115,7 @@ CHECKPOINT_DAMAGE = {
     "undecodable_header": lambda data: _flip_bit(data, HEADER_AT, 7),
     "truncated_payload": lambda data: data[:-8],
     "trailing_bytes": lambda data: data + b"\0",
+    "payload_bit_flip": lambda data: _flip_bit(data, len(data) - 1, 6),
 }
 
 
@@ -130,6 +134,107 @@ def test_damaged_checkpoint_raises_typed_error(tmp_path, damage):
     assert isinstance(excinfo.value, ValueError)
     assert isinstance(excinfo.value, LoraProError)
     assert str(damaged) in str(excinfo.value)
+
+
+class _FailingFile(io.FileIO):
+    """A file whose write fails partway through its first large chunk."""
+
+    def write(self, data):
+        if len(data) > 256:
+            super().write(bytes(data[:128]))
+            raise OSError("injected: disk full")
+        return super().write(data)
+
+
+def test_failed_save_keeps_earlier_checkpoint(tmp_path, monkeypatch):
+    trainer = Trainer(desk_config(tmp_path))
+    trainer.step()
+    target = tmp_path / "ckpt" / "state.bin"
+    target.parent.mkdir()
+    trainer.save(target)
+    earlier = target.read_bytes()
+    trainer.step()
+    monkeypatch.setattr(checkpoint, "open", _FailingFile, raising=False)
+    with pytest.raises(OSError, match="injected"):
+        trainer.save(target)
+    assert target.read_bytes() == earlier
+    assert [p.name for p in target.parent.iterdir()] == ["state.bin"]
+    monkeypatch.undo()
+    trainer.save(target)
+    assert target.read_bytes() != earlier
+    assert [p.name for p in target.parent.iterdir()] == ["state.bin"]
+
+
+def _committed(trainer) -> dict:
+    """The bytes of everything a training step commits."""
+    state = {"step_count": trainer.step_count}
+    for i, layer in enumerate(trainer.network.layers):
+        for part in ("w0", "b", "a"):
+            state[f"layer{i}.{part}"] = getattr(layer, part).tobytes()
+    for attr in ("states", "states_a", "states_b", "ft_states"):
+        for i, st in enumerate(getattr(trainer, attr, ())):
+            state[f"{attr}{i}"] = (st.m.tobytes(), st.v.tobytes(), st.t)
+    for i, w in enumerate(getattr(trainer, "weights", ())):
+        state[f"weights{i}"] = w.tobytes()
+    return state
+
+
+@pytest.mark.parametrize("method", ["lora", "lora_pro_sgd", "lora_pro_adamw"])
+def test_non_finite_weight_gradient_aborts_and_commits_nothing(tmp_path, monkeypatch, method):
+    trainer = Trainer(desk_config(tmp_path).with_overrides(method=method))
+    real = model.backward_weight_grads
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        grads = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            grads[1][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(model, "backward_weight_grads", poisoned)
+    trainer.step()
+    trainer.step()
+    before = _committed(trainer)
+    with pytest.raises(NonFiniteError, match=r"step 3: layer 1\b"):
+        trainer.step()
+    assert len(calls) == 3
+    assert _committed(trainer) == before
+
+
+STEP_FUNCTIONS = {
+    "lora": "lora_adamw_step",
+    "lora_pro_sgd": "lorapro_sgd_step",
+    "lora_pro_adamw": "lorapro_adamw_step",
+    "full_ft": "full_ft_adamw_step",
+}
+
+
+@pytest.mark.parametrize("method", sorted(STEP_FUNCTIONS))
+def test_non_finite_update_is_caught_before_commit(tmp_path, monkeypatch, method):
+    # an update that overflows inside the step is caught once, before any
+    # layer is committed
+    trainer = Trainer(desk_config(tmp_path).with_overrides(method=method))
+    trainer.step()
+    real = getattr(harness, STEP_FUNCTIONS[method])
+    calls = []
+
+    def overflowing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) < 2:
+            return out
+        if method == "full_ft":
+            return (np.full_like(out[0], np.inf), *out[1:])
+        layer = out if method == "lora_pro_sgd" else out[0]
+        layer.a = np.full_like(layer.a, np.inf)
+        return out
+
+    monkeypatch.setattr(harness, STEP_FUNCTIONS[method], overflowing)
+    before = _committed(trainer)
+    with pytest.raises(NonFiniteError, match=r"step 2: layer 1: new (a|w) contains"):
+        trainer.step()
+    assert _committed(trainer) == before
 
 
 def test_failed_step_commits_no_layer(tmp_path, monkeypatch):
@@ -180,6 +285,51 @@ def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch):
     metrics, counts = tracer.step_metrics(recorder.spans, cfg.method, n_layers=2)
     assert counts["gradadjust.adjust"] > 0 and counts["linalg.as_matrix"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+def _count_calls(monkeypatch, watched) -> dict[str, int]:
+    """Count calls of each "module.function" in ``watched``.
+
+    Like perfbench/tracer.py, this replaces every binding of the function in
+    the loaded lorapro modules, so calls through any import count.
+    """
+    counts = dict.fromkeys(watched, 0)
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("lorapro")]
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for key in watched:
+        home, func = key.split(".")
+        original = getattr(sys.modules[f"lorapro.{home}"], func)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting(key, original))
+    return counts
+
+
+# per desk lora_pro_adamw step (2 layers): the forward pass's effective
+# weights and nothing else; the backward and re-projection bundles; the
+# inputs of public functions, the gradients and the values a step commits
+DESK_ADAMW_STEP_CALLS = {
+    "lora.effective_weight": 2,
+    "gradadjust.lora_raw_grads": 4,
+    "linalg.as_matrix": 32,
+}
+
+
+def test_desk_step_call_counts(tmp_path, monkeypatch):
+    trainer = Trainer(desk_config(tmp_path, steps=3))
+    for _ in range(2):  # the first step starts from B = 0, the second does not
+        counts = _count_calls(monkeypatch, DESK_ADAMW_STEP_CALLS)
+        trainer.step()
+        monkeypatch.undo()
+        assert counts == DESK_ADAMW_STEP_CALLS
 
 
 def test_compare_needs_two_methods(tmp_path):

@@ -163,6 +163,19 @@ def test_stale_cache_detected():
         backward(net, cache)
 
 
+def test_stale_cache_detected_after_in_place_factor_write():
+    rng = np.random.default_rng(8)
+    layer = init_layer(3, 3, 1, w0=rng.normal(size=(3, 3)),
+                       scheme=InitScheme("gaussian_both", seed=9))
+    net = Network([layer], ["identity"], "mse")
+    batch = Batch(inputs=rng.normal(size=(2, 3)), targets=rng.normal(size=(2, 3)))
+    _, cache = forward(net, batch)
+    backward(net, cache)
+    layer.b -= 0.1  # same layer object, same array object, new values
+    with pytest.raises(StaleCacheError):
+        backward(net, cache)
+
+
 def test_dimension_chain_validated():
     l1 = zero_adapter_layer(np.zeros((3, 4)))
     l2 = zero_adapter_layer(np.zeros((5, 2)))

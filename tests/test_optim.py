@@ -171,6 +171,30 @@ def test_adamw_step_with_callers_g_tilde_is_bit_identical():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (128, 64)])
+def test_adamw_transform_matches_textbook_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for t, beta1, beta2, epsilon in ((0, 0.9, 0.999, 1e-8), (1, 0.9, 0.999, 1e-8),
+                                     (6, 0.8, 0.99, 1e-6), (999, 0.0, 0.5, 1e-3)):
+        m0 = rng.normal(size=shape)
+        v0 = rng.normal(size=shape) ** 2
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 6), size=shape)
+        state = AdamWState(m=m0.copy(), v=v0.copy(), t=t, beta1=beta1, beta2=beta2,
+                           epsilon=epsilon)
+        direction, new = adamw_transform(state, grad)
+
+        m = beta1 * m0 + (1.0 - beta1) * grad
+        v = beta2 * v0 + (1.0 - beta2) * grad**2
+        m_hat = m / (1.0 - beta1 ** (t + 1))
+        v_hat = v / (1.0 - beta2 ** (t + 1))
+        assert np.array_equal(direction, m_hat / (np.sqrt(v_hat) + epsilon))
+        assert np.array_equal(new.m, m) and np.array_equal(new.v, v)
+        assert (new.t, new.beta1, new.beta2, new.epsilon) == (t + 1, beta1, beta2, epsilon)
+        # the input state is left as it was
+        assert np.array_equal(state.m, m0) and np.array_equal(state.v, v0) and state.t == t
+        assert new.m is not state.m and new.v is not state.v
+
+
 def test_adamw_shape_mismatch(unit_instance):
     layer, g = unit_instance
     with pytest.raises(ShapeError):
