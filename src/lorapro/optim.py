@@ -26,6 +26,7 @@ from .gradadjust import (
     DampingPolicy,
     GradBundle,
     TangentGeometry,
+    _check_bundle_shapes,
     adjust,
     equivalent_gradient,
     lora_raw_grads,
@@ -195,12 +196,15 @@ def lorapro_adamw_step(
     A caller that already holds the layer's TangentGeometry under ``policy``
     passes it as ``geometry``, and the equivalent gradient of the X = 0
     adjustment of ``bundle`` as ``g_tilde``; the step then adjusts only once,
-    in that geometry.
+    in that geometry. ``g_tilde`` must be that gradient: the step checks the
+    bundle's shapes against the layer but does not recompute ``g_tilde``
+    from it.
     """
     if state.m.shape != layer.shape:
         raise ShapeError(
             f"moment shape {state.m.shape} does not match layer shape {layer.shape}"
         )
+    _check_bundle_shapes(layer, bundle)
     if geometry is None:
         geometry = TangentGeometry(layer, policy)
     if g_tilde is None:

@@ -99,16 +99,22 @@ def solve_sylvester_kron(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndar
     return np.linalg.solve(system, c.ravel()).reshape(r, r)
 
 
-def x_objective_scan(layer: LoraLayer, bundle: GradBundle, x: np.ndarray) -> float:
+def x_objective_scan(layer: LoraLayer, bundle: GradBundle, x: np.ndarray) -> float | np.ndarray:
     """Departure of the adjusted pair at a given X from the raw gradient pair.
 
     Evaluates ||g_a(X) - g_a_raw||_F^2 + ||g_b(X) - g_b_raw||_F^2 on the
-    solution family, with its own (undamped) linear solves.
+    solution family, with its own (undamped) linear solves. ``x`` is one
+    r x r matrix, giving a float, or a (k, r, r) stack, giving a length-k
+    float64 array whose entries equal the single-X values bit for bit. The
+    Grams and solves do not depend on X, so a stack pays for them once.
     """
-    x = as_matrix(x, "x")
     r = layer.rank
-    if x.shape != (r, r):
-        raise ShapeError(f"x must be {r}x{r}, got {x.shape}")
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 2
+    stack = x[np.newaxis] if single else x
+    if stack.ndim != 3 or stack.shape[1:] != (r, r):
+        raise ShapeError(f"x must be {r}x{r} or a (k, {r}, {r}) stack, got shape {x.shape}")
+    stack = as_matrix(stack.reshape(-1, r), "x").reshape(stack.shape)
     s = layer.scaling
     b, a = layer.b, layer.a
     gram_b = b.T @ b
@@ -116,9 +122,19 @@ def x_objective_scan(layer: LoraLayer, bundle: GradBundle, x: np.ndarray) -> flo
     base_a = np.linalg.solve(gram_b, bundle.g_a_lora) / s**2
     projected = bundle.g_b_lora - b @ np.linalg.solve(gram_b, b.T @ bundle.g_b_lora)
     base_b = np.linalg.solve(gram_a, projected.T).T / s**2
-    g_a = base_a + x @ a
-    g_b = base_b - b @ x
-    return float(np.sum((g_a - bundle.g_a_lora) ** 2) + np.sum((g_b - bundle.g_b_lora) ** 2))
+    # g(X) - g_raw squared in place: one (k, r, n) temporary, freed before the (k, m, r) one
+    departure = stack @ a
+    departure += base_a
+    departure -= bundle.g_a_lora
+    departure *= departure
+    total = departure.sum(axis=(1, 2))
+    del departure
+    departure = b @ stack
+    np.subtract(base_b, departure, out=departure)
+    departure -= bundle.g_b_lora
+    departure *= departure
+    total += departure.sum(axis=(1, 2))
+    return float(total[0]) if single else total
 
 
 def finite_diff_grad(

@@ -17,8 +17,9 @@ from lorapro.checkpoint import load_checkpoint
 from lorapro.cli import main as cli_main
 from lorapro.config import RunConfig, parse_config_text
 from lorapro.errors import CheckpointError, ConfigError, LoraProError, NonFiniteError
+from lorapro.gradadjust import GradBundle
 from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
-from lorapro.selfcheck import run_selfcheck
+from lorapro.selfcheck import check_sylvester_x_optimality, random_instances, run_selfcheck
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -408,6 +409,41 @@ def test_selfcheck_flags_corrupted_adjustment():
             assert r.worst > r.tolerance
 
 
+def test_selfcheck_scan_alone_flags_a_non_optimal_x():
+    # B @ M added to g_b_lora: the Sylvester equation reads only g_a_lora, so
+    # X* still solves it but no longer minimizes the departure; only the scan
+    # can tell
+    rng = np.random.default_rng(49)
+    instances = random_instances(0, count=20)
+    offset = [
+        (layer, GradBundle(g_a_lora=bundle.g_a_lora,
+                           g_b_lora=bundle.g_b_lora + layer.b @ rng.normal(size=(layer.rank,) * 2)))
+        for layer, bundle in instances
+    ]
+    assert check_sylvester_x_optimality(instances).passed
+    result = check_sylvester_x_optimality(offset)
+    assert not result.passed
+    assert result.worst > 0.1
+    assert float(result.detail.removeprefix("max residual ")) <= 1e-12
+
+
+def test_sylvester_x_optimality_fails_on_a_nan_objective(monkeypatch):
+    import lorapro.selfcheck as selfcheck
+
+    scan = selfcheck.x_objective_scan
+    monkeypatch.setattr(selfcheck, "x_objective_scan", lambda *args: np.nan * scan(*args))
+    result = check_sylvester_x_optimality(random_instances(0, count=3))
+    assert not result.passed and math.isnan(result.worst)
+
+
+def test_sylvester_x_optimality_scan_call_count(monkeypatch):
+    # X* once, then one stack of perturbations per magnitude (3), per instance
+    instances = random_instances(0, count=7)
+    counts = _count_calls(monkeypatch, ("oracle.x_objective_scan",))
+    assert check_sylvester_x_optimality(instances).passed
+    assert counts == {"oracle.x_objective_scan": 7 * (1 + 3)}
+
+
 def test_cli_run_compare_selfcheck(tmp_path, capsys):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(
@@ -487,6 +523,38 @@ def test_passthrough_without_damping_trains_from_zero_b(tmp_path, method):
     assert all(math.isfinite(rec.train_loss) for rec in records)
     assert all(lm.dl_certificate is None for lm in records[0].per_layer)
     assert all(lm.dl_certificate is not None for lm in records[-1].per_layer)
+
+
+def test_metrics_csv_bytes_reproduce_at_one_blas_thread(tmp_path):
+    # README: identical config and seed give identical metrics.csv bytes at a
+    # fixed BLAS thread setting; two fresh interpreters, wide shapes, 1 thread
+    import lorapro
+
+    script = textwrap.dedent(
+        """
+        import sys
+        from lorapro.config import RunConfig
+        from lorapro.harness import run
+
+        run(RunConfig(
+            task="teacher_student_regression",
+            task_params={"d_in": 256, "d_hidden": 512, "d_out": 128, "n_samples": 1024,
+                         "noise_sd": 0.01, "perturb_rank": 4, "perturb_scale": 0.5},
+            method="lora_pro_adamw", steps=5, batch_size=64, seed=7, out_dir=sys.argv[1],
+            rank=8, alpha=16.0, scaling="rslora",
+        ))
+        """
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(lorapro.__file__).resolve().parents[1]))
+    written = []
+    for name in ("first", "second"):
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / name)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written.append((tmp_path / name / "metrics.csv").read_bytes())
+    assert len(written[0].splitlines()) == 1 + 5 * 2  # header, then 5 steps x 2 layers
+    assert written[0] == written[1]
 
 
 def test_training_loads_one_blas_runtime(tmp_path):

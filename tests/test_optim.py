@@ -171,6 +171,19 @@ def test_adamw_step_with_callers_g_tilde_is_bit_identical():
         assert got.tobytes() == want.tobytes()
 
 
+def test_adamw_step_with_g_tilde_rejects_mismatched_bundle():
+    # with g_tilde given the step never adjusts the bundle, yet its shapes are checked
+    from lorapro.gradadjust import GradBundle
+
+    rng = np.random.default_rng(45)
+    layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
+                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
+    tiny = GradBundle(g_a_lora=np.ones((1, 1)), g_b_lora=np.ones((1, 1)))
+    with pytest.raises(ShapeError, match="g_a_lora"):
+        lorapro_adamw_step(layer, init_adamw_state((6, 5)), tiny, HyperParams(lr=0.01),
+                           g_tilde=rng.normal(size=(6, 5)))
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (128, 64)])
 def test_adamw_transform_matches_textbook_bit_for_bit(shape):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])

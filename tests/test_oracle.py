@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import EXACT
-from lorapro.errors import RankDeficiencyError, ShapeError
+from lorapro.errors import NonFiniteError, RankDeficiencyError, ShapeError
 from lorapro.gradadjust import choose_x, lora_raw_grads
 from lorapro.lora import LoraLayer
 from lorapro.oracle import (
@@ -90,6 +90,35 @@ def test_scan_zero_gradient(unit_instance):
     layer, _ = unit_instance
     bundle = lora_raw_grads(layer, np.zeros((2, 2)))
     assert x_objective_scan(layer, bundle, np.zeros((1, 1))) == pytest.approx(0.0, abs=1e-18)
+
+
+def test_scan_stack_equals_single_calls_bit_for_bit():
+    from lorapro.selfcheck import random_instances
+
+    rng = np.random.default_rng(47)
+    for layer, bundle in random_instances(3, count=40):
+        r = layer.rank
+        stack = rng.normal(size=(6, r, r)) * 10.0 ** rng.integers(-3, 2)
+        values = x_objective_scan(layer, bundle, stack)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        single = [x_objective_scan(layer, bundle, x) for x in stack]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(values, single)
+
+
+def test_scan_stack_shape_and_finiteness_checked(unit_instance):
+    layer, g = unit_instance
+    bundle = lora_raw_grads(layer, g)
+    assert isinstance(x_objective_scan(layer, bundle, np.zeros((1, 1))), float)
+    assert x_objective_scan(layer, bundle, np.zeros((3, 1, 1))).shape == (3,)
+    for bad in (np.zeros((3, 1, 2)), np.zeros((3, 2, 2)), np.zeros((0, 1, 1)),
+                np.zeros((2, 3, 1, 1)), np.zeros(1)):
+        with pytest.raises(ShapeError):
+            x_objective_scan(layer, bundle, bad)
+    stack = np.zeros((4, 1, 1))
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        x_objective_scan(layer, bundle, stack)
 
 
 def test_finite_diff_on_quadratic():
