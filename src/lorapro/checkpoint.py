@@ -8,6 +8,11 @@ sorted). Round trips are bit-exact, which is what makes resumed runs
 reproduce the uninterrupted trajectory. A save writes a temporary file in
 the target's directory and renames it over the target, so a save that fails
 partway leaves any earlier checkpoint at that path as it was.
+
+A save streams the payload: one pass over the arrays checks their shapes and
+hashes them, a second writes them, both through a byte view of each array,
+so it holds no copy of the payload (only an array that is not already
+C-contiguous little-endian float64 is converted, into a copy of its own).
 """
 
 from __future__ import annotations
@@ -28,16 +33,22 @@ MAGIC = b"LRPCKP02"
 
 
 def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    table = []
-    payload = bytearray()
+    """Write ``meta`` and the 2-D ``arrays`` to ``path``; see the module docstring.
+
+    Raises ShapeError, before any file is created, if an array is not 2-D.
+    """
+    table, views = [], []
+    digest = hashlib.sha256()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         if arr.ndim != 2:
             raise ShapeError(f"checkpoint array {name!r} must be 2-D, got ndim={arr.ndim}")
         table.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1]})
-        payload += arr.astype("<f8").tobytes(order="C")
+        view = memoryview(arr.reshape(-1).view(np.uint8))
+        digest.update(view)
+        views.append(view)
     header = json.dumps(
-        {"meta": meta, "arrays": table, "payload_sha256": hashlib.sha256(payload).hexdigest()},
+        {"meta": meta, "arrays": table, "payload_sha256": digest.hexdigest()},
         sort_keys=True,
     ).encode("utf-8")
     directory, name = os.path.split(os.path.abspath(path))
@@ -47,7 +58,8 @@ def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> Non
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
-            fh.write(payload)
+            for view in views:
+                fh.write(view)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

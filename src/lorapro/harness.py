@@ -139,6 +139,7 @@ class Trainer:
                     w0=w0,
                 )
             )
+        self.task.base_weights = []  # each layer holds its own copy of its base weight
         self.network = Network(
             layers=layers, activations=list(self.task.activations), loss_kind=self.task.loss_kind
         )
@@ -210,6 +211,7 @@ class Trainer:
         # backward checks each weight gradient as it comes out, naming the
         # layer, and skips its stale-cache recompute for the cache just made
         bundles = backward(self.network, cache)
+        del cache  # its effective weights and activations are not read again
 
         # every layer is computed and checked before any is committed, so a
         # step that raises leaves the trainer as it was
@@ -218,11 +220,6 @@ class Trainer:
             certificate, moments = None, {}
             if cfg.method == "lora":
                 g_tilde = equivalent_gradient(layer, bundle.g_a_lora, bundle.g_b_lora)
-                new_layer, sa, sb = lora_adamw_step(
-                    layer, self.states_a[i], self.states_b[i], bundle, hp_now
-                )
-                new_states.append((sa, sb))
-                moments = {"v_a": sa.v, "v_b": sb.v}
             else:
                 # one geometry serves the metric adjustment, the certificate and the step
                 geometry = TangentGeometry(layer, self.policy)
@@ -230,6 +227,19 @@ class Trainer:
                     layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
                 )
                 g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
+            # the discrepancy is g_full's last read, so it is taken before the
+            # update, with g_tilde - g_full written into g_full's own buffer;
+            # then the layer's g_full (held by the bundle and its origin record)
+            # is dropped before the update allocates
+            discrepancy = frob_norm(np.subtract(g_tilde, bundle.g_full, out=bundle.g_full))
+            bundle.g_full = bundle._origin = None
+            if cfg.method == "lora":
+                new_layer, sa, sb = lora_adamw_step(
+                    layer, self.states_a[i], self.states_b[i], bundle, hp_now
+                )
+                new_states.append((sa, sb))
+                moments = {"v_a": sa.v, "v_b": sb.v}
+            else:
                 if not geometry.passthrough:
                     certificate = loss_decrease_certificate(
                         layer, bundle, adjusted, hp_now.lr, policy=self.policy, geometry=geometry
@@ -257,16 +267,16 @@ class Trainer:
                         policy=self.policy,
                         x_strategy=cfg.x_strategy,
                         geometry=geometry,
-                        g_tilde=g_tilde,
+                        g_tilde=g_tilde,  # consumed: it now holds the Adam direction
                     )
                     new_states.append(state)
                     moments = {"v": state.v}
+            del g_tilde  # free before the next layer allocates its own
             _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
             new_layers.append(new_layer)
-            g_tilde -= bundle.g_full  # the step is done with g_tilde; reuse its buffer
             metrics.append(
                 LayerMetrics(
-                    discrepancy=frob_norm(g_tilde),
+                    discrepancy=discrepancy,
                     rank_a=numerical_rank(new_layer.a),
                     rank_b=numerical_rank(new_layer.b),
                     dl_certificate=certificate,
@@ -365,25 +375,26 @@ class Trainer:
         return trainer
 
 
-def records_to_csv_lines(records: list[RunRecord]) -> list[str]:
-    lines = [CSV_HEADER]
+def _csv_lines(records: list[RunRecord]):
+    yield CSV_HEADER
     for rec in records:
         for i, lm in enumerate(rec.per_layer):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(rec.step),
-                        _fmt(rec.lr),
-                        _fmt(rec.train_loss),
-                        _fmt(i),
-                        _fmt(lm.discrepancy),
-                        _fmt(lm.rank_a),
-                        _fmt(lm.rank_b),
-                        _fmt(lm.dl_certificate),
-                    ]
-                )
+            yield ",".join(
+                [
+                    _fmt(rec.step),
+                    _fmt(rec.lr),
+                    _fmt(rec.train_loss),
+                    _fmt(i),
+                    _fmt(lm.discrepancy),
+                    _fmt(lm.rank_a),
+                    _fmt(lm.rank_b),
+                    _fmt(lm.dl_certificate),
+                ]
             )
-    return lines
+
+
+def records_to_csv_lines(records: list[RunRecord]) -> list[str]:
+    return list(_csv_lines(records))
 
 
 def _sha256(path: Path) -> str:
@@ -406,7 +417,10 @@ def run(config: RunConfig, resume_from=None) -> RunResult:
     records = [trainer.step() for _ in range(config.steps - trainer.step_count)]
 
     csv_path = out_dir / "metrics.csv"
-    csv_path.write_text("\n".join(records_to_csv_lines(records)) + "\n", encoding="utf-8")
+    # line by line, so the text is never held whole
+    with csv_path.open("w", encoding="utf-8") as fh:
+        for line in _csv_lines(records):
+            fh.write(line + "\n")
 
     checkpoint_path = out_dir / "checkpoint.bin"
     trainer.save(checkpoint_path)

@@ -9,9 +9,11 @@ decays the merged weight exactly. The references are the ``lora`` method
 ``full_ft`` method (AdamW on the weight matrix itself).
 
 All step functions are functional: they return fresh layer/state values and
-never mutate their inputs. The values they return are computed from inputs
-that were checked where they entered, so they are built without re-running
-the constructors' checks.
+never mutate their inputs, with one exception a caller opts into: an
+equivalent gradient passed to ``lorapro_adamw_step`` as ``g_tilde`` is
+consumed, its buffer reused for the moment-transformed direction. The values
+they return are computed from inputs that were checked where they entered, so
+they are built without re-running the constructors' checks.
 """
 
 from __future__ import annotations
@@ -126,17 +128,27 @@ def lr_at(hp: HyperParams, step: int, total_steps: int) -> float:
     return hp.lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def adamw_transform(state: AdamWState, grad: np.ndarray) -> tuple[np.ndarray, AdamWState]:
-    """One moment update plus bias-corrected normalization of a gradient."""
+def adamw_transform(
+    state: AdamWState, grad: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, AdamWState]:
+    """One moment update plus bias-corrected normalization of a gradient.
+
+    The direction is written into ``out`` when it is given: a float64 array
+    of the state's shape, which may be ``grad`` itself (the gradient is read
+    in full before the direction is written). Without ``out`` no input is
+    written to. Either way the state's moments are left as they were.
+    """
     grad = as_matrix(grad, "grad")
     if grad.shape != state.m.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
+    if out is not None and (out.shape != grad.shape or out.dtype != np.float64):
+        raise ShapeError(f"out must be a float64 {grad.shape} array, got {out.dtype} {out.shape}")
     t = state.t + 1
     beta1, beta2 = state.beta1, state.beta2
     # m = beta1*m + (1-beta1)*g,  v = beta2*v + (1-beta2)*g**2,
     # direction = (m / (1-beta1**t)) / (sqrt(v / (1-beta2**t)) + epsilon),
-    # in the three returned arrays and one scratch array, with the same
-    # operations in the same order
+    # in the two new moments, the direction and one scratch array, with the
+    # same operations in the same order
     scratch = np.multiply(grad, 1.0 - beta1)
     m = np.multiply(state.m, beta1)
     m += scratch
@@ -144,7 +156,8 @@ def adamw_transform(state: AdamWState, grad: np.ndarray) -> tuple[np.ndarray, Ad
     scratch *= 1.0 - beta2
     v = np.multiply(state.v, beta2)
     v += scratch
-    direction = np.divide(m, 1.0 - beta1**t)
+    # grad is not read again, so out may be its buffer
+    direction = np.divide(m, 1.0 - beta1**t, out=out)
     np.divide(v, 1.0 - beta2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += state.epsilon
@@ -198,7 +211,10 @@ def lorapro_adamw_step(
     adjustment of ``bundle`` as ``g_tilde``; the step then adjusts only once,
     in that geometry. ``g_tilde`` must be that gradient: the step checks the
     bundle's shapes against the layer but does not recompute ``g_tilde``
-    from it.
+    from it. A ``g_tilde`` passed in is consumed: the step overwrites it
+    with the moment-transformed direction, so the m x n working set of the
+    step is the two new moments, that buffer and one scratch array. Without
+    ``g_tilde`` the step computes its own and mutates no input.
     """
     if state.m.shape != layer.shape:
         raise ShapeError(
@@ -210,7 +226,7 @@ def lorapro_adamw_step(
     if g_tilde is None:
         adjusted = adjust(layer, bundle, strategy="zero", policy=policy, geometry=geometry)
         g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
-    direction, state = adamw_transform(state, g_tilde)
+    direction, state = adamw_transform(state, g_tilde, out=g_tilde)
 
     reprojected = lora_raw_grads(layer, direction)
     second = adjust(

@@ -11,6 +11,7 @@ command executes; the acceptance tests drive the same functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -138,6 +139,16 @@ def _rel(diff: float, *scales: float) -> float:
     return diff / max(1e-12, *map(abs, scales))
 
 
+def _worse(worst: float, value: float) -> float:
+    """The larger of two errors, where a NaN in either counts as the larger.
+
+    Python's ``max(worst, value)`` keeps ``worst`` when ``value`` is NaN, so a
+    property folding with it would pass on a NaN error; this fold carries the
+    NaN through to ``_result``, which fails it.
+    """
+    return value if value > worst or math.isnan(value) else worst
+
+
 def _result(name, worst, tol, count, detail="") -> PropertyResult:
     return PropertyResult(
         name=name, passed=bool(worst <= tol), instances=count, worst=float(worst),
@@ -151,7 +162,7 @@ def check_oracle_consistency(instances) -> PropertyResult:
     for layer, bundle in instances:
         _, _, objective = brute_force_optimal_grads(layer, bundle.g_full)
         formula = projection_residual_norm_sq(layer, bundle.g_full)
-        worst = max(worst, _rel(abs(objective - formula), objective, formula, 1.0))
+        worst = _worse(worst, _rel(abs(objective - formula), objective, formula, 1.0))
     return _result("oracle_self_consistency", worst, 1e-8, len(instances))
 
 
@@ -166,7 +177,7 @@ def check_sylvester_residual(seed: int, per_size: int = 20) -> PropertyResult:
             c = rng.normal(size=(r, r))
             x = solve_sylvester(SylvesterProblem(p=p, q=q, c=c))
             resid = frob_norm(p @ x + x @ q - c) / max(1.0, frob_norm(c))
-            worst = max(worst, resid)
+            worst = _worse(worst, resid)
             count += 1
     return _result("sylvester_residual", worst, 1e-8, count)
 
@@ -181,7 +192,7 @@ def check_sylvester_kron_agreement(seed: int, count: int = 40) -> PropertyResult
         c = rng.normal(size=(r, r))
         x = solve_sylvester(SylvesterProblem(p=p, q=q, c=c))
         x_ref = solve_sylvester_kron(p, q, c)
-        worst = max(worst, _rel(frob_norm(x - x_ref), frob_norm(x_ref), 1.0))
+        worst = _worse(worst, _rel(frob_norm(x - x_ref), frob_norm(x_ref), 1.0))
     return _result("sylvester_kronecker_agreement", worst, 1e-8, count)
 
 
@@ -206,8 +217,8 @@ def check_adjustment_optimality(instances, adjust_fn=adjust) -> list[PropertyRes
         ours = _objective(layer, bundle, adjusted)
         _, _, reference = brute_force_optimal_grads(layer, bundle.g_full)
         formula = projection_residual_norm_sq(layer, bundle.g_full)
-        worst_bf = max(worst_bf, _rel(abs(ours - reference), ours, reference, 1.0))
-        worst_proj = max(worst_proj, _rel(abs(ours - formula), ours, formula, 1.0))
+        worst_bf = _worse(worst_bf, _rel(abs(ours - reference), ours, reference, 1.0))
+        worst_proj = _worse(worst_proj, _rel(abs(ours - formula), ours, formula, 1.0))
     return [
         _result("adjustment_optimality_vs_bruteforce", worst_bf, 1e-7, len(instances)),
         _result("adjustment_optimality_vs_projection", worst_proj, 1e-8, len(instances)),
@@ -229,7 +240,7 @@ def check_x_invariance(instances, adjust_fn=adjust) -> PropertyResult:
         for i in range(len(tildes)):
             for j in range(i + 1, len(tildes)):
                 diff = frob_norm(tildes[i] - tildes[j])
-                worst = max(worst, _rel(diff, frob_norm(tildes[i]), 1.0))
+                worst = _worse(worst, _rel(diff, frob_norm(tildes[i]), 1.0))
     return _result("equivalent_gradient_x_invariance", worst, 1e-9, len(instances))
 
 
@@ -241,7 +252,7 @@ def check_idempotence(instances, adjust_fn=adjust) -> PropertyResult:
         g_tilde = equivalent_gradient(layer, adj.g_a, adj.g_b)
         replay = adjust_fn(layer, lora_raw_grads(layer, g_tilde), strategy="zero", policy=EXACT)
         again = equivalent_gradient(layer, replay.g_a, replay.g_b)
-        worst = max(worst, _rel(frob_norm(again - g_tilde), frob_norm(g_tilde), 1.0))
+        worst = _worse(worst, _rel(frob_norm(again - g_tilde), frob_norm(g_tilde), 1.0))
     return _result("adjustment_idempotence", worst, 1e-9, len(instances))
 
 
@@ -251,7 +262,7 @@ def check_certificate(instances, adjust_fn=adjust, lr: float = 0.1) -> PropertyR
     for layer, bundle in instances:
         adjusted = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT)
         dl = loss_decrease_certificate(layer, bundle, adjusted, lr, policy=EXACT)
-        worst = max(worst, dl)
+        worst = _worse(worst, dl)
     return _result("descent_certificate", worst, 1e-12, len(instances))
 
 
@@ -297,11 +308,11 @@ def check_certificate_first_order(seed: int, count: int = 10) -> PropertyResult:
             )
             ratio = (loss1 - loss0) / dl
             deviations.append(abs(ratio - 1.0))
-        worst = max(worst, deviations[0])
+        worst = _worse(worst, deviations[0])
         # monotone approach: allow rounding slack once deviations are tiny
         for earlier, later in zip(deviations, deviations[1:]):
             if later > earlier + 1e-6:
-                worst = max(worst, 1.0)
+                worst = _worse(worst, 1.0)
     return _result("descent_certificate_first_order", worst, 0.05, count)
 
 
@@ -320,7 +331,7 @@ def check_sylvester_x_optimality(
         gram_a = layer.a @ layer.a.T
         rhs = -np.linalg.solve(gram_b, bundle.g_a_lora) @ layer.a.T / s**2
         resid = frob_norm(gram_b @ x_star + x_star @ gram_a - rhs) / max(1.0, frob_norm(rhs))
-        worst_resid = max(worst_resid, resid)
+        worst_resid = _worse(worst_resid, resid)
         # unit directions (the same stream as one draw each, scaled by frob_norm's
         # dot product), scanned in one stack per magnitude
         deltas = rng.normal(size=(n_perturbations, *x_star.shape))
@@ -332,7 +343,7 @@ def check_sylvester_x_optimality(
             # won, and a NaN gap propagates into worst and fails the property
             gaps = (best - others) / np.maximum(max(1e-12, abs(best), 1.0), np.abs(others))
             worst_gap = float(np.max(gaps, initial=worst_gap))
-    worst = max(worst_gap, worst_resid)
+    worst = _worse(worst_gap, worst_resid)
     return _result(
         "sylvester_x_optimality",
         worst,
@@ -352,7 +363,7 @@ def check_rank_bound(instances) -> PropertyResult:
         g_tilde = equivalent_gradient(layer, adj.g_a, adj.g_b)
         bound = 2 * layer.rank
         excess = numerical_rank(g_tilde) - bound
-        worst = max(worst, float(excess))
+        worst = _worse(worst, float(excess))
         if bound < min(layer.shape) and numerical_rank(bundle.g_full) > bound:
             strict_cases += 1
         count += 1
@@ -421,8 +432,8 @@ def check_chain_rule_and_gradients(seed: int, n_networks: int = 20, h: float = 1
             s = layer.scaling
             eq_a = frob_norm(bundle.g_a_lora - s * (layer.b.T @ bundle.g_full))
             eq_b = frob_norm(bundle.g_b_lora - s * (bundle.g_full @ layer.a.T))
-            worst_eq = max(worst_eq, _rel(eq_a, frob_norm(bundle.g_a_lora), 1.0))
-            worst_eq = max(worst_eq, _rel(eq_b, frob_norm(bundle.g_b_lora), 1.0))
+            worst_eq = _worse(worst_eq, _rel(eq_a, frob_norm(bundle.g_a_lora), 1.0))
+            worst_eq = _worse(worst_eq, _rel(eq_b, frob_norm(bundle.g_b_lora), 1.0))
 
             def loss_at_w0(w0, i=i):
                 layers = list(net.layers)
@@ -437,7 +448,7 @@ def check_chain_rule_and_gradients(seed: int, n_networks: int = 20, h: float = 1
 
             fd = finite_diff_grad(loss_at_w0, net.layers[i].w0, h)
             diff = frob_norm(fd - bundle.g_full)
-            worst_fd = max(worst_fd, diff / (frob_norm(bundle.g_full) + 1e-3))
+            worst_fd = _worse(worst_fd, diff / (frob_norm(bundle.g_full) + 1e-3))
     return [
         _result("chain_rule_identities", worst_eq, 1e-10, built),
         _result("gradient_finite_difference", worst_fd, 1e-5, built),

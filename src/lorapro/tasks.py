@@ -65,8 +65,12 @@ def _teacher_student(params: dict, rng: np.random.Generator) -> TaskData:
 
     teacher = [rng.normal(size=(m, n)) / np.sqrt(m) for m, n in dims]
     inputs = rng.normal(size=(n_samples, d_in))
-    hidden = np.tanh(inputs @ teacher[0])
+    # the (n_samples x d_hidden) activations are the task's largest temporary:
+    # one buffer, freed once the targets exist
+    hidden = inputs @ teacher[0]
+    np.tanh(hidden, out=hidden)
     targets = hidden @ teacher[1]
+    del hidden
     if noise_sd > 0.0:
         targets = targets + noise_sd * rng.normal(size=targets.shape)
 

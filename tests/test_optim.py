@@ -208,6 +208,49 @@ def test_adamw_transform_matches_textbook_bit_for_bit(shape):
         assert new.m is not state.m and new.v is not state.v
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (17, 9)])
+def test_adamw_transform_out_writes_the_same_direction(shape):
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    for t, beta1, beta2, epsilon in ((0, 0.9, 0.999, 1e-8), (1, 0.9, 0.999, 1e-8),
+                                     (6, 0.8, 0.99, 1e-6), (999, 0.0, 0.5, 1e-3)):
+        m0 = rng.normal(size=shape)
+        v0 = rng.normal(size=shape) ** 2
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 6), size=shape)
+        state = AdamWState(m=m0.copy(), v=v0.copy(), t=t, beta1=beta1, beta2=beta2,
+                           epsilon=epsilon)
+        expected, expected_state = adamw_transform(state, grad)
+
+        buffer = grad.copy()
+        direction, new = adamw_transform(state, buffer, out=buffer)
+        assert direction is buffer
+        assert np.array_equal(direction, expected)
+        assert np.array_equal(new.m, expected_state.m)
+        assert np.array_equal(new.v, expected_state.v) and new.t == t + 1
+        assert np.array_equal(state.m, m0) and np.array_equal(state.v, v0) and state.t == t
+
+
+def test_adamw_transform_out_must_match_the_state():
+    state = init_adamw_state((3, 2))
+    grad = np.ones((3, 2))
+    for out in (np.empty((2, 3)), np.empty((3, 2), dtype=np.float32)):
+        with pytest.raises(ShapeError, match="out must be"):
+            adamw_transform(state, grad, out=out)
+
+
+def test_adamw_step_without_g_tilde_mutates_no_input():
+    rng = np.random.default_rng(46)
+    layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
+                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
+    state = AdamWState(m=rng.normal(size=(6, 5)), v=rng.normal(size=(6, 5)) ** 2, t=3)
+    bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
+    inputs = (layer.w0, layer.b, layer.a, state.m, state.v,
+              bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
+    before = [x.tobytes() for x in inputs]
+    lorapro_adamw_step(layer, state, bundle, HyperParams(lr=0.01, weight_decay=0.1))
+    assert [x.tobytes() for x in inputs] == before
+    assert state.t == 3
+
+
 def test_adamw_shape_mismatch(unit_instance):
     layer, g = unit_instance
     with pytest.raises(ShapeError):
