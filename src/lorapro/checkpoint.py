@@ -13,6 +13,8 @@ A save streams the payload: one pass over the arrays checks their shapes and
 hashes them, a second writes them, both through a byte view of each array,
 so it holds no copy of the payload (only an array that is not already
 C-contiguous little-endian float64 is converted, into a copy of its own).
+A load reads each array straight into the array it returns, hashing it as
+it goes, so it too holds the payload once.
 """
 
 from __future__ import annotations
@@ -107,18 +109,15 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: payload truncated ({left} of {expected} bytes)")
         if left > expected:
             raise CheckpointError(f"{path}: {left - expected} trailing bytes after the payload")
-        payload = fh.read(expected)
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: payload truncated while reading")
-    if hashlib.sha256(payload).hexdigest() != digest:
+        received = hashlib.sha256()
+        arrays: dict[str, np.ndarray] = {}
+        for name, rows, cols in table:
+            arr = np.empty((rows, cols), dtype="<f8")
+            view = memoryview(arr.reshape(-1).view(np.uint8))
+            if fh.readinto(view) != len(view):
+                raise CheckpointError(f"{path}: payload truncated while reading")
+            received.update(view)
+            arrays[name] = arr.astype(np.float64, copy=False)  # a copy only off little-endian
+    if received.hexdigest() != digest:
         raise CheckpointError(f"{path}: payload SHA-256 does not match the header's")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, rows, cols in table:
-        arrays[name] = (
-            np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-            .astype(np.float64)
-            .reshape(rows, cols)
-        )
-        offset += 8 * rows * cols
     return meta, arrays

@@ -18,7 +18,7 @@ Sylvester equation  B^T B X + X A A^T = -(1/s^2) (B^T B)^{-1} g_a_raw A^T.
 Gram inversions are Tikhonov-damped per a DampingPolicy so the adjustment
 stays defined when B starts at zero (the standard adapter initialization).
 Both Grams are eigendecomposed once per layer-step in a TangentGeometry,
-which serves the damped Gram solves and the Sylvester X to every function here.
+which serves the damped Gram solves, the Sylvester X and the factors' ranks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     SpectrumError,
 )
-from .linalg import as_matrix, build_unchecked, factorization_error, frob_norm, numerical_rank
+from .linalg import _gram_rank, as_matrix, build_unchecked, factorization_error, frob_norm
 from .lora import LoraLayer
 from .sylvester import solve_in_eigenbases
 
@@ -206,37 +206,44 @@ class TangentGeometry:
     Cholesky factors, these see only the square root of a Gram's condition
     number, where an explicit inverse would amplify rounding by all of it.
 
-    ``passthrough`` is decided first, from B alone. The eigendecomposition
-    runs on first use, and a damped Gram that is not positive definite raises
-    FactorizationError only when a solve with it is asked for.
+    The eigendecomposition runs at construction; the ranks and whitening
+    factors it gives are formed on first use, so a damped Gram that is not
+    positive definite raises FactorizationError only when a solve with it is
+    asked for. ``passthrough`` holds under a passthrough policy while B has
+    rank zero.
     """
 
     def __init__(self, layer: LoraLayer, policy: DampingPolicy = DampingPolicy()):
         self.layer = layer
         self.policy = policy
-        self.passthrough = policy.fallback == "passthrough" and numerical_rank(layer.b) == 0
-
-    @cached_property
-    def _spectra(self) -> tuple[np.ndarray, tuple[float, float], np.ndarray, np.ndarray]:
-        b, a = self.layer.b, self.layer.a
+        b, a = layer.b, layer.a
         grams = np.stack((b.T @ b, a @ a.T))
-        grams = 0.5 * (grams + grams.transpose(0, 2, 1))
-        damping = (self.policy.damping_for(grams[0]), self.policy.damping_for(grams[1]))
+        self._grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+        self._damping = (policy.damping_for(self._grams[0]), policy.damping_for(self._grams[1]))
         try:
-            w, v = np.linalg.eigh(grams)
+            self._w, self._v = np.linalg.eigh(self._grams)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh failure is pathological
             raise EigenDecompositionError(
                 "symmetric eigendecomposition of the layer Grams did not converge"
             ) from exc
-        return grams, damping, w, v
+        self.passthrough = policy.fallback == "passthrough" and self.rank_b == 0
+
+    @cached_property
+    def rank_b(self) -> int:
+        """The numerical rank of B, by ``linalg.numerical_rank``'s rule."""
+        return _gram_rank(self._w[0])
+
+    @cached_property
+    def rank_a(self) -> int:
+        """The numerical rank of A, by ``linalg.numerical_rank``'s rule."""
+        return _gram_rank(self._w[1])
 
     def _whitener(self, k: int) -> np.ndarray:
-        grams, damping, w, v = self._spectra
-        lam = w[k] + damping[k]
+        lam = self._w[k] + self._damping[k]
         if not lam[0] > 0.0:
-            coeff = grams[k] + damping[k] * np.eye(grams.shape[1])
-            raise factorization_error(coeff, damping[k])
-        return v[k] / np.sqrt(lam)
+            coeff = self._grams[k] + self._damping[k] * np.eye(self._grams.shape[1])
+            raise factorization_error(coeff, self._damping[k])
+        return self._v[k] / np.sqrt(lam)
 
     @cached_property
     def white_b(self) -> np.ndarray:
@@ -268,8 +275,8 @@ class TangentGeometry:
 
     def solve_sylvester(self, c: np.ndarray) -> np.ndarray:
         """X with (B^T B + eps_b I) X + X A A^T = c, by ``sylvester.solve_in_eigenbases``."""
-        _, damping, w, v = self._spectra
-        return solve_in_eigenbases(c, w[0] + damping[0], v[0], w[1], v[1])
+        w, v = self._w, self._v
+        return solve_in_eigenbases(c, w[0] + self._damping[0], v[0], w[1], v[1])
 
 
 def _geometry(

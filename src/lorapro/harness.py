@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import METHODS, RunConfig
 from .errors import ConfigError, DescentViolationError, NonFiniteError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
-from .linalg import as_matrix, frob_norm, numerical_rank
+from .linalg import as_matrix, frob_norm
 from .lora import InitScheme, init_layer, layer_from_state, layer_state
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
@@ -108,7 +108,12 @@ def _fmt(value) -> str:
 
 
 class Trainer:
-    """Owns the model, optimizer state, and data stream of a single run."""
+    """Owns the model, optimizer state, and data stream of a single run.
+
+    Layers are values: a step replaces each layer and never writes into it.
+    ``geometries`` caches each committed layer's TangentGeometry for the next
+    step and is never saved; a step rebuilds one whose layer was replaced.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -143,6 +148,7 @@ class Trainer:
         self.network = Network(
             layers=layers, activations=list(self.task.activations), loss_kind=self.task.loss_kind
         )
+        self.geometries: list[TangentGeometry | None] = [None] * len(layers)
         self.data_rng = np.random.default_rng(data_ss)
         self.step_count = 0
         self.hp = config.hyperparams()
@@ -215,14 +221,16 @@ class Trainer:
 
         # every layer is computed and checked before any is committed, so a
         # step that raises leaves the trainer as it was
-        new_layers, new_states, metrics = [], [], []
+        new_geometries, new_states, metrics = [], [], []
         for i, (layer, bundle) in enumerate(zip(self.network.layers, bundles)):
             certificate, moments = None, {}
             if cfg.method == "lora":
                 g_tilde = equivalent_gradient(layer, bundle.g_a_lora, bundle.g_b_lora)
             else:
                 # one geometry serves the metric adjustment, the certificate and the step
-                geometry = TangentGeometry(layer, self.policy)
+                geometry = self.geometries[i]
+                if geometry is None or geometry.layer is not layer:
+                    geometry = TangentGeometry(layer, self.policy)
                 adjusted = adjust(
                     layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
                 )
@@ -273,17 +281,19 @@ class Trainer:
                     moments = {"v": state.v}
             del g_tilde  # free before the next layer allocates its own
             _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
-            new_layers.append(new_layer)
+            committed = TangentGeometry(new_layer, self.policy)  # the next step's, too
+            new_geometries.append(committed)
             metrics.append(
                 LayerMetrics(
                     discrepancy=discrepancy,
-                    rank_a=numerical_rank(new_layer.a),
-                    rank_b=numerical_rank(new_layer.b),
+                    rank_a=committed.rank_a,
+                    rank_b=committed.rank_b,
                     dl_certificate=certificate,
                 )
             )
 
-        self.network.layers[:] = new_layers
+        self.network.layers[:] = [geo.layer for geo in new_geometries]
+        self.geometries = new_geometries
         if cfg.method == "lora":
             self.states_a = [sa for sa, _ in new_states]
             self.states_b = [sb for _, sb in new_states]
@@ -301,25 +311,21 @@ class Trainer:
             meta_i, arrays_i = layer_state(layer, prefix=f"layer{i}/")
             layer_meta.append(meta_i)
             arrays.update(arrays_i)
+
+        def saved(states, prefix) -> list[int]:
+            for i, st in enumerate(states):
+                arrays[f"{prefix}{i}/m"], arrays[f"{prefix}{i}/v"] = st.m, st.v
+            return [st.t for st in states]
+
         adamw_t: list = []
         if cfg.method == "full_ft":
-            for i, (w, st) in enumerate(zip(self.weights, self.ft_states)):
-                arrays[f"ft{i}/w"] = w
-                arrays[f"ft{i}/m"] = st.m
-                arrays[f"ft{i}/v"] = st.v
-                adamw_t.append(st.t)
+            arrays.update({f"ft{i}/w": w for i, w in enumerate(self.weights)})
+            adamw_t = saved(self.ft_states, "ft")
         elif cfg.method == "lora":
-            for i, (sa, sb) in enumerate(zip(self.states_a, self.states_b)):
-                arrays[f"sta{i}/m"] = sa.m
-                arrays[f"sta{i}/v"] = sa.v
-                arrays[f"stb{i}/m"] = sb.m
-                arrays[f"stb{i}/v"] = sb.v
-                adamw_t.append([sa.t, sb.t])
+            steps = zip(saved(self.states_a, "sta"), saved(self.states_b, "stb"))
+            adamw_t = [[ta, tb] for ta, tb in steps]
         elif cfg.method == "lora_pro_adamw":
-            for i, st in enumerate(self.states):
-                arrays[f"st{i}/m"] = st.m
-                arrays[f"st{i}/v"] = st.v
-                adamw_t.append(st.t)
+            adamw_t = saved(self.states, "st")
         meta = {
             "kind": "trainer-state",
             "config": cfg.to_dict(),
@@ -339,37 +345,21 @@ class Trainer:
         for i, layer_meta in enumerate(meta["layers"]):
             trainer.network.layers[i] = layer_from_state(layer_meta, arrays, prefix=f"layer{i}/")
         adamw_t = meta["adamw_t"]
+
+        def restored(states, prefix, steps):
+            return [
+                replace(st, m=arrays[f"{prefix}{i}/m"], v=arrays[f"{prefix}{i}/v"], t=int(t))
+                for i, (st, t) in enumerate(zip(states, steps, strict=True))
+            ]
+
         if config.method == "full_ft":
-            for i in range(len(trainer.weights)):
-                trainer.weights[i] = arrays[f"ft{i}/w"]
-                trainer.ft_states[i] = replace(
-                    trainer.ft_states[i],
-                    m=arrays[f"ft{i}/m"],
-                    v=arrays[f"ft{i}/v"],
-                    t=int(adamw_t[i]),
-                )
+            trainer.weights = [arrays[f"ft{i}/w"] for i in range(len(trainer.weights))]
+            trainer.ft_states = restored(trainer.ft_states, "ft", adamw_t)
         elif config.method == "lora":
-            for i in range(len(trainer.states_a)):
-                trainer.states_a[i] = replace(
-                    trainer.states_a[i],
-                    m=arrays[f"sta{i}/m"],
-                    v=arrays[f"sta{i}/v"],
-                    t=int(adamw_t[i][0]),
-                )
-                trainer.states_b[i] = replace(
-                    trainer.states_b[i],
-                    m=arrays[f"stb{i}/m"],
-                    v=arrays[f"stb{i}/v"],
-                    t=int(adamw_t[i][1]),
-                )
+            trainer.states_a = restored(trainer.states_a, "sta", [t for t, _ in adamw_t])
+            trainer.states_b = restored(trainer.states_b, "stb", [t for _, t in adamw_t])
         elif config.method == "lora_pro_adamw":
-            for i in range(len(trainer.states)):
-                trainer.states[i] = replace(
-                    trainer.states[i],
-                    m=arrays[f"st{i}/m"],
-                    v=arrays[f"st{i}/v"],
-                    t=int(adamw_t[i]),
-                )
+            trainer.states = restored(trainer.states, "st", adamw_t)
         trainer.step_count = int(meta["step_count"])
         trainer.data_rng.bit_generator.state = meta["data_rng_state"]
         return trainer

@@ -180,8 +180,11 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     else:
         gram = m @ m.T
     eigvals, _ = sym_eig(gram)
+    return _gram_rank(eigvals, rel_tol)
+
+
+def _gram_rank(eigvals: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """``numerical_rank``'s rule on a Gram's ascending eigenvalues (0 for a zero
+    Gram), which ``gradadjust.TangentGeometry`` also applies to its spectra."""
     sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
-    top = float(sigmas[-1])
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(sigmas > rel_tol * top))
+    return int(np.count_nonzero(sigmas > rel_tol * sigmas[-1]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXACT
 from lorapro.errors import DescentViolationError, FactorizationError, ShapeError, SpectrumError
@@ -343,6 +345,45 @@ def test_shared_geometry_changes_nothing():
             rhs = -np.linalg.solve(gram_b, bundle.g_a_lora) @ layer.a.T / s**2
             x_ref = solve_sylvester_kron(gram_b, gram_a, rhs)
             assert _rel(frob_norm(x_star - x_ref), frob_norm(x_ref), 1.0) <= 1e-8
+
+
+@st.composite
+def _factor_pairs(draw):
+    """(B, A) of a layer up to 12 x 12, at any rank up to min(m, n).
+
+    Each factor has its own scale between 1e-6 and 1e2; some columns of B
+    may be zero and some rows of A may repeat others, so both can be rank
+    deficient, B down to rank 0.
+    """
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale_b, scale_a = (10.0 ** draw(st.floats(-6.0, 2.0)) for _ in range(2))
+    b = scale_b * rng.normal(size=(m, r))
+    b[:, draw(st.lists(st.booleans(), min_size=r, max_size=r))] = 0.0
+    a = scale_a * rng.normal(size=(r, n))
+    for i in range(1, r):
+        source = draw(st.integers(-1, i - 1))
+        if source >= 0:
+            a[i] = a[source]
+    return b, a
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_factor_pairs())
+@example((np.zeros((4, 4)), np.vstack([np.eye(4)[:3], np.eye(4)[2]])))  # square A, one repeat
+@example((np.ones((12, 12)), np.diag(np.geomspace(1.0, 1e-9, 12))))  # square A, graded
+def test_geometry_ranks_follow_numerical_rank(factors):
+    # the trainer reads the rank metrics and the passthrough decision from the
+    # geometry's eigenvalues; numerical_rank decomposes A^T A where A is
+    # square, the geometry A A^T
+    b, a = factors
+    m, r, n = b.shape[0], b.shape[1], a.shape[1]
+    layer = LoraLayer(w0=np.zeros((m, n)), b=b, a=a, alpha=1.0, rank=r)
+    geometry = TangentGeometry(layer, DampingPolicy(fallback="passthrough"))
+    assert (geometry.rank_a, geometry.rank_b) == (numerical_rank(a), numerical_rank(b))
+    assert geometry.passthrough == (numerical_rank(b) == 0)
 
 
 def test_geometry_rejects_another_layer(unit_instance):

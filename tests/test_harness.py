@@ -22,6 +22,7 @@ from lorapro.config import RunConfig, parse_config_text
 from lorapro.errors import CheckpointError, ConfigError, LoraProError, NonFiniteError, ShapeError
 from lorapro.gradadjust import GradBundle
 from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
+from lorapro.lora import LoraLayer
 from lorapro.selfcheck import (
     check_oracle_consistency,
     check_sylvester_x_optimality,
@@ -98,6 +99,26 @@ def test_checkpoint_resume_is_bit_identical(tmp_path, method):
     tail = [resumed.step() for _ in range(12)]
 
     assert records_to_csv_lines(full_rows) == records_to_csv_lines(head + tail)
+
+
+@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
+def test_replaced_layer_gets_a_fresh_geometry(tmp_path, method):
+    # the trainer keeps each committed layer's geometry for the next step; a
+    # layer put in its place between steps must not be solved in the old one
+    cfg = small_config(tmp_path, method=method, steps=6)
+    trainer = Trainer(cfg)
+    trainer.step()
+    old = trainer.network.layers[1]
+    trainer.network.layers[1] = LoraLayer(
+        w0=old.w0, b=2.0 * old.b, a=old.a[::-1].copy(), alpha=old.alpha, rank=old.rank,
+        scaling_mode=old.scaling_mode,
+    )
+    ckpt = tmp_path / "state.bin"
+    trainer.save(ckpt)
+    from_start = Trainer.from_checkpoint(cfg, ckpt)  # holds the new layer from its start
+    rows = [trainer.step() for _ in range(2)]
+    expected = [from_start.step() for _ in range(2)]
+    assert records_to_csv_lines(rows) == records_to_csv_lines(expected)
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
@@ -266,6 +287,31 @@ def test_adamw_step_and_save_working_set(tmp_path):
     assert max(save_over) < 1.0, save_over
 
 
+def test_load_holds_the_payload_once(tmp_path):
+    cfg = small_config(
+        tmp_path,
+        task_params={"d_in": 128, "d_hidden": 256, "d_out": 64, "n_samples": 64,
+                     "noise_sd": 0.01, "perturb_rank": 2, "perturb_scale": 0.5},
+        rank=4,
+    )
+    trainer = Trainer(cfg)
+    trainer.step()
+    path = tmp_path / "state.bin"
+    trainer.save(path)
+    del trainer
+    tracemalloc.start()
+    try:
+        steady = tracemalloc.get_traced_memory()[0]
+        _, arrays = load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1] - steady
+    finally:
+        tracemalloc.stop()
+    payload = sum(arr.nbytes for arr in arrays.values())
+    # the arrays it returns and little else: 1.01 measured; a load that reads
+    # the whole payload and then copies each array out of it reads 2.01
+    assert peak < 1.25 * payload, peak / payload
+
+
 def _committed(trainer) -> dict:
     """The bytes of everything a training step commits."""
     state = {"step_count": trainer.step_count}
@@ -393,6 +439,8 @@ def _count_calls(monkeypatch, watched) -> dict[str, int]:
 
     Like perfbench/tracer.py, this replaces every binding of the function in
     the loaded lorapro modules, so calls through any import count.
+    "np.linalg.eigh" counts numpy's eigh, which lorapro looks up on
+    ``np.linalg`` at each call.
     """
     counts = dict.fromkeys(watched, 0)
     modules = [mod for name, mod in sys.modules.items() if name.startswith("lorapro")]
@@ -405,6 +453,9 @@ def _count_calls(monkeypatch, watched) -> dict[str, int]:
         return counted
 
     for key in watched:
+        if key == "np.linalg.eigh":
+            monkeypatch.setattr(np.linalg, "eigh", counting(key, np.linalg.eigh))
+            continue
         home, func = key.split(".")
         original = getattr(sys.modules[f"lorapro.{home}"], func)
         for mod in modules:
@@ -416,21 +467,43 @@ def _count_calls(monkeypatch, watched) -> dict[str, int]:
 
 # per desk lora_pro_adamw step (2 layers): the forward pass's effective
 # weights and nothing else; the backward and re-projection bundles; the
-# inputs of public functions, the gradients and the values a step commits
+# inputs of public functions, the gradients and the values a step commits;
+# one Gram eigendecomposition per layer, of the layer the step commits, whose
+# geometry gives the rank metrics and serves the next step's solves
 DESK_ADAMW_STEP_CALLS = {
     "lora.effective_weight": 2,
     "gradadjust.lora_raw_grads": 4,
-    "linalg.as_matrix": 32,
+    "linalg.as_matrix": 24,
+    "linalg.numerical_rank": 0,
+    "linalg.sym_eig": 0,
+    "np.linalg.eigh": 2,
+}
+# the other adapter methods: lora_pro_sgd has no re-projection, and a lora
+# step has no adjustment, so its geometries give the rank metrics only
+DESK_STEP_CALLS = {
+    "lora_pro_sgd": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 2,
+                     "linalg.as_matrix": 18},
+    "lora": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 2, "linalg.as_matrix": 22},
 }
 
 
-def test_desk_step_call_counts(tmp_path, monkeypatch):
-    trainer = Trainer(desk_config(tmp_path, steps=3))
-    for _ in range(2):  # the first step starts from B = 0, the second does not
-        counts = _count_calls(monkeypatch, DESK_ADAMW_STEP_CALLS)
+def _assert_desk_step_calls(tmp_path, monkeypatch, method, expected, first_eigh):
+    trainer = Trainer(desk_config(tmp_path, steps=3).with_overrides(method=method))
+    # the first step starts from B = 0 and builds the geometries it starts from
+    for eigh in (first_eigh, expected["np.linalg.eigh"]):
+        counts = _count_calls(monkeypatch, expected)
         trainer.step()
         monkeypatch.undo()
-        assert counts == DESK_ADAMW_STEP_CALLS
+        assert counts == {**expected, "np.linalg.eigh": eigh}
+
+
+def test_desk_step_call_counts(tmp_path, monkeypatch):
+    _assert_desk_step_calls(tmp_path, monkeypatch, "lora_pro_adamw", DESK_ADAMW_STEP_CALLS, 4)
+
+
+@pytest.mark.parametrize("method, first_eigh", [("lora_pro_sgd", 4), ("lora", 2)])
+def test_desk_adapter_step_call_counts(tmp_path, monkeypatch, method, first_eigh):
+    _assert_desk_step_calls(tmp_path, monkeypatch, method, DESK_STEP_CALLS[method], first_eigh)
 
 
 def test_compare_needs_two_methods(tmp_path):
