@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .config import parse_config_file
+from .config import RunConfig, parse_config_file
 from .errors import LoraProError
 from .harness import compare, run
 from .selfcheck import run_selfcheck
@@ -38,29 +38,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file of ``run`` or ``compare`` with its ``--seed``/``--out`` applied."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    config = parse_config_file(args.config)
+    return config.with_overrides(**{k: v for k, v in overrides.items() if v is not None})
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = parse_config_file(args.config)
-            if args.seed is not None:
-                config = config.with_overrides(seed=args.seed)
-            if args.out is not None:
-                config = config.with_overrides(out_dir=args.out)
-            result = run(config)
+            result = run(_load_config(args))
             print(f"final_loss={result.final_loss!r}")
             print(f"metrics: {result.csv_path}")
             print(f"summary: {result.summary_path}")
             print(f"checkpoint: {result.checkpoint_path}")
             return 0
         if args.command == "compare":
-            config = parse_config_file(args.config)
-            if args.seed is not None:
-                config = config.with_overrides(seed=args.seed)
-            if args.out is not None:
-                config = config.with_overrides(out_dir=args.out)
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            result = compare(config, methods)
+            result = compare(_load_config(args), methods)
             for label in result.labels:
                 print(f"{label}: final_loss={result.results[label].final_loss!r}")
             print(json.dumps(result.verdicts, indent=2, sort_keys=True))
@@ -74,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
             for line in report.lines():
                 print(line)
         return 0 if report.passed else 1
-    except LoraProError as exc:
+    except (LoraProError, OSError) as exc:  # bad input or an unreadable/unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Run configuration: a flat ``key = value`` file with ``[section]`` headers.
 
 The grammar is deliberately plain (full-line ``#`` comments, no nesting, no
-interpolation) so any tool can parse or emit it. Every key is validated
-against a schema; unknown sections or keys are rejected by name.
+interpolation) so any tool can parse or emit it. Every key is listed once, in
+``_SECTIONS`` or ``_TASK_KEYS``; unknown sections or keys are rejected by
+name, and each value is checked once, when its ``RunConfig`` is built.
 """
 
 from __future__ import annotations
@@ -10,46 +11,48 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ConfigError
 from .gradadjust import DampingPolicy, X_STRATEGIES
-from .lora import INIT_KINDS, SCALING_MODES
-from .optim import SCHEDULES, HyperParams
-from .tasks import TASK_KINDS
+from .lora import InitScheme, scaling_factor
+from .optim import HyperParams, init_adamw_state
 
-__all__ = ["METHODS", "RunConfig", "parse_config_file", "parse_config_text", "config_from_dict"]
+__all__ = ["METHODS", "RunConfig", "parse_config_file", "parse_config_text"]
 
 METHODS = ("lora", "lora_pro_sgd", "lora_pro_adamw", "full_ft")
 
 
 def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-_RUN_KEYS = {
-    "task": str,
-    "method": str,
-    "steps": int,
-    "batch_size": int,
-    "seed": int,
-    "out_dir": str,
+# every RunConfig field but task_params, once, with the type it is parsed as
+_SECTIONS = {
+    "run": {
+        "task": str,
+        "method": str,
+        "steps": int,
+        "batch_size": int,
+        "seed": int,
+        "out_dir": str,
+    },
+    "adapter": {"rank": int, "alpha": float, "scaling": str, "init": str},
+    "optimizer": {
+        "lr": float,
+        "weight_decay": float,
+        "beta1": float,
+        "beta2": float,
+        "epsilon": float,
+        "schedule": str,
+        "warmup_ratio": float,
+        "decay_after_update": _bool,
+    },
+    "lorapro": {"x_strategy": str, "damping": float, "fallback": str},
 }
-_ADAPTER_KEYS = {"rank": int, "alpha": float, "scaling": str, "init": str}
-_OPTIMIZER_KEYS = {
-    "lr": float,
-    "weight_decay": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "schedule": str,
-    "warmup_ratio": float,
-    "decay_after_update": _bool,
-}
-_LORAPRO_KEYS = {"x_strategy": str, "damping": float, "fallback": str}
+# the keys of [task], which depend on the task kind
 _TASK_KEYS = {
     "teacher_student_regression": {
         "d_in": int,
@@ -63,13 +66,12 @@ _TASK_KEYS = {
     "two_cluster_classification": {"d": int, "k": int, "n_samples": int, "separation": float},
     "csv_dataset": {"path": str, "target_column": str, "loss": str},
 }
-_SECTIONS = {
-    "run": _RUN_KEYS,
-    "task": None,  # keys depend on the task kind
-    "adapter": _ADAPTER_KEYS,
-    "optimizer": _OPTIMIZER_KEYS,
-    "lorapro": _LORAPRO_KEYS,
-}
+
+
+def _task_schema(kind) -> dict:
+    if kind not in _TASK_KEYS:
+        raise ConfigError(f"invalid config key 'task': unknown kind {kind!r}")
+    return _TASK_KEYS[kind]
 
 
 @dataclass
@@ -100,38 +102,45 @@ class RunConfig:
     fallback: str = "damp"
 
     def __post_init__(self):
-        if self.task not in TASK_KINDS:
-            raise ConfigError(f"invalid config key 'task': unknown kind {self.task!r}")
-        if self.method not in METHODS:
-            raise ConfigError(
-                f"invalid config key 'method': {self.method!r} not in {METHODS}"
-            )
-        if self.steps < 1:
-            raise ConfigError(f"invalid config key 'steps': must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"invalid config key 'batch_size': must be >= 1, got {self.batch_size}"
-            )
-        if self.rank < 1:
-            raise ConfigError(f"invalid config key 'rank': must be >= 1, got {self.rank}")
-        if self.scaling not in SCALING_MODES:
-            raise ConfigError(f"invalid config key 'scaling': {self.scaling!r}")
-        if self.init not in INIT_KINDS:
-            raise ConfigError(f"invalid config key 'init': {self.init!r}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"invalid config key 'schedule': {self.schedule!r}")
-        if self.x_strategy not in X_STRATEGIES:
-            raise ConfigError(f"invalid config key 'x_strategy': {self.x_strategy!r}")
-        if self.fallback not in ("damp", "passthrough"):
-            raise ConfigError(f"invalid config key 'fallback': {self.fallback!r}")
-        allowed = _TASK_KEYS[self.task]
+        allowed = _task_schema(self.task)
         for key in self.task_params:
             if key not in allowed:
                 raise ConfigError(f"invalid config key '{key}' in [task] for {self.task}")
-        try:
-            self.hyperparams()
-        except ValueError as exc:
-            raise ConfigError(f"invalid optimizer settings: {exc}") from exc
+        if self.method not in METHODS:
+            raise ConfigError(f"invalid config key 'method': {self.method!r} not in {METHODS}")
+        for key in ("steps", "batch_size", "rank"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"invalid config key '{key}': must be >= 1, got {value}")
+        if not self.alpha > 0.0:
+            raise ConfigError(f"invalid config key 'alpha': must be > 0, got {self.alpha}")
+        if self.x_strategy not in X_STRATEGIES:
+            raise ConfigError(
+                f"invalid config key 'x_strategy': {self.x_strategy!r} not in {X_STRATEGIES}"
+            )
+        if self.method == "lora_pro_sgd" and self.weight_decay != 0.0:
+            raise ConfigError(
+                f"invalid config key 'weight_decay': lora_pro_sgd has no weight decay, "
+                f"got {self.weight_decay}"
+            )
+        # every other value is checked by building, once, what a run builds from it
+        builds = (
+            (("scaling",), lambda: scaling_factor(self.alpha, self.rank, self.scaling)),
+            (("seed",), lambda: np.random.SeedSequence(self.seed)),
+            (("init",), lambda: InitScheme(self.init)),
+            (("lr", "weight_decay", "schedule", "warmup_ratio"), self.hyperparams),
+            (
+                ("beta1", "beta2", "epsilon"),
+                lambda: init_adamw_state((1, 1), self.beta1, self.beta2, self.epsilon),
+            ),
+            (("damping", "fallback"), self.damping_policy),
+        )
+        for keys, build in builds:
+            try:
+                build()
+            except ValueError as exc:
+                named = " or ".join(f"'{key}'" for key in keys)
+                raise ConfigError(f"invalid config key {named}: {exc}") from exc
 
     def hyperparams(self) -> HyperParams:
         return HyperParams(
@@ -149,65 +158,12 @@ class RunConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "run": {
-                "task": self.task,
-                "method": self.method,
-                "steps": self.steps,
-                "batch_size": self.batch_size,
-                "seed": self.seed,
-                "out_dir": self.out_dir,
-            },
-            "task": dict(self.task_params),
-            "adapter": {
-                "rank": self.rank,
-                "alpha": self.alpha,
-                "scaling": self.scaling,
-                "init": self.init,
-            },
-            "optimizer": {
-                "lr": self.lr,
-                "weight_decay": self.weight_decay,
-                "beta1": self.beta1,
-                "beta2": self.beta2,
-                "epsilon": self.epsilon,
-                "schedule": self.schedule,
-                "warmup_ratio": self.warmup_ratio,
-                "decay_after_update": self.decay_after_update,
-            },
-            "lorapro": {
-                "x_strategy": self.x_strategy,
-                "damping": self.damping,
-                "fallback": self.fallback,
-            },
+        sections = {
+            section: {key: getattr(self, key) for key in keys}
+            for section, keys in _SECTIONS.items()
         }
-
-
-def _convert(section: str, key: str, raw: str, caster) -> object:
-    try:
-        return caster(raw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid config key '{key}' in [{section}]: {exc}") from exc
-
-
-def config_from_dict(sections: dict) -> RunConfig:
-    """Build a RunConfig from already-typed section dictionaries."""
-    for section in sections:
-        if section not in _SECTIONS:
-            raise ConfigError(f"invalid config section '{section}'")
-    for section in ("run", "adapter", "optimizer", "lorapro"):
-        schema = _SECTIONS[section]
-        for key in sections.get(section, {}):
-            if key not in schema:
-                raise ConfigError(f"invalid config key '{key}' in [{section}]")
-    run = dict(sections.get("run", {}))
-    if "task" not in run:
-        raise ConfigError("invalid config: missing required key 'task' in [run]")
-    kwargs = dict(run)
-    kwargs["task_params"] = dict(sections.get("task", {}))
-    for section in ("adapter", "optimizer", "lorapro"):
-        kwargs.update(sections.get(section, {}))
-    return RunConfig(**kwargs)
+        sections["task"] = dict(self.task_params)
+        return sections
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -218,25 +174,24 @@ def parse_config_text(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config: {exc}") from exc
 
-    sections: dict[str, dict] = {}
-    task_kind = parser.get("run", "task", fallback=None)
+    if not parser.has_option("run", "task"):
+        raise ConfigError("invalid config: missing required key 'task' in [run]")
+    kwargs: dict = {"task_params": {}}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section == "task":
+            schema, into = _task_schema(parser.get("run", "task")), kwargs["task_params"]
+        elif section in _SECTIONS:
+            schema, into = _SECTIONS[section], kwargs
+        else:
             raise ConfigError(f"invalid config section '{section}'")
-        schema = _SECTIONS[section]
-        if schema is None:
-            if task_kind is None:
-                raise ConfigError("invalid config: [task] present but 'task' missing in [run]")
-            if task_kind not in _TASK_KEYS:
-                raise ConfigError(f"invalid config key 'task': unknown kind {task_kind!r}")
-            schema = _TASK_KEYS[task_kind]
-        parsed = {}
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"invalid config key '{key}' in [{section}]")
-            parsed[key] = _convert(section, key, raw, schema[key])
-        sections[section] = parsed
-    return config_from_dict(sections)
+            try:
+                into[key] = schema[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"invalid config key '{key}' in [{section}]: {exc}") from exc
+    return RunConfig(**kwargs)
 
 
 def parse_config_file(path: str) -> RunConfig:

@@ -216,7 +216,7 @@ class TangentGeometry:
     def __init__(self, layer: LoraLayer, policy: DampingPolicy = DampingPolicy()):
         self.layer = layer
         self.policy = policy
-        b, a = layer.b, layer.a
+        self._factors = b, a = layer.b, layer.a
         grams = np.stack((b.T @ b, a @ a.T))
         self._grams = 0.5 * (grams + grams.transpose(0, 2, 1))
         self._damping = (policy.damping_for(self._grams[0]), policy.damping_for(self._grams[1]))
@@ -227,6 +227,10 @@ class TangentGeometry:
                 "symmetric eigendecomposition of the layer Grams did not converge"
             ) from exc
         self.passthrough = policy.fallback == "passthrough" and self.rank_b == 0
+
+    def describes(self, layer: LoraLayer) -> bool:
+        """Whether ``layer`` is the layer decomposed here, still holding the same factor arrays."""
+        return self.layer is layer and self._factors[0] is layer.b and self._factors[1] is layer.a
 
     @cached_property
     def rank_b(self) -> int:
@@ -284,7 +288,7 @@ def _geometry(
 ) -> TangentGeometry:
     if geometry is None:
         return TangentGeometry(layer, policy)
-    if geometry.layer is not layer or geometry.policy != policy:
+    if not geometry.describes(layer) or geometry.policy != policy:
         raise ValueError("geometry was built for another layer or damping policy")
     return geometry
 

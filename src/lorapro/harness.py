@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import METHODS, RunConfig
+from .config import RunConfig
 from .errors import ConfigError, DescentViolationError, NonFiniteError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
 from .linalg import as_matrix, frob_norm
@@ -112,7 +112,8 @@ class Trainer:
 
     Layers are values: a step replaces each layer and never writes into it.
     ``geometries`` caches each committed layer's TangentGeometry for the next
-    step and is never saved; a step rebuilds one whose layer was replaced.
+    step and is never saved; a step rebuilds one whose layer, or one of whose
+    factor arrays, was replaced. The factors a step commits are read-only.
     """
 
     def __init__(self, config: RunConfig):
@@ -229,7 +230,7 @@ class Trainer:
             else:
                 # one geometry serves the metric adjustment, the certificate and the step
                 geometry = self.geometries[i]
-                if geometry is None or geometry.layer is not layer:
+                if geometry is None or not geometry.describes(layer):
                     geometry = TangentGeometry(layer, self.policy)
                 adjusted = adjust(
                     layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
@@ -281,6 +282,9 @@ class Trainer:
                     moments = {"v": state.v}
             del g_tilde  # free before the next layer allocates its own
             _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
+            # fresh arrays; read-only, as a write would go unseen by the carried geometry
+            new_layer.b.setflags(write=False)
+            new_layer.a.setflags(write=False)
             committed = TangentGeometry(new_layer, self.policy)  # the next step's, too
             new_geometries.append(committed)
             metrics.append(
@@ -463,9 +467,6 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
     """
     if len(methods) < 2:
         raise ConfigError(f"compare needs at least 2 methods, got {len(methods)}")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"invalid config key 'method': {m!r} not in {METHODS}")
 
     labels = []
     for m in methods:
@@ -477,11 +478,13 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
         labels.append(label)
 
     out_dir = Path(config.out_dir)
+    # every method's config is built, and so checked, before any run starts
+    subs = [
+        config.with_overrides(method=method, out_dir=str(out_dir / label))
+        for label, method in zip(labels, methods)
+    ]
     out_dir.mkdir(parents=True, exist_ok=True)
-    results: dict[str, RunResult] = {}
-    for label, method in zip(labels, methods):
-        sub = config.with_overrides(method=method, out_dir=str(out_dir / label))
-        results[label] = run(sub)
+    results = {label: run(sub) for label, sub in zip(labels, subs)}
 
     steps = config.steps
     header = ["step", "lr"]

@@ -18,7 +18,6 @@ __all__ = [
     "as_matrix",
     "build_unchecked",
     "replace_unchecked",
-    "frob_inner",
     "frob_norm",
     "spd_solve",
     "factorization_error",
@@ -72,15 +71,6 @@ def _finite_output(x: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"{op} produced non-finite entries")
     return x
-
-
-def frob_inner(a, b) -> float:
-    """Frobenius inner product: the sum of entrywise products."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch for inner product: {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def frob_norm(a) -> float:

@@ -64,6 +64,12 @@ class HyperParams:
     def __post_init__(self):
         if self.lr < 0.0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
+        # lr is the schedule's peak, so this bounds the decay of every step
+        if self.weight_decay < 0.0 or self.lr * self.weight_decay >= 1.0:
+            raise ValueError(
+                f"weight_decay must be >= 0 with lr * weight_decay < 1, got "
+                f"weight_decay={self.weight_decay}, lr={self.lr}"
+            )
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
         if not 0.0 <= self.warmup_ratio < 1.0:

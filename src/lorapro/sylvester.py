@@ -47,18 +47,15 @@ class SylvesterProblem:
             )
 
 
-def solve_sylvester(prob: SylvesterProblem, damping: float = 0.0) -> np.ndarray:
-    """Solve (p + damping*I) X + X q = c via the spectral route.
+def solve_sylvester(prob: SylvesterProblem) -> np.ndarray:
+    """Solve p X + X q = c via the spectral route.
 
     Errors with the offending eigenvalue pair if some lambda_i + mu_j falls at
     or below the relative floor, i.e. the coefficient spectra (nearly) cancel
     and the equation has no stable unique solution. Callers decide how to
-    recover; this solver never regularizes silently beyond ``damping``.
+    recover; this solver never regularizes.
     """
-    if damping < 0.0:
-        raise ValueError(f"damping must be >= 0, got {damping}")
-    p = prob.p if damping == 0.0 else prob.p + damping * np.eye(prob.p.shape[0])
-    lam, u = sym_eig(p)
+    lam, u = sym_eig(prob.p)
     mu, v = sym_eig(prob.q)
     return solve_in_eigenbases(prob.c, lam, u, mu, v)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .model import LOSS_KINDS
 
 __all__ = ["TASK_KINDS", "TaskData", "build_task"]
 
@@ -113,6 +114,8 @@ def _csv_dataset(params: dict, rng: np.random.Generator) -> TaskData:
     path = str(params["path"])
     target_column = str(params["target_column"])
     loss_kind = str(params.get("loss", "mse"))
+    if loss_kind not in LOSS_KINDS:
+        raise ConfigError(f"invalid config key 'loss': {loss_kind!r} not in {LOSS_KINDS}")
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -140,7 +143,7 @@ def _csv_dataset(params: dict, rng: np.random.Generator) -> TaskData:
         base = [rng.normal(size=(d, len(classes))) * (0.01 / np.sqrt(d))]
         return TaskData(features, labels, loss_kind, ["identity"], base)
     base = [rng.normal(size=(d, 1)) * (0.01 / np.sqrt(d))]
-    return TaskData(features, raw_targets.reshape(-1, 1), "mse", ["identity"], base)
+    return TaskData(features, raw_targets.reshape(-1, 1), loss_kind, ["identity"], base)
 
 
 def build_task(kind: str, params: dict, rng: np.random.Generator) -> TaskData:

@@ -13,7 +13,7 @@ from conftest import EXACT
 from lorapro.config import RunConfig
 from lorapro.gradadjust import adjust, lora_raw_grads, loss_decrease_certificate
 from lorapro.harness import Trainer, compare, records_to_csv_lines, run
-from lorapro.linalg import frob_inner, numerical_rank
+from lorapro.linalg import numerical_rank
 from lorapro.lora import LoraLayer
 from lorapro.optim import HyperParams, init_adamw_state, lorapro_adamw_step
 from lorapro.selfcheck import (
@@ -69,8 +69,7 @@ def test_certificate_nonpositive_and_identity(instances):
         adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
         dl = loss_decrease_certificate(layer, bundle, adjusted, lr, policy=EXACT)
         pairing = -lr * (
-            frob_inner(bundle.g_a_lora, adjusted.g_a)
-            + frob_inner(bundle.g_b_lora, adjusted.g_b)
+            np.vdot(bundle.g_a_lora, adjusted.g_a) + np.vdot(bundle.g_b_lora, adjusted.g_b)
         )
         worst_dl = max(worst_dl, dl)
         worst_identity = max(

@@ -1,9 +1,17 @@
+import configparser
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lorapro.config import RunConfig, parse_config_text
+from lorapro.cli import main as cli_main
+from lorapro.config import _SECTIONS, RunConfig, parse_config_text
 from lorapro.errors import ConfigError
 from lorapro.tasks import build_task
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD_CONFIG = """
 # demo run
@@ -95,6 +103,81 @@ def test_bad_type_rejected():
         parse_config_text(GOOD_CONFIG.replace("steps = 50", "steps = many"))
 
 
+def _with(text, **values):
+    """``text`` with each ``key = value`` set in the key's section."""
+    for key, value in values.items():
+        section = next(name for name, keys in _SECTIONS.items() if key in keys)
+        line = re.compile(rf"^{key} = .*$", re.M)
+        if line.search(text):
+            text = line.sub(f"{key} = {value}", text)
+        else:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text
+
+
+# each case's first key is the one its error must name
+BAD_VALUES = [
+    {"damping": "-1"},
+    {"beta1": "1.5"},
+    {"beta2": "1.0"},
+    {"epsilon": "0"},
+    {"alpha": "0"},
+    {"seed": "-1"},
+    {"lr": "-1"},
+    {"warmup_ratio": "1"},
+    {"weight_decay": "-0.1"},
+    {"weight_decay": "2000"},
+    {"weight_decay": "0.01", "method": "lora_pro_sgd"},
+    {"schedule": "cosine"},
+    {"scaling": "lora_plus"},
+    {"init": "orthogonal"},
+    {"fallback": "skip"},
+    {"x_strategy": "random"},
+]
+BAD_IDS = ["-".join(f"{k}={v}" for k, v in case.items()) for case in BAD_VALUES]
+
+
+@pytest.mark.parametrize("values", BAD_VALUES, ids=BAD_IDS)
+def test_bad_value_rejected_when_config_is_built(values):
+    key = next(iter(values))
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config_text(_with(GOOD_CONFIG, **values))
+
+
+@pytest.mark.parametrize("values", BAD_VALUES, ids=BAD_IDS)
+def test_cli_run_rejects_bad_value_with_one_error_line(tmp_path, capsys, values):
+    out_dir = tmp_path / "out"
+    path = tmp_path / "bad.cfg"
+    path.write_text(_with(GOOD_CONFIG, out_dir=out_dir, **values), encoding="utf-8")
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"'{next(iter(values))}'" in err[0]
+    assert not out_dir.exists()
+
+
+def test_cli_run_reports_missing_config_file(tmp_path, capsys):
+    assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "missing.cfg" in err[0]
+
+
+def test_every_field_in_exactly_one_section():
+    listed = sorted(key for keys in _SECTIONS.values() for key in keys)
+    fields = sorted(f.name for f in dataclasses.fields(RunConfig) if f.name != "task_params")
+    assert listed == fields
+
+
+def test_readme_config_parses_and_names_every_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    parse_config_text(block)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(block)
+    for section, keys in _SECTIONS.items():
+        assert set(parser[section]) == set(keys), section
+
+
 def test_config_round_trip_dict():
     cfg = parse_config_text(GOOD_CONFIG)
     echo = cfg.to_dict()
@@ -150,6 +233,10 @@ def test_csv_task(tmp_path):
     assert task.loss_kind == "mse"
     with pytest.raises(ConfigError, match="target_column"):
         build_task("csv_dataset", {"path": str(path), "target_column": "label"},
+                   np.random.default_rng(8))
+    with pytest.raises(ConfigError, match="'loss'"):
+        build_task("csv_dataset",
+                   {"path": str(path), "target_column": "y", "loss": "softmax_crossentropy"},
                    np.random.default_rng(8))
 
 

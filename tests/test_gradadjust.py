@@ -395,6 +395,10 @@ def test_geometry_rejects_another_layer(unit_instance):
         adjust(layer, bundle, policy=EXACT, geometry=TangentGeometry(other, EXACT))
     with pytest.raises(ValueError, match="another layer"):
         adjust(layer, bundle, policy=EXACT, geometry=TangentGeometry(layer, DampingPolicy()))
+    geometry = TangentGeometry(layer, EXACT)
+    layer.b = layer.b.copy()  # same layer object, a factor array it was not built from
+    with pytest.raises(ValueError, match="another layer"):
+        adjust(layer, bundle, policy=EXACT, geometry=geometry)
 
 
 def test_singular_gram_reports_leading_minor():

@@ -101,18 +101,42 @@ def test_checkpoint_resume_is_bit_identical(tmp_path, method):
     assert records_to_csv_lines(full_rows) == records_to_csv_lines(head + tail)
 
 
-@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
-def test_replaced_layer_gets_a_fresh_geometry(tmp_path, method):
-    # the trainer keeps each committed layer's geometry for the next step; a
-    # layer put in its place between steps must not be solved in the old one
-    cfg = small_config(tmp_path, method=method, steps=6)
-    trainer = Trainer(cfg)
-    trainer.step()
-    old = trainer.network.layers[1]
-    trainer.network.layers[1] = LoraLayer(
+def _new_layer(old):
+    return LoraLayer(
         w0=old.w0, b=2.0 * old.b, a=old.a[::-1].copy(), alpha=old.alpha, rank=old.rank,
         scaling_mode=old.scaling_mode,
     )
+
+
+def _reassign_b(layer):
+    layer.b = 3.0 * layer.b
+    return layer
+
+
+def _write_into_b(layer):
+    with pytest.raises(ValueError, match="read-only"):
+        layer.b[...] *= 3.0
+    return layer
+
+
+LORA_PRO_METHODS = ("lora_pro_sgd", "lora_pro_adamw")
+
+
+@pytest.mark.parametrize(
+    "method, change",
+    [pytest.param(m, _new_layer, id=m) for m in LORA_PRO_METHODS]
+    + [pytest.param(m, _reassign_b, id=f"{m}-reassign_b") for m in LORA_PRO_METHODS]
+    + [pytest.param(m, _write_into_b, id=f"{m}-write_into_b") for m in LORA_PRO_METHODS],
+)
+def test_replaced_layer_gets_a_fresh_geometry(tmp_path, method, change):
+    # the trainer keeps each committed layer's geometry for the next step; a
+    # layer or factor array put in its place between steps must not be solved
+    # in the old one, and a committed factor cannot be written in place
+    cfg = small_config(tmp_path, method=method, steps=6)
+    trainer = Trainer(cfg)
+    for _ in range(2):  # the first step's warmup lr is 0, so B is still 0 after it
+        trainer.step()
+    trainer.network.layers[1] = change(trainer.network.layers[1])
     ckpt = tmp_path / "state.bin"
     trainer.save(ckpt)
     from_start = Trainer.from_checkpoint(cfg, ckpt)  # holds the new layer from its start

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from lorapro.errors import FactorizationError, NonFiniteError, ShapeError
+from lorapro.errors import FactorizationError, NonFiniteError
 from lorapro.linalg import (
-    frob_inner,
     frob_norm,
     numerical_rank,
     spd_solve,
@@ -11,17 +10,9 @@ from lorapro.linalg import (
 )
 
 
-def test_frob_inner_direct_sum():
+def test_frob_norm_hand_value():
     g = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert frob_inner(g, g) == pytest.approx(30.0, abs=1e-14)
-    assert frob_inner(g, np.zeros_like(g)) == 0.0
-    assert frob_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
     assert frob_norm(g) == pytest.approx(np.sqrt(30.0))
-
-
-def test_frob_inner_shape_mismatch():
-    with pytest.raises(ShapeError):
-        frob_inner(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def test_spd_solve_scalar_division():

@@ -73,12 +73,6 @@ def test_colliding_spectra_error_carries_pair():
     assert excinfo.value.pair == (0.0, 0.0)
 
 
-def test_damping_rescues_singular_coefficient():
-    prob = SylvesterProblem(p=[[0.0]], q=[[0.0]], c=[[1.0]])
-    x = solve_sylvester(prob, damping=0.5)
-    assert np.allclose(x, [[2.0]])
-
-
 def test_asymmetric_coefficient_rejected():
     with pytest.raises(ShapeError):
         SylvesterProblem(p=[[0.0, 1.0], [0.0, 0.0]], q=np.eye(2), c=np.eye(2))
