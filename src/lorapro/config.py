@@ -1,14 +1,18 @@
 """Run configuration: a flat ``key = value`` file with ``[section]`` headers.
 
 The grammar is deliberately plain (full-line ``#`` comments, no nesting, no
-interpolation) so any tool can parse or emit it. Every key is listed once, in
-``_SECTIONS`` or ``_TASK_KEYS``; unknown sections or keys are rejected by
-name, and each value is checked once, when its ``RunConfig`` is built.
+interpolation) so any tool can parse or emit it. Each key is declared once:
+a ``RunConfig`` field, placed in its section by ``_SECTIONS``, or a parameter
+of a task builder (``tasks.task_keys``). Either declaration's annotation is
+the type a value is parsed as. Unknown sections or keys are rejected by name,
+and each value is checked once, when its ``RunConfig`` is built.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,6 +21,7 @@ from .errors import ConfigError
 from .gradadjust import DampingPolicy, X_STRATEGIES
 from .lora import InitScheme, scaling_factor
 from .optim import HyperParams, init_adamw_state
+from .tasks import check_task_params, task_keys
 
 __all__ = ["METHODS", "RunConfig", "parse_config_file", "parse_config_text"]
 
@@ -29,49 +34,14 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-# every RunConfig field but task_params, once, with the type it is parsed as
+# the section of every RunConfig field but task_params
 _SECTIONS = {
-    "run": {
-        "task": str,
-        "method": str,
-        "steps": int,
-        "batch_size": int,
-        "seed": int,
-        "out_dir": str,
-    },
-    "adapter": {"rank": int, "alpha": float, "scaling": str, "init": str},
-    "optimizer": {
-        "lr": float,
-        "weight_decay": float,
-        "beta1": float,
-        "beta2": float,
-        "epsilon": float,
-        "schedule": str,
-        "warmup_ratio": float,
-        "decay_after_update": _bool,
-    },
-    "lorapro": {"x_strategy": str, "damping": float, "fallback": str},
+    "run": ("task", "method", "steps", "batch_size", "seed", "out_dir"),
+    "adapter": ("rank", "alpha", "scaling", "init"),
+    "optimizer": ("lr", "weight_decay", "beta1", "beta2", "epsilon", "schedule", "warmup_ratio",
+                  "decay_after_update"),
+    "lorapro": ("x_strategy", "damping", "fallback"),
 }
-# the keys of [task], which depend on the task kind
-_TASK_KEYS = {
-    "teacher_student_regression": {
-        "d_in": int,
-        "d_hidden": int,
-        "d_out": int,
-        "n_samples": int,
-        "noise_sd": float,
-        "perturb_rank": int,
-        "perturb_scale": float,
-    },
-    "two_cluster_classification": {"d": int, "k": int, "n_samples": int, "separation": float},
-    "csv_dataset": {"path": str, "target_column": str, "loss": str},
-}
-
-
-def _task_schema(kind) -> dict:
-    if kind not in _TASK_KEYS:
-        raise ConfigError(f"invalid config key 'task': unknown kind {kind!r}")
-    return _TASK_KEYS[kind]
 
 
 @dataclass
@@ -102,10 +72,13 @@ class RunConfig:
     fallback: str = "damp"
 
     def __post_init__(self):
-        allowed = _task_schema(self.task)
-        for key in self.task_params:
-            if key not in allowed:
-                raise ConfigError(f"invalid config key '{key}' in [task] for {self.task}")
+        check_task_params(self.task, self.task_params)
+        keys = task_keys(self.task)
+        floats = [(key, getattr(self, key)) for key, hint in _TYPES.items() if hint is float]
+        floats += [(k, v) for k, v in self.task_params.items() if keys[k].annotation is float]
+        for key, value in floats:
+            if not math.isfinite(value):
+                raise ConfigError(f"invalid config key '{key}': must be finite, got {value}")
         if self.method not in METHODS:
             raise ConfigError(f"invalid config key 'method': {self.method!r} not in {METHODS}")
         for key in ("steps", "batch_size", "rank"):
@@ -166,6 +139,9 @@ class RunConfig:
         return sections
 
 
+_TYPES = typing.get_type_hints(RunConfig)
+
+
 def parse_config_text(text: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
@@ -179,16 +155,17 @@ def parse_config_text(text: str) -> RunConfig:
     kwargs: dict = {"task_params": {}}
     for section in parser.sections():
         if section == "task":
-            schema, into = _task_schema(parser.get("run", "task")), kwargs["task_params"]
+            keys, into = task_keys(parser.get("run", "task")), kwargs["task_params"]
+            types = {key: keys[key].annotation for key in keys}
         elif section in _SECTIONS:
-            schema, into = _SECTIONS[section], kwargs
+            types, into = {key: _TYPES[key] for key in _SECTIONS[section]}, kwargs
         else:
             raise ConfigError(f"invalid config section '{section}'")
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in types:
                 raise ConfigError(f"invalid config key '{key}' in [{section}]")
             try:
-                into[key] = schema[key](raw)
+                into[key] = (_bool if types[key] is bool else types[key])(raw)
             except ValueError as exc:
                 raise ConfigError(f"invalid config key '{key}' in [{section}]: {exc}") from exc
     return RunConfig(**kwargs)
@@ -196,4 +173,8 @@ def parse_config_text(text: str) -> RunConfig:
 
 def parse_config_file(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"could not read config {path}: not UTF-8 ({exc})") from exc
+    return parse_config_text(text)

@@ -135,7 +135,7 @@ def _built_from(bundle: GradBundle, layer: LoraLayer) -> bool:
     return scaling == layer.scaling and all(x is y for x, y in zip(arrays, current))
 
 
-def validate_bundle(layer: LoraLayer, bundle: GradBundle, tol: float = BUNDLE_CONSISTENCY_TOL):
+def validate_bundle(layer: LoraLayer, bundle: GradBundle):
     """Check the chain-rule identities against g_full when it is present.
 
     A bundle that ``lora_raw_grads`` built from this layer's factors, still
@@ -151,9 +151,9 @@ def validate_bundle(layer: LoraLayer, bundle: GradBundle, tol: float = BUNDLE_CO
     expect_b = s * (bundle.g_full @ layer.a.T)
     err_a = frob_norm(bundle.g_a_lora - expect_a)
     err_b = frob_norm(bundle.g_b_lora - expect_b)
-    if err_a > tol * max(1.0, frob_norm(expect_a)):
+    if err_a > BUNDLE_CONSISTENCY_TOL * max(1.0, frob_norm(expect_a)):
         raise ShapeError(f"g_a_lora inconsistent with g_full (deviation {err_a:.3e})")
-    if err_b > tol * max(1.0, frob_norm(expect_b)):
+    if err_b > BUNDLE_CONSISTENCY_TOL * max(1.0, frob_norm(expect_b)):
         raise ShapeError(f"g_b_lora inconsistent with g_full (deviation {err_b:.3e})")
 
 

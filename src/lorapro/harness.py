@@ -397,9 +397,6 @@ def _sha256(path: Path) -> str:
 
 def run(config: RunConfig, resume_from=None) -> RunResult:
     """Execute one training run and write metrics CSV, summary JSON, checkpoint."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     trainer = (
         Trainer.from_checkpoint(config, resume_from) if resume_from else Trainer(config)
     )
@@ -407,6 +404,9 @@ def run(config: RunConfig, resume_from=None) -> RunResult:
         raise ConfigError(
             f"invalid config key 'steps': checkpoint already at step {trainer.step_count}"
         )
+    # created only once the trainer is built, so a bad task or rank leaves no directory
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     records = [trainer.step() for _ in range(config.steps - trainer.step_count)]
 
@@ -478,12 +478,12 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
         labels.append(label)
 
     out_dir = Path(config.out_dir)
-    # every method's config is built, and so checked, before any run starts
+    # every method's config is built, and so checked, before any run starts;
+    # the first run creates out_dir
     subs = [
         config.with_overrides(method=method, out_dir=str(out_dir / label))
         for label, method in zip(labels, methods)
     ]
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = {label: run(sub) for label, sub in zip(labels, subs)}
 
     steps = config.steps

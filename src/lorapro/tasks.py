@@ -10,6 +10,8 @@ desk scale (the perturbation rank is a knob).
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import LOSS_KINDS
 
-__all__ = ["TASK_KINDS", "TaskData", "build_task"]
-
-TASK_KINDS = ("teacher_student_regression", "two_cluster_classification", "csv_dataset")
+__all__ = ["TaskData", "build_task", "check_task_params", "task_keys"]
 
 
 @dataclass
@@ -48,15 +48,20 @@ def _low_rank_perturbation(
     return p * (rel_scale * ref_norm / norm)
 
 
-def _teacher_student(params: dict, rng: np.random.Generator) -> TaskData:
-    d_in = int(params["d_in"])
-    d_hidden = int(params["d_hidden"])
-    d_out = int(params["d_out"])
-    n_samples = int(params.get("n_samples", 256))
-    noise_sd = float(params.get("noise_sd", 0.01))
-    perturb_rank = int(params.get("perturb_rank", 4))
-    perturb_scale = float(params.get("perturb_scale", 0.5))
+def _at_least(floor: int, **sizes) -> None:
+    for key, value in sizes.items():
+        if value < floor:
+            raise ConfigError(f"invalid config key '{key}': must be >= {floor}, got {value}")
 
+
+# Each builder takes the rng plus its [task] keys, keyword-only and annotated
+# with the type a config value is parsed as; a key without a default is required.
+def _teacher_student(
+    rng: np.random.Generator, *, d_in: int, d_hidden: int, d_out: int, n_samples: int = 256,
+    noise_sd: float = 0.01, perturb_rank: int = 4, perturb_scale: float = 0.5,
+) -> TaskData:
+    _at_least(1, d_in=d_in, d_hidden=d_hidden, d_out=d_out, n_samples=n_samples)
+    _at_least(0, perturb_rank=perturb_rank)
     dims = [(d_in, d_hidden), (d_hidden, d_out)]
     for m, n in dims:
         if perturb_rank > min(m, n):
@@ -88,13 +93,11 @@ def _teacher_student(params: dict, rng: np.random.Generator) -> TaskData:
     )
 
 
-def _two_cluster(params: dict, rng: np.random.Generator) -> TaskData:
-    d = int(params["d"])
-    k = int(params.get("k", 2))
-    n_samples = int(params.get("n_samples", 256))
-    separation = float(params.get("separation", 3.0))
-    if k < 2:
-        raise ConfigError(f"invalid config key 'k': need at least 2 classes, got {k}")
+def _two_cluster(
+    rng: np.random.Generator, *, d: int, k: int = 2, n_samples: int = 256, separation: float = 3.0
+) -> TaskData:
+    _at_least(1, d=d, n_samples=n_samples)
+    _at_least(2, k=k)
 
     means = rng.normal(size=(k, d))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
@@ -110,12 +113,11 @@ def _two_cluster(params: dict, rng: np.random.Generator) -> TaskData:
     )
 
 
-def _csv_dataset(params: dict, rng: np.random.Generator) -> TaskData:
-    path = str(params["path"])
-    target_column = str(params["target_column"])
-    loss_kind = str(params.get("loss", "mse"))
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"invalid config key 'loss': {loss_kind!r} not in {LOSS_KINDS}")
+def _csv_dataset(
+    rng: np.random.Generator, *, path: str, target_column: str, loss: str = "mse"
+) -> TaskData:
+    if loss not in LOSS_KINDS:
+        raise ConfigError(f"invalid config key 'loss': {loss!r} not in {LOSS_KINDS}")
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -137,20 +139,42 @@ def _csv_dataset(params: dict, rng: np.random.Generator) -> TaskData:
         raise ConfigError(f"csv dataset {path} has non-numeric entries: {exc}") from exc
 
     d = features.shape[1]
-    if loss_kind == "softmax_cross_entropy":
+    if loss == "softmax_cross_entropy":
         classes = np.unique(raw_targets)
         labels = np.searchsorted(classes, raw_targets).astype(np.int64)
         base = [rng.normal(size=(d, len(classes))) * (0.01 / np.sqrt(d))]
-        return TaskData(features, labels, loss_kind, ["identity"], base)
+        return TaskData(features, labels, loss, ["identity"], base)
     base = [rng.normal(size=(d, 1)) * (0.01 / np.sqrt(d))]
-    return TaskData(features, raw_targets.reshape(-1, 1), loss_kind, ["identity"], base)
+    return TaskData(features, raw_targets.reshape(-1, 1), loss, ["identity"], base)
+
+
+_BUILDERS = {
+    "teacher_student_regression": _teacher_student,
+    "two_cluster_classification": _two_cluster,
+    "csv_dataset": _csv_dataset,
+}
+
+
+@functools.cache
+def task_keys(kind: str) -> dict[str, inspect.Parameter]:
+    """The [task] keys of ``kind``: its builder's keyword-only parameters."""
+    if kind not in _BUILDERS:
+        raise ConfigError(f"invalid config key 'task': unknown kind {kind!r}")
+    params = inspect.signature(_BUILDERS[kind], eval_str=True).parameters.values()
+    return {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def check_task_params(kind: str, params: dict) -> None:
+    """Reject an unknown kind, a key ``kind`` does not take, or a missing required key."""
+    keys = task_keys(kind)
+    for key in params:
+        if key not in keys:
+            raise ConfigError(f"invalid config key '{key}' in [task] for {kind}")
+    for key, param in keys.items():
+        if param.default is param.empty and key not in params:
+            raise ConfigError(f"invalid config: missing required key '{key}' in [task] for {kind}")
 
 
 def build_task(kind: str, params: dict, rng: np.random.Generator) -> TaskData:
-    if kind == "teacher_student_regression":
-        return _teacher_student(params, rng)
-    if kind == "two_cluster_classification":
-        return _two_cluster(params, rng)
-    if kind == "csv_dataset":
-        return _csv_dataset(params, rng)
-    raise ConfigError(f"invalid config key 'task': unknown kind {kind!r}")
+    check_task_params(kind, params)
+    return _BUILDERS[kind](rng, **params)

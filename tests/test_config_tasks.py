@@ -9,7 +9,7 @@ import pytest
 from lorapro.cli import main as cli_main
 from lorapro.config import _SECTIONS, RunConfig, parse_config_text
 from lorapro.errors import ConfigError
-from lorapro.tasks import build_task
+from lorapro.tasks import build_task, task_keys
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,7 +106,7 @@ def test_bad_type_rejected():
 def _with(text, **values):
     """``text`` with each ``key = value`` set in the key's section."""
     for key, value in values.items():
-        section = next(name for name, keys in _SECTIONS.items() if key in keys)
+        section = next((name for name, keys in _SECTIONS.items() if key in keys), "task")
         line = re.compile(rf"^{key} = .*$", re.M)
         if line.search(text):
             text = line.sub(f"{key} = {value}", text)
@@ -133,6 +133,10 @@ BAD_VALUES = [
     {"init": "orthogonal"},
     {"fallback": "skip"},
     {"x_strategy": "random"},
+    {"damping": "nan"},
+    {"weight_decay": "nan"},
+    {"alpha": "inf"},
+    {"noise_sd": "nan"},
 ]
 BAD_IDS = ["-".join(f"{k}={v}" for k, v in case.items()) for case in BAD_VALUES]
 
@@ -153,6 +157,53 @@ def test_cli_run_rejects_bad_value_with_one_error_line(tmp_path, capsys, values)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and f"'{next(iter(values))}'" in err[0]
     assert not out_dir.exists()
+
+
+def _task_config(task: str, params: str) -> str:
+    """GOOD_CONFIG with a task of kind ``task`` whose [task] section is ``params``."""
+    head, _, rest = GOOD_CONFIG.partition("[task]\n")
+    head = head.replace("teacher_student_regression", task)
+    return f"{head}[task]\n{params}\n\n{rest[rest.index('[adapter]'):]}"
+
+
+# each case: the config file's contents and what its one error line must name
+BAD_FILES = {
+    "missing-d_in": (GOOD_CONFIG.replace("d_in = 8\n", ""), "'d_in'"),
+    "missing-d": (_task_config("two_cluster_classification", "k = 3"), "'d'"),
+    "missing-path": (_task_config("csv_dataset", "target_column = y"), "'path'"),
+    "optimizer-lr=nan": (_with(GOOD_CONFIG, lr="nan"), "'lr'"),
+    "task-perturb_scale=inf": (_with(GOOD_CONFIG, perturb_scale="inf"), "'perturb_scale'"),
+    "n_samples=0": (_with(GOOD_CONFIG, n_samples="0"), "'n_samples'"),
+    "perturb_rank=-1": (_with(GOOD_CONFIG, perturb_rank="-1"), "'perturb_rank'"),
+    "d_in=0": (_with(GOOD_CONFIG, d_in="0"), "'d_in'"),
+    "not-utf8": (b"\xff\xfe[run]\ntask = teacher_student_regression\n", "bad.cfg"),
+}
+
+
+@pytest.mark.parametrize("contents, named", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_cli_run_rejects_bad_task_or_file_with_one_error_line(tmp_path, capsys, contents, named):
+    out_dir = tmp_path / "out"
+    path = tmp_path / "bad.cfg"
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    else:
+        path.write_text(_with(contents, out_dir=out_dir), encoding="utf-8")
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind, params, missing", [
+    ("teacher_student_regression", {"d_in": 4, "d_out": 4}, "d_hidden"),
+    ("two_cluster_classification", {"k": 3}, "d"),
+    ("csv_dataset", {"path": "data.csv"}, "target_column"),
+])
+def test_build_task_names_missing_required_key(kind, params, missing):
+    with pytest.raises(ConfigError, match=f"missing required key '{missing}'"):
+        build_task(kind, params, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=f"missing required key '{missing}'"):
+        RunConfig(task=kind, task_params=params)
 
 
 def test_cli_run_reports_missing_config_file(tmp_path, capsys):
@@ -176,6 +227,7 @@ def test_readme_config_parses_and_names_every_key():
     parser.read_string(block)
     for section, keys in _SECTIONS.items():
         assert set(parser[section]) == set(keys), section
+    assert set(parser["task"]) == set(task_keys(parser["run"]["task"]))
 
 
 def test_config_round_trip_dict():
