@@ -4,14 +4,16 @@ The grammar is deliberately plain (full-line ``#`` comments, no nesting, no
 interpolation) so any tool can parse or emit it. Each key is declared once:
 a ``RunConfig`` field, placed in its section by ``_SECTIONS``, or a parameter
 of a task builder (``tasks.task_keys``). Either declaration's annotation is
-the type a value is parsed as. Unknown sections or keys are rejected by name,
-and each value is checked once, when its ``RunConfig`` is built.
+the type a value is parsed as, and the type a ``RunConfig`` built in code
+must hold. Unknown sections or keys are rejected by name, and each value is
+checked once, when its ``RunConfig`` is built.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import re
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .gradadjust import DampingPolicy, X_STRATEGIES
 from .lora import InitScheme, scaling_factor
-from .optim import HyperParams, init_adamw_state
+from .optim import HyperParams
 from .tasks import check_task_params, task_keys
 
 __all__ = ["METHODS", "RunConfig", "parse_config_file", "parse_config_text"]
@@ -32,6 +34,21 @@ def _bool(raw: str) -> bool:
     if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ValueError(f"not a boolean: {raw!r}")
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _check_value(key: str, value, hint) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is a ``hint``, and finite if a float.
+
+    An int serves where a float is declared; a bool serves only where a bool is.
+    """
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(
+            f"invalid config key '{key}': expected {hint.__name__}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"invalid config key '{key}': must be finite, got {value}")
 
 
 # the section of every RunConfig field but task_params
@@ -72,13 +89,13 @@ class RunConfig:
     fallback: str = "damp"
 
     def __post_init__(self):
+        # each value has the type its field, or its task builder's parameter, declares
+        for key, hint in _TYPES.items():
+            _check_value(key, getattr(self, key), hint)
         check_task_params(self.task, self.task_params)
         keys = task_keys(self.task)
-        floats = [(key, getattr(self, key)) for key, hint in _TYPES.items() if hint is float]
-        floats += [(k, v) for k, v in self.task_params.items() if keys[k].annotation is float]
-        for key, value in floats:
-            if not math.isfinite(value):
-                raise ConfigError(f"invalid config key '{key}': must be finite, got {value}")
+        for key, value in self.task_params.items():
+            _check_value(key, value, keys[key].annotation)
         if self.method not in METHODS:
             raise ConfigError(f"invalid config key 'method': {self.method!r} not in {METHODS}")
         for key in ("steps", "batch_size", "rank"):
@@ -101,28 +118,20 @@ class RunConfig:
             (("scaling",), lambda: scaling_factor(self.alpha, self.rank, self.scaling)),
             (("seed",), lambda: np.random.SeedSequence(self.seed)),
             (("init",), lambda: InitScheme(self.init)),
-            (("lr", "weight_decay", "schedule", "warmup_ratio"), self.hyperparams),
-            (
-                ("beta1", "beta2", "epsilon"),
-                lambda: init_adamw_state((1, 1), self.beta1, self.beta2, self.epsilon),
-            ),
+            (_SECTIONS["optimizer"], self.hyperparams),
             (("damping", "fallback"), self.damping_policy),
         )
         for keys, build in builds:
             try:
                 build()
             except ValueError as exc:
-                named = " or ".join(f"'{key}'" for key in keys)
+                # the keys the message names, or else every key the build reads
+                named = [key for key in keys if re.search(rf"\b{key}\b", str(exc))] or keys
+                named = " or ".join(f"'{key}'" for key in named)
                 raise ConfigError(f"invalid config key {named}: {exc}") from exc
 
     def hyperparams(self) -> HyperParams:
-        return HyperParams(
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            schedule=self.schedule,
-            warmup_ratio=self.warmup_ratio,
-            decay_after_update=self.decay_after_update,
-        )
+        return HyperParams(**{key: getattr(self, key) for key in _SECTIONS["optimizer"]})
 
     def damping_policy(self) -> DampingPolicy:
         return DampingPolicy(rel_epsilon=self.damping, fallback=self.fallback)

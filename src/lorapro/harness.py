@@ -19,9 +19,9 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .errors import ConfigError, DescentViolationError, NonFiniteError
+from .errors import CheckpointError, ConfigError, DescentViolationError, NonFiniteError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
-from .linalg import as_matrix, frob_norm
+from .linalg import as_matrix, build_unchecked, frob_norm
 from .lora import InitScheme, init_layer, layer_from_state, layer_state
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
@@ -158,21 +158,18 @@ class Trainer:
         method = config.method
         if method == "full_ft":
             self.weights = self.network.effective_weights()
-            self.ft_states = [self._fresh_state(w.shape) for w in self.weights]
+            self.ft_states = [init_adamw_state(w.shape) for w in self.weights]
         elif method == "lora":
-            self.states_a = [self._fresh_state(l.a.shape) for l in layers]
-            self.states_b = [self._fresh_state(l.b.shape) for l in layers]
+            self.states_a = [init_adamw_state(l.a.shape) for l in layers]
+            self.states_b = [init_adamw_state(l.b.shape) for l in layers]
         elif method == "lora_pro_adamw":
-            self.states = [self._fresh_state(l.shape) for l in layers]
+            self.states = [init_adamw_state(l.shape) for l in layers]
         # lora_pro_sgd keeps no optimizer state
-
-    def _fresh_state(self, shape) -> AdamWState:
-        cfg = self.config
-        return init_adamw_state(shape, beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon)
 
     def _draw_batch(self) -> Batch:
         idx = self.data_rng.integers(0, self.task.n_samples, size=self.config.batch_size)
-        return Batch(inputs=self.task.inputs[idx], targets=self.task.targets[idx])
+        # rows of the task's arrays, which build_task checked
+        return build_unchecked(Batch, inputs=self.task.inputs[idx], targets=self.task.targets[idx])
 
     def step(self) -> RunRecord:
         cfg = self.config
@@ -349,21 +346,27 @@ class Trainer:
         for i, layer_meta in enumerate(meta["layers"]):
             trainer.network.layers[i] = layer_from_state(layer_meta, arrays, prefix=f"layer{i}/")
         adamw_t = meta["adamw_t"]
+        n_layers = len(trainer.network.layers)
+        if config.method != "lora_pro_sgd" and len(adamw_t) != n_layers:
+            raise CheckpointError(
+                f"checkpoint holds optimizer states for {len(adamw_t)} layers, "
+                f"the run has {n_layers}"
+            )
 
-        def restored(states, prefix, steps):
+        def restored(prefix, steps):
             return [
-                replace(st, m=arrays[f"{prefix}{i}/m"], v=arrays[f"{prefix}{i}/v"], t=int(t))
-                for i, (st, t) in enumerate(zip(states, steps, strict=True))
+                AdamWState(m=arrays[f"{prefix}{i}/m"], v=arrays[f"{prefix}{i}/v"], t=int(t))
+                for i, t in enumerate(steps)
             ]
 
         if config.method == "full_ft":
-            trainer.weights = [arrays[f"ft{i}/w"] for i in range(len(trainer.weights))]
-            trainer.ft_states = restored(trainer.ft_states, "ft", adamw_t)
+            trainer.weights = [arrays[f"ft{i}/w"] for i in range(n_layers)]
+            trainer.ft_states = restored("ft", adamw_t)
         elif config.method == "lora":
-            trainer.states_a = restored(trainer.states_a, "sta", [t for t, _ in adamw_t])
-            trainer.states_b = restored(trainer.states_b, "stb", [t for _, t in adamw_t])
+            trainer.states_a = restored("sta", [t for t, _ in adamw_t])
+            trainer.states_b = restored("stb", [t for _, t in adamw_t])
         elif config.method == "lora_pro_adamw":
-            trainer.states = restored(trainer.states, "st", adamw_t)
+            trainer.states = restored("st", adamw_t)
         trainer.step_count = int(meta["step_count"])
         trainer.data_rng.bit_generator.state = meta["data_rng_state"]
         return trainer

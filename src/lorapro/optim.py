@@ -8,6 +8,11 @@ decays the merged weight exactly. The references are the ``lora`` method
 (AdamW with per-factor moments on the raw factor gradients) and the
 ``full_ft`` method (AdamW on the weight matrix itself).
 
+A run's optimizer settings, AdamW's beta1, beta2 and epsilon included, are
+one ``HyperParams``, checked when it is built; each AdamW step reads them
+from the ``hp`` it is given. An ``AdamWState`` holds only what changes from
+step to step: one matrix's two moments and its step count.
+
 All step functions are functional: they return fresh layer/state values and
 never mutate their inputs, with one exception a caller opts into: an
 equivalent gradient passed to ``lorapro_adamw_step`` as ``g_tilde`` is
@@ -53,8 +58,13 @@ SCHEDULES = ("constant", "cosine_with_warmup")
 
 @dataclass
 class HyperParams:
+    """Every optimizer setting of a run, each checked when it is built."""
+
     lr: float
     weight_decay: float = 0.0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
     schedule: str = "constant"
     warmup_ratio: float = 0.0
     # Ablation switch: apply the decomposed weight decay after the factor
@@ -70,6 +80,11 @@ class HyperParams:
                 f"weight_decay must be >= 0 with lr * weight_decay < 1, got "
                 f"weight_decay={self.weight_decay}, lr={self.lr}"
             )
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+        if self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
         if not 0.0 <= self.warmup_ratio < 1.0:
@@ -78,14 +93,11 @@ class HyperParams:
 
 @dataclass
 class AdamWState:
-    """Exponential moment accumulators for one parameter matrix."""
+    """Exponential moment accumulators and step count for one parameter matrix."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         self.m = as_matrix(self.m, "m")
@@ -96,22 +108,10 @@ class AdamWState:
             raise ValueError("second moment must be entrywise nonnegative")
         if self.t < 0:
             raise ValueError(f"step counter must be >= 0, got {self.t}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
-def init_adamw_state(
-    shape: tuple[int, int],
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamWState:
-    return AdamWState(
-        m=np.zeros(shape), v=np.zeros(shape), t=0, beta1=beta1, beta2=beta2, epsilon=epsilon
-    )
+def init_adamw_state(shape: tuple[int, int]) -> AdamWState:
+    return AdamWState(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def lr_at(hp: HyperParams, step: int, total_steps: int) -> float:
@@ -135,9 +135,11 @@ def lr_at(hp: HyperParams, step: int, total_steps: int) -> float:
 
 
 def adamw_transform(
-    state: AdamWState, grad: np.ndarray, out: np.ndarray | None = None
+    state: AdamWState, grad: np.ndarray, hp: HyperParams, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, AdamWState]:
     """One moment update plus bias-corrected normalization of a gradient.
+
+    The moment settings are ``hp``'s ``beta1``, ``beta2`` and ``epsilon``.
 
     The direction is written into ``out`` when it is given: a float64 array
     of the state's shape, which may be ``grad`` itself (the gradient is read
@@ -150,7 +152,7 @@ def adamw_transform(
     if out is not None and (out.shape != grad.shape or out.dtype != np.float64):
         raise ShapeError(f"out must be a float64 {grad.shape} array, got {out.dtype} {out.shape}")
     t = state.t + 1
-    beta1, beta2 = state.beta1, state.beta2
+    beta1, beta2 = hp.beta1, hp.beta2
     # m = beta1*m + (1-beta1)*g,  v = beta2*v + (1-beta2)*g**2,
     # direction = (m / (1-beta1**t)) / (sqrt(v / (1-beta2**t)) + epsilon),
     # in the two new moments, the direction and one scratch array, with the
@@ -166,7 +168,7 @@ def adamw_transform(
     direction = np.divide(m, 1.0 - beta1**t, out=out)
     np.divide(v, 1.0 - beta2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += state.epsilon
+    scratch += hp.epsilon
     direction /= scratch
     return direction, replace_unchecked(state, m=m, v=v, t=t)
 
@@ -232,7 +234,7 @@ def lorapro_adamw_step(
     if g_tilde is None:
         adjusted = adjust(layer, bundle, strategy="zero", policy=policy, geometry=geometry)
         g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
-    direction, state = adamw_transform(state, g_tilde, out=g_tilde)
+    direction, state = adamw_transform(state, g_tilde, hp, out=g_tilde)
 
     reprojected = lora_raw_grads(layer, direction)
     second = adjust(
@@ -259,8 +261,8 @@ def lora_adamw_step(
     hp: HyperParams,
 ) -> tuple[LoraLayer, AdamWState, AdamWState]:
     """Unadjusted baseline: standard AdamW with per-factor moments."""
-    dir_a, state_a = adamw_transform(state_a, bundle.g_a_lora)
-    dir_b, state_b = adamw_transform(state_b, bundle.g_b_lora)
+    dir_a, state_a = adamw_transform(state_a, bundle.g_a_lora, hp)
+    dir_b, state_b = adamw_transform(state_b, bundle.g_b_lora, hp)
     decay = 1.0 - hp.lr * hp.weight_decay
     layer = replace_unchecked(
         layer,
@@ -275,7 +277,7 @@ def full_ft_adamw_step(
 ) -> tuple[np.ndarray, AdamWState]:
     """Reference trajectory: AdamW directly on the weight matrix."""
     w = as_matrix(w, "w")
-    direction, state = adamw_transform(state, g)
+    direction, state = adamw_transform(state, g, hp)
     # (1 - lr*wd)*w - lr*direction, in one new array
     new_w = np.multiply(w, 1.0 - hp.lr * hp.weight_decay)
     direction *= hp.lr

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import LOSS_KINDS
+from .model import LOSS_KINDS, Batch
 
 __all__ = ["TaskData", "build_task", "check_task_params", "task_keys"]
 
@@ -176,5 +176,18 @@ def check_task_params(kind: str, params: dict) -> None:
 
 
 def build_task(kind: str, params: dict, rng: np.random.Generator) -> TaskData:
+    """The task ``kind`` built from ``params``, its data checked as a batch is.
+
+    The data is checked here, once, so a batch drawn from its rows needs no
+    check of its own. The task keeps the checked arrays, which are the
+    builder's own unless they needed a conversion.
+    """
     check_task_params(kind, params)
-    return _BUILDERS[kind](rng, **params)
+    task = _BUILDERS[kind](rng, **params)
+    try:
+        checked = Batch(inputs=task.inputs, targets=task.targets)
+    except ValueError as exc:
+        source = f" {params['path']}" if kind == "csv_dataset" else ""
+        raise ConfigError(f"task {kind}{source}: {exc}") from exc
+    task.inputs, task.targets = checked.inputs, checked.targets
+    return task

@@ -9,6 +9,7 @@ import pytest
 from lorapro.cli import main as cli_main
 from lorapro.config import _SECTIONS, RunConfig, parse_config_text
 from lorapro.errors import ConfigError
+from lorapro.optim import HyperParams
 from lorapro.tasks import build_task, task_keys
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +149,23 @@ def test_bad_value_rejected_when_config_is_built(values):
         parse_config_text(_with(GOOD_CONFIG, **values))
 
 
+# each case: the bad value and the keys its error must name, and no others
+NAMED_KEYS = {
+    "beta1=1.5": ({"beta1": "1.5"}, "'beta1'"),
+    "epsilon=0": ({"epsilon": "0"}, "'epsilon'"),
+    "schedule=cosine": ({"schedule": "cosine"}, "'schedule'"),
+    "weight_decay=2000": ({"weight_decay": "2000"}, "'lr' or 'weight_decay'"),
+    "fallback=skip": ({"fallback": "skip"}, "'fallback'"),
+    "damping=-1": ({"damping": "-1"}, "'damping' or 'fallback'"),  # message names neither
+}
+
+
+@pytest.mark.parametrize("values, named", NAMED_KEYS.values(), ids=NAMED_KEYS.keys())
+def test_bad_value_error_names_the_keys_its_message_names(values, named):
+    with pytest.raises(ConfigError, match=f"^invalid config key {named}: "):
+        parse_config_text(_with(GOOD_CONFIG, **values))
+
+
 @pytest.mark.parametrize("values", BAD_VALUES, ids=BAD_IDS)
 def test_cli_run_rejects_bad_value_with_one_error_line(tmp_path, capsys, values):
     out_dir = tmp_path / "out"
@@ -204,6 +222,54 @@ def test_build_task_names_missing_required_key(kind, params, missing):
         build_task(kind, params, np.random.default_rng(0))
     with pytest.raises(ConfigError, match=f"missing required key '{missing}'"):
         RunConfig(task=kind, task_params=params)
+
+
+TASK = {"d_in": 8, "d_hidden": 16, "d_out": 4}
+
+
+# a RunConfig built in code holds what a parsed one would: each value of its declared type
+@pytest.mark.parametrize("key, fields", [
+    ("alpha", {"alpha": "16"}),
+    ("steps", {"steps": "5"}),
+    ("lr", {"lr": "1e-3"}),
+    ("d_in", {"task_params": {**TASK, "d_in": "8"}}),
+    ("steps", {"steps": True}),
+    ("decay_after_update", {"decay_after_update": 1}),
+], ids=["alpha=str", "steps=str", "lr=str", "d_in=str", "steps=bool", "decay_after_update=int"])
+def test_code_built_config_checks_each_type(key, fields):
+    with pytest.raises(ConfigError, match=f"invalid config key '{key}': expected"):
+        RunConfig(task="teacher_student_regression", **{"task_params": TASK, **fields})
+
+
+def test_code_built_config_takes_an_int_for_a_float():
+    cfg = RunConfig(task="teacher_student_regression", task_params={**TASK, "noise_sd": 0},
+                    alpha=16, lr=1, weight_decay=0, epsilon=1)
+    assert cfg.hyperparams().lr == 1 and cfg.alpha == 16
+
+
+def test_optimizer_section_is_the_fields_of_hyperparams():
+    # hyperparams() passes every [optimizer] key, and HyperParams checks each
+    assert _SECTIONS["optimizer"] == tuple(f.name for f in dataclasses.fields(HyperParams))
+
+
+def test_cli_run_rejects_non_finite_csv_row_before_any_draw(tmp_path, capsys):
+    # the data is checked when the task is built, not when a batch happens
+    # to draw the bad row, so every seed fails alike and writes nothing
+    data = tmp_path / "data.csv"
+    rows = [f"{i % 7}.0,{i % 3}.0,{i % 5}.0" for i in range(99)] + ["1.0,nan,2.0"]
+    data.write_text("x1,x2,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    params = f"path = {data}\ntarget_column = y"
+    text = _task_config("csv_dataset", params).replace("rank = 2", "rank = 1")
+    for seed in range(4):
+        out_dir = tmp_path / f"out{seed}"
+        path = tmp_path / "nan.cfg"
+        path.write_text(_with(text, steps=5, batch_size=4, seed=seed, out_dir=out_dir),
+                        encoding="utf-8")
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(data) in err[0]
+        assert "csv_dataset" in err[0] and "non-finite" in err[0]
+        assert not out_dir.exists()
 
 
 def test_cli_run_reports_missing_config_file(tmp_path, capsys):

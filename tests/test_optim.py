@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,12 @@ def test_sgd_descends_on_quadratic_losses():
 def test_adamw_first_step_is_sign_like(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
-    state = init_adamw_state((2, 2), epsilon=1e-12)
-    _, new_state = lorapro_adamw_step(layer, state, bundle, HyperParams(lr=0.1),
+    hp = HyperParams(lr=0.1, epsilon=1e-12)
+    _, new_state = lorapro_adamw_step(layer, init_adamw_state((2, 2)), bundle, hp,
                                       policy=EXACT)
     # with near-zero epsilon, bias corrections cancel magnitudes entrywise
     g_tilde = np.array([[1.0, 2.0], [3.0, 0.0]])
-    direction, _ = adamw_transform(init_adamw_state((2, 2), epsilon=1e-12), g_tilde)
+    direction, _ = adamw_transform(init_adamw_state((2, 2)), g_tilde, hp)
     assert np.allclose(direction, np.sign(g_tilde), atol=1e-9)
     assert new_state.t == 1
 
@@ -188,13 +190,14 @@ def test_adamw_step_with_g_tilde_rejects_mismatched_bundle():
 def test_adamw_transform_matches_textbook_bit_for_bit(shape):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     for t, beta1, beta2, epsilon in ((0, 0.9, 0.999, 1e-8), (1, 0.9, 0.999, 1e-8),
-                                     (6, 0.8, 0.99, 1e-6), (999, 0.0, 0.5, 1e-3)):
+                                     (6, 0.8, 0.99, 1e-6), (999, 0.0, 0.5, 1e-3),
+                                     (41, 0.95, 0.9999, 1e-12)):
         m0 = rng.normal(size=shape)
         v0 = rng.normal(size=shape) ** 2
         grad = rng.normal(scale=10.0 ** rng.integers(-6, 6), size=shape)
-        state = AdamWState(m=m0.copy(), v=v0.copy(), t=t, beta1=beta1, beta2=beta2,
-                           epsilon=epsilon)
-        direction, new = adamw_transform(state, grad)
+        state = AdamWState(m=m0.copy(), v=v0.copy(), t=t)
+        hp = HyperParams(lr=1e-3, beta1=beta1, beta2=beta2, epsilon=epsilon)
+        direction, new = adamw_transform(state, grad, hp)
 
         m = beta1 * m0 + (1.0 - beta1) * grad
         v = beta2 * v0 + (1.0 - beta2) * grad**2
@@ -202,7 +205,7 @@ def test_adamw_transform_matches_textbook_bit_for_bit(shape):
         v_hat = v / (1.0 - beta2 ** (t + 1))
         assert np.array_equal(direction, m_hat / (np.sqrt(v_hat) + epsilon))
         assert np.array_equal(new.m, m) and np.array_equal(new.v, v)
-        assert (new.t, new.beta1, new.beta2, new.epsilon) == (t + 1, beta1, beta2, epsilon)
+        assert new.t == t + 1
         # the input state is left as it was
         assert np.array_equal(state.m, m0) and np.array_equal(state.v, v0) and state.t == t
         assert new.m is not state.m and new.v is not state.v
@@ -216,12 +219,12 @@ def test_adamw_transform_out_writes_the_same_direction(shape):
         m0 = rng.normal(size=shape)
         v0 = rng.normal(size=shape) ** 2
         grad = rng.normal(scale=10.0 ** rng.integers(-6, 6), size=shape)
-        state = AdamWState(m=m0.copy(), v=v0.copy(), t=t, beta1=beta1, beta2=beta2,
-                           epsilon=epsilon)
-        expected, expected_state = adamw_transform(state, grad)
+        state = AdamWState(m=m0.copy(), v=v0.copy(), t=t)
+        hp = HyperParams(lr=1e-3, beta1=beta1, beta2=beta2, epsilon=epsilon)
+        expected, expected_state = adamw_transform(state, grad, hp)
 
         buffer = grad.copy()
-        direction, new = adamw_transform(state, buffer, out=buffer)
+        direction, new = adamw_transform(state, buffer, hp, out=buffer)
         assert direction is buffer
         assert np.array_equal(direction, expected)
         assert np.array_equal(new.m, expected_state.m)
@@ -234,7 +237,7 @@ def test_adamw_transform_out_must_match_the_state():
     grad = np.ones((3, 2))
     for out in (np.empty((2, 3)), np.empty((3, 2), dtype=np.float32)):
         with pytest.raises(ShapeError, match="out must be"):
-            adamw_transform(state, grad, out=out)
+            adamw_transform(state, grad, HyperParams(lr=1e-3), out=out)
 
 
 def test_adamw_step_without_g_tilde_mutates_no_input():
@@ -282,8 +285,8 @@ def test_baseline_full_ft_first_step_sign_like():
     rng = np.random.default_rng(31)
     w = rng.normal(size=(3, 4))
     g = rng.normal(size=(3, 4))
-    state = init_adamw_state((3, 4), epsilon=1e-12)
-    out, _ = full_ft_adamw_step(w, state, g, HyperParams(lr=0.01))
+    state = init_adamw_state((3, 4))
+    out, _ = full_ft_adamw_step(w, state, g, HyperParams(lr=0.01, epsilon=1e-12))
     assert np.allclose(out, w - 0.01 * np.sign(g), atol=1e-9)
 
 
@@ -299,10 +302,19 @@ def test_baseline_lora_adamw_moves_both_factors(unit_instance):
 
 
 def test_adamw_state_validation():
+    # a state holds only the moments and the step count; the settings are HyperParams'
+    assert [f.name for f in dataclasses.fields(AdamWState)] == ["m", "v", "t"]
     with pytest.raises(ValueError):
         AdamWState(m=np.zeros((2, 2)), v=-np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        AdamWState(m=np.zeros((2, 2)), v=np.zeros((2, 2)), beta1=1.0)
+
+
+@pytest.mark.parametrize("key, value", [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0),
+                                        ("beta2", -1e-9), ("epsilon", 0.0),
+                                        ("epsilon", -1e-8)])
+def test_hyperparams_moment_settings_validation(key, value):
+    with pytest.raises(ValueError, match=key):
+        HyperParams(lr=1e-3, **{key: value})
+    HyperParams(lr=1e-3, beta1=0.0, beta2=0.0, epsilon=1e-300)  # the edges that are allowed
 
 
 def test_full_rank_limit_tracks_full_fine_tuning():
