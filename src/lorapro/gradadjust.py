@@ -414,14 +414,17 @@ def loss_decrease_certificate(
     s = layer.scaling
     geo = _geometry(layer, policy, geometry)
 
-    # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2
-    whitened_a = geo.white_b.T @ bundle.g_a_lora
-    term_a = _inner(whitened_a, whitened_a) / s**2
-    projected = geo.project_out_b(bundle.g_b_lora)
-    term_b = _inner(bundle.g_b_lora @ geo.white_a, projected @ geo.white_a) / s**2
+    # huge factors or gradients overflow here into inf or NaN, which ends in
+    # the NonFiniteError below rather than in a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2
+        whitened_a = geo.white_b.T @ bundle.g_a_lora
+        term_a = _inner(whitened_a, whitened_a) / s**2
+        projected = geo.project_out_b(bundle.g_b_lora)
+        term_b = _inner(bundle.g_b_lora @ geo.white_a, projected @ geo.white_a) / s**2
+        via_pairing = -lr * (_inner(bundle.g_a_lora, g_a) + _inner(bundle.g_b_lora, g_b))
     dl = -lr * (term_a + term_b)
 
-    via_pairing = -lr * (_inner(bundle.g_a_lora, g_a) + _inner(bundle.g_b_lora, g_b))
     if not (math.isfinite(dl) and math.isfinite(via_pairing)):
         raise NonFiniteError(f"certificate {dl} or gradient pairing {via_pairing} is not finite")
     scale = max(1.0, abs(dl), abs(via_pairing))

@@ -343,13 +343,27 @@ class Trainer:
         if meta.get("config") != config.to_dict():
             raise ConfigError("checkpoint was produced by a different config")
         trainer = cls(config)
-        for i, layer_meta in enumerate(meta["layers"]):
-            trainer.network.layers[i] = layer_from_state(layer_meta, arrays, prefix=f"layer{i}/")
+        layers = trainer.network.layers
+        n_layers = len(layers)
+        if len(meta["layers"]) != n_layers:
+            raise CheckpointError(
+                f"{path}: checkpoint holds {len(meta['layers'])} layers, the run has {n_layers}"
+            )
+        for i, (layer_meta, layer) in enumerate(zip(meta["layers"], layers)):
+            try:
+                loaded = layer_from_state(layer_meta, arrays, prefix=f"layer{i}/")
+            except (KeyError, ValueError) as exc:
+                raise CheckpointError(f"{path}: layer {i}: {exc}") from exc
+            if (loaded.shape, loaded.rank) != (layer.shape, layer.rank):
+                raise CheckpointError(
+                    f"{path}: layer {i} is {loaded.shape} at rank {loaded.rank}, "
+                    f"the run's is {layer.shape} at rank {layer.rank}"
+                )
+            layers[i] = loaded
         adamw_t = meta["adamw_t"]
-        n_layers = len(trainer.network.layers)
         if config.method != "lora_pro_sgd" and len(adamw_t) != n_layers:
             raise CheckpointError(
-                f"checkpoint holds optimizer states for {len(adamw_t)} layers, "
+                f"{path}: checkpoint holds optimizer states for {len(adamw_t)} layers, "
                 f"the run has {n_layers}"
             )
 
@@ -398,20 +412,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(config: RunConfig, resume_from=None) -> RunResult:
+def run(config: RunConfig) -> RunResult:
     """Execute one training run and write metrics CSV, summary JSON, checkpoint."""
-    trainer = (
-        Trainer.from_checkpoint(config, resume_from) if resume_from else Trainer(config)
-    )
-    if trainer.step_count >= config.steps:
-        raise ConfigError(
-            f"invalid config key 'steps': checkpoint already at step {trainer.step_count}"
-        )
+    trainer = Trainer(config)
     # created only once the trainer is built, so a bad task or rank leaves no directory
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    records = [trainer.step() for _ in range(config.steps - trainer.step_count)]
+    records = [trainer.step() for _ in range(config.steps)]
 
     csv_path = out_dir / "metrics.csv"
     # line by line, so the text is never held whole

@@ -128,26 +128,41 @@ def _one_hot(targets: np.ndarray, k: int) -> np.ndarray:
     return targets
 
 
-def _loss_and_grad(pred: np.ndarray, batch: Batch, kind: str) -> tuple[float, np.ndarray]:
-    batch_size = pred.shape[0]
+def _checked_targets(pred: np.ndarray, batch: Batch, kind: str) -> np.ndarray:
+    """The targets as an array shaped like ``pred``: the float targets, or one-hot class ids."""
     if kind == "mse":
         targets = batch.targets
         if np.issubdtype(targets.dtype, np.integer):
             raise ShapeError("mse loss requires float targets, got class indices")
         if targets.shape != pred.shape:
             raise ShapeError(f"targets {targets.shape} do not match predictions {pred.shape}")
-        diff = pred - targets
-        loss = float(np.sum(diff**2)) / batch_size
-        return loss, (2.0 / batch_size) * diff
-    # softmax cross entropy, fused stable form: gradient is (softmax - onehot)
+        return targets
     onehot = _one_hot(batch.targets, pred.shape[1])
     if onehot.shape != pred.shape:
         raise ShapeError(f"targets {onehot.shape} do not match logits {pred.shape}")
+    return onehot
+
+
+def _loss(pred: np.ndarray, batch: Batch, kind: str) -> float:
+    targets = _checked_targets(pred, batch, kind)
+    batch_size = pred.shape[0]
+    if kind == "mse":
+        diff = pred - targets
+        return float(np.sum(diff**2)) / batch_size
+    # softmax cross entropy in the stable shifted form
     shifted = pred - pred.max(axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    loss = float(np.sum(log_z - np.sum(shifted * onehot, axis=1))) / batch_size
-    grad = (_softmax(pred) - onehot) / batch_size
-    return loss, grad
+    return float(np.sum(log_z - np.sum(shifted * targets, axis=1))) / batch_size
+
+
+def _loss_grad(pred: np.ndarray, batch: Batch, kind: str) -> np.ndarray:
+    """The gradient of ``_loss`` with respect to ``pred``."""
+    targets = _checked_targets(pred, batch, kind)
+    batch_size = pred.shape[0]
+    if kind == "mse":
+        return (2.0 / batch_size) * (pred - targets)
+    # softmax cross entropy, fused: the gradient is (softmax - onehot)
+    return (_softmax(pred) - targets) / batch_size
 
 
 def forward_with_weights(
@@ -169,7 +184,7 @@ def forward_with_weights(
         z = post[-1] @ w
         pre.append(z)
         post.append(_activate(z, act))
-    loss, _ = _loss_and_grad(post[-1], batch, loss_kind)
+    loss = _loss(post[-1], batch, loss_kind)
     if not np.isfinite(loss):
         raise NonFiniteError(f"forward produced non-finite loss {loss}")
     return loss, ForwardCache(
@@ -211,7 +226,7 @@ def _unchanged_since(cache: ForwardCache, net: Network) -> bool:
 def backward_weight_grads(cache: ForwardCache, activations: Sequence[str],
                           loss_kind: str) -> list[np.ndarray]:
     """Exact batch-loss gradient with respect to each layer's weight matrix."""
-    _, delta = _loss_and_grad(cache.post_activations[-1], cache.batch, loss_kind)
+    delta = _loss_grad(cache.post_activations[-1], cache.batch, loss_kind)
     grads: list[np.ndarray] = [None] * len(cache.weights)  # type: ignore[list-item]
     for i in reversed(range(len(cache.weights))):
         delta = delta * _activate_grad(cache.pre_activations[i], activations[i])

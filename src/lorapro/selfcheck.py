@@ -11,6 +11,7 @@ command executes; the acceptance tests drive the same functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,6 +21,7 @@ import numpy as np
 from .gradadjust import (
     DampingPolicy,
     GradBundle,
+    TangentGeometry,
     adjust,
     choose_x,
     equivalent_gradient,
@@ -28,7 +30,7 @@ from .gradadjust import (
 )
 from .linalg import frob_norm, numerical_rank
 from .lora import LoraLayer
-from .model import Batch, Network, backward, forward
+from .model import Batch, ForwardCache, Network, backward, forward, forward_with_weights
 from .oracle import (
     brute_force_optimal_grads,
     finite_diff_grad,
@@ -38,7 +40,9 @@ from .oracle import (
 )
 from .sylvester import SylvesterProblem, solve_sylvester
 
-__all__ = ["PropertyResult", "SelfcheckReport", "random_instances", "run_selfcheck"]
+__all__ = [
+    "PropertyResult", "SelfcheckReport", "oracle_minima", "random_instances", "run_selfcheck",
+]
 
 # Full-rank instances get exact (undamped) Gram inversions; the damped path
 # is exercised by its own rank-zero tests elsewhere.
@@ -151,14 +155,26 @@ def _result(name, worst, tol, count, detail="") -> PropertyResult:
     )
 
 
-def check_oracle_consistency(instances) -> PropertyResult:
-    """Least-squares oracle vs the analytic double-projection residual."""
+def oracle_minima(instances) -> np.ndarray:
+    """Each instance's least-squares minimum and its double-projection residual.
+
+    Both are minima of the adjustment objective, by two independent routes;
+    the suite computes them once, for ``check_oracle_consistency`` and
+    ``check_adjustment_optimality`` to read. One float64 row per instance.
+    """
+    minima = np.empty((len(instances), 2))
+    for row, (layer, bundle) in zip(minima, instances):
+        row[0] = brute_force_optimal_grads(layer, bundle.g_full)[2]
+        row[1] = projection_residual_norm_sq(layer, bundle.g_full)
+    return minima
+
+
+def check_oracle_consistency(minima) -> PropertyResult:
+    """Least-squares oracle vs the analytic double-projection residual, from ``oracle_minima``."""
     worst = 0.0
-    for layer, bundle in instances:
-        _, _, objective = brute_force_optimal_grads(layer, bundle.g_full)
-        formula = projection_residual_norm_sq(layer, bundle.g_full)
+    for objective, formula in minima:
         worst = _worse(worst, _rel(abs(objective - formula), objective, formula, 1.0))
-    return _result("oracle_self_consistency", worst, 1e-8, len(instances))
+    return _result("oracle_self_consistency", worst, 1e-8, len(minima))
 
 
 def check_sylvester_residual(seed: int) -> PropertyResult:
@@ -204,15 +220,16 @@ def _objective(layer, bundle, adjusted) -> float:
     return float(np.sum((g_tilde - bundle.g_full) ** 2))
 
 
-def check_adjustment_optimality(instances, adjust_fn=adjust) -> list[PropertyResult]:
-    """The closed form's objective matches both independent references."""
+def check_adjustment_optimality(instances, minima, adjust_fn=adjust) -> list[PropertyResult]:
+    """The closed form's objective matches both independent references.
+
+    ``minima`` are the instances' ``oracle_minima``.
+    """
     worst_bf = 0.0
     worst_proj = 0.0
-    for layer, bundle in instances:
+    for (layer, bundle), (reference, formula) in zip(instances, minima, strict=True):
         adjusted = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT)
         ours = _objective(layer, bundle, adjusted)
-        _, _, reference = brute_force_optimal_grads(layer, bundle.g_full)
-        formula = projection_residual_norm_sq(layer, bundle.g_full)
         worst_bf = _worse(worst_bf, _rel(abs(ours - reference), ours, reference, 1.0))
         worst_proj = _worse(worst_proj, _rel(abs(ours - formula), ours, formula, 1.0))
     return [
@@ -226,12 +243,13 @@ def check_x_invariance(instances, adjust_fn=adjust) -> PropertyResult:
     worst = 0.0
     rng = np.random.default_rng(np.random.SeedSequence(999))
     for layer, bundle in instances:
+        geo = TangentGeometry(layer, EXACT)
         tildes = []
         for strategy in ("zero", "symmetry", "sylvester"):
-            adj = adjust_fn(layer, bundle, strategy=strategy, policy=EXACT)
+            adj = adjust_fn(layer, bundle, strategy=strategy, policy=EXACT, geometry=geo)
             tildes.append(equivalent_gradient(layer, adj.g_a, adj.g_b))
         random_x = rng.normal(size=(layer.rank, layer.rank))
-        adj = adjust_fn(layer, bundle, policy=EXACT, x_override=random_x)
+        adj = adjust_fn(layer, bundle, policy=EXACT, x_override=random_x, geometry=geo)
         tildes.append(equivalent_gradient(layer, adj.g_a, adj.g_b))
         for i in range(len(tildes)):
             for j in range(i + 1, len(tildes)):
@@ -244,9 +262,12 @@ def check_idempotence(instances, adjust_fn=adjust) -> PropertyResult:
     """Adjusting the projected gradient again must reproduce it."""
     worst = 0.0
     for layer, bundle in instances:
-        adj = adjust_fn(layer, bundle, strategy="zero", policy=EXACT)
+        geo = TangentGeometry(layer, EXACT)
+        adj = adjust_fn(layer, bundle, strategy="zero", policy=EXACT, geometry=geo)
         g_tilde = equivalent_gradient(layer, adj.g_a, adj.g_b)
-        replay = adjust_fn(layer, lora_raw_grads(layer, g_tilde), strategy="zero", policy=EXACT)
+        replay = adjust_fn(
+            layer, lora_raw_grads(layer, g_tilde), strategy="zero", policy=EXACT, geometry=geo
+        )
         again = equivalent_gradient(layer, replay.g_a, replay.g_b)
         worst = _worse(worst, _rel(frob_norm(again - g_tilde), frob_norm(g_tilde), 1.0))
     return _result("adjustment_idempotence", worst, 1e-9, len(instances))
@@ -256,8 +277,9 @@ def check_certificate(instances, adjust_fn=adjust) -> PropertyResult:
     """Predicted loss change at lr 0.1 is nonpositive (and matches the pairing identity)."""
     worst = -np.inf
     for layer, bundle in instances:
-        adjusted = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT)
-        dl = loss_decrease_certificate(layer, bundle, adjusted, 0.1, policy=EXACT)
+        geo = TangentGeometry(layer, EXACT)
+        adjusted = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT, geometry=geo)
+        dl = loss_decrease_certificate(layer, bundle, adjusted, 0.1, policy=EXACT, geometry=geo)
         worst = _worse(worst, dl)
     return _result("descent_certificate", worst, 1e-12, len(instances))
 
@@ -287,11 +309,14 @@ def check_certificate_first_order(seed: int) -> PropertyResult:
         net = Network(layers=[layer], activations=["identity"], loss_kind="mse")
         loss0, cache = forward(net, batch)
         bundle = backward(net, cache)[0]
-        adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
+        geo = TangentGeometry(layer, EXACT)
+        adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT, geometry=geo)
 
         deviations = []
         for gamma in gammas:
-            dl = loss_decrease_certificate(layer, bundle, adjusted, gamma, policy=EXACT)
+            dl = loss_decrease_certificate(
+                layer, bundle, adjusted, gamma, policy=EXACT, geometry=geo
+            )
             stepped = LoraLayer(
                 w0=layer.w0,
                 b=layer.b - gamma * adjusted.g_b,
@@ -400,12 +425,31 @@ def _random_network(rng: np.random.Generator, loss_kind: str, activations_pool) 
     return net, batch
 
 
-def _relu_safe(net: Network, batch: Batch) -> bool:
-    _, cache = forward(net, batch)
+def _relu_safe(net: Network, cache: ForwardCache) -> bool:
     for z, act in zip(cache.pre_activations, net.activations):
         if act == "relu" and np.min(np.abs(z)) < 0.01:
             return False
     return True
+
+
+def _loss_at_w0(net: Network, batch: Batch, weights, i: int) -> Callable:
+    """The batch loss as a function of layer ``i``'s w0, with every factor held.
+
+    ``weights`` are the network's effective weights. A probe adds the
+    layer's s*B*A product to the w0 it is given, the operations
+    ``lora.effective_weight`` makes, so each loss equals, bit for bit, the
+    forward loss of the network rebuilt around a layer holding that w0.
+    """
+    layer = net.layers[i]
+    product = layer.b @ layer.a
+    product *= layer.scaling
+    probe = list(weights)
+
+    def loss(w0: np.ndarray) -> float:
+        probe[i] = product + w0
+        return forward_with_weights(probe, net.activations, net.loss_kind, batch)[0]
+
+    return loss
 
 
 def check_chain_rule_and_gradients(seed: int, n_networks: int = 20) -> list[PropertyResult]:
@@ -418,11 +462,11 @@ def check_chain_rule_and_gradients(seed: int, n_networks: int = 20) -> list[Prop
     while built < n_networks:
         loss_kind = ("mse", "softmax_cross_entropy")[built % 2]
         net, batch = _random_network(rng, loss_kind, activations_pool)
+        _, cache = forward(net, batch)
         # finite differences need a margin from relu kinks; resample if close
-        if not _relu_safe(net, batch):
+        if not _relu_safe(net, cache):
             continue
         built += 1
-        _, cache = forward(net, batch)
         bundles = backward(net, cache)
         for i, (layer, bundle) in enumerate(zip(net.layers, bundles)):
             s = layer.scaling
@@ -431,18 +475,7 @@ def check_chain_rule_and_gradients(seed: int, n_networks: int = 20) -> list[Prop
             worst_eq = _worse(worst_eq, _rel(eq_a, frob_norm(bundle.g_a_lora), 1.0))
             worst_eq = _worse(worst_eq, _rel(eq_b, frob_norm(bundle.g_b_lora), 1.0))
 
-            def loss_at_w0(w0, i=i):
-                layers = list(net.layers)
-                old = layers[i]
-                layers[i] = LoraLayer(
-                    w0=w0, b=old.b, a=old.a, alpha=old.alpha, rank=old.rank,
-                    scaling_mode=old.scaling_mode,
-                )
-                probe = Network(layers=layers, activations=net.activations,
-                                loss_kind=net.loss_kind)
-                return forward(probe, batch)[0]
-
-            fd = finite_diff_grad(loss_at_w0, net.layers[i].w0, 1e-5)
+            fd = finite_diff_grad(_loss_at_w0(net, batch, cache.weights, i), layer.w0, 1e-5)
             diff = frob_norm(fd - bundle.g_full)
             worst_fd = _worse(worst_fd, diff / (frob_norm(bundle.g_full) + 1e-3))
     return [
@@ -454,15 +487,25 @@ def check_chain_rule_and_gradients(seed: int, n_networks: int = 20) -> list[Prop
 def run_selfcheck(seed: int = 0, adjust_fn: Callable = adjust) -> SelfcheckReport:
     """Run every property; the oracle's internal consistency goes first.
 
-    A property that raises counts as failed (with the exception recorded)
-    rather than aborting the rest of the suite.
+    ``adjust_fn`` stands in for ``gradadjust.adjust`` and receives its
+    keyword arguments, ``geometry`` included: a property builds one
+    TangentGeometry per instance and passes it to each call it makes on that
+    layer. The oracle minima are computed once, for the two properties that
+    read them. A property that raises counts as failed (with the exception
+    recorded) rather than aborting the rest of the suite; an oracle that
+    raises fails both.
     """
     instances = random_instances(seed)
+    # not cached when it raises, so each property that reads it records the exception
+    minima = functools.cache(lambda: oracle_minima(instances))
     checks = [
-        ("oracle_self_consistency", lambda: check_oracle_consistency(instances)),
+        ("oracle_self_consistency", lambda: check_oracle_consistency(minima())),
         ("sylvester_residual", lambda: check_sylvester_residual(seed)),
         ("sylvester_kronecker_agreement", lambda: check_sylvester_kron_agreement(seed)),
-        ("adjustment_optimality", lambda: check_adjustment_optimality(instances, adjust_fn)),
+        (
+            "adjustment_optimality",
+            lambda: check_adjustment_optimality(instances, minima(), adjust_fn),
+        ),
         ("equivalent_gradient_x_invariance", lambda: check_x_invariance(instances, adjust_fn)),
         ("adjustment_idempotence", lambda: check_idempotence(instances, adjust_fn)),
         ("descent_certificate", lambda: check_certificate(instances, adjust_fn)),

@@ -23,6 +23,7 @@ from lorapro.selfcheck import (
     check_rank_bound,
     check_sylvester_x_optimality,
     check_x_invariance,
+    oracle_minima,
     random_instances,
 )
 
@@ -41,7 +42,7 @@ def instances():
 
 def test_adjustment_reaches_least_squares_optimum(instances):
     start = time.time()
-    results = check_adjustment_optimality(instances)
+    results = check_adjustment_optimality(instances, oracle_minima(instances))
     elapsed = time.time() - start
     for result in results:
         _report(

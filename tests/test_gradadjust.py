@@ -1,10 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXACT
-from lorapro.errors import DescentViolationError, FactorizationError, ShapeError, SpectrumError
+from lorapro.errors import (
+    DescentViolationError,
+    FactorizationError,
+    NonFiniteError,
+    ShapeError,
+    SpectrumError,
+)
 from lorapro.gradadjust import (
     X_STRATEGIES,
     DampingPolicy,
@@ -160,6 +168,20 @@ def test_certificate_trivial_cases(unit_instance):
     bundle = lora_raw_grads(layer, g)
     adj = adjust(layer, bundle, policy=EXACT)
     assert loss_decrease_certificate(layer, bundle, adj, lr=0.0, policy=EXACT) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e200, -1e200])
+def test_certificate_overflow_raises_only_the_typed_error(unit_instance, scale):
+    # <g_a, (B^T B)^-1 g_a> of a 1e200-scale gradient overflows float64: the
+    # certificate reports it as NonFiniteError, with no numpy warning first,
+    # so it stays typed when warnings are errors
+    layer, g = unit_instance
+    bundle = lora_raw_grads(layer, scale * g)
+    adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="not finite"):
+            loss_decrease_certificate(layer, bundle, adjusted, lr=1.0, policy=EXACT)
 
 
 def test_certificate_rejects_tampered_gradients(unit_instance):

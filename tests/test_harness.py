@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from lorapro.lora import LoraLayer
 from lorapro.selfcheck import (
     check_oracle_consistency,
     check_sylvester_x_optimality,
+    oracle_minima,
     random_instances,
     run_selfcheck,
 )
@@ -168,6 +171,51 @@ def test_checkpoint_with_wrong_state_count_raises_typed_error(tmp_path, method):
     save_checkpoint(str(ckpt), meta, arrays)
     with pytest.raises(CheckpointError, match="optimizer states for 1 layers, the run has 2"):
         Trainer.from_checkpoint(cfg, ckpt)
+
+
+def _rank_one(meta, arrays):
+    # a layer-0 entry that is a valid adapter, at rank 1 where the run has 2
+    meta["layers"][0]["rank"] = 1
+    arrays["layer0/b"] = arrays["layer0/b"][:, :1]
+    arrays["layer0/a"] = arrays["layer0/a"][:1]
+
+
+def _rank_field_only(meta, arrays):
+    meta["layers"][0]["rank"] = 1
+
+
+def _drop_last_layer(meta, arrays):
+    meta["layers"] = meta["layers"][:1]
+
+
+def _repeat_first_layer(meta, arrays):
+    meta["layers"] = meta["layers"] + meta["layers"][:1]
+
+
+LAYER_LIST_DAMAGE = {
+    "short": (_drop_last_layer, "checkpoint holds 1 layers, the run has 2"),
+    "long": (_repeat_first_layer, "checkpoint holds 3 layers, the run has 2"),
+    "other_rank": (_rank_one, r"layer 0 is \(6, 10\) at rank 1, the run's is \(6, 10\) at rank 2"),
+    "rank_field": (_rank_field_only, r"layer 0: b must be 6x1, got \(6, 2\)"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(LAYER_LIST_DAMAGE))
+def test_checkpoint_layer_list_must_match_the_run(tmp_path, damage):
+    # the header's layer list is not hashed: a short list used to resume with the
+    # missing layers at their initial values, and a long one ended in a KeyError
+    cfg = small_config(tmp_path, method="lora_pro_sgd")
+    trainer = Trainer(cfg)
+    trainer.step()
+    ckpt = tmp_path / "state.bin"
+    trainer.save(ckpt)
+    meta, arrays = load_checkpoint(str(ckpt))
+    rewrite, message = LAYER_LIST_DAMAGE[damage]
+    rewrite(meta, arrays)
+    save_checkpoint(str(ckpt), meta, arrays)
+    with pytest.raises(CheckpointError, match=message) as excinfo:
+        Trainer.from_checkpoint(cfg, ckpt)
+    assert str(ckpt) in str(excinfo.value)
 
 
 def _flip_bit(data: bytes, offset: int, bit: int) -> bytes:
@@ -607,9 +655,10 @@ def test_selfcheck_passes_and_is_seed_stable():
 def test_selfcheck_flags_corrupted_adjustment():
     from lorapro.gradadjust import adjust
 
-    def corrupted(layer, bundle, strategy="sylvester", policy=None, x_override=None):
+    def corrupted(layer, bundle, strategy="sylvester", policy=None, x_override=None,
+                  geometry=None):
         out = adjust(layer, bundle, strategy=strategy, policy=policy,
-                     x_override=x_override)
+                     x_override=x_override, geometry=geometry)
         out.g_a = -out.g_a  # sign flip: optimality and descent both break
         return out
 
@@ -661,7 +710,7 @@ def test_oracle_consistency_fails_on_a_nan_residual(monkeypatch):
         return np.nan if len(calls) == 2 else real(layer, g)
 
     monkeypatch.setattr(selfcheck, "projection_residual_norm_sq", nan_on_second_call)
-    result = check_oracle_consistency(random_instances(0, count=5))
+    result = check_oracle_consistency(oracle_minima(random_instances(0, count=5)))
     assert len(calls) == 5
     assert not result.passed and math.isnan(result.worst)
     assert result.line().startswith("FAIL oracle_self_consistency")
@@ -673,6 +722,94 @@ def test_sylvester_x_optimality_scan_call_count(monkeypatch):
     counts = _count_calls(monkeypatch, ("oracle.x_objective_scan",))
     assert check_sylvester_x_optimality(instances).passed
     assert counts == {"oracle.x_objective_scan": 7 * (1 + 3)}
+
+
+def test_selfcheck_shares_geometries_and_oracle_minima(monkeypatch):
+    # one TangentGeometry per instance in each of the six properties that adjust
+    # or solve on the 200 instances, plus one per certificate_first_order layer
+    # (10); each oracle minimum once per instance; and finite-difference probes
+    # that build no layer or network
+    import lorapro.gradadjust as gradadjust
+    import lorapro.selfcheck as selfcheck
+
+    counts = _count_calls(
+        monkeypatch, ("oracle.brute_force_optimal_grads", "oracle.projection_residual_norm_sq")
+    )
+    built = {"TangentGeometry": 0, "probes": 0, "LoraLayer in probes": 0,
+             "Network in probes": 0}
+    probing = []
+
+    def counting_init(cls, key):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            if key == "TangentGeometry" or probing:
+                built[key] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting_init(gradadjust.TangentGeometry, "TangentGeometry")
+    counting_init(LoraLayer, "LoraLayer in probes")
+    counting_init(model.Network, "Network in probes")
+    finite_diff_grad = selfcheck.finite_diff_grad
+
+    def probed(f, at, h):
+        def probe(w0):
+            probing.append(None)
+            try:
+                return f(w0)
+            finally:
+                probing.pop()
+                built["probes"] += 1
+
+        return finite_diff_grad(probe, at, h)
+
+    monkeypatch.setattr(selfcheck, "finite_diff_grad", probed)
+    assert run_selfcheck(seed=0).passed
+    assert counts == {"oracle.brute_force_optimal_grads": 200,
+                      "oracle.projection_residual_norm_sq": 200}
+    assert built["probes"] > 0
+    assert built == {"TangentGeometry": 6 * 200 + 10, "probes": built["probes"],
+                     "LoraLayer in probes": 0, "Network in probes": 0}
+
+
+@pytest.mark.parametrize("loss_kind", model.LOSS_KINDS)
+@pytest.mark.parametrize("activation", model.ACTIVATIONS)
+def test_selfcheck_probe_loss_matches_a_rebuilt_network_bit_for_bit(loss_kind, activation):
+    # a probe adds the held s*B*A product to the probed w0; the network it
+    # replaces rebuilt the layer and the network around that w0 for every probe
+    import lorapro.selfcheck as selfcheck
+
+    rng = np.random.default_rng(71)
+    for _ in range(4):
+        net, batch = selfcheck._random_network(rng, loss_kind, (activation,))
+        # a scaling other than 1, so that where it is applied shows in the bits
+        net.layers = [dataclasses.replace(layer, alpha=1.5 * layer.rank) for layer in net.layers]
+        _, cache = model.forward(net, batch)
+        for i, old in enumerate(net.layers):
+            probe = selfcheck._loss_at_w0(net, batch, cache.weights, i)
+            for w0 in (old.w0, old.w0 + 1e-5 * rng.normal(size=old.shape)):
+                layers = list(net.layers)
+                layers[i] = LoraLayer(w0=w0, b=old.b, a=old.a, alpha=old.alpha,
+                                      rank=old.rank, scaling_mode=old.scaling_mode)
+                rebuilt = model.Network(layers, net.activations, net.loss_kind)
+                assert probe(w0) == model.forward(rebuilt, batch)[0]
+
+
+def test_selfcheck_oracle_that_raises_fails_both_properties_that_read_it(monkeypatch):
+    import lorapro.selfcheck as selfcheck
+    from lorapro.errors import RankDeficiencyError
+
+    def raising(layer, g):
+        raise RankDeficiencyError("injected")
+
+    monkeypatch.setattr(selfcheck, "brute_force_optimal_grads", raising)
+    report = run_selfcheck(seed=0)
+    failed = {r.name: r for r in report.results if not r.passed}
+    assert set(failed) == {"oracle_self_consistency", "adjustment_optimality"}
+    for result in failed.values():
+        assert result.detail == "raised RankDeficiencyError: injected"
 
 
 def test_cli_run_compare_selfcheck(tmp_path, capsys):
@@ -730,6 +867,20 @@ def test_cli_selfcheck_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert any(p["name"] == "oracle_self_consistency" for p in report["properties"])
+
+
+def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
+    # the shipped config's lora_pro_sgd at lr 1 overflows the certificate's
+    # inner products at step 101; with warnings as errors, that must still end
+    # in NonFiniteError, not in a numpy RuntimeWarning
+    text = (ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8")
+    cfg = parse_config_text(text).with_overrides(
+        method="lora_pro_sgd", lr=1.0, out_dir=str(tmp_path / "lr1")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="aborting at step 101: certificate"):
+            run(cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

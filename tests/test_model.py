@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lorapro.model as model
 from lorapro.errors import ShapeError, StaleCacheError
 from lorapro.lora import InitScheme, LoraLayer, init_layer
 from lorapro.model import Batch, Network, backward, forward
@@ -186,3 +187,50 @@ def test_dimension_chain_validated():
 def test_batch_size_mismatch_rejected():
     with pytest.raises(ShapeError):
         Batch(inputs=np.zeros((3, 2)), targets=np.zeros((4, 2)))
+
+
+def _fused_loss_and_grad(pred, batch, kind):
+    """The arithmetic of the one loss-and-gradient routine that forward and backward
+    both called before it was split in two, kept as the reference for the pair."""
+    batch_size = pred.shape[0]
+    if kind == "mse":
+        diff = pred - batch.targets
+        loss = float(np.sum(diff**2)) / batch_size
+        return loss, (2.0 / batch_size) * diff
+    onehot = model._one_hot(batch.targets, pred.shape[1])
+    shifted = pred - pred.max(axis=1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=1))
+    loss = float(np.sum(log_z - np.sum(shifted * onehot, axis=1))) / batch_size
+    grad = (model._softmax(pred) - onehot) / batch_size
+    return loss, grad
+
+
+@pytest.mark.parametrize("loss_kind", model.LOSS_KINDS)
+@pytest.mark.parametrize("activation", model.ACTIVATIONS)
+def test_split_loss_and_gradient_match_the_fused_routine_bit_for_bit(loss_kind, activation):
+    rng = np.random.default_rng(61)
+    for depth in (1, 2, 3):
+        dims = [int(d) for d in rng.integers(2, 7, size=depth + 1)]
+        layers = [
+            LoraLayer(w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, 1)),
+                      a=rng.normal(size=(1, n)), alpha=1.0, rank=1, scaling_mode="lora")
+            for m, n in zip(dims, dims[1:])
+        ]
+        net = Network(layers, [activation] * depth, loss_kind)
+        if loss_kind == "mse":
+            targets = rng.normal(size=(5, dims[-1]))
+        else:
+            targets = rng.integers(0, dims[-1], size=5).astype(np.int64)
+        batch = Batch(inputs=rng.normal(size=(5, dims[0])), targets=targets)
+
+        loss, cache = forward(net, batch)
+        ref_loss, delta = _fused_loss_and_grad(cache.post_activations[-1], batch, loss_kind)
+        assert loss == ref_loss
+        # backward_weight_grads's chain, fed the fused routine's gradient
+        ref_grads = [None] * depth
+        for i in reversed(range(depth)):
+            delta = delta * model._activate_grad(cache.pre_activations[i], activation)
+            ref_grads[i] = cache.post_activations[i].T @ delta
+            delta = delta @ cache.weights[i].T
+        for bundle, ref in zip(backward(net, cache), ref_grads):
+            assert np.array_equal(bundle.g_full, ref)
