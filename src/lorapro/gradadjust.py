@@ -19,6 +19,13 @@ Gram inversions are Tikhonov-damped per a DampingPolicy so the adjustment
 stays defined when B starts at zero (the standard adapter initialization).
 Both Grams are eigendecomposed once per layer-step in a TangentGeometry,
 which serves the damped Gram solves, the Sylvester X and the factors' ranks.
+
+X enters only as the shift (X A, -B X), so one X = 0 solve of a bundle serves
+every later call on it. ``adjust`` solves (B^T B)^-1 g_a_raw once, for both
+the base g_a and the Sylvester right-hand side, and keeps the whitened
+products it forms with the pair it returns: ``loss_decrease_certificate``
+reads them instead of forming them again, and ``adjust(zero_pair=...)``
+shifts an X = 0 pair by another X without solving anything but X.
 """
 
 from __future__ import annotations
@@ -79,6 +86,30 @@ class GradBundle:
 
 
 @dataclass
+class _Solves:
+    """The X-independent products ``adjust`` forms for one bundle in one geometry."""
+
+    geometry: "TangentGeometry"
+    g_a_lora: np.ndarray  # the bundle's arrays they were formed from
+    g_b_lora: np.ndarray
+    white_g_a: np.ndarray  # W_b^T g_a_raw
+    solved_a: np.ndarray  # (B^T B + eps_b I)^-1 g_a_raw
+    white_g_b: np.ndarray  # (I - P_B) g_b_raw W_a
+
+    def serves(self, bundle: "GradBundle", geometry: "TangentGeometry") -> bool:
+        """Whether these were formed from ``bundle``'s current arrays in ``geometry``.
+
+        Arrays are compared by identity, so one written in place afterwards
+        is not re-read.
+        """
+        return (
+            self.geometry is geometry
+            and self.g_a_lora is bundle.g_a_lora
+            and self.g_b_lora is bundle.g_b_lora
+        )
+
+
+@dataclass
 class AdjustedGrads:
     """Adjusted factor gradients, the X that produced them, and the strategy label."""
 
@@ -86,6 +117,9 @@ class AdjustedGrads:
     g_b: np.ndarray
     x: np.ndarray
     x_strategy: str
+    # the products adjust formed on the way, which later calls on the same
+    # bundle and geometry read; a pair built by hand has none
+    _solves: _Solves | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -111,7 +145,7 @@ class DampingPolicy:
     def damping_for(self, gram: np.ndarray) -> float:
         if self.rel_epsilon == 0.0:
             return 0.0
-        mean_diag = float(np.trace(gram)) / gram.shape[0]
+        mean_diag = float(gram.trace()) / gram.shape[0]
         return self.rel_epsilon * (mean_diag if mean_diag > 0.0 else 1.0)
 
 
@@ -174,10 +208,19 @@ def lora_raw_grads(layer: LoraLayer, g_full: np.ndarray) -> GradBundle:
     )
 
 
-def equivalent_gradient(layer: LoraLayer, g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
-    """The update direction a (g_a, g_b) factor step induces on the effective weight."""
-    g_a = as_matrix(g_a, "g_a")
-    g_b = as_matrix(g_b, "g_b")
+def equivalent_gradient(
+    layer: LoraLayer, g_a: np.ndarray, g_b: np.ndarray, *, checked: bool = False
+) -> np.ndarray:
+    """The update direction a (g_a, g_b) factor step induces on the effective weight.
+
+    ``checked`` is the caller's word that ``g_a`` and ``g_b`` are float64
+    matrices derived from checked values, such as a gradient bundle's arrays
+    or an adjusted pair made from them. They are then not read again to
+    check them, and an overflow in them shows in the result.
+    """
+    if not checked:
+        g_a = as_matrix(g_a, "g_a")
+        g_b = as_matrix(g_b, "g_b")
     m, n = layer.shape
     r = layer.rank
     if g_a.shape != (r, n):
@@ -217,7 +260,7 @@ class TangentGeometry:
         self.layer = layer
         self.policy = policy
         self._factors = b, a = layer.b, layer.a
-        grams = np.stack((b.T @ b, a @ a.T))
+        grams = np.array((b.T @ b, a @ a.T))
         self._grams = 0.5 * (grams + grams.transpose(0, 2, 1))
         self._damping = (policy.damping_for(self._grams[0]), policy.damping_for(self._grams[1]))
         try:
@@ -233,14 +276,19 @@ class TangentGeometry:
         return self.layer is layer and self._factors[0] is layer.b and self._factors[1] is layer.a
 
     @cached_property
+    def _ranks(self) -> tuple[int, int]:
+        rank_b, rank_a = _gram_rank(self._w)
+        return int(rank_b), int(rank_a)
+
+    @property
     def rank_b(self) -> int:
         """The numerical rank of B, by ``linalg.numerical_rank``'s rule."""
-        return _gram_rank(self._w[0])
+        return self._ranks[0]
 
-    @cached_property
+    @property
     def rank_a(self) -> int:
         """The numerical rank of A, by ``linalg.numerical_rank``'s rule."""
-        return _gram_rank(self._w[1])
+        return self._ranks[1]
 
     def _whitener(self, k: int) -> np.ndarray:
         lam = self._w[k] + self._damping[k]
@@ -264,13 +312,15 @@ class TangentGeometry:
         """Q = B W_b, orthonormal columns spanning B's column space when undamped."""
         return self.layer.b @ self.white_b
 
-    def solve_b(self, rhs: np.ndarray) -> np.ndarray:
-        """(B^T B + eps_b I)^-1 rhs."""
-        return self.white_b @ (self.white_b.T @ rhs)
+    def solve_b(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B^T B + eps_b I)^-1 rhs, and the whitened W_b^T rhs it passes through."""
+        whitened = self.white_b.T @ rhs
+        return self.white_b @ whitened, whitened
 
-    def solve_a_right(self, lhs: np.ndarray) -> np.ndarray:
-        """lhs (A A^T + eps_a I)^-1."""
-        return (lhs @ self.white_a) @ self.white_a.T
+    def solve_a_right(self, lhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lhs (A A^T + eps_a I)^-1, and the whitened lhs W_a it passes through."""
+        whitened = lhs @ self.white_a
+        return whitened @ self.white_a.T, whitened
 
     def project_out_b(self, g_b: np.ndarray) -> np.ndarray:
         """(I - B (B^T B + eps_b I)^-1 B^T) g_b."""
@@ -293,6 +343,44 @@ def _geometry(
     return geometry
 
 
+def _check_strategy(layer: LoraLayer, bundle: GradBundle, strategy: str) -> None:
+    if strategy not in X_STRATEGIES:
+        raise ValueError(f"unknown X strategy {strategy!r}, expected one of {X_STRATEGIES}")
+    validate_bundle(layer, bundle)
+
+
+def _choose_x(
+    layer: LoraLayer,
+    bundle: GradBundle,
+    strategy: str,
+    geo: TangentGeometry | None,
+    solved_a: np.ndarray | None,
+) -> np.ndarray:
+    """The X that ``choose_x`` picks for a ``strategy`` already checked.
+
+    ``geo`` serves the solves of every strategy but ``zero``, and
+    ``solved_a`` is (B^T B)^-1 g_a_raw, which only the Sylvester X reads.
+    """
+    r = layer.rank
+    if strategy == "zero":
+        return np.zeros((r, r))
+    s = layer.scaling
+    if strategy == "symmetry":
+        # X = -(1/(2 s^2)) (B^T B)^-1 B^T g_b_raw (A A^T)^-1, which balances
+        # the two terms of the equivalent gradient: g_b A = B g_a.
+        half, _ = geo.solve_b(layer.b.T @ bundle.g_b_lora)
+        x, _ = geo.solve_a_right(half)
+        return -0.5 / s**2 * x
+
+    rhs = -1.0 / s**2 * (solved_a @ layer.a.T)
+    try:
+        return geo.solve_sylvester(rhs)
+    except SpectrumError as exc:
+        raise SpectrumError(
+            f"X selection '{strategy}' failed: {exc}", pair=exc.pair
+        ) from exc
+
+
 def choose_x(
     layer: LoraLayer,
     bundle: GradBundle,
@@ -305,27 +393,12 @@ def choose_x(
     ``geometry`` is this layer's TangentGeometry under ``policy``, if the
     caller already holds one; without it one is built.
     """
-    if strategy not in X_STRATEGIES:
-        raise ValueError(f"unknown X strategy {strategy!r}, expected one of {X_STRATEGIES}")
-    validate_bundle(layer, bundle)
-    r = layer.rank
+    _check_strategy(layer, bundle, strategy)
     if strategy == "zero":
-        return np.zeros((r, r))
-
-    s = layer.scaling
+        return _choose_x(layer, bundle, strategy, None, None)
     geo = _geometry(layer, policy, geometry)
-    if strategy == "symmetry":
-        # X = -(1/(2 s^2)) (B^T B)^-1 B^T g_b_raw (A A^T)^-1, which balances
-        # the two terms of the equivalent gradient: g_b A = B g_a.
-        return -0.5 / s**2 * geo.solve_a_right(geo.solve_b(layer.b.T @ bundle.g_b_lora))
-
-    rhs = -1.0 / s**2 * (geo.solve_b(bundle.g_a_lora) @ layer.a.T)
-    try:
-        return geo.solve_sylvester(rhs)
-    except SpectrumError as exc:
-        raise SpectrumError(
-            f"X selection '{strategy}' failed: {exc}", pair=exc.pair
-        ) from exc
+    solved_a = geo.solve_b(bundle.g_a_lora)[0] if strategy == "sylvester" else None
+    return _choose_x(layer, bundle, strategy, geo, solved_a)
 
 
 def adjust(
@@ -335,6 +408,7 @@ def adjust(
     policy: DampingPolicy = DampingPolicy(),
     x_override: np.ndarray | None = None,
     geometry: TangentGeometry | None = None,
+    zero_pair: AdjustedGrads | None = None,
 ) -> AdjustedGrads:
     """Replace raw factor gradients with the optimal adjusted pair.
 
@@ -343,6 +417,12 @@ def adjust(
     policy and B at numerical rank zero, the raw gradients are returned
     unchanged for this step. ``geometry`` is this layer's TangentGeometry
     under ``policy``, if the caller already holds one.
+
+    ``zero_pair`` is the X = 0 adjustment that ``adjust`` made of ``bundle``
+    in ``geometry``, if the caller holds it: the result is then that pair
+    shifted by X, (g_a + X A, g_b - B X), and nothing but X is solved again.
+    The pair returned keeps the products its solves formed, for
+    ``loss_decrease_certificate`` and a later shift on the same bundle.
     """
     _check_bundle_shapes(layer, bundle)
     r = layer.rank
@@ -355,25 +435,42 @@ def adjust(
             x_strategy="passthrough",
         )
 
-    s = layer.scaling
     if x_override is not None:
-        x = as_matrix(x_override, "x_override")
-        if x.shape != (r, r):
-            raise ShapeError(f"x_override must be {r}x{r}, got {x.shape}")
+        x_override = as_matrix(x_override, "x_override")
+        if x_override.shape != (r, r):
+            raise ShapeError(f"x_override must be {r}x{r}, got {x_override.shape}")
         label = "override"
     else:
-        x = choose_x(layer, bundle, strategy, policy, geometry=geo)
+        _check_strategy(layer, bundle, strategy)
         label = strategy
 
-    base_a = geo.solve_b(bundle.g_a_lora) / s**2
-    base_b = geo.solve_a_right(geo.project_out_b(bundle.g_b_lora)) / s**2
+    if zero_pair is None:
+        # one solve serves the Sylvester right-hand side and the base g_a
+        solved_a, white_g_a = geo.solve_b(bundle.g_a_lora)
+    else:
+        solves = zero_pair._solves
+        if zero_pair.x_strategy != "zero" or solves is None or not solves.serves(bundle, geo):
+            raise ValueError(
+                "zero_pair is not the X = 0 adjustment of this bundle in this geometry"
+            )
+        solved_a = solves.solved_a
+    x = x_override if x_override is not None else _choose_x(layer, bundle, strategy, geo, solved_a)
 
-    return AdjustedGrads(
+    if zero_pair is None:
+        s = layer.scaling
+        solved_b, white_g_b = geo.solve_a_right(geo.project_out_b(bundle.g_b_lora))
+        base_a, base_b = solved_a / s**2, solved_b / s**2
+        solves = _Solves(geo, bundle.g_a_lora, bundle.g_b_lora, white_g_a, solved_a, white_g_b)
+    else:
+        base_a, base_b = zero_pair.g_a, zero_pair.g_b
+    adjusted = AdjustedGrads(
         g_a=base_a + x @ layer.a,
         g_b=base_b - layer.b @ x,
         x=x,
         x_strategy=label,
     )
+    adjusted._solves = solves
+    return adjusted
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -399,7 +496,9 @@ def loss_decrease_certificate(
     the adjusted pair (the X terms cancel for chain-rule-consistent raw
     gradients); a mismatch or a positive value signals an implementation bug
     and raises. Pass the same ``policy`` that produced ``adjusted``, and
-    ``geometry`` if the caller already holds this layer's TangentGeometry.
+    ``geometry`` if the caller already holds this layer's TangentGeometry;
+    when ``adjust`` made ``adjusted`` from ``bundle`` in that geometry, the
+    quadratic forms read the whitened products it kept.
     """
     if lr < 0.0:
         raise ValueError(f"lr must be >= 0, got {lr}")
@@ -413,15 +512,21 @@ def loss_decrease_certificate(
         )
     s = layer.scaling
     geo = _geometry(layer, policy, geometry)
+    solves = adjusted._solves
 
     # huge factors or gradients overflow here into inf or NaN, which ends in
     # the NonFiniteError below rather than in a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2
-        whitened_a = geo.white_b.T @ bundle.g_a_lora
-        term_a = _inner(whitened_a, whitened_a) / s**2
-        projected = geo.project_out_b(bundle.g_b_lora)
-        term_b = _inner(bundle.g_b_lora @ geo.white_a, projected @ geo.white_a) / s**2
+        # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2,
+        # from the products adjust formed for this bundle in this geometry if
+        # it kept them, by the same operations otherwise
+        if solves is not None and solves.serves(bundle, geo):
+            white_g_a, white_g_b = solves.white_g_a, solves.white_g_b
+        else:
+            white_g_a = geo.white_b.T @ bundle.g_a_lora
+            white_g_b = geo.project_out_b(bundle.g_b_lora) @ geo.white_a
+        term_a = _inner(white_g_a, white_g_a) / s**2
+        term_b = _inner(bundle.g_b_lora @ geo.white_a, white_g_b) / s**2
         via_pairing = -lr * (_inner(bundle.g_a_lora, g_a) + _inner(bundle.g_b_lora, g_b))
     dl = -lr * (term_a + term_b)
 

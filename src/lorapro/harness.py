@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DescentViolationError, NonFiniteError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
-from .linalg import as_matrix, build_unchecked, frob_norm
+from .linalg import as_matrix, build_unchecked, replace_unchecked
 from .lora import InitScheme, init_layer, layer_from_state, layer_state
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
@@ -174,7 +174,8 @@ class Trainer:
     def step(self) -> RunRecord:
         cfg = self.config
         lr_now = lr_at(self.hp, self.step_count, cfg.steps)
-        hp_now = replace(self.hp, lr=lr_now)
+        # lr_at gives a value in [0, lr], which the checks of self.hp cover
+        hp_now = replace_unchecked(self.hp, lr=lr_now)
         batch = self._draw_batch()
 
         try:
@@ -222,23 +223,29 @@ class Trainer:
         new_geometries, new_states, metrics = [], [], []
         for i, (layer, bundle) in enumerate(zip(self.network.layers, bundles)):
             certificate, moments = None, {}
+            # the pairs below derive from the checked weight gradient; an
+            # overflow in them is caught by the discrepancy's check
             if cfg.method == "lora":
-                g_tilde = equivalent_gradient(layer, bundle.g_a_lora, bundle.g_b_lora)
+                g_tilde = equivalent_gradient(
+                    layer, bundle.g_a_lora, bundle.g_b_lora, checked=True
+                )
             else:
-                # one geometry serves the metric adjustment, the certificate and the step
+                # one geometry and one X = 0 solve serve the metric, the
+                # certificate and the step
                 geometry = self.geometries[i]
                 if geometry is None or not geometry.describes(layer):
                     geometry = TangentGeometry(layer, self.policy)
                 adjusted = adjust(
                     layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
                 )
-                g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
+                g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b, checked=True)
             # the discrepancy is g_full's last read, so it is taken before the
             # update, with g_tilde - g_full written into g_full's own buffer;
-            # then the layer's g_full (held by the bundle and its origin record)
-            # is dropped before the update allocates
-            discrepancy = frob_norm(np.subtract(g_tilde, bundle.g_full, out=bundle.g_full))
-            bundle.g_full = bundle._origin = None
+            # then the layer's g_full (held by the bundle, its origin record and
+            # residual) is dropped before the update allocates
+            residual = np.subtract(g_tilde, bundle.g_full, out=bundle.g_full)
+            discrepancy = float(np.linalg.norm(as_matrix(residual, f"layer {i}: g_tilde - g")))
+            bundle.g_full = bundle._origin = residual = None
             if cfg.method == "lora":
                 new_layer, sa, sb = lora_adamw_step(
                     layer, self.states_a[i], self.states_b[i], bundle, hp_now
@@ -263,8 +270,11 @@ class Trainer:
                         strategy=cfg.x_strategy,
                         policy=self.policy,
                         geometry=geometry,
+                        adjusted=adjusted,
                     )
+                    del adjusted  # with the products it kept, which served only this layer
                 else:
+                    del adjusted  # the AdamW step reads g_tilde alone
                     new_layer, state = lorapro_adamw_step(
                         layer,
                         self.states[i],

@@ -170,11 +170,12 @@ def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     else:
         gram = m @ m.T
     eigvals, _ = sym_eig(gram)
-    return _gram_rank(eigvals, rel_tol)
+    return int(_gram_rank(eigvals, rel_tol))
 
 
-def _gram_rank(eigvals: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """``numerical_rank``'s rule on a Gram's ascending eigenvalues (0 for a zero
-    Gram), which ``gradadjust.TangentGeometry`` also applies to its spectra."""
-    sigmas = np.sqrt(np.clip(eigvals, 0.0, None))
-    return int(np.count_nonzero(sigmas > rel_tol * sigmas[-1]))
+def _gram_rank(eigvals: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL):
+    """``numerical_rank``'s rule on ascending Gram eigenvalues along the last
+    axis (0 for a zero Gram), so ``gradadjust.TangentGeometry`` ranks its
+    stacked spectra in one call; one count per spectrum."""
+    sigmas = np.sqrt(np.maximum(eigvals, 0.0))
+    return (sigmas > rel_tol * sigmas[..., -1:]).sum(axis=-1)

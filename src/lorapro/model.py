@@ -90,7 +90,8 @@ class ForwardCache:
     post_activations: list[np.ndarray]  # index 0 is the input batch
     batch: Batch
     loss: float
-    # per layer (w0, copy of b, copy of a, scaling), when ``forward`` made the cache
+    # per layer (w0, b, a, scaling) when ``forward`` made the cache: a factor
+    # that is read-only as itself, a writable one as a copy
     layers_seen: list[tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -146,13 +147,16 @@ def _checked_targets(pred: np.ndarray, batch: Batch, kind: str) -> np.ndarray:
 def _loss(pred: np.ndarray, batch: Batch, kind: str) -> float:
     targets = _checked_targets(pred, batch, kind)
     batch_size = pred.shape[0]
-    if kind == "mse":
-        diff = pred - targets
-        return float(np.sum(diff**2)) / batch_size
-    # softmax cross entropy in the stable shifted form
-    shifted = pred - pred.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    return float(np.sum(log_z - np.sum(shifted * targets, axis=1))) / batch_size
+    # a diverging run overflows here into inf or NaN, which ends in the
+    # caller's NonFiniteError rather than in a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "mse":
+            diff = pred - targets
+            return float(np.sum(diff**2)) / batch_size
+        # softmax cross entropy in the stable shifted form
+        shifted = pred - pred.max(axis=1, keepdims=True)
+        log_z = np.log(np.sum(np.exp(shifted), axis=1))
+        return float(np.sum(log_z - np.sum(shifted * targets, axis=1))) / batch_size
 
 
 def _loss_grad(pred: np.ndarray, batch: Batch, kind: str) -> np.ndarray:
@@ -201,24 +205,31 @@ def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
         net.effective_weights(), net.activations, net.loss_kind, batch
     )
     cache.layers_seen = [
-        (layer.w0, layer.b.copy(), layer.a.copy(), layer.scaling) for layer in net.layers
+        (layer.w0, _seen(layer.b), _seen(layer.a), layer.scaling) for layer in net.layers
     ]
     return loss, cache
+
+
+def _seen(factor: np.ndarray) -> np.ndarray:
+    """What ``forward`` records of a factor: a read-only one itself, a writable one's copy."""
+    return factor if not factor.flags.writeable else factor.copy()
 
 
 def _unchanged_since(cache: ForwardCache, net: Network) -> bool:
     """Whether every layer still has the w0, factor values and scaling ``forward`` saw.
 
-    w0 is frozen, so it is compared by identity; the factors, which a
-    training loop may write in place, by value.
+    w0 is frozen and a read-only factor cannot be written in place, so both
+    pass by identity, the rule ``TangentGeometry.describes`` applies; any
+    other factor, which a training loop may write in place, is compared by
+    value.
     """
     if cache.layers_seen is None or len(cache.layers_seen) != len(net.layers):
         return False
     return all(
         layer.w0 is w0
         and layer.scaling == scaling
-        and np.array_equal(layer.b, b)
-        and np.array_equal(layer.a, a)
+        and (layer.b is b or np.array_equal(layer.b, b))
+        and (layer.a is a or np.array_equal(layer.a, a))
         for layer, (w0, b, a, scaling) in zip(net.layers, cache.layers_seen)
     )
 

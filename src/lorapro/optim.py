@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .gradadjust import (
+    AdjustedGrads,
     DampingPolicy,
     GradBundle,
     TangentGeometry,
@@ -135,7 +136,12 @@ def lr_at(hp: HyperParams, step: int, total_steps: int) -> float:
 
 
 def adamw_transform(
-    state: AdamWState, grad: np.ndarray, hp: HyperParams, out: np.ndarray | None = None
+    state: AdamWState,
+    grad: np.ndarray,
+    hp: HyperParams,
+    out: np.ndarray | None = None,
+    *,
+    checked: bool = False,
 ) -> tuple[np.ndarray, AdamWState]:
     """One moment update plus bias-corrected normalization of a gradient.
 
@@ -145,8 +151,14 @@ def adamw_transform(
     of the state's shape, which may be ``grad`` itself (the gradient is read
     in full before the direction is written). Without ``out`` no input is
     written to. Either way the state's moments are left as they were.
+
+    ``checked`` is the caller's word that ``grad`` is a float64 matrix
+    derived from checked values, such as a gradient bundle's array. It is
+    then not read again to check it, and an overflow in it shows in the
+    new moments.
     """
-    grad = as_matrix(grad, "grad")
+    if not checked:
+        grad = as_matrix(grad, "grad")
     if grad.shape != state.m.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
     if out is not None and (out.shape != grad.shape or out.dtype != np.float64):
@@ -180,15 +192,21 @@ def lorapro_sgd_step(
     strategy: str = "sylvester",
     policy: DampingPolicy = DampingPolicy(),
     geometry: TangentGeometry | None = None,
+    adjusted: AdjustedGrads | None = None,
 ) -> LoraLayer:
     """Plain gradient descent on the factors with adjusted gradients; no decay.
 
     ``geometry`` is the layer's TangentGeometry under ``policy``, if the
-    caller already holds one.
+    caller already holds one. A caller that also holds the X = 0 adjustment
+    that ``adjust`` made of ``bundle`` in that geometry passes it as
+    ``adjusted``: the step then shifts that pair by the strategy's X rather
+    than adjusting again (see ``adjust``'s ``zero_pair``).
     """
     if hp.weight_decay != 0.0:
         raise ValueError("the SGD loop has no weight decay; got a nonzero weight_decay")
-    adjusted = adjust(layer, bundle, strategy=strategy, policy=policy, geometry=geometry)
+    adjusted = adjust(
+        layer, bundle, strategy=strategy, policy=policy, geometry=geometry, zero_pair=adjusted
+    )
     return replace_unchecked(
         layer,
         b=layer.b - hp.lr * adjusted.g_b,
@@ -261,8 +279,9 @@ def lora_adamw_step(
     hp: HyperParams,
 ) -> tuple[LoraLayer, AdamWState, AdamWState]:
     """Unadjusted baseline: standard AdamW with per-factor moments."""
-    dir_a, state_a = adamw_transform(state_a, bundle.g_a_lora, hp)
-    dir_b, state_b = adamw_transform(state_b, bundle.g_b_lora, hp)
+    # a bundle's arrays were checked, or derived from checked ones, when it was built
+    dir_a, state_a = adamw_transform(state_a, bundle.g_a_lora, hp, checked=True)
+    dir_b, state_b = adamw_transform(state_b, bundle.g_b_lora, hp, checked=True)
     decay = 1.0 - hp.lr * hp.weight_decay
     layer = replace_unchecked(
         layer,

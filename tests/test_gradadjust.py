@@ -369,6 +369,57 @@ def test_shared_geometry_changes_nothing():
             assert _rel(frob_norm(x_star - x_ref), frob_norm(x_ref), 1.0) <= 1e-8
 
 
+def _layer(rng, m, n, r, b_scale=1.0):
+    return LoraLayer(w0=np.zeros((m, n)), b=b_scale * rng.normal(size=(m, r)),
+                     a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
+
+
+def test_zero_pair_shift_and_kept_products_change_no_bit():
+    # shifting adjust's X = 0 pair by X lands on the bytes of a fresh adjust,
+    # and a certificate reading the products adjust kept on those of one that
+    # forms its own
+    rng = np.random.default_rng(25)
+    for b_scale, policy in ((1.0, EXACT), (1.0, DampingPolicy()), (0.0, DampingPolicy())):
+        for _ in range(4):
+            layer = _layer(rng, 7, 6, 3, b_scale)
+            bundle = lora_raw_grads(layer, rng.normal(size=(7, 6)))
+            geometry = TangentGeometry(layer, policy)
+            zero = adjust(layer, bundle, "zero", policy, geometry=geometry)
+            shifts = [{"strategy": strategy} for strategy in X_STRATEGIES]
+            shifts.append({"x_override": rng.normal(size=(3, 3))})
+            for kwargs in shifts:
+                fresh = adjust(layer, bundle, policy=policy, geometry=geometry, **kwargs)
+                shifted = adjust(layer, bundle, policy=policy, geometry=geometry,
+                                 zero_pair=zero, **kwargs)
+                for name in ("g_a", "g_b", "x"):
+                    assert getattr(shifted, name).tobytes() == getattr(fresh, name).tobytes()
+                assert shifted.x_strategy == fresh.x_strategy
+                by_hand = type(fresh)(g_a=fresh.g_a, g_b=fresh.g_b, x=fresh.x,
+                                      x_strategy=fresh.x_strategy)
+                for pair in (fresh, shifted):
+                    assert loss_decrease_certificate(
+                        layer, bundle, pair, 0.1, policy, geometry=geometry
+                    ) == loss_decrease_certificate(layer, bundle, by_hand, 0.1, policy,
+                                                   geometry=geometry)
+
+
+def test_zero_pair_must_come_from_this_bundle_and_geometry(unit_instance):
+    layer, g = unit_instance
+    bundle = lora_raw_grads(layer, g)
+    geometry = TangentGeometry(layer, EXACT)
+    zero = adjust(layer, bundle, "zero", EXACT, geometry=geometry)
+    other_bundle = lora_raw_grads(layer, 2.0 * g)
+    for pair, kwargs in (
+        (adjust(layer, bundle, "sylvester", EXACT, geometry=geometry), {}),  # not X = 0
+        (type(zero)(g_a=zero.g_a, g_b=zero.g_b, x=zero.x, x_strategy="zero"), {}),  # no solves
+        (adjust(layer, bundle, "zero", EXACT), {}),  # another geometry
+        (zero, {"bundle": other_bundle}),
+    ):
+        with pytest.raises(ValueError, match="zero_pair"):
+            adjust(layer, kwargs.get("bundle", bundle), "sylvester", EXACT,
+                   geometry=geometry, zero_pair=pair)
+
+
 @st.composite
 def _factor_pairs(draw):
     """(B, A) of a layer up to 12 x 12, at any rank up to min(m, n).

@@ -22,9 +22,21 @@ from lorapro.checkpoint import load_checkpoint, save_checkpoint
 from lorapro.cli import main as cli_main
 from lorapro.config import RunConfig, parse_config_text
 from lorapro.errors import CheckpointError, ConfigError, LoraProError, NonFiniteError, ShapeError
-from lorapro.gradadjust import GradBundle
+from lorapro.gradadjust import (
+    X_STRATEGIES,
+    AdjustedGrads,
+    GradBundle,
+    TangentGeometry,
+    choose_x,
+    equivalent_gradient,
+    lora_raw_grads,
+    loss_decrease_certificate,
+)
 from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
-from lorapro.lora import LoraLayer
+from lorapro.linalg import numerical_rank
+from lorapro.lora import LoraLayer, apply_decayed_merge_step
+from lorapro.model import backward, forward
+from lorapro.optim import adamw_transform, lr_at
 from lorapro.selfcheck import (
     check_oracle_consistency,
     check_sylvester_x_optimality,
@@ -366,9 +378,10 @@ def test_adamw_step_and_save_working_set(tmp_path):
         tracemalloc.stop()
     # a step holds the layer's two new moments, its direction (in the
     # equivalent gradient's buffer) and one scratch array, plus the g_full
-    # of the layers after it (here half a unit): 4.8 units measured. Holding
-    # the forward cache, g_full or a separate direction as well reads 8.6.
-    assert max(step_over) < 6.0, step_over
+    # of the layers after it (here half a unit): 4.7 units measured. Holding
+    # the layer's own g_full through its update as well reads 5.8; the
+    # forward cache, g_full and a separate direction together, 8.6.
+    assert max(step_over) < 5.5, step_over
     # a save holds no copy of the payload: 0.09 units measured, 5.7 for a
     # save that assembles the payload in memory
     assert max(save_over) < 1.0, save_over
@@ -433,6 +446,29 @@ def test_non_finite_weight_gradient_aborts_and_commits_nothing(tmp_path, monkeyp
     with pytest.raises(NonFiniteError, match=r"step 3: layer 1\b"):
         trainer.step()
     assert len(calls) == 3
+    assert _committed(trainer) == before
+
+
+@pytest.mark.parametrize("method", ["lora", "lora_pro_sgd", "lora_pro_adamw"])
+def test_non_finite_factor_gradient_is_caught_at_the_discrepancy(tmp_path, monkeypatch,
+                                                                  method):
+    # the step reads a bundle's factor gradients unchecked; a non-finite
+    # entry in one reaches g_tilde, whose difference from g is checked,
+    # naming the layer
+    trainer = Trainer(desk_config(tmp_path).with_overrides(method=method))
+    trainer.step()
+    real = model.lora_raw_grads
+
+    def overflowing(layer, g_full):
+        bundle = real(layer, g_full)
+        if layer is trainer.network.layers[1]:
+            bundle.g_a_lora[0, 0] = np.nan
+        return bundle
+
+    monkeypatch.setattr(model, "lora_raw_grads", overflowing)
+    before = _committed(trainer)
+    with pytest.raises(NonFiniteError, match=r"step 2: layer 1: g_tilde - g contains"):
+        trainer.step()
     assert _committed(trainer) == before
 
 
@@ -554,14 +590,15 @@ def _count_calls(monkeypatch, watched) -> dict[str, int]:
 
 # per desk lora_pro_adamw step (2 layers): the forward pass's effective
 # weights and nothing else; the backward and re-projection bundles; the
-# inputs of public functions, the gradients and the values a step commits,
-# but not the batch, whose rows were checked once with the task;
+# inputs of public functions, the gradients, each layer's g_tilde - g and the
+# values a step commits, but not the batch, whose rows were checked once with
+# the task, nor the pairs the step derives from a checked gradient;
 # one Gram eigendecomposition per layer, of the layer the step commits, whose
 # geometry gives the rank metrics and serves the next step's solves
 DESK_ADAMW_STEP_CALLS = {
     "lora.effective_weight": 2,
     "gradadjust.lora_raw_grads": 4,
-    "linalg.as_matrix": 22,
+    "linalg.as_matrix": 18,
     "linalg.numerical_rank": 0,
     "linalg.sym_eig": 0,
     "np.linalg.eigh": 2,
@@ -570,8 +607,8 @@ DESK_ADAMW_STEP_CALLS = {
 # step has no adjustment, so its geometries give the rank metrics only
 DESK_STEP_CALLS = {
     "lora_pro_sgd": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 2,
-                     "linalg.as_matrix": 16},
-    "lora": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 2, "linalg.as_matrix": 20},
+                     "linalg.as_matrix": 12},
+    "lora": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 2, "linalg.as_matrix": 12},
 }
 
 
@@ -592,6 +629,120 @@ def test_desk_step_call_counts(tmp_path, monkeypatch):
 @pytest.mark.parametrize("method, first_eigh", [("lora_pro_sgd", 4), ("lora", 2)])
 def test_desk_adapter_step_call_counts(tmp_path, monkeypatch, method, first_eigh):
     _assert_desk_step_calls(tmp_path, monkeypatch, method, DESK_STEP_CALLS[method], first_eigh)
+
+
+# per desk step (2 layers): one X = 0 solve per layer serves the discrepancy,
+# the certificate and the SGD update; the AdamW update adds the re-projected
+# bundle's own adjustment; the Sylvester X is solved once per layer
+DESK_STEP_SOLVES = {
+    "lora_pro_sgd": {"solve_b": 2, "project_out_b": 2, "solve_a_right": 2, "solve_sylvester": 2},
+    "lora_pro_adamw": {"solve_b": 4, "project_out_b": 4, "solve_a_right": 4,
+                       "solve_sylvester": 2},
+    "lora": {"solve_b": 0, "project_out_b": 0, "solve_a_right": 0, "solve_sylvester": 0},
+}
+
+
+@pytest.mark.parametrize("method", sorted(DESK_STEP_SOLVES))
+def test_desk_step_solves_once_per_layer_step(tmp_path, monkeypatch, method):
+    counts = dict.fromkeys(DESK_STEP_SOLVES[method], 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(TangentGeometry, name, counting(name, getattr(TangentGeometry, name)))
+    trainer = Trainer(desk_config(tmp_path, steps=3).with_overrides(method=method))
+    for _ in range(2):  # from B = 0, then from the carried geometries
+        trainer.step()
+        assert counts == DESK_STEP_SOLVES[method]
+        counts.update(dict.fromkeys(counts, 0))
+
+
+def _pair_as_adjust_formed_it(layer, bundle, strategy, policy, geometry):
+    """The adjusted pair by separate solves: choose_x's X, then the base pair's own."""
+    if geometry.passthrough:
+        return bundle.g_a_lora.copy(), bundle.g_b_lora.copy()
+    x = choose_x(layer, bundle, strategy, policy, geometry=geometry)
+    s = layer.scaling
+    base_a = geometry.solve_b(bundle.g_a_lora)[0] / s**2
+    base_b = geometry.solve_a_right(geometry.project_out_b(bundle.g_b_lora))[0] / s**2
+    return base_a + x @ layer.a, base_b - layer.b @ x
+
+
+def _reference_step(trainer):
+    """One LoRA-Pro step of ``trainer`` from separate calls, committing nothing.
+
+    The metric's X = 0 pair, a certificate that forms its own products, and
+    the update's own adjustment each solve for themselves. Returns the loss,
+    and per layer the new (w0, b, a), the new AdamW state and the CSV metrics.
+    """
+    cfg, policy = trainer.config, trainer.policy
+    lr = lr_at(trainer.hp, trainer.step_count, cfg.steps)
+    hp = dataclasses.replace(trainer.hp, lr=lr)
+    loss, cache = forward(trainer.network, trainer._draw_batch())
+    out = []
+    for i, (layer, bundle) in enumerate(zip(trainer.network.layers,
+                                            backward(trainer.network, cache))):
+        geometry = TangentGeometry(layer, policy)
+        g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, "zero", policy, geometry)
+        g_tilde = equivalent_gradient(layer, g_a, g_b)
+        discrepancy = float(np.linalg.norm(g_tilde - bundle.g_full))
+        certificate = None
+        if not geometry.passthrough:
+            by_hand = AdjustedGrads(g_a=g_a, g_b=g_b, x=np.zeros((2, 2)), x_strategy="zero")
+            certificate = loss_decrease_certificate(layer, bundle, by_hand, lr, policy,
+                                                    geometry=geometry)
+        state = None
+        if cfg.method == "lora_pro_sgd":
+            g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, cfg.x_strategy, policy, geometry)
+        else:
+            direction, state = adamw_transform(trainer.states[i], g_tilde, hp)
+            reprojected = lora_raw_grads(layer, direction)
+            g_a, g_b = _pair_as_adjust_formed_it(layer, reprojected, cfg.x_strategy, policy,
+                                                 geometry)
+            layer = apply_decayed_merge_step(layer, lr, hp.weight_decay)
+        b, a = layer.b - lr * g_b, layer.a - lr * g_a
+        metrics = (discrepancy, numerical_rank(a), numerical_rank(b), certificate)
+        out.append(((layer.w0, b, a), state, metrics))
+    return loss, out
+
+
+@pytest.mark.parametrize("policy", [{}, {"damping": 0.0, "fallback": "passthrough"}],
+                         ids=["damp", "passthrough"])
+@pytest.mark.parametrize("strategy", X_STRATEGIES)
+@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
+def test_one_solve_per_layer_step_changes_no_bit(tmp_path, method, strategy, policy):
+    # the step shares one X = 0 solve between the metric, the certificate and
+    # the update; from B = 0, five steps must land on the bytes of separate
+    # solves, passthrough steps included
+    decay = 0.1 if method == "lora_pro_adamw" else 0.0
+    cfg = desk_config(tmp_path, steps=5).with_overrides(
+        method=method, x_strategy=strategy, lr=0.05, weight_decay=decay, **policy
+    )
+    trainer = Trainer(cfg)
+    passthrough_steps = 0
+    for _ in range(5):
+        draw = trainer.data_rng.bit_generator.state
+        loss, want = _reference_step(trainer)
+        trainer.data_rng.bit_generator.state = draw
+        record = trainer.step()
+        assert record.train_loss == loss
+        passthrough_steps += record.per_layer[0].dl_certificate is None
+        for i, ((w0, b, a), state, metrics) in enumerate(want):
+            layer = trainer.network.layers[i]
+            for got, expect in ((layer.w0, w0), (layer.b, b), (layer.a, a)):
+                assert got.tobytes() == expect.tobytes()
+            if state is not None:
+                got = trainer.states[i]
+                assert (got.m.tobytes(), got.v.tobytes(), got.t) == (
+                    state.m.tobytes(), state.v.tobytes(), state.t)
+            lm = record.per_layer[i]
+            assert (lm.discrepancy, lm.rank_a, lm.rank_b, lm.dl_certificate) == metrics
+    assert passthrough_steps == (2 if policy else 0)  # lr 0 at step 1 keeps B = 0 for step 2
 
 
 def test_compare_needs_two_methods(tmp_path):
@@ -883,7 +1034,20 @@ def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
             run(cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+def test_diverging_forward_loss_ends_in_the_typed_error_alone(tmp_path):
+    # the shipped config's lora_pro_sgd at lr 10 with X = 0 overflows the
+    # forward pass's squared residual at step 38; with warnings as errors,
+    # that must still end in NonFiniteError, not in a numpy RuntimeWarning
+    text = (ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8")
+    cfg = parse_config_text(text).with_overrides(
+        method="lora_pro_sgd", lr=10.0, x_strategy="zero", out_dir=str(tmp_path / "lr10")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="aborting at step 38: forward produced"):
+            run(cfg)
+
+
 def test_non_finite_loss_aborts_with_step_index(tmp_path):
     from lorapro.errors import NonFiniteError
 

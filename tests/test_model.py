@@ -177,6 +177,37 @@ def test_stale_cache_detected_after_in_place_factor_write():
         backward(net, cache)
 
 
+@pytest.mark.parametrize("written", ["b", "a"])
+def test_forward_records_read_only_factors_by_identity(written, monkeypatch):
+    # a read-only factor cannot change in place, so forward keeps it as
+    # itself and backward checks it by identity; a writable one is copied,
+    # compared by value, and a write to it between the two is still caught
+    rng = np.random.default_rng(8)
+    layer = init_layer(3, 3, 1, w0=rng.normal(size=(3, 3)),
+                       scheme=InitScheme("gaussian_both", seed=9))
+    frozen = "a" if written == "b" else "b"
+    getattr(layer, frozen).setflags(write=False)
+    net = Network([layer], ["identity"], "mse")
+    batch = Batch(inputs=rng.normal(size=(2, 3)), targets=rng.normal(size=(2, 3)))
+    _, cache = forward(net, batch)
+    (_, b, a, _), = cache.layers_seen
+    seen = {"b": b, "a": a}
+    assert seen[frozen] is getattr(layer, frozen)
+    assert seen[written] is not getattr(layer, written)
+
+    compared = []
+    real = np.array_equal
+    monkeypatch.setattr(model.np, "array_equal",
+                        lambda x, y: compared.append(x) or real(x, y))
+    backward(net, cache)
+    assert len(compared) == 1 and compared[0] is getattr(layer, written)
+    monkeypatch.undo()
+
+    getattr(layer, written)[0, 0] += 1.0
+    with pytest.raises(StaleCacheError):
+        backward(net, cache)
+
+
 def test_dimension_chain_validated():
     l1 = zero_adapter_layer(np.zeros((3, 4)))
     l2 = zero_adapter_layer(np.zeros((5, 2)))
