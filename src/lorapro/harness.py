@@ -3,14 +3,17 @@
 A run is deterministic given its config and seed: task data, adapter
 initialization, and batch order each come from an independent stream spawned
 from the run seed, so the method under test can never influence the data it
-sees. Metrics go to a fixed-schema CSV (one row per step and layer), a JSON
-summary carries the config echo and a content hash of the CSV, and the final
-state lands in a binary checkpoint that resumes bit-exactly.
+sees. Metrics go to a fixed-schema CSV (one row per step and layer), written
+and hashed as each step completes, so a run's memory does not grow with its
+step count; a JSON summary carries the config echo and the hash of the CSV,
+and the final state lands in a binary checkpoint that resumes bit-exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +25,7 @@ from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DescentViolationError, NonFiniteError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
 from .linalg import as_matrix, build_unchecked, replace_unchecked
-from .lora import InitScheme, init_layer, layer_from_state, layer_state
+from .lora import InitScheme, LoraLayer, init_layer, layer_from_state, layer_state
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
     AdamWState,
@@ -69,7 +72,6 @@ class RunRecord:
 @dataclass
 class RunResult:
     config: RunConfig
-    records: list[RunRecord]
     final_loss: float
     csv_path: Path
     summary_path: Path
@@ -117,43 +119,24 @@ class Trainer:
     """
 
     def __init__(self, config: RunConfig):
-        self.config = config
-        root = np.random.SeedSequence(config.seed)
-        task_ss, init_ss, data_ss = root.spawn(3)
-        self.task = build_task(config.task, config.task_params, np.random.default_rng(task_ss))
-
+        init_ss = self._start(config)
         layer_seeds = [
             int(child.generate_state(1, np.uint64)[0])
             for child in init_ss.spawn(len(self.task.base_weights))
         ]
-        layers = []
-        for w0, seed in zip(self.task.base_weights, layer_seeds):
-            m, n = w0.shape
-            if config.rank > min(m, n):
-                raise ConfigError(
-                    f"invalid config key 'rank': {config.rank} exceeds min(m,n)={min(m, n)} "
-                    f"for a {m}x{n} layer"
-                )
-            layers.append(
-                init_layer(
-                    m,
-                    n,
-                    config.rank,
-                    alpha=config.alpha,
-                    mode=config.scaling,
-                    scheme=InitScheme(kind=config.init, seed=seed),
-                    w0=w0,
-                )
+        layers = [
+            init_layer(
+                *w0.shape,
+                config.rank,
+                alpha=config.alpha,
+                mode=config.scaling,
+                scheme=InitScheme(kind=config.init, seed=seed),
+                w0=w0,
             )
+            for w0, seed in zip(self.task.base_weights, layer_seeds)
+        ]
         self.task.base_weights = []  # each layer holds its own copy of its base weight
-        self.network = Network(
-            layers=layers, activations=list(self.task.activations), loss_kind=self.task.loss_kind
-        )
-        self.geometries: list[TangentGeometry | None] = [None] * len(layers)
-        self.data_rng = np.random.default_rng(data_ss)
-        self.step_count = 0
-        self.hp = config.hyperparams()
-        self.policy = config.damping_policy()
+        self._set_layers(layers)
 
         method = config.method
         if method == "full_ft":
@@ -165,6 +148,35 @@ class Trainer:
         elif method == "lora_pro_adamw":
             self.states = [init_adamw_state(l.shape) for l in layers]
         # lora_pro_sgd keeps no optimizer state
+
+    def _start(self, config: RunConfig) -> np.random.SeedSequence:
+        """Set what a new and a restored trainer share: the config, the task,
+        the batch stream at its start, the step count and the settings.
+
+        Checks the rank against each of the task's layers and returns the
+        stream that draws the initial factors.
+        """
+        self.config = config
+        task_ss, init_ss, data_ss = np.random.SeedSequence(config.seed).spawn(3)
+        self.task = build_task(config.task, config.task_params, np.random.default_rng(task_ss))
+        for w0 in self.task.base_weights:
+            m, n = w0.shape
+            if config.rank > min(m, n):
+                raise ConfigError(
+                    f"invalid config key 'rank': {config.rank} exceeds min(m,n)={min(m, n)} "
+                    f"for a {m}x{n} layer"
+                )
+        self.data_rng = np.random.default_rng(data_ss)
+        self.step_count = 0
+        self.hp = config.hyperparams()
+        self.policy = config.damping_policy()
+        return init_ss
+
+    def _set_layers(self, layers: list[LoraLayer]) -> None:
+        self.network = Network(
+            layers=layers, activations=list(self.task.activations), loss_kind=self.task.loss_kind
+        )
+        self.geometries: list[TangentGeometry | None] = [None] * len(layers)
 
     def _draw_batch(self) -> Batch:
         idx = self.data_rng.integers(0, self.task.n_samples, size=self.config.batch_size)
@@ -195,18 +207,22 @@ class Trainer:
         acts, loss_kind = self.network.activations, self.network.loss_kind
         loss, cache = forward_with_weights(self.weights, acts, loss_kind, batch)
         grads = backward_weight_grads(cache, acts, loss_kind)
-        # every layer is computed and checked before any is committed
-        new = [
-            full_ft_adamw_step(w, state, g, hp_now)
-            for w, state, g in zip(self.weights, self.ft_states, grads)
-        ]
+        del cache
+        # every layer is computed and checked before any is committed; a
+        # layer's gradient buffer takes its Adam direction and is dropped as
+        # soon as the layer's update is computed
+        new = []
+        for i, (w, state) in enumerate(zip(self.weights, self.ft_states)):
+            g, grads[i] = grads[i], None
+            new.append(full_ft_adamw_step(w, state, g, hp_now, out=g))
+            del g
         for i, (w, state) in enumerate(new):
             _check_commit(i, {"w": w, "v": state.v})
         self.weights = [w for w, _ in new]
         self.ft_states = [state for _, state in new]
         metrics = [
             LayerMetrics(discrepancy=0.0, rank_a=None, rank_b=None, dl_certificate=None)
-            for _ in grads
+            for _ in new
         ]
         return loss, metrics
 
@@ -349,27 +365,37 @@ class Trainer:
 
     @classmethod
     def from_checkpoint(cls, config: RunConfig, path) -> "Trainer":
+        """The trainer that ``Trainer.save`` wrote to ``path`` under ``config``.
+
+        Builds the task first and drops its base weights, then takes the
+        layers and optimizer states straight from the file, so a restore
+        holds no initial layers or zeroed moments beside the loaded ones.
+        """
+        trainer = cls.__new__(cls)
+        trainer._start(config)
+        shapes = [w0.shape for w0 in trainer.task.base_weights]
+        trainer.task.base_weights = []  # the checkpoint holds each layer's w0
         meta, arrays = load_checkpoint(str(path))
         if meta.get("config") != config.to_dict():
             raise ConfigError("checkpoint was produced by a different config")
-        trainer = cls(config)
-        layers = trainer.network.layers
-        n_layers = len(layers)
+        n_layers = len(shapes)
         if len(meta["layers"]) != n_layers:
             raise CheckpointError(
                 f"{path}: checkpoint holds {len(meta['layers'])} layers, the run has {n_layers}"
             )
-        for i, (layer_meta, layer) in enumerate(zip(meta["layers"], layers)):
+        layers = []
+        for i, (layer_meta, shape) in enumerate(zip(meta["layers"], shapes)):
             try:
                 loaded = layer_from_state(layer_meta, arrays, prefix=f"layer{i}/")
             except (KeyError, ValueError) as exc:
                 raise CheckpointError(f"{path}: layer {i}: {exc}") from exc
-            if (loaded.shape, loaded.rank) != (layer.shape, layer.rank):
+            if (loaded.shape, loaded.rank) != (shape, config.rank):
                 raise CheckpointError(
                     f"{path}: layer {i} is {loaded.shape} at rank {loaded.rank}, "
-                    f"the run's is {layer.shape} at rank {layer.rank}"
+                    f"the run's is {shape} at rank {config.rank}"
                 )
-            layers[i] = loaded
+            layers.append(loaded)
+        trainer._set_layers(layers)
         adamw_t = meta["adamw_t"]
         if config.method != "lora_pro_sgd" and len(adamw_t) != n_layers:
             raise CheckpointError(
@@ -396,74 +422,98 @@ class Trainer:
         return trainer
 
 
-def _csv_lines(records: list[RunRecord]):
-    yield CSV_HEADER
-    for rec in records:
-        for i, lm in enumerate(rec.per_layer):
-            yield ",".join(
-                [
-                    _fmt(rec.step),
-                    _fmt(rec.lr),
-                    _fmt(rec.train_loss),
-                    _fmt(i),
-                    _fmt(lm.discrepancy),
-                    _fmt(lm.rank_a),
-                    _fmt(lm.rank_b),
-                    _fmt(lm.dl_certificate),
-                ]
-            )
+def _rows(record: RunRecord) -> list[str]:
+    """The metrics.csv lines of one step, one per layer."""
+    head = f"{_fmt(record.step)},{_fmt(record.lr)},{_fmt(record.train_loss)}"
+    return [
+        ",".join(
+            [
+                head,
+                _fmt(i),
+                _fmt(lm.discrepancy),
+                _fmt(lm.rank_a),
+                _fmt(lm.rank_b),
+                _fmt(lm.dl_certificate),
+            ]
+        )
+        for i, lm in enumerate(record.per_layer)
+    ]
 
 
 def records_to_csv_lines(records: list[RunRecord]) -> list[str]:
-    return list(_csv_lines(records))
+    """The lines of the metrics.csv that ``run`` writes for ``records``."""
+    return [CSV_HEADER] + [line for record in records for line in _rows(record)]
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_hashed(path: Path, chunks) -> str:
+    """Write the text ``chunks`` to ``path`` as they come; the SHA-256 of the bytes.
+
+    Nothing is held beyond the chunk at hand. If producing a chunk raises,
+    the file keeps every chunk before it.
+    """
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute one training run and write metrics CSV, summary JSON, checkpoint."""
+    """Execute one training run and write metrics CSV, summary JSON, checkpoint.
+
+    Each step's rows are written to ``metrics.csv`` as soon as the step
+    returns, and the run keeps only the running certificate maximum and the
+    last loss, so its memory does not grow with its step count. A step that
+    raises leaves the rows of every completed step and no summary or
+    checkpoint; ``summary.json``, written last, marks a complete run.
+    """
     trainer = Trainer(config)
     # created only once the trainer is built, so a bad task or rank leaves no directory
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    records = [trainer.step() for _ in range(config.steps)]
-
     csv_path = out_dir / "metrics.csv"
-    # line by line, so the text is never held whole
-    with csv_path.open("w", encoding="utf-8") as fh:
-        for line in _csv_lines(records):
-            fh.write(line + "\n")
-
     checkpoint_path = out_dir / "checkpoint.bin"
+    summary_path = out_dir / "summary.json"
+    # an earlier run's, which would otherwise sit beside rows it does not describe
+    summary_path.unlink(missing_ok=True)
+    checkpoint_path.unlink(missing_ok=True)
+
+    cert_max = final_loss = None
+
+    def chunks():
+        nonlocal cert_max, final_loss
+        yield CSV_HEADER + "\n"
+        for _ in range(config.steps):
+            record = trainer.step()
+            for lm in record.per_layer:
+                cert = lm.dl_certificate
+                if cert is not None and (cert_max is None or cert > cert_max):
+                    cert_max = cert
+            final_loss = record.train_loss
+            yield "".join(line + "\n" for line in _rows(record))
+
+    csv_sha = _write_hashed(csv_path, chunks())
     trainer.save(checkpoint_path)
 
-    certs = [
-        lm.dl_certificate
-        for rec in records
-        for lm in rec.per_layer
-        if lm.dl_certificate is not None
-    ]
     verdicts = {
         "finite_loss": True,
-        "dl_certificate_max": max(certs) if certs else None,
-        "dl_certificate_nonpositive": (max(certs) <= CERTIFICATE_CEILING) if certs else None,
+        "dl_certificate_max": cert_max,
+        "dl_certificate_nonpositive": (
+            None if cert_max is None else cert_max <= CERTIFICATE_CEILING
+        ),
     }
-    final_loss = records[-1].train_loss
     summary = {
         "config": config.to_dict(),
         "final_loss": final_loss,
         "verdicts": verdicts,
-        "csv_sha": _sha256(csv_path),
+        "csv_sha": csv_sha,
     }
-    summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     return RunResult(
         config=config,
-        records=records,
         final_loss=final_loss,
         csv_path=csv_path,
         summary_path=summary_path,
@@ -472,9 +522,21 @@ def run(config: RunConfig) -> RunResult:
     )
 
 
-def _mean_layer_discrepancy(record: RunRecord) -> float:
-    values = [lm.discrepancy for lm in record.per_layer if lm.discrepancy is not None]
-    return float(np.mean(values)) if values else 0.0
+def _steps(csv):
+    """(step, lr, train_loss, mean layer discrepancy) of each step of an open metrics.csv.
+
+    The first three are the file's own text. The mean is over the layers
+    with a discrepancy, 0.0 when none has one; the values it averages are
+    exact, since the file writes them with ``repr``.
+    """
+    next(csv)  # the header
+    for step, rows in itertools.groupby(csv, key=lambda line: line.split(",", 1)[0]):
+        discrepancies = []
+        for row in rows:
+            _, lr, loss, _, discrepancy, _ = row.split(",", 5)
+            if discrepancy:
+                discrepancies.append(float(discrepancy))
+        yield step, lr, loss, float(np.mean(discrepancies)) if discrepancies else 0.0
 
 
 def compare(config: RunConfig, methods: list[str]) -> CompareResult:
@@ -484,7 +546,8 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
     ordering, and mean per-layer equivalent-gradient discrepancy over the
     last half of training. When both a plain ``lora`` run and a
     ``lora_pro_*`` run are present, the pairwise verdicts compare them
-    directly.
+    directly. The CSV is built by reading the runs' metrics files in
+    lockstep and written row by row.
     """
     if len(methods) < 2:
         raise ConfigError(f"compare needs at least 2 methods, got {len(methods)}")
@@ -508,29 +571,34 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
     results = {label: run(sub) for label, sub in zip(labels, subs)}
 
     steps = config.steps
+    half = steps // 2
+    # one value per method per step of the last half; np.mean of each row
+    # sums pairwise, as it would the same values in a list
+    last_half = np.empty((len(labels), steps - half))
     header = ["step", "lr"]
     for label in labels:
         header += [f"loss_{label}", f"disc_{label}"]
-    lines = [",".join(header)]
-    for t in range(steps):
-        row = [
-            _fmt(results[labels[0]].records[t].step),
-            _fmt(results[labels[0]].records[t].lr),
-        ]
-        for label in labels:
-            rec = results[label].records[t]
-            row += [_fmt(rec.train_loss), _fmt(_mean_layer_discrepancy(rec))]
-        lines.append(",".join(row))
-    csv_path = out_dir / "comparison.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    last_half = range(steps // 2, steps)
-    mean_disc = {
-        label: float(
-            np.mean([_mean_layer_discrepancy(results[label].records[t]) for t in last_half])
-        )
-        for label in labels
-    }
+    def chunks():
+        yield ",".join(header) + "\n"
+        with contextlib.ExitStack() as stack:
+            files = [
+                stack.enter_context(results[label].csv_path.open(encoding="utf-8"))
+                for label in labels
+            ]
+            for t, columns in enumerate(zip(*map(_steps, files))):
+                step, lr = columns[0][:2]
+                row = [step, lr]
+                for j, (_, _, loss, discrepancy) in enumerate(columns):
+                    row += [loss, _fmt(discrepancy)]
+                    if t >= half:
+                        last_half[j, t - half] = discrepancy
+                yield ",".join(row) + "\n"
+
+    csv_path = out_dir / "comparison.csv"
+    csv_sha = _write_hashed(csv_path, chunks())
+
+    mean_disc = {label: float(np.mean(last_half[j])) for j, label in enumerate(labels)}
     final_loss = {label: results[label].final_loss for label in labels}
     ordering = sorted(labels, key=lambda lbl: final_loss[lbl])
 
@@ -552,7 +620,7 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
         "config": config.to_dict(),
         "methods": {label: m for label, m in zip(labels, methods)},
         "verdicts": verdicts,
-        "csv_sha": _sha256(csv_path),
+        "csv_sha": csv_sha,
     }
     json_path = out_dir / "comparison.json"
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

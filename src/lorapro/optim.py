@@ -15,8 +15,9 @@ step to step: one matrix's two moments and its step count.
 
 All step functions are functional: they return fresh layer/state values and
 never mutate their inputs, with one exception a caller opts into: an
-equivalent gradient passed to ``lorapro_adamw_step`` as ``g_tilde`` is
-consumed, its buffer reused for the moment-transformed direction. The values
+equivalent gradient passed to ``lorapro_adamw_step`` as ``g_tilde``, and a
+buffer passed to ``adamw_transform`` or ``full_ft_adamw_step`` as ``out``,
+is consumed, reused for the moment-transformed direction. The values
 they return are computed from inputs that were checked where they entered, so
 they are built without re-running the constructors' checks.
 """
@@ -292,11 +293,20 @@ def lora_adamw_step(
 
 
 def full_ft_adamw_step(
-    w: np.ndarray, state: AdamWState, g: np.ndarray, hp: HyperParams
+    w: np.ndarray,
+    state: AdamWState,
+    g: np.ndarray,
+    hp: HyperParams,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdamWState]:
-    """Reference trajectory: AdamW directly on the weight matrix."""
+    """Reference trajectory: AdamW directly on the weight matrix.
+
+    ``out`` is ``adamw_transform``'s: the buffer the Adam direction is
+    written into, which may be ``g`` itself. A caller done with the
+    gradient passes it, so the step allocates no direction of its own.
+    """
     w = as_matrix(w, "w")
-    direction, state = adamw_transform(state, g, hp)
+    direction, state = adamw_transform(state, g, hp, out=out)
     # (1 - lr*wd)*w - lr*direction, in one new array
     new_w = np.multiply(w, 1.0 - hp.lr * hp.weight_decay)
     direction *= hp.lr

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -111,6 +112,9 @@ def test_checkpoint_resume_is_bit_identical(tmp_path, method):
     ckpt = tmp_path / "state.bin"
     half.save(ckpt)
     resumed = Trainer.from_checkpoint(cfg, ckpt)
+    # what bench.py's checkpoint check compares: the attributes of a new trainer
+    assert vars(resumed).keys() == vars(Trainer(cfg)).keys()
+    assert resumed.geometries == [None, None]
     tail = [resumed.step() for _ in range(12)]
 
     assert records_to_csv_lines(full_rows) == records_to_csv_lines(head + tail)
@@ -349,13 +353,18 @@ def test_save_rejects_a_non_matrix_before_any_file_exists(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_adamw_step_and_save_working_set(tmp_path):
-    # tracemalloc counts numpy's buffers, so the working set is measured
-    # exactly, here in units of the largest layer's m x n float64 bytes
+def _step_and_save_over(tmp_path, method):
+    """Two steps' and two saves' peaks above the steady state, in m x n units.
+
+    tracemalloc counts numpy's buffers, so the working set is measured
+    exactly, here in units of the largest layer's m x n float64 bytes
+    (128 x 256, beside a second layer of half a unit).
+    """
     cfg = small_config(
         tmp_path,
         task_params={"d_in": 128, "d_hidden": 256, "d_out": 64, "n_samples": 64,
                      "noise_sd": 0.01, "perturb_rank": 2, "perturb_scale": 0.5},
+        method=method,
         rank=4,
         batch_size=16,
     )
@@ -376,6 +385,11 @@ def test_adamw_step_and_save_working_set(tmp_path):
             save_over.append((tracemalloc.get_traced_memory()[1] - steady) / unit)
     finally:
         tracemalloc.stop()
+    return step_over, save_over
+
+
+def test_adamw_step_and_save_working_set(tmp_path):
+    step_over, save_over = _step_and_save_over(tmp_path, "lora_pro_adamw")
     # a step holds the layer's two new moments, its direction (in the
     # equivalent gradient's buffer) and one scratch array, plus the g_full
     # of the layers after it (here half a unit): 4.7 units measured. Holding
@@ -385,6 +399,17 @@ def test_adamw_step_and_save_working_set(tmp_path):
     # a save holds no copy of the payload: 0.09 units measured, 5.7 for a
     # save that assembles the payload in memory
     assert max(save_over) < 1.0, save_over
+
+
+def test_full_ft_step_working_set(tmp_path):
+    step_over, _ = _step_and_save_over(tmp_path, "full_ft")
+    # every layer is computed before any is committed, so a step holds the
+    # new weights and moments of the layers before the one being updated,
+    # plus that layer's gradient buffer (holding its direction) and scratch
+    # array and the gradients of the layers after it: 5.1 units measured.
+    # Keeping every gradient and a separate direction until the step ends
+    # reads 6.9.
+    assert max(step_over) < 5.5, step_over
 
 
 def test_load_holds_the_payload_once(tmp_path):
@@ -410,6 +435,45 @@ def test_load_holds_the_payload_once(tmp_path):
     # the arrays it returns and little else: 1.01 measured; a load that reads
     # the whole payload and then copies each array out of it reads 2.01
     assert peak < 1.25 * payload, peak / payload
+
+
+@pytest.mark.parametrize("method", ["lora_pro_adamw", "full_ft"])
+def test_restore_holds_no_throwaway_trainer(tmp_path, method):
+    # from_checkpoint builds the task, drops its base weights and takes the
+    # layers and states from the file, so its peak is the larger of the task
+    # build's and the load's, plus the task's data
+    cfg = small_config(
+        tmp_path,
+        task_params={"d_in": 128, "d_hidden": 256, "d_out": 64, "n_samples": 64,
+                     "noise_sd": 0.01, "perturb_rank": 2, "perturb_scale": 0.5},
+        method=method,
+        rank=4,
+    )
+    trainer = Trainer(cfg)
+    unit = 8 * max(m * n for m, n in (layer.shape for layer in trainer.network.layers))
+    trainer.step()
+    path = tmp_path / "state.bin"
+    trainer.save(path)
+    del trainer
+
+    def peak(call):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            steady = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - steady) / unit
+        finally:
+            tracemalloc.stop()
+
+    task_rng = np.random.default_rng(0)
+    parts = max(peak(lambda: load_checkpoint(str(path))),
+                peak(lambda: harness.build_task(cfg.task, cfg.task_params, task_rng)))
+    restore = peak(lambda: Trainer.from_checkpoint(cfg, path))
+    # 0.5 units above the load measured for both methods; building a whole
+    # new trainer and replacing its layers and moments read 5.5 (adamw) and
+    # 7.0 (full_ft) units above it
+    assert restore < parts + 1.0, (restore, parts)
 
 
 def _committed(trainer) -> dict:
@@ -761,7 +825,113 @@ def test_compare_duplicate_method_identical_columns(tmp_path):
     assert result.labels == ["lora", "lora_2"]
     a = result.results["lora"]
     b = result.results["lora_2"]
-    assert [r.train_loss for r in a.records] == [r.train_loss for r in b.records]
+    assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
+
+
+def _reference_comparison(config, methods, labels) -> tuple[bytes, bytes]:
+    """comparison.csv and comparison.json built from each method's step records.
+
+    The arithmetic is the one compare used when its runs kept every record:
+    a step's discrepancy is np.mean over its layers, and a method's last-half
+    figure np.mean over a list of those.
+    """
+    records = {}
+    for label, method in zip(labels, methods):
+        trainer = Trainer(config.with_overrides(method=method))
+        records[label] = [trainer.step() for _ in range(config.steps)]
+
+    def mean_discrepancy(record):
+        values = [lm.discrepancy for lm in record.per_layer if lm.discrepancy is not None]
+        return float(np.mean(values)) if values else 0.0
+
+    header = ["step", "lr"]
+    for label in labels:
+        header += [f"loss_{label}", f"disc_{label}"]
+    lines = [",".join(header)]
+    for t in range(config.steps):
+        first = records[labels[0]][t]
+        row = [str(first.step), repr(first.lr)]
+        for label in labels:
+            row += [repr(records[label][t].train_loss), repr(mean_discrepancy(records[label][t]))]
+        lines.append(",".join(row))
+    csv = ("\n".join(lines) + "\n").encode("utf-8")
+
+    last_half = range(config.steps // 2, config.steps)
+    mean_disc = {
+        label: float(np.mean([mean_discrepancy(records[label][t]) for t in last_half]))
+        for label in labels
+    }
+    final_loss = {label: records[label][-1].train_loss for label in labels}
+    pro = next(label for label, m in zip(labels, methods) if m.startswith("lora_pro"))
+    lora = next(label for label, m in zip(labels, methods) if m == "lora")
+    payload = {
+        "config": config.to_dict(),
+        "methods": dict(zip(labels, methods)),
+        "verdicts": {
+            "final_loss": final_loss,
+            "final_loss_ordering": sorted(labels, key=lambda label: final_loss[label]),
+            "mean_discrepancy_last_half": mean_disc,
+            "lora_pro_discrepancy_below_lora": mean_disc[pro] < mean_disc[lora],
+            "lora_pro_final_loss_below_lora": final_loss[pro] < final_loss[lora],
+        },
+        "csv_sha": hashlib.sha256(csv).hexdigest(),
+    }
+    return csv, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("steps", [8, 9])
+def test_compare_files_match_a_reference_built_from_step_records(tmp_path, steps):
+    # compare reads its runs' metrics.csv files back in lockstep and keeps one
+    # discrepancy per method per step of the last half; its files must hold
+    # the bytes the step records give, with a duplicate method and an odd
+    # step count
+    methods = ["lora", "lora_pro_sgd", "full_ft", "lora_pro_adamw", "lora"]
+    cfg = small_config(tmp_path, steps=steps)
+    result = compare(cfg, methods)
+    assert result.labels == ["lora", "lora_pro_sgd", "full_ft", "lora_pro_adamw", "lora_2"]
+    csv, payload = _reference_comparison(cfg, methods, result.labels)
+    assert result.csv_path.read_bytes() == csv
+    assert result.json_path.read_bytes() == payload
+
+
+def test_run_memory_does_not_grow_with_its_step_count(tmp_path):
+    # run writes each step's rows as the step returns and keeps no record,
+    # so its tracemalloc peak at 1000 desk steps is its peak at 50
+    run(desk_config(tmp_path / "warm", steps=5))  # imports and caches filled
+    peaks = {}
+    for steps in (50, 1000):
+        cfg = desk_config(tmp_path / str(steps), steps=steps)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # within 5 KiB either way measured; a run that keeps every step's record
+    # peaks 0.72 MiB higher at 1000 steps
+    assert peaks[1000] - peaks[50] < 16 * 1024, peaks
+
+
+def test_aborted_run_keeps_the_rows_of_its_completed_steps(tmp_path):
+    # the shipped config's lora_pro_sgd at lr 10 with X = 0 overflows at step
+    # 38: metrics.csv keeps the header and steps 1..37, as an uninterrupted
+    # trainer gives them, and the summary and checkpoint an earlier run left
+    # in the directory are gone, so no summary vouches for the partial file
+    text = (ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8")
+    cfg = parse_config_text(text).with_overrides(
+        method="lora_pro_sgd", lr=10.0, x_strategy="zero", out_dir=str(tmp_path / "lr10")
+    )
+    out = Path(cfg.out_dir)
+    run(cfg.with_overrides(steps=3))
+    assert {"summary.json", "checkpoint.bin"} <= {p.name for p in out.iterdir()}
+    with pytest.raises(NonFiniteError, match="aborting at step 38"):
+        run(cfg)
+    assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+    trainer = Trainer(cfg)
+    completed = [trainer.step() for _ in range(37)]
+    expected = "".join(line + "\n" for line in records_to_csv_lines(completed))
+    assert (out / "metrics.csv").read_bytes() == expected.encode("utf-8")
 
 
 def test_compare_emits_aligned_columns_and_verdicts(tmp_path):
