@@ -47,7 +47,6 @@ from .optim import (
     lorapro_sgd_step,
     lr_at,
 )
-from .sylvester import SylvesterProblem, solve_sylvester
 
 __version__ = "0.1.0"
 
@@ -72,7 +71,6 @@ __all__ = [
     "ShapeError",
     "SpectrumError",
     "StaleCacheError",
-    "SylvesterProblem",
     "TangentGeometry",
     "adjust",
     "apply_decayed_merge_step",
@@ -88,5 +86,4 @@ __all__ = [
     "lorapro_sgd_step",
     "loss_decrease_certificate",
     "lr_at",
-    "solve_sylvester",
 ]

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .linalg import _gram_rank, as_matrix, build_unchecked, factorization_error, frob_norm
 from .lora import LoraLayer
-from .sylvester import solve_in_eigenbases
+from .sylvester import solve_sylvester
 
 __all__ = [
     "X_STRATEGIES",
@@ -328,9 +328,9 @@ class TangentGeometry:
         return g_b - q @ (q.T @ g_b)
 
     def solve_sylvester(self, c: np.ndarray) -> np.ndarray:
-        """X with (B^T B + eps_b I) X + X A A^T = c, by ``sylvester.solve_in_eigenbases``."""
+        """X with (B^T B + eps_b I) X + X A A^T = c, by ``sylvester.solve_sylvester``."""
         w, v = self._w, self._v
-        return solve_in_eigenbases(c, w[0] + self._damping[0], v[0], w[1], v[1])
+        return solve_sylvester(c, w[0] + self._damping[0], v[0], w[1], v[1])
 
 
 def _geometry(

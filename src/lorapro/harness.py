@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .errors import CheckpointError, ConfigError, DescentViolationError, NonFiniteError
+from .errors import CheckpointError, ConfigError, DescentViolationError, LoraProError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
 from .linalg import as_matrix, build_unchecked, replace_unchecked
 from .lora import InitScheme, LoraLayer, init_layer, layer_from_state, layer_state
@@ -195,8 +195,11 @@ class Trainer:
                 loss, metrics = self._step_full_ft(batch, hp_now)
             else:
                 loss, metrics = self._step_adapters(batch, hp_now)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"aborting at step {self.step_count + 1}: {exc}") from exc
+        except LoraProError as exc:
+            # the message gains the step; the type and what the error carries
+            # (a SpectrumError's pair, a FactorizationError's leading minor) stay
+            exc.args = (f"aborting at step {self.step_count + 1}: {exc}",)
+            raise
 
         self.step_count += 1
         return RunRecord(

@@ -38,15 +38,16 @@ from .oracle import (
     solve_sylvester_kron,
     x_objective_scan,
 )
-from .sylvester import SylvesterProblem, solve_sylvester
 
 __all__ = [
     "PropertyResult", "SelfcheckReport", "oracle_minima", "random_instances", "run_selfcheck",
 ]
 
-# Full-rank instances get exact (undamped) Gram inversions; the damped path
-# is exercised by its own rank-zero tests elsewhere.
+# Full-rank instances get exact (undamped) Gram inversions; the two Sylvester
+# properties solve on the Grams a run damps by default, and the rank-zero
+# start is exercised by its own tests elsewhere.
 EXACT = DampingPolicy(rel_epsilon=0.0)
+SHIPPED = DampingPolicy()
 DEFAULT_INSTANCES = 200
 MAX_FACTOR_COND = 1e2
 
@@ -177,16 +178,39 @@ def check_oracle_consistency(minima) -> PropertyResult:
     return _result("oracle_self_consistency", worst, 1e-8, len(minima))
 
 
+def _sylvester_solve(rng: np.random.Generator, r: int) -> tuple:
+    """The X that a random rank-``r`` layer's geometry solves under the
+    shipped damping for a Gaussian right-hand side c, with (p, q, c).
+
+    The coefficients p = B^T B + eps_b I and q = A A^T of its equation are
+    formed here from the factors, with eps_b the shipped relative damping
+    times the mean diagonal of B^T B. The factors are at least 2r long, so
+    that well-conditioned draws are common at every rank.
+    """
+    m, n = (int(d) for d in rng.integers(2 * r, 2 * r + 5, size=2))
+    layer = LoraLayer(
+        w0=np.zeros((m, n)),
+        b=_conditioned(rng, (m, r), MAX_FACTOR_COND),
+        a=_conditioned(rng, (r, n), MAX_FACTOR_COND),
+        alpha=float(r),
+        rank=r,
+        scaling_mode="lora",
+    )
+    gram_b = layer.b.T @ layer.b
+    p = gram_b + SHIPPED.rel_epsilon * float(np.mean(np.diag(gram_b))) * np.eye(r)
+    q = layer.a @ layer.a.T
+    c = rng.normal(size=(r, r))
+    return TangentGeometry(layer, SHIPPED).solve_sylvester(c), p, q, c
+
+
 def check_sylvester_residual(seed: int) -> PropertyResult:
+    """The X that training solves satisfies its Sylvester equation."""
     rng = np.random.default_rng(np.random.SeedSequence(seed + 101))
     worst = 0.0
     count = 0
     for r in (1, 2, 4, 8, 16):
         for _ in range(20):
-            p = _random_spd(rng, r)
-            q = _random_spd(rng, r)
-            c = rng.normal(size=(r, r))
-            x = solve_sylvester(SylvesterProblem(p=p, q=q, c=c))
+            x, p, q, c = _sylvester_solve(rng, r)
             resid = frob_norm(p @ x + x @ q - c) / max(1.0, frob_norm(c))
             worst = _worse(worst, resid)
             count += 1
@@ -194,25 +218,15 @@ def check_sylvester_residual(seed: int) -> PropertyResult:
 
 
 def check_sylvester_kron_agreement(seed: int) -> PropertyResult:
+    """The X that training solves matches the Kronecker-built reference."""
     rng = np.random.default_rng(np.random.SeedSequence(seed + 202))
     worst = 0.0
     count = 40
     for _ in range(count):
-        r = int(rng.integers(1, 5))
-        p = _random_spd(rng, r)
-        q = _random_spd(rng, r)
-        c = rng.normal(size=(r, r))
-        x = solve_sylvester(SylvesterProblem(p=p, q=q, c=c))
+        x, p, q, c = _sylvester_solve(rng, int(rng.integers(1, 5)))
         x_ref = solve_sylvester_kron(p, q, c)
         worst = _worse(worst, _rel(frob_norm(x - x_ref), frob_norm(x_ref), 1.0))
     return _result("sylvester_kronecker_agreement", worst, 1e-8, count)
-
-
-def _random_spd(rng: np.random.Generator, r: int) -> np.ndarray:
-    basis = _conditioned(rng, (r, r), 1e2)
-    q, _ = np.linalg.qr(basis)
-    lam = rng.uniform(0.1, 10.0, size=r)
-    return q @ np.diag(lam) @ q.T
 
 
 def _objective(layer, bundle, adjusted) -> float:

@@ -22,7 +22,14 @@ import lorapro.model as model
 from lorapro.checkpoint import load_checkpoint, save_checkpoint
 from lorapro.cli import main as cli_main
 from lorapro.config import RunConfig, parse_config_text
-from lorapro.errors import CheckpointError, ConfigError, LoraProError, NonFiniteError, ShapeError
+from lorapro.errors import (
+    CheckpointError,
+    ConfigError,
+    LoraProError,
+    NonFiniteError,
+    ShapeError,
+    SpectrumError,
+)
 from lorapro.gradadjust import (
     X_STRATEGIES,
     AdjustedGrads,
@@ -619,6 +626,10 @@ def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch):
     metrics, counts = tracer.step_metrics(recorder.spans, cfg.method, n_layers=2)
     assert counts["gradadjust.adjust"] > 0 and counts["linalg.as_matrix"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
+    # the Sylvester X of each of the two layers, solved by the sylvester
+    # module's one solver
+    assert "gradadjust>sylvester.solve_sylvester" in names
+    assert metrics["sylvester.solve_calls"] == 2.0
 
 
 def _count_calls(monkeypatch, watched) -> dict[str, int]:
@@ -992,6 +1003,26 @@ def test_selfcheck_flags_corrupted_adjustment():
             assert r.worst > r.tolerance
 
 
+def test_selfcheck_certifies_the_sylvester_x_that_training_solves(monkeypatch):
+    # an X off by a relative 1e-6 in TangentGeometry.solve_sylvester, the solve
+    # training runs: the two Sylvester properties, which solve on the shipped
+    # damping, and sylvester_x_optimality, which reads the same solve
+    # undamped through choose_x, fail; the adjustment properties do not,
+    # since X never changes the equivalent gradient
+    solve = TangentGeometry.solve_sylvester
+    monkeypatch.setattr(
+        TangentGeometry, "solve_sylvester", lambda self, c: solve(self, c) * (1.0 + 1e-6)
+    )
+    report = run_selfcheck(seed=0)
+    failed = {r.name for r in report.results if not r.passed}
+    assert failed == {
+        "sylvester_residual", "sylvester_kronecker_agreement", "sylvester_x_optimality"
+    }
+    for r in report.results:
+        if r.name in failed:
+            assert r.worst > r.tolerance
+
+
 def test_selfcheck_scan_alone_flags_a_non_optimal_x():
     # B @ M added to g_b_lora: the Sylvester equation reads only g_a_lora, so
     # X* still solves it but no longer minimizes the departure; only the scan
@@ -1048,8 +1079,9 @@ def test_sylvester_x_optimality_scan_call_count(monkeypatch):
 def test_selfcheck_shares_geometries_and_oracle_minima(monkeypatch):
     # one TangentGeometry per instance in each of the six properties that adjust
     # or solve on the 200 instances, plus one per certificate_first_order layer
-    # (10); each oracle minimum once per instance; and finite-difference probes
-    # that build no layer or network
+    # (10) and one per Sylvester instance (100 residual, 40 Kronecker); each
+    # oracle minimum once per instance; and finite-difference probes that
+    # build no layer or network
     import lorapro.gradadjust as gradadjust
     import lorapro.selfcheck as selfcheck
 
@@ -1091,7 +1123,7 @@ def test_selfcheck_shares_geometries_and_oracle_minima(monkeypatch):
     assert counts == {"oracle.brute_force_optimal_grads": 200,
                       "oracle.projection_residual_norm_sq": 200}
     assert built["probes"] > 0
-    assert built == {"TangentGeometry": 6 * 200 + 10, "probes": built["probes"],
+    assert built == {"TangentGeometry": 6 * 200 + 10 + 100 + 40, "probes": built["probes"],
                      "LoraLayer in probes": 0, "Network in probes": 0}
 
 
@@ -1216,6 +1248,49 @@ def test_diverging_forward_loss_ends_in_the_typed_error_alone(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="aborting at step 38: forward produced"):
             run(cfg)
+
+
+def _sylvester_fails_from_step(monkeypatch, first: int):
+    """Make the Sylvester X raise SpectrumError in every trainer step from step ``first`` on."""
+    at = {"step": 0}
+    step, solve = Trainer.step, TangentGeometry.solve_sylvester
+
+    def counted_step(self):
+        at["step"] = self.step_count + 1
+        return step(self)
+
+    def solve_or_fail(self, c):
+        if at["step"] >= first:
+            raise SpectrumError("eigenvalue pair sum 1e-14 at or below floor", pair=(1e-14, 0.0))
+        return solve(self, c)
+
+    monkeypatch.setattr(Trainer, "step", counted_step)
+    monkeypatch.setattr(TangentGeometry, "solve_sylvester", solve_or_fail)
+
+
+def test_step_error_names_its_step_and_keeps_its_context(tmp_path, monkeypatch):
+    # any LoraProError out of a step gains the step in its message and keeps
+    # its type and what it carries
+    _sylvester_fails_from_step(monkeypatch, 3)
+    trainer = Trainer(small_config(tmp_path))
+    trainer.step()
+    trainer.step()
+    with pytest.raises(SpectrumError, match=r"^aborting at step 3: X selection") as excinfo:
+        trainer.step()
+    assert excinfo.value.pair == (1e-14, 0.0)
+    assert trainer.step_count == 2
+
+
+def test_cli_run_reports_a_step_error_in_one_line(tmp_path, monkeypatch, capsys):
+    _sylvester_fails_from_step(monkeypatch, 3)
+    config_path = tmp_path / "run.cfg"
+    text = (ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8")
+    config_path.write_text(text.replace("runs/teacher_student", str(tmp_path / "out")))
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: aborting at step 3: X selection 'sylvester' failed")
+    assert captured.err.count("\n") == 1
 
 
 def test_non_finite_loss_aborts_with_step_index(tmp_path):
