@@ -24,12 +24,14 @@ from .gradadjust import (
     AdjustedGrads,
     DampingPolicy,
     GradBundle,
+    Projection,
     TangentGeometry,
     adjust,
     choose_x,
     equivalent_gradient,
     lora_raw_grads,
     loss_decrease_certificate,
+    shift,
 )
 from .lora import (
     InitScheme,
@@ -67,6 +69,7 @@ __all__ = [
     "LoraProError",
     "Network",
     "NonFiniteError",
+    "Projection",
     "RankDeficiencyError",
     "ShapeError",
     "SpectrumError",
@@ -86,4 +89,5 @@ __all__ = [
     "lorapro_sgd_step",
     "loss_decrease_certificate",
     "lr_at",
+    "shift",
 ]

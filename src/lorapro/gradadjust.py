@@ -20,12 +20,12 @@ stays defined when B starts at zero (the standard adapter initialization).
 Both Grams are eigendecomposed once per layer-step in a TangentGeometry,
 which serves the damped Gram solves, the Sylvester X and the factors' ranks.
 
-X enters only as the shift (X A, -B X), so one X = 0 solve of a bundle serves
-every later call on it. ``adjust`` solves (B^T B)^-1 g_a_raw once, for both
-the base g_a and the Sylvester right-hand side, and keeps the whitened
-products it forms with the pair it returns: ``loss_decrease_certificate``
-reads them instead of forming them again, and ``adjust(zero_pair=...)``
-shifts an X = 0 pair by another X without solving anything but X.
+X enters only as the shift (X A, -B X), so a bundle has one X-independent
+value in its geometry: its X = 0 projection. ``adjust`` solves the bundle
+once into a ``Projection``, which holds the X = 0 pair and the products its
+solves formed, and ends with ``shift``, which picks X by ``choose_x`` and
+moves the pair by it. ``loss_decrease_certificate`` reads the projection of
+the pair it certifies, and ``shift`` by another X solves nothing but X.
 """
 
 from __future__ import annotations
@@ -50,12 +50,14 @@ from .sylvester import solve_sylvester
 __all__ = [
     "X_STRATEGIES",
     "GradBundle",
+    "Projection",
     "AdjustedGrads",
     "DampingPolicy",
     "TangentGeometry",
     "lora_raw_grads",
     "equivalent_gradient",
     "choose_x",
+    "shift",
     "adjust",
     "loss_decrease_certificate",
     "validate_bundle",
@@ -86,40 +88,15 @@ class GradBundle:
 
 
 @dataclass
-class _Solves:
-    """The X-independent products ``adjust`` forms for one bundle in one geometry."""
-
-    geometry: "TangentGeometry"
-    g_a_lora: np.ndarray  # the bundle's arrays they were formed from
-    g_b_lora: np.ndarray
-    white_g_a: np.ndarray  # W_b^T g_a_raw
-    solved_a: np.ndarray  # (B^T B + eps_b I)^-1 g_a_raw
-    white_g_b: np.ndarray  # (I - P_B) g_b_raw W_a
-
-    def serves(self, bundle: "GradBundle", geometry: "TangentGeometry") -> bool:
-        """Whether these were formed from ``bundle``'s current arrays in ``geometry``.
-
-        Arrays are compared by identity, so one written in place afterwards
-        is not re-read.
-        """
-        return (
-            self.geometry is geometry
-            and self.g_a_lora is bundle.g_a_lora
-            and self.g_b_lora is bundle.g_b_lora
-        )
-
-
-@dataclass
 class AdjustedGrads:
-    """Adjusted factor gradients, the X that produced them, and the strategy label."""
+    """Adjusted factor gradients, the X that produced them, the strategy label,
+    and the projection they were shifted from."""
 
     g_a: np.ndarray
     g_b: np.ndarray
     x: np.ndarray
     x_strategy: str
-    # the products adjust formed on the way, which later calls on the same
-    # bundle and geometry read; a pair built by hand has none
-    _solves: _Solves | None = field(default=None, init=False, repr=False, compare=False)
+    projection: Projection = field(repr=False)
 
 
 @dataclass
@@ -137,6 +114,8 @@ class DampingPolicy:
     fallback: str = "damp"
 
     def __post_init__(self):
+        if not math.isfinite(self.rel_epsilon):
+            raise ValueError(f"rel_epsilon must be finite, got {self.rel_epsilon}")
         if self.rel_epsilon < 0.0:
             raise ValueError(f"rel_epsilon must be >= 0, got {self.rel_epsilon}")
         if self.fallback not in ("damp", "passthrough"):
@@ -147,17 +126,6 @@ class DampingPolicy:
             return 0.0
         mean_diag = float(gram.trace()) / gram.shape[0]
         return self.rel_epsilon * (mean_diag if mean_diag > 0.0 else 1.0)
-
-
-def _check_bundle_shapes(layer: LoraLayer, bundle: GradBundle):
-    m, n = layer.shape
-    r = layer.rank
-    if bundle.g_a_lora.shape != (r, n):
-        raise ShapeError(f"g_a_lora must be {r}x{n}, got {bundle.g_a_lora.shape}")
-    if bundle.g_b_lora.shape != (m, r):
-        raise ShapeError(f"g_b_lora must be {m}x{r}, got {bundle.g_b_lora.shape}")
-    if bundle.g_full is not None and bundle.g_full.shape != (m, n):
-        raise ShapeError(f"g_full must be {m}x{n}, got {bundle.g_full.shape}")
 
 
 def _built_from(bundle: GradBundle, layer: LoraLayer) -> bool:
@@ -177,7 +145,14 @@ def validate_bundle(layer: LoraLayer, bundle: GradBundle):
     only its shapes are checked. Arrays written in place afterwards are not
     re-read.
     """
-    _check_bundle_shapes(layer, bundle)
+    m, n = layer.shape
+    r = layer.rank
+    if bundle.g_a_lora.shape != (r, n):
+        raise ShapeError(f"g_a_lora must be {r}x{n}, got {bundle.g_a_lora.shape}")
+    if bundle.g_b_lora.shape != (m, r):
+        raise ShapeError(f"g_b_lora must be {m}x{r}, got {bundle.g_b_lora.shape}")
+    if bundle.g_full is not None and bundle.g_full.shape != (m, n):
+        raise ShapeError(f"g_full must be {m}x{n}, got {bundle.g_full.shape}")
     if bundle.g_full is None or _built_from(bundle, layer):
         return
     s = layer.scaling
@@ -343,36 +318,70 @@ def _geometry(
     return geometry
 
 
-def _check_strategy(layer: LoraLayer, bundle: GradBundle, strategy: str) -> None:
+class Projection:
+    """The X-independent half of adjusting one bundle in one geometry.
+
+    Every adjusted pair of the bundle is the X = 0 pair (``g_a``, ``g_b``)
+    shifted by some X, so one projection, built by ``adjust``, serves each
+    ``shift`` and the certificate. It also holds what its solves formed:
+    ``solved_a`` = (B^T B + eps_b I)^-1 g_a_raw, ``white_g_a`` = W_b^T g_a_raw
+    and ``white_g_b`` = (I - P_B) g_b_raw W_a. Under a passthrough geometry
+    the pair is the raw pair and nothing is solved.
+
+    The bundle is checked against the layer by ``validate_bundle``. The g_b
+    half is solved on first use, after X is chosen, so an X the solver
+    refuses raises its SpectrumError before the Gram of A is inverted.
+    """
+
+    def __init__(self, geometry: TangentGeometry, bundle: GradBundle):
+        validate_bundle(geometry.layer, bundle)
+        self.geometry = geometry
+        self.bundle = bundle
+        if geometry.passthrough:
+            self.g_a, self.solved_a, self.white_g_a = bundle.g_a_lora, None, None
+        else:
+            # one solve serves the Sylvester right-hand side and the X = 0 g_a
+            self.solved_a, self.white_g_a = geometry.solve_b(bundle.g_a_lora)
+            self.g_a = self.solved_a / geometry.layer.scaling**2
+
+    @cached_property
+    def _b_half(self) -> tuple[np.ndarray, np.ndarray | None]:
+        geo = self.geometry
+        if geo.passthrough:
+            return self.bundle.g_b_lora, None
+        solved_b, white_g_b = geo.solve_a_right(geo.project_out_b(self.bundle.g_b_lora))
+        return solved_b / geo.layer.scaling**2, white_g_b
+
+    @property
+    def g_b(self) -> np.ndarray:
+        return self._b_half[0]
+
+    @property
+    def white_g_b(self) -> np.ndarray | None:
+        return self._b_half[1]
+
+
+def choose_x(projection: Projection, strategy: str = "sylvester") -> np.ndarray:
+    """Pick the free r x r parameter of the adjustment for a given strategy.
+
+    A passthrough step applies no X, so its projection gets zero.
+    """
     if strategy not in X_STRATEGIES:
         raise ValueError(f"unknown X strategy {strategy!r}, expected one of {X_STRATEGIES}")
-    validate_bundle(layer, bundle)
-
-
-def _choose_x(
-    layer: LoraLayer,
-    bundle: GradBundle,
-    strategy: str,
-    geo: TangentGeometry | None,
-    solved_a: np.ndarray | None,
-) -> np.ndarray:
-    """The X that ``choose_x`` picks for a ``strategy`` already checked.
-
-    ``geo`` serves the solves of every strategy but ``zero``, and
-    ``solved_a`` is (B^T B)^-1 g_a_raw, which only the Sylvester X reads.
-    """
+    geo = projection.geometry
+    layer = geo.layer
     r = layer.rank
-    if strategy == "zero":
+    if strategy == "zero" or geo.passthrough:
         return np.zeros((r, r))
     s = layer.scaling
     if strategy == "symmetry":
         # X = -(1/(2 s^2)) (B^T B)^-1 B^T g_b_raw (A A^T)^-1, which balances
         # the two terms of the equivalent gradient: g_b A = B g_a.
-        half, _ = geo.solve_b(layer.b.T @ bundle.g_b_lora)
+        half, _ = geo.solve_b(layer.b.T @ projection.bundle.g_b_lora)
         x, _ = geo.solve_a_right(half)
         return -0.5 / s**2 * x
 
-    rhs = -1.0 / s**2 * (solved_a @ layer.a.T)
+    rhs = -1.0 / s**2 * (projection.solved_a @ layer.a.T)
     try:
         return geo.solve_sylvester(rhs)
     except SpectrumError as exc:
@@ -381,24 +390,39 @@ def _choose_x(
         ) from exc
 
 
-def choose_x(
-    layer: LoraLayer,
-    bundle: GradBundle,
-    strategy: str = "sylvester",
-    policy: DampingPolicy = DampingPolicy(),
-    geometry: TangentGeometry | None = None,
-) -> np.ndarray:
-    """Pick the free r x r parameter of the adjustment for a given strategy.
+def shift(
+    projection: Projection, strategy: str = "sylvester", x_override: np.ndarray | None = None
+) -> AdjustedGrads:
+    """The X = 0 pair of ``projection`` shifted by X: (g_a + X A, g_b - B X).
 
-    ``geometry`` is this layer's TangentGeometry under ``policy``, if the
-    caller already holds one; without it one is built.
+    X is ``choose_x``'s for ``strategy``, or ``x_override`` used directly
+    (the equivalent gradient does not depend on it). A passthrough
+    projection gives a copy of the raw pair, labelled ``passthrough``.
     """
-    _check_strategy(layer, bundle, strategy)
-    if strategy == "zero":
-        return _choose_x(layer, bundle, strategy, None, None)
-    geo = _geometry(layer, policy, geometry)
-    solved_a = geo.solve_b(bundle.g_a_lora)[0] if strategy == "sylvester" else None
-    return _choose_x(layer, bundle, strategy, geo, solved_a)
+    layer = projection.geometry.layer
+    r = layer.rank
+    if projection.geometry.passthrough:
+        return AdjustedGrads(
+            g_a=projection.g_a.copy(),
+            g_b=projection.g_b.copy(),
+            x=np.zeros((r, r)),
+            x_strategy="passthrough",
+            projection=projection,
+        )
+    if x_override is None:
+        # through the module-level name, the binding perfbench's tracer wraps
+        x, label = choose_x(projection, strategy), strategy
+    else:
+        x, label = as_matrix(x_override, "x_override"), "override"
+        if x.shape != (r, r):
+            raise ShapeError(f"x_override must be {r}x{r}, got {x.shape}")
+    return AdjustedGrads(
+        g_a=projection.g_a + x @ layer.a,
+        g_b=projection.g_b - layer.b @ x,
+        x=x,
+        x_strategy=label,
+        projection=projection,
+    )
 
 
 def adjust(
@@ -408,69 +432,17 @@ def adjust(
     policy: DampingPolicy = DampingPolicy(),
     x_override: np.ndarray | None = None,
     geometry: TangentGeometry | None = None,
-    zero_pair: AdjustedGrads | None = None,
 ) -> AdjustedGrads:
     """Replace raw factor gradients with the optimal adjusted pair.
 
-    ``x_override`` bypasses the strategy and uses the given X directly (the
-    equivalent gradient does not depend on it).  With a ``passthrough``
+    Solves ``bundle`` into its ``Projection`` in this layer's geometry under
+    ``policy`` (``geometry``, if the caller already holds it) and ``shift``s
+    it by the strategy's X, or by ``x_override``. With a ``passthrough``
     policy and B at numerical rank zero, the raw gradients are returned
-    unchanged for this step. ``geometry`` is this layer's TangentGeometry
-    under ``policy``, if the caller already holds one.
-
-    ``zero_pair`` is the X = 0 adjustment that ``adjust`` made of ``bundle``
-    in ``geometry``, if the caller holds it: the result is then that pair
-    shifted by X, (g_a + X A, g_b - B X), and nothing but X is solved again.
-    The pair returned keeps the products its solves formed, for
-    ``loss_decrease_certificate`` and a later shift on the same bundle.
+    unchanged for this step. The pair's ``projection`` serves
+    ``loss_decrease_certificate`` and a ``shift`` by another X.
     """
-    _check_bundle_shapes(layer, bundle)
-    r = layer.rank
-    geo = _geometry(layer, policy, geometry)
-    if geo.passthrough:
-        return AdjustedGrads(
-            g_a=bundle.g_a_lora.copy(),
-            g_b=bundle.g_b_lora.copy(),
-            x=np.zeros((r, r)),
-            x_strategy="passthrough",
-        )
-
-    if x_override is not None:
-        x_override = as_matrix(x_override, "x_override")
-        if x_override.shape != (r, r):
-            raise ShapeError(f"x_override must be {r}x{r}, got {x_override.shape}")
-        label = "override"
-    else:
-        _check_strategy(layer, bundle, strategy)
-        label = strategy
-
-    if zero_pair is None:
-        # one solve serves the Sylvester right-hand side and the base g_a
-        solved_a, white_g_a = geo.solve_b(bundle.g_a_lora)
-    else:
-        solves = zero_pair._solves
-        if zero_pair.x_strategy != "zero" or solves is None or not solves.serves(bundle, geo):
-            raise ValueError(
-                "zero_pair is not the X = 0 adjustment of this bundle in this geometry"
-            )
-        solved_a = solves.solved_a
-    x = x_override if x_override is not None else _choose_x(layer, bundle, strategy, geo, solved_a)
-
-    if zero_pair is None:
-        s = layer.scaling
-        solved_b, white_g_b = geo.solve_a_right(geo.project_out_b(bundle.g_b_lora))
-        base_a, base_b = solved_a / s**2, solved_b / s**2
-        solves = _Solves(geo, bundle.g_a_lora, bundle.g_b_lora, white_g_a, solved_a, white_g_b)
-    else:
-        base_a, base_b = zero_pair.g_a, zero_pair.g_b
-    adjusted = AdjustedGrads(
-        g_a=base_a + x @ layer.a,
-        g_b=base_b - layer.b @ x,
-        x=x,
-        x_strategy=label,
-    )
-    adjusted._solves = solves
-    return adjusted
+    return shift(Projection(_geometry(layer, policy, geometry), bundle), strategy, x_override)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -478,14 +450,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.ravel(), b.ravel()))
 
 
-def loss_decrease_certificate(
-    layer: LoraLayer,
-    bundle: GradBundle,
-    adjusted: AdjustedGrads,
-    lr: float,
-    policy: DampingPolicy = DampingPolicy(),
-    geometry: TangentGeometry | None = None,
-) -> float:
+def loss_decrease_certificate(adjusted: AdjustedGrads, lr: float) -> float:
     """Predicted first-order loss change of the adjusted step; never positive.
 
         dL = -lr * ( <g_a_raw, (1/s^2)(B^T B)^-1 g_a_raw>
@@ -495,14 +460,15 @@ def loss_decrease_certificate(
     same number must come out of -lr*(<g_a_raw, g_a> + <g_b_raw, g_b>) with
     the adjusted pair (the X terms cancel for chain-rule-consistent raw
     gradients); a mismatch or a positive value signals an implementation bug
-    and raises. Pass the same ``policy`` that produced ``adjusted``, and
-    ``geometry`` if the caller already holds this layer's TangentGeometry;
-    when ``adjust`` made ``adjusted`` from ``bundle`` in that geometry, the
-    quadratic forms read the whitened products it kept.
+    and raises. The quadratic forms read the whitened products of the pair's
+    ``projection``; a passthrough step, which solves nothing, has none.
     """
     if lr < 0.0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    _check_bundle_shapes(layer, bundle)
+    projection = adjusted.projection
+    geo, bundle = projection.geometry, projection.bundle
+    if geo.passthrough:
+        raise ValueError("a passthrough step is not adjusted and has no certificate")
     g_a = as_matrix(adjusted.g_a, "adjusted g_a")
     g_b = as_matrix(adjusted.g_b, "adjusted g_b")
     if g_a.shape != bundle.g_a_lora.shape or g_b.shape != bundle.g_b_lora.shape:
@@ -510,23 +476,15 @@ def loss_decrease_certificate(
             f"adjusted pair {g_a.shape}/{g_b.shape} does not match the raw pair "
             f"{bundle.g_a_lora.shape}/{bundle.g_b_lora.shape}"
         )
-    s = layer.scaling
-    geo = _geometry(layer, policy, geometry)
-    solves = adjusted._solves
+    s = geo.layer.scaling
+    white_g_a = projection.white_g_a
 
     # huge factors or gradients overflow here into inf or NaN, which ends in
     # the NonFiniteError below rather than in a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2,
-        # from the products adjust formed for this bundle in this geometry if
-        # it kept them, by the same operations otherwise
-        if solves is not None and solves.serves(bundle, geo):
-            white_g_a, white_g_b = solves.white_g_a, solves.white_g_b
-        else:
-            white_g_a = geo.white_b.T @ bundle.g_a_lora
-            white_g_b = geo.project_out_b(bundle.g_b_lora) @ geo.white_a
+        # both quadratic forms in whitened coordinates: <g, M^-1 g> = ||W^T g||^2
         term_a = _inner(white_g_a, white_g_a) / s**2
-        term_b = _inner(bundle.g_b_lora @ geo.white_a, white_g_b) / s**2
+        term_b = _inner(bundle.g_b_lora @ geo.white_a, projection.white_g_b) / s**2
         via_pairing = -lr * (_inner(bundle.g_a_lora, g_a) + _inner(bundle.g_b_lora, g_b))
     dl = -lr * (term_a + term_b)
 

@@ -273,36 +273,23 @@ class Trainer:
                 moments = {"v_a": sa.v, "v_b": sb.v}
             else:
                 if not geometry.passthrough:
-                    certificate = loss_decrease_certificate(
-                        layer, bundle, adjusted, hp_now.lr, policy=self.policy, geometry=geometry
-                    )
+                    certificate = loss_decrease_certificate(adjusted, hp_now.lr)
                     if certificate > CERTIFICATE_CEILING:
                         raise DescentViolationError(
                             f"layer {i}: predicted loss change {certificate:.3e} above "
                             f"{CERTIFICATE_CEILING:.0e}"
                         )
                 if cfg.method == "lora_pro_sgd":
-                    new_layer = lorapro_sgd_step(
-                        layer,
-                        bundle,
-                        hp_now,
-                        strategy=cfg.x_strategy,
-                        policy=self.policy,
-                        geometry=geometry,
-                        adjusted=adjusted,
-                    )
-                    del adjusted  # with the products it kept, which served only this layer
+                    new_layer = lorapro_sgd_step(adjusted.projection, hp_now, cfg.x_strategy)
+                    del adjusted  # with its projection, which served only this layer
                 else:
                     del adjusted  # the AdamW step reads g_tilde alone
                     new_layer, state = lorapro_adamw_step(
-                        layer,
+                        geometry,
                         self.states[i],
-                        bundle,
+                        g_tilde,  # consumed: it now holds the Adam direction
                         hp_now,
-                        policy=self.policy,
-                        x_strategy=cfg.x_strategy,
-                        geometry=geometry,
-                        g_tilde=g_tilde,  # consumed: it now holds the Adam direction
+                        cfg.x_strategy,
                     )
                     new_states.append(state)
                     moments = {"v": state.v}

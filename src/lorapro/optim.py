@@ -13,13 +13,18 @@ one ``HyperParams``, checked when it is built; each AdamW step reads them
 from the ``hp`` it is given. An ``AdamWState`` holds only what changes from
 step to step: one matrix's two moments and its step count.
 
+The LoRA-Pro steps start from what one adjustment already solved: the SGD
+step from the X = 0 ``Projection`` of the layer's gradients, which it
+shifts by the strategy's X, and the AdamW step from the equivalent gradient
+of that projection, with the layer's ``TangentGeometry``.
+
 All step functions are functional: they return fresh layer/state values and
-never mutate their inputs, with one exception a caller opts into: an
-equivalent gradient passed to ``lorapro_adamw_step`` as ``g_tilde``, and a
-buffer passed to ``adamw_transform`` or ``full_ft_adamw_step`` as ``out``,
-is consumed, reused for the moment-transformed direction. The values
-they return are computed from inputs that were checked where they entered, so
-they are built without re-running the constructors' checks.
+write to no input but a buffer handed over for the moment-transformed
+direction. ``lorapro_adamw_step`` always consumes its ``g_tilde`` that way;
+``adamw_transform`` and ``full_ft_adamw_step`` consume the buffer passed as
+``out``, if any. The values they return are computed from inputs that were
+checked where they entered, so they are built without re-running the
+constructors' checks.
 """
 
 from __future__ import annotations
@@ -30,16 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .gradadjust import (
-    AdjustedGrads,
-    DampingPolicy,
-    GradBundle,
-    TangentGeometry,
-    _check_bundle_shapes,
-    adjust,
-    equivalent_gradient,
-    lora_raw_grads,
-)
+from .gradadjust import GradBundle, Projection, TangentGeometry, adjust, lora_raw_grads, shift
 from .linalg import as_matrix, replace_unchecked
 from .lora import LoraLayer, apply_decayed_merge_step
 
@@ -74,6 +70,10 @@ class HyperParams:
     decay_after_update: bool = False
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "beta1", "beta2", "epsilon", "warmup_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lr < 0.0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         # lr is the schedule's peak, so this bounds the decay of every step
@@ -162,8 +162,11 @@ def adamw_transform(
         grad = as_matrix(grad, "grad")
     if grad.shape != state.m.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
-    if out is not None and (out.shape != grad.shape or out.dtype != np.float64):
-        raise ShapeError(f"out must be a float64 {grad.shape} array, got {out.dtype} {out.shape}")
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.shape == grad.shape and out.dtype == np.float64
+    ):
+        kind = getattr(out, "dtype", type(out).__name__)
+        raise ShapeError(f"out must be a float64 {grad.shape} array, got {kind} {np.shape(out)}")
     t = state.t + 1
     beta1, beta2 = hp.beta1, hp.beta2
     # m = beta1*m + (1-beta1)*g,  v = beta2*v + (1-beta2)*g**2,
@@ -187,27 +190,18 @@ def adamw_transform(
 
 
 def lorapro_sgd_step(
-    layer: LoraLayer,
-    bundle: GradBundle,
-    hp: HyperParams,
-    strategy: str = "sylvester",
-    policy: DampingPolicy = DampingPolicy(),
-    geometry: TangentGeometry | None = None,
-    adjusted: AdjustedGrads | None = None,
+    projection: Projection, hp: HyperParams, strategy: str = "sylvester"
 ) -> LoraLayer:
     """Plain gradient descent on the factors with adjusted gradients; no decay.
 
-    ``geometry`` is the layer's TangentGeometry under ``policy``, if the
-    caller already holds one. A caller that also holds the X = 0 adjustment
-    that ``adjust`` made of ``bundle`` in that geometry passes it as
-    ``adjusted``: the step then shifts that pair by the strategy's X rather
-    than adjusting again (see ``adjust``'s ``zero_pair``).
+    ``projection`` is the X = 0 adjustment that ``adjust`` made of the
+    layer's gradients; the step shifts it by the strategy's X and solves
+    nothing else.
     """
     if hp.weight_decay != 0.0:
         raise ValueError("the SGD loop has no weight decay; got a nonzero weight_decay")
-    adjusted = adjust(
-        layer, bundle, strategy=strategy, policy=policy, geometry=geometry, zero_pair=adjusted
-    )
+    adjusted = shift(projection, strategy)
+    layer = projection.geometry.layer
     return replace_unchecked(
         layer,
         b=layer.b - hp.lr * adjusted.g_b,
@@ -216,48 +210,36 @@ def lorapro_sgd_step(
 
 
 def lorapro_adamw_step(
-    layer: LoraLayer,
+    geometry: TangentGeometry,
     state: AdamWState,
-    bundle: GradBundle,
+    g_tilde: np.ndarray,
     hp: HyperParams,
-    policy: DampingPolicy = DampingPolicy(),
     x_strategy: str = "sylvester",
-    geometry: TangentGeometry | None = None,
-    g_tilde: np.ndarray | None = None,
 ) -> tuple[LoraLayer, AdamWState]:
-    """AdamW on the equivalent gradient.
+    """AdamW on the equivalent gradient of the layer ``geometry`` describes.
 
-    Order of operations: adjust with X = 0 (X cannot change the equivalent
-    gradient, so the cheapest choice serves), form the equivalent gradient,
-    run it through the moment transform, re-project the result onto the
-    factor shapes, adjust a second time with the configured X selection,
-    apply decomposed weight decay, then update the factors.
+    ``g_tilde`` is the equivalent gradient of the X = 0 adjustment of the
+    layer's gradients (X cannot change the equivalent gradient, so the
+    cheapest choice serves), a float64 array of the layer's shape. The step
+    runs it through the moment transform, re-projects the result onto the
+    factor shapes, adjusts it in ``geometry`` with the configured X
+    selection, applies decomposed weight decay, then updates the factors.
 
-    A caller that already holds the layer's TangentGeometry under ``policy``
-    passes it as ``geometry``, and the equivalent gradient of the X = 0
-    adjustment of ``bundle`` as ``g_tilde``; the step then adjusts only once,
-    in that geometry. ``g_tilde`` must be that gradient: the step checks the
-    bundle's shapes against the layer but does not recompute ``g_tilde``
-    from it. A ``g_tilde`` passed in is consumed: the step overwrites it
-    with the moment-transformed direction, so the m x n working set of the
-    step is the two new moments, that buffer and one scratch array. Without
-    ``g_tilde`` the step computes its own and mutates no input.
+    ``g_tilde`` is consumed: the step overwrites it with the
+    moment-transformed direction, so the m x n working set of the step is
+    the two new moments, that buffer and one scratch array. No other input
+    is written to.
     """
+    layer = geometry.layer
     if state.m.shape != layer.shape:
         raise ShapeError(
             f"moment shape {state.m.shape} does not match layer shape {layer.shape}"
         )
-    _check_bundle_shapes(layer, bundle)
-    if geometry is None:
-        geometry = TangentGeometry(layer, policy)
-    if g_tilde is None:
-        adjusted = adjust(layer, bundle, strategy="zero", policy=policy, geometry=geometry)
-        g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
     direction, state = adamw_transform(state, g_tilde, hp, out=g_tilde)
 
     reprojected = lora_raw_grads(layer, direction)
     second = adjust(
-        layer, reprojected, strategy=x_strategy, policy=policy, geometry=geometry
+        layer, reprojected, strategy=x_strategy, policy=geometry.policy, geometry=geometry
     )
 
     if not hp.decay_after_update:

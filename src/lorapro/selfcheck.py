@@ -23,7 +23,6 @@ from .gradadjust import (
     GradBundle,
     TangentGeometry,
     adjust,
-    choose_x,
     equivalent_gradient,
     lora_raw_grads,
     loss_decrease_certificate,
@@ -291,9 +290,8 @@ def check_certificate(instances, adjust_fn=adjust) -> PropertyResult:
     """Predicted loss change at lr 0.1 is nonpositive (and matches the pairing identity)."""
     worst = -np.inf
     for layer, bundle in instances:
-        geo = TangentGeometry(layer, EXACT)
-        adjusted = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT, geometry=geo)
-        dl = loss_decrease_certificate(layer, bundle, adjusted, 0.1, policy=EXACT, geometry=geo)
+        adjusted = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT)
+        dl = loss_decrease_certificate(adjusted, 0.1)
         worst = _worse(worst, dl)
     return _result("descent_certificate", worst, 1e-12, len(instances))
 
@@ -323,14 +321,11 @@ def check_certificate_first_order(seed: int) -> PropertyResult:
         net = Network(layers=[layer], activations=["identity"], loss_kind="mse")
         loss0, cache = forward(net, batch)
         bundle = backward(net, cache)[0]
-        geo = TangentGeometry(layer, EXACT)
-        adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT, geometry=geo)
+        adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
 
         deviations = []
         for gamma in gammas:
-            dl = loss_decrease_certificate(
-                layer, bundle, adjusted, gamma, policy=EXACT, geometry=geo
-            )
+            dl = loss_decrease_certificate(adjusted, gamma)
             stepped = LoraLayer(
                 w0=layer.w0,
                 b=layer.b - gamma * adjusted.g_b,
@@ -360,7 +355,7 @@ def check_sylvester_x_optimality(instances) -> PropertyResult:
     worst_resid = 0.0
     for layer, bundle in instances:
         s = layer.scaling
-        x_star = choose_x(layer, bundle, strategy="sylvester", policy=EXACT)
+        x_star = adjust(layer, bundle, strategy="sylvester", policy=EXACT).x
         best = x_objective_scan(layer, bundle, x_star)
         gram_b = layer.b.T @ layer.b
         gram_a = layer.a @ layer.a.T

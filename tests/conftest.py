@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lorapro import DampingPolicy, LoraLayer
+from lorapro import DampingPolicy, LoraLayer, TangentGeometry, adjust, equivalent_gradient
+from lorapro.optim import lorapro_adamw_step
 
 # exact Gram inversion for hand-value tests; damped behavior has its own tests
 EXACT = DampingPolicy(rel_epsilon=0.0)
@@ -25,3 +26,12 @@ def unit_instance():
     )
     g = np.array([[1.0, 2.0], [3.0, 4.0]])
     return layer, g
+
+
+def adamw_step(layer, state, bundle, hp, policy=DampingPolicy(), x_strategy="sylvester"):
+    """``lorapro_adamw_step`` as the trainer calls it: in the layer's geometry,
+    on the equivalent gradient of the X = 0 adjustment of ``bundle``."""
+    geometry = TangentGeometry(layer, policy)
+    zero = adjust(layer, bundle, "zero", policy, geometry=geometry)
+    g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
+    return lorapro_adamw_step(geometry, state, g_tilde, hp, x_strategy)

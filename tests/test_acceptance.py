@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import EXACT
+from conftest import EXACT, adamw_step
 from lorapro.config import RunConfig
 from lorapro.gradadjust import adjust, lora_raw_grads, loss_decrease_certificate
 from lorapro.harness import Trainer, compare, records_to_csv_lines, run
 from lorapro.linalg import numerical_rank
 from lorapro.lora import LoraLayer
-from lorapro.optim import HyperParams, init_adamw_state, lorapro_adamw_step
+from lorapro.optim import HyperParams, init_adamw_state
 from lorapro.selfcheck import (
     check_adjustment_optimality,
     check_certificate_first_order,
@@ -68,7 +68,7 @@ def test_certificate_nonpositive_and_identity(instances):
     lr = 0.1
     for layer, bundle in instances:
         adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
-        dl = loss_decrease_certificate(layer, bundle, adjusted, lr, policy=EXACT)
+        dl = loss_decrease_certificate(adjusted, lr)
         pairing = -lr * (
             np.vdot(bundle.g_a_lora, adjusted.g_a) + np.vdot(bundle.g_b_lora, adjusted.g_b)
         )
@@ -209,7 +209,7 @@ def test_full_rank_limit_matches_full_fine_tuning_trajectory():
         net = Network([current], ["identity"], "mse")
         _, cache = forward(net, batch)
         bundle = backward(net, cache)[0]
-        current, state = lorapro_adamw_step(current, state, bundle, hp)
+        current, state = adamw_step(current, state, bundle, hp)
         _, ft_cache = forward_with_weights([w], ["identity"], "mse", batch)
         g = backward_weight_grads(ft_cache, ["identity"], "mse")[0]
         w, ft_state = full_ft_adamw_step(w, ft_state, g, hp)
@@ -222,9 +222,7 @@ def test_single_adamw_step_golden_values(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
     state = init_adamw_state((2, 2))
-    stepped, new_state = lorapro_adamw_step(
-        layer, state, bundle, HyperParams(lr=0.1), policy=EXACT
-    )
+    stepped, new_state = adamw_step(layer, state, bundle, HyperParams(lr=0.1), policy=EXACT)
     # hand execution: the equivalent gradient is [[1,2],[3,0]]; after the
     # bias-corrected first moment step each entry becomes m/(sqrt(v)+eps),
     # re-projection gives [[1/(1+e), 2/(2+e)]] and [[1/(1+e)],[3/(3+e)]],

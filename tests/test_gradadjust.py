@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -23,11 +24,11 @@ from lorapro.gradadjust import (
     equivalent_gradient,
     lora_raw_grads,
     loss_decrease_certificate,
+    shift,
     validate_bundle,
 )
 from lorapro.linalg import frob_norm, numerical_rank
 from lorapro.lora import LoraLayer
-from lorapro.optim import HyperParams, init_adamw_state, lorapro_adamw_step, lorapro_sgd_step
 from lorapro.oracle import (
     brute_force_optimal_grads,
     projection_residual_norm_sq,
@@ -86,19 +87,23 @@ def test_equivalent_gradient_full_rank_limit_recovers_g():
         assert frob_norm(g_tilde - g) <= 1e-9 * max(1.0, frob_norm(g))
 
 
+def _projection(layer, bundle):
+    return adjust(layer, bundle, "zero", EXACT).projection
+
+
 def test_choose_x_hand_values(unit_instance):
     layer, g = unit_instance
-    bundle = lora_raw_grads(layer, g)
-    assert np.array_equal(choose_x(layer, bundle, "zero", EXACT), [[0.0]])
-    assert np.allclose(choose_x(layer, bundle, "sylvester", EXACT), [[-0.5]], atol=1e-12)
-    assert np.allclose(choose_x(layer, bundle, "symmetry", EXACT), [[-0.5]], atol=1e-12)
+    projection = _projection(layer, lora_raw_grads(layer, g))
+    assert np.array_equal(choose_x(projection, "zero"), [[0.0]])
+    assert np.allclose(choose_x(projection, "sylvester"), [[-0.5]], atol=1e-12)
+    assert np.allclose(choose_x(projection, "symmetry"), [[-0.5]], atol=1e-12)
 
 
 def test_choose_x_zero_gradient_all_strategies(unit_instance):
     layer, _ = unit_instance
-    bundle = lora_raw_grads(layer, np.zeros((2, 2)))
+    projection = _projection(layer, lora_raw_grads(layer, np.zeros((2, 2))))
     for strategy in ("zero", "symmetry", "sylvester"):
-        assert np.allclose(choose_x(layer, bundle, strategy, EXACT), 0.0, atol=1e-14)
+        assert np.allclose(choose_x(projection, strategy), 0.0, atol=1e-14)
 
 
 def test_adjust_hand_values(unit_instance):
@@ -152,7 +157,7 @@ def test_certificate_hand_value(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
     adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
-    dl = loss_decrease_certificate(layer, bundle, adjusted, lr=1.0, policy=EXACT)
+    dl = loss_decrease_certificate(adjusted, lr=1.0)
     assert dl == pytest.approx(-14.0, abs=1e-12)
     # cross-check: equals -<g_tilde, g> on chain-rule-consistent bundles
     g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
@@ -163,10 +168,9 @@ def test_certificate_trivial_cases(unit_instance):
     layer, g = unit_instance
     zero_bundle = lora_raw_grads(layer, np.zeros((2, 2)))
     adj = adjust(layer, zero_bundle, policy=EXACT)
-    assert loss_decrease_certificate(layer, zero_bundle, adj, lr=1.0, policy=EXACT) == 0.0
-    bundle = lora_raw_grads(layer, g)
-    adj = adjust(layer, bundle, policy=EXACT)
-    assert loss_decrease_certificate(layer, bundle, adj, lr=0.0, policy=EXACT) == 0.0
+    assert loss_decrease_certificate(adj, lr=1.0) == 0.0
+    adj = adjust(layer, lora_raw_grads(layer, g), policy=EXACT)
+    assert loss_decrease_certificate(adj, lr=0.0) == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e200, -1e200])
@@ -180,18 +184,16 @@ def test_certificate_overflow_raises_only_the_typed_error(unit_instance, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="not finite"):
-            loss_decrease_certificate(layer, bundle, adjusted, lr=1.0, policy=EXACT)
+            loss_decrease_certificate(adjusted, lr=1.0)
 
 
 def test_certificate_rejects_tampered_gradients(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
     adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
-    tampered = type(adjusted)(
-        g_a=-adjusted.g_a, g_b=-adjusted.g_b, x=adjusted.x, x_strategy=adjusted.x_strategy
-    )
+    tampered = dataclasses.replace(adjusted, g_a=-adjusted.g_a, g_b=-adjusted.g_b)
     with pytest.raises(DescentViolationError):
-        loss_decrease_certificate(layer, bundle, tampered, lr=1.0, policy=EXACT)
+        loss_decrease_certificate(tampered, lr=1.0)
 
 
 def test_damped_adjustment_handles_zero_b(unit_instance):
@@ -214,6 +216,10 @@ def test_passthrough_returns_raw_gradients(unit_instance):
     assert np.array_equal(adj.g_a, bundle.g_a_lora)
     assert np.array_equal(adj.g_b, bundle.g_b_lora)
     assert adj.x_strategy == "passthrough"
+    # a passthrough step applies no X, and has no adjustment to certify
+    assert np.array_equal(choose_x(adj.projection, "sylvester"), [[0.0]])
+    with pytest.raises(ValueError, match="passthrough"):
+        loss_decrease_certificate(adj, lr=0.1)
     # once b has rank again, passthrough behaves like the damped path
     full = adjust(layer, lora_raw_grads(layer, g),
                   policy=DampingPolicy(fallback="passthrough"))
@@ -227,13 +233,9 @@ def test_validate_bundle_rejects_inconsistency(unit_instance):
         validate_bundle(layer, bad)
 
 
+# a bundle enters the adjustment, and every step built on it, through adjust
 CONSUMERS = {
     "adjust": lambda layer, bundle: adjust(layer, bundle, policy=EXACT),
-    "choose_x": lambda layer, bundle: choose_x(layer, bundle, policy=EXACT),
-    "lorapro_sgd_step": lambda layer, bundle: lorapro_sgd_step(
-        layer, bundle, HyperParams(lr=0.1), policy=EXACT),
-    "lorapro_adamw_step": lambda layer, bundle: lorapro_adamw_step(
-        layer, init_adamw_state(layer.shape), bundle, HyperParams(lr=0.1), policy=EXACT),
 }
 
 
@@ -330,11 +332,10 @@ def test_shared_geometry_changes_nothing():
             shared = adjust(layer, bundle, strategy, policy, geometry=geometry)
             for name in ("g_a", "g_b", "x"):
                 assert np.array_equal(getattr(own, name), getattr(shared, name)), name
-            assert np.array_equal(choose_x(layer, bundle, strategy, policy),
-                                  choose_x(layer, bundle, strategy, policy, geometry=geometry))
-            cert_own = loss_decrease_certificate(layer, bundle, own, 0.1, policy)
-            cert_shared = loss_decrease_certificate(layer, bundle, shared, 0.1, policy,
-                                                    geometry=geometry)
+            assert np.array_equal(choose_x(own.projection, strategy),
+                                  choose_x(shared.projection, strategy))
+            cert_own = loss_decrease_certificate(own, 0.1)
+            cert_shared = loss_decrease_certificate(shared, 0.1)
             assert cert_own == cert_shared
             tildes.append(equivalent_gradient(layer, shared.g_a, shared.g_b))
         if gram_cond is None:
@@ -352,7 +353,7 @@ def test_shared_geometry_changes_nothing():
         expected = -0.1 * (float(np.sum(g**2)) - formula)
         assert _rel(abs(cert_shared - expected), expected, 1.0) <= 1e-8
 
-        x_star = choose_x(layer, bundle, "sylvester", policy, geometry=geometry)
+        x_star = choose_x(shared.projection, "sylvester")
         best = x_objective_scan(layer, bundle, x_star)
         for _ in range(10):
             delta = rng.normal(size=x_star.shape)
@@ -373,50 +374,27 @@ def _layer(rng, m, n, r, b_scale=1.0):
                      a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
 
 
-def test_zero_pair_shift_and_kept_products_change_no_bit():
-    # shifting adjust's X = 0 pair by X lands on the bytes of a fresh adjust,
-    # and a certificate reading the products adjust kept on those of one that
-    # forms its own
+def test_shifting_the_zero_projection_is_adjust_byte_for_byte():
+    # one X = 0 projection serves every X: shifting it lands on the bytes of
+    # a fresh adjust with that X, and certifies to the same number
     rng = np.random.default_rng(25)
-    for b_scale, policy in ((1.0, EXACT), (1.0, DampingPolicy()), (0.0, DampingPolicy())):
+    for b_scale, policy in ((1.0, EXACT), (1.0, DampingPolicy()), (0.0, DampingPolicy()),
+                            (0.0, DampingPolicy(rel_epsilon=0.0, fallback="passthrough"))):
         for _ in range(4):
             layer = _layer(rng, 7, 6, 3, b_scale)
             bundle = lora_raw_grads(layer, rng.normal(size=(7, 6)))
-            geometry = TangentGeometry(layer, policy)
-            zero = adjust(layer, bundle, "zero", policy, geometry=geometry)
+            projection = adjust(layer, bundle, "zero", policy).projection
             shifts = [{"strategy": strategy} for strategy in X_STRATEGIES]
             shifts.append({"x_override": rng.normal(size=(3, 3))})
             for kwargs in shifts:
-                fresh = adjust(layer, bundle, policy=policy, geometry=geometry, **kwargs)
-                shifted = adjust(layer, bundle, policy=policy, geometry=geometry,
-                                 zero_pair=zero, **kwargs)
+                fresh = adjust(layer, bundle, policy=policy, **kwargs)
+                shifted = shift(projection, **kwargs)
                 for name in ("g_a", "g_b", "x"):
                     assert getattr(shifted, name).tobytes() == getattr(fresh, name).tobytes()
                 assert shifted.x_strategy == fresh.x_strategy
-                by_hand = type(fresh)(g_a=fresh.g_a, g_b=fresh.g_b, x=fresh.x,
-                                      x_strategy=fresh.x_strategy)
-                for pair in (fresh, shifted):
-                    assert loss_decrease_certificate(
-                        layer, bundle, pair, 0.1, policy, geometry=geometry
-                    ) == loss_decrease_certificate(layer, bundle, by_hand, 0.1, policy,
-                                                   geometry=geometry)
-
-
-def test_zero_pair_must_come_from_this_bundle_and_geometry(unit_instance):
-    layer, g = unit_instance
-    bundle = lora_raw_grads(layer, g)
-    geometry = TangentGeometry(layer, EXACT)
-    zero = adjust(layer, bundle, "zero", EXACT, geometry=geometry)
-    other_bundle = lora_raw_grads(layer, 2.0 * g)
-    for pair, kwargs in (
-        (adjust(layer, bundle, "sylvester", EXACT, geometry=geometry), {}),  # not X = 0
-        (type(zero)(g_a=zero.g_a, g_b=zero.g_b, x=zero.x, x_strategy="zero"), {}),  # no solves
-        (adjust(layer, bundle, "zero", EXACT), {}),  # another geometry
-        (zero, {"bundle": other_bundle}),
-    ):
-        with pytest.raises(ValueError, match="zero_pair"):
-            adjust(layer, kwargs.get("bundle", bundle), "sylvester", EXACT,
-                   geometry=geometry, zero_pair=pair)
+                if not projection.geometry.passthrough:
+                    assert (loss_decrease_certificate(shifted, 0.1)
+                            == loss_decrease_certificate(fresh, 0.1))
 
 
 @st.composite
@@ -483,15 +461,9 @@ def test_singular_gram_reports_leading_minor():
         layer = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, alpha=2.0, rank=2,
                           scaling_mode="lora")
         bundle = lora_raw_grads(layer, g)
-        for call in (
-            lambda: adjust(layer, bundle, "zero", EXACT),
-            lambda: choose_x(layer, bundle, "sylvester", EXACT),
-            lambda: loss_decrease_certificate(
-                layer, bundle, adjust(layer, bundle, "zero", DampingPolicy()), 0.1, EXACT
-            ),
-        ):
+        for strategy in X_STRATEGIES:
             with pytest.raises(FactorizationError) as excinfo:
-                call()
+                adjust(layer, bundle, strategy, EXACT)
             assert excinfo.value.leading_minor == minor
 
 
@@ -504,6 +476,40 @@ def test_sylvester_x_spectrum_error_matches_solver():
     layer = LoraLayer(w0=np.zeros((3, 3)), b=b, a=a, alpha=2.0, rank=2, scaling_mode="lora")
     bundle = lora_raw_grads(layer, np.ones((3, 3)))
     with pytest.raises(SpectrumError, match="X selection 'sylvester' failed") as ours:
-        choose_x(layer, bundle, "sylvester", EXACT)
+        adjust(layer, bundle, "sylvester", EXACT)
     expected = (np.linalg.eigvalsh(b.T @ b)[0], np.linalg.eigvalsh(a @ a.T)[0])
     assert ours.value.pair == pytest.approx(expected, rel=1e-6, abs=1e-20)
+
+
+@pytest.mark.parametrize("scaled", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="open: with B and A scaled apart, the gradient pairing of some Sylvester-X "
+               "pairs misses the certificate by more than 1e-9 relative (18 of 900)")),
+], ids=["unit", "skewed"])
+def test_certificate_holds_on_ill_conditioned_damped_layers(scaled):
+    # the pair the step applies, for every X selection, certified under the
+    # shipped damping at Gram condition 1e12: the 1e-9 agreement between the
+    # whitened quadratic forms and the gradient pairing must hold on each
+    rng = np.random.default_rng(26)
+    violations = 0
+    for _ in range(300):
+        m, n = int(rng.integers(4, 13)), int(rng.integers(4, 13))
+        r = int(rng.integers(2, min(m, n) + 1))
+        scale_b, scale_a = 10.0 ** rng.uniform(-3.0, 3.0, 2) if scaled else (1.0, 1.0)
+        layer = LoraLayer(w0=np.zeros((m, n)), b=scale_b * _factor(rng, m, r, 1e6),
+                          a=scale_a * _factor(rng, r, n, 1e6), alpha=2.0 * r, rank=r)
+        for gram in (layer.b.T @ layer.b, layer.a @ layer.a.T):
+            assert np.linalg.cond(gram) > 1e11
+        bundle = lora_raw_grads(layer, rng.normal(size=(m, n)))
+        for strategy in X_STRATEGIES:
+            try:
+                adjusted = adjust(layer, bundle, strategy)
+            except SpectrumError:
+                continue  # the solver refused this X (ROADMAP item 6): no pair to certify
+            try:
+                loss_decrease_certificate(adjusted, 0.1)
+            except DescentViolationError:
+                violations += 1
+    assert violations == 0, f"{violations} of 900 certificates raised DescentViolationError"

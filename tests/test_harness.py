@@ -32,13 +32,10 @@ from lorapro.errors import (
 )
 from lorapro.gradadjust import (
     X_STRATEGIES,
-    AdjustedGrads,
     GradBundle,
     TangentGeometry,
-    choose_x,
     equivalent_gradient,
     lora_raw_grads,
-    loss_decrease_certificate,
 )
 from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
 from lorapro.linalg import numerical_rank
@@ -603,15 +600,17 @@ def test_failed_step_commits_no_layer(tmp_path, monkeypatch):
         assert np.array_equal(st.m, m) and np.array_equal(st.v, v) and st.t == t
 
 
-def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch):
+@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
+def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch, method):
     # perfbench/tracer.py looks up every watched lorapro function by name; a
-    # deletion or rename in the library would break its --trace 1 pass
+    # deletion or rename in the library would break its --trace 1 pass, and a
+    # stage called past the binding it wraps would read 0 in its metric
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracer
 
     step = vars(Trainer)["step"]
     adjust = harness.adjust
-    cfg = desk_config(tmp_path, steps=1)
+    cfg = desk_config(tmp_path, steps=1).with_overrides(method=method)
     recorder = tracer.Tracer()
     with recorder:
         assert vars(Trainer)["step"] is not step
@@ -621,14 +620,24 @@ def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch):
     assert harness.adjust is adjust
 
     names = {span[tracer.NAME] for span in recorder.spans}
-    assert {tracer.STEP, tracer.RUN, "harness>gradadjust.adjust"} <= names
+    step_function = "lorapro_sgd_step" if method == "lora_pro_sgd" else "lorapro_adamw_step"
+    assert {
+        tracer.STEP,
+        tracer.RUN,
+        "harness>gradadjust.adjust",
+        "harness>gradadjust.loss_decrease_certificate",
+        "gradadjust>gradadjust.choose_x",
+        f"harness>optim.{step_function}",
+        # the Sylvester X, by the sylvester module's one solver
+        "gradadjust>sylvester.solve_sylvester",
+    } <= names
     assert any(name.endswith(">linalg.as_matrix") for name in names)
     metrics, counts = tracer.step_metrics(recorder.spans, cfg.method, n_layers=2)
     assert counts["gradadjust.adjust"] > 0 and counts["linalg.as_matrix"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
-    # the Sylvester X of each of the two layers, solved by the sylvester
-    # module's one solver
-    assert "gradadjust>sylvester.solve_sylvester" in names
+    for stage in ("gradadjust.certificate_ms", "gradadjust.choose_x_ms", "sylvester.solve_ms"):
+        assert metrics[stage] > 0.0, stage
+    # the Sylvester X of each of the two layers
     assert metrics["sylvester.solve_calls"] == 2.0
 
 
@@ -737,23 +746,40 @@ def test_desk_step_solves_once_per_layer_step(tmp_path, monkeypatch, method):
         counts.update(dict.fromkeys(counts, 0))
 
 
-def _pair_as_adjust_formed_it(layer, bundle, strategy, policy, geometry):
-    """The adjusted pair by separate solves: choose_x's X, then the base pair's own."""
+def _pair_as_adjust_formed_it(layer, bundle, strategy, geometry):
+    """The adjusted pair by separate solves: the strategy's X, then the base pair's own."""
     if geometry.passthrough:
         return bundle.g_a_lora.copy(), bundle.g_b_lora.copy()
-    x = choose_x(layer, bundle, strategy, policy, geometry=geometry)
-    s = layer.scaling
+    r, s = layer.rank, layer.scaling
+    if strategy == "zero":
+        x = np.zeros((r, r))
+    elif strategy == "symmetry":
+        half = geometry.solve_b(layer.b.T @ bundle.g_b_lora)[0]
+        x = -0.5 / s**2 * geometry.solve_a_right(half)[0]
+    else:
+        rhs = -1.0 / s**2 * (geometry.solve_b(bundle.g_a_lora)[0] @ layer.a.T)
+        x = geometry.solve_sylvester(rhs)
     base_a = geometry.solve_b(bundle.g_a_lora)[0] / s**2
     base_b = geometry.solve_a_right(geometry.project_out_b(bundle.g_b_lora))[0] / s**2
     return base_a + x @ layer.a, base_b - layer.b @ x
 
 
+def _certificate_by_hand(layer, bundle, lr, geometry):
+    """The certificate's quadratic forms, each whitened product formed here."""
+    s = layer.scaling
+    white_g_a = (geometry.white_b.T @ bundle.g_a_lora).ravel()
+    white_g_b = (geometry.project_out_b(bundle.g_b_lora) @ geometry.white_a).ravel()
+    term_a = float(np.dot(white_g_a, white_g_a)) / s**2
+    term_b = float(np.dot((bundle.g_b_lora @ geometry.white_a).ravel(), white_g_b)) / s**2
+    return -lr * (term_a + term_b)
+
+
 def _reference_step(trainer):
     """One LoRA-Pro step of ``trainer`` from separate calls, committing nothing.
 
-    The metric's X = 0 pair, a certificate that forms its own products, and
-    the update's own adjustment each solve for themselves. Returns the loss,
-    and per layer the new (w0, b, a), the new AdamW state and the CSV metrics.
+    The metric's X = 0 pair, the certificate's products, and the update's
+    own adjustment each solve for themselves. Returns the loss, and per layer
+    the new (w0, b, a), the new AdamW state and the CSV metrics.
     """
     cfg, policy = trainer.config, trainer.policy
     lr = lr_at(trainer.hp, trainer.step_count, cfg.steps)
@@ -763,22 +789,19 @@ def _reference_step(trainer):
     for i, (layer, bundle) in enumerate(zip(trainer.network.layers,
                                             backward(trainer.network, cache))):
         geometry = TangentGeometry(layer, policy)
-        g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, "zero", policy, geometry)
+        g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, "zero", geometry)
         g_tilde = equivalent_gradient(layer, g_a, g_b)
         discrepancy = float(np.linalg.norm(g_tilde - bundle.g_full))
         certificate = None
         if not geometry.passthrough:
-            by_hand = AdjustedGrads(g_a=g_a, g_b=g_b, x=np.zeros((2, 2)), x_strategy="zero")
-            certificate = loss_decrease_certificate(layer, bundle, by_hand, lr, policy,
-                                                    geometry=geometry)
+            certificate = _certificate_by_hand(layer, bundle, lr, geometry)
         state = None
         if cfg.method == "lora_pro_sgd":
-            g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, cfg.x_strategy, policy, geometry)
+            g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, cfg.x_strategy, geometry)
         else:
             direction, state = adamw_transform(trainer.states[i], g_tilde, hp)
             reprojected = lora_raw_grads(layer, direction)
-            g_a, g_b = _pair_as_adjust_formed_it(layer, reprojected, cfg.x_strategy, policy,
-                                                 geometry)
+            g_a, g_b = _pair_as_adjust_formed_it(layer, reprojected, cfg.x_strategy, geometry)
             layer = apply_decayed_merge_step(layer, lr, hp.weight_decay)
         b, a = layer.b - lr * g_b, layer.a - lr * g_a
         metrics = (discrepancy, numerical_rank(a), numerical_rank(b), certificate)

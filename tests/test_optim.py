@@ -1,11 +1,18 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from conftest import EXACT
+from conftest import EXACT, adamw_step
 from lorapro.errors import ShapeError
-from lorapro.gradadjust import lora_raw_grads
+from lorapro.gradadjust import (
+    DampingPolicy,
+    TangentGeometry,
+    adjust,
+    equivalent_gradient,
+    lora_raw_grads,
+)
 from lorapro.lora import LoraLayer, effective_weight
 from lorapro.model import Batch, Network, backward, forward
 from lorapro.optim import (
@@ -44,18 +51,21 @@ def test_lr_schedule_validation():
         lr_at(hp, 0, 0)
 
 
+def _sgd_step(layer, bundle, hp, policy=DampingPolicy(), strategy="sylvester"):
+    return lorapro_sgd_step(adjust(layer, bundle, "zero", policy).projection, hp, strategy)
+
+
 def test_sgd_step_zero_lr_is_identity(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
-    out = lorapro_sgd_step(layer, bundle, HyperParams(lr=0.0), policy=EXACT)
+    out = _sgd_step(layer, bundle, HyperParams(lr=0.0), policy=EXACT)
     assert np.array_equal(out.a, layer.a) and np.array_equal(out.b, layer.b)
 
 
 def test_sgd_step_hand_values(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
-    out = lorapro_sgd_step(layer, bundle, HyperParams(lr=0.1), strategy="sylvester",
-                           policy=EXACT)
+    out = _sgd_step(layer, bundle, HyperParams(lr=0.1), strategy="sylvester", policy=EXACT)
     assert np.allclose(out.a, [[0.95, -0.2]], atol=1e-12)
     assert np.allclose(out.b, [[0.95], [-0.3]], atol=1e-12)
 
@@ -63,15 +73,14 @@ def test_sgd_step_hand_values(unit_instance):
 def test_sgd_step_zero_gradient(unit_instance):
     layer, _ = unit_instance
     bundle = lora_raw_grads(layer, np.zeros((2, 2)))
-    out = lorapro_sgd_step(layer, bundle, HyperParams(lr=0.1), policy=EXACT)
+    out = _sgd_step(layer, bundle, HyperParams(lr=0.1), policy=EXACT)
     assert np.array_equal(out.a, layer.a) and np.array_equal(out.b, layer.b)
 
 
 def test_sgd_step_rejects_weight_decay(unit_instance):
     layer, g = unit_instance
     with pytest.raises(ValueError):
-        lorapro_sgd_step(layer, lora_raw_grads(layer, g),
-                         HyperParams(lr=0.1, weight_decay=0.01))
+        _sgd_step(layer, lora_raw_grads(layer, g), HyperParams(lr=0.1, weight_decay=0.01))
 
 
 def test_sgd_descends_on_quadratic_losses():
@@ -88,7 +97,7 @@ def test_sgd_descends_on_quadratic_losses():
             net = Network([layer], ["identity"], "mse")
             loss0, cache = forward(net, batch)
             bundle = backward(net, cache)[0]
-            layer = lorapro_sgd_step(layer, bundle, hp, policy=EXACT)
+            layer = _sgd_step(layer, bundle, hp, policy=EXACT)
             loss1, _ = forward(Network([layer], ["identity"], "mse"), batch)
             assert loss1 < loss0
 
@@ -97,8 +106,7 @@ def test_adamw_first_step_is_sign_like(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
     hp = HyperParams(lr=0.1, epsilon=1e-12)
-    _, new_state = lorapro_adamw_step(layer, init_adamw_state((2, 2)), bundle, hp,
-                                      policy=EXACT)
+    _, new_state = adamw_step(layer, init_adamw_state((2, 2)), bundle, hp, policy=EXACT)
     # with near-zero epsilon, bias corrections cancel magnitudes entrywise
     g_tilde = np.array([[1.0, 2.0], [3.0, 0.0]])
     direction, _ = adamw_transform(init_adamw_state((2, 2)), g_tilde, hp)
@@ -112,8 +120,7 @@ def test_adamw_weight_decay_zero_preserves_base(unit_instance):
     current = layer
     for _ in range(5):
         bundle = lora_raw_grads(current, g)
-        current, state = lorapro_adamw_step(current, state, bundle,
-                                            HyperParams(lr=0.05), policy=EXACT)
+        current, state = adamw_step(current, state, bundle, HyperParams(lr=0.05), policy=EXACT)
     assert np.array_equal(current.w0, layer.w0)
 
 
@@ -121,8 +128,7 @@ def test_adamw_decomposed_weight_decay_decays_base(unit_instance):
     layer, g = unit_instance
     state = init_adamw_state((2, 2))
     hp = HyperParams(lr=0.1, weight_decay=0.5)
-    stepped, _ = lorapro_adamw_step(layer, state, lora_raw_grads(layer, g), hp,
-                                    policy=EXACT)
+    stepped, _ = adamw_step(layer, state, lora_raw_grads(layer, g), hp, policy=EXACT)
     assert np.allclose(stepped.w0, 0.95 * layer.w0)
 
 
@@ -135,11 +141,9 @@ def test_adamw_moment_recurrences_replay(unit_instance):
     for _ in range(4):
         bundle = lora_raw_grads(current, g)
         # the moments track the equivalent gradient of the projected pair
-        from lorapro.gradadjust import adjust, equivalent_gradient
         adj = adjust(current, bundle, strategy="zero", policy=EXACT)
         grads.append(equivalent_gradient(current, adj.g_a, adj.g_b))
-        current, state = lorapro_adamw_step(current, state, bundle,
-                                            HyperParams(lr=0.01), policy=EXACT)
+        current, state = adamw_step(current, state, bundle, HyperParams(lr=0.01), policy=EXACT)
         states.append(state)
     m = np.zeros((2, 2))
     v = np.zeros((2, 2))
@@ -151,39 +155,20 @@ def test_adamw_moment_recurrences_replay(unit_instance):
         assert states[k].t == k
 
 
-def test_adamw_step_with_callers_g_tilde_is_bit_identical():
-    # the harness hands over the equivalent gradient of its own X = 0 pair;
-    # the step must land on exactly the bytes it computes without it
-    from lorapro.gradadjust import TangentGeometry, adjust, equivalent_gradient
-
-    rng = np.random.default_rng(44)
-    layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
-                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
-    bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
-    state = init_adamw_state((6, 5))
-    hp = HyperParams(lr=0.01, weight_decay=0.1)
-    alone, alone_state = lorapro_adamw_step(layer, state, bundle, hp)
-    geometry = TangentGeometry(layer)
-    adj = adjust(layer, bundle, strategy="zero", geometry=geometry)
-    g_tilde = equivalent_gradient(layer, adj.g_a, adj.g_b)
-    shared, shared_state = lorapro_adamw_step(layer, state, bundle, hp,
-                                              geometry=geometry, g_tilde=g_tilde)
-    for got, want in ((shared.a, alone.a), (shared.b, alone.b), (shared.w0, alone.w0),
-                      (shared_state.m, alone_state.m), (shared_state.v, alone_state.v)):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_adamw_step_with_g_tilde_rejects_mismatched_bundle():
-    # with g_tilde given the step never adjusts the bundle, yet its shapes are checked
-    from lorapro.gradadjust import GradBundle
-
+@pytest.mark.parametrize("make", [lambda rng: rng.normal(size=(5, 6)),
+                                  lambda rng: rng.normal(size=(6, 4)),
+                                  lambda rng: rng.normal(size=(6, 5)).astype(np.float32),
+                                  lambda rng: rng.normal(size=(6, 5)).tolist()],
+                         ids=["transposed", "narrow", "float32", "list"])
+def test_adamw_step_rejects_g_tilde_of_another_shape(make):
+    # the step writes its Adam direction into g_tilde, so it takes only a
+    # float64 array of the layer's shape
     rng = np.random.default_rng(45)
     layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
                       a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
-    tiny = GradBundle(g_a_lora=np.ones((1, 1)), g_b_lora=np.ones((1, 1)))
-    with pytest.raises(ShapeError, match="g_a_lora"):
-        lorapro_adamw_step(layer, init_adamw_state((6, 5)), tiny, HyperParams(lr=0.01),
-                           g_tilde=rng.normal(size=(6, 5)))
+    with pytest.raises(ShapeError):
+        lorapro_adamw_step(TangentGeometry(layer), init_adamw_state((6, 5)), make(rng),
+                           HyperParams(lr=0.01))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (17, 9), (128, 64)])
@@ -235,7 +220,7 @@ def test_adamw_transform_out_writes_the_same_direction(shape):
 def test_adamw_transform_out_must_match_the_state():
     state = init_adamw_state((3, 2))
     grad = np.ones((3, 2))
-    for out in (np.empty((2, 3)), np.empty((3, 2), dtype=np.float32)):
+    for out in (np.empty((2, 3)), np.empty((3, 2), dtype=np.float32), np.empty((3, 2)).tolist()):
         with pytest.raises(ShapeError, match="out must be"):
             adamw_transform(state, grad, HyperParams(lr=1e-3), out=out)
 
@@ -249,7 +234,14 @@ def test_adamw_step_without_g_tilde_mutates_no_input():
     inputs = (layer.w0, layer.b, layer.a, state.m, state.v,
               bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
     before = [x.tobytes() for x in inputs]
-    lorapro_adamw_step(layer, state, bundle, HyperParams(lr=0.01, weight_decay=0.1))
+    geometry = TangentGeometry(layer)
+    zero = adjust(layer, bundle, "zero", geometry=geometry)
+    g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
+    hp = HyperParams(lr=0.01, weight_decay=0.1)
+    direction, _ = adamw_transform(state, g_tilde, hp)
+    lorapro_adamw_step(geometry, state, g_tilde, hp)
+    # g_tilde alone is consumed: it now holds the step's Adam direction
+    assert g_tilde.tobytes() == direction.tobytes()
     assert [x.tobytes() for x in inputs] == before
     assert state.t == 3
 
@@ -257,8 +249,8 @@ def test_adamw_step_without_g_tilde_mutates_no_input():
 def test_adamw_shape_mismatch(unit_instance):
     layer, g = unit_instance
     with pytest.raises(ShapeError):
-        lorapro_adamw_step(layer, init_adamw_state((3, 3)), lora_raw_grads(layer, g),
-                           HyperParams(lr=0.1))
+        adamw_step(layer, init_adamw_state((3, 3)), lora_raw_grads(layer, g),
+                   HyperParams(lr=0.1))
 
 
 def test_adamw_decay_order_switch(unit_instance):
@@ -266,10 +258,8 @@ def test_adamw_decay_order_switch(unit_instance):
     bundle = lora_raw_grads(layer, g)
     hp_pre = HyperParams(lr=0.1, weight_decay=0.5)
     hp_post = HyperParams(lr=0.1, weight_decay=0.5, decay_after_update=True)
-    pre, _ = lorapro_adamw_step(layer, init_adamw_state((2, 2)), bundle, hp_pre,
-                                policy=EXACT)
-    post, _ = lorapro_adamw_step(layer, init_adamw_state((2, 2)), bundle, hp_post,
-                                 policy=EXACT)
+    pre, _ = adamw_step(layer, init_adamw_state((2, 2)), bundle, hp_pre, policy=EXACT)
+    post, _ = adamw_step(layer, init_adamw_state((2, 2)), bundle, hp_post, policy=EXACT)
     assert not np.allclose(pre.a, post.a)
 
 
@@ -317,6 +307,28 @@ def test_hyperparams_moment_settings_validation(key, value):
     HyperParams(lr=1e-3, beta1=0.0, beta2=0.0, epsilon=1e-300)  # the edges that are allowed
 
 
+NON_FINITE_SETTINGS = [
+    (HyperParams, {"lr": math.nan}),
+    (HyperParams, {"lr": math.inf}),
+    (HyperParams, {"lr": 1e-3, "weight_decay": math.nan}),
+    (HyperParams, {"lr": 0.0, "weight_decay": math.inf}),
+    (HyperParams, {"lr": 1e-3, "epsilon": math.nan}),
+    (HyperParams, {"lr": 1e-3, "epsilon": math.inf}),
+    (DampingPolicy, {"rel_epsilon": math.nan}),
+    (DampingPolicy, {"rel_epsilon": math.inf}),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", NON_FINITE_SETTINGS,
+                         ids=[f"{c.__name__}-{list(k.items())[-1]}" for c, k in NON_FINITE_SETTINGS])
+def test_non_finite_setting_is_rejected_by_name(cls, kwargs):
+    # a NaN lr would step to NaN factors, a NaN damping end in a misleading
+    # FactorizationError; either is refused where the settings are built
+    name, value = list(kwargs.items())[-1]
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        cls(**kwargs)
+
+
 def test_full_rank_limit_tracks_full_fine_tuning():
     # square layer with r = m = n: the equivalent gradient equals the full
     # gradient, so the adjusted AdamW trajectory shadows direct AdamW on W
@@ -337,7 +349,7 @@ def test_full_rank_limit_tracks_full_fine_tuning():
         net = Network([current], ["identity"], "mse")
         _, cache = forward(net, batch)
         bundle = backward(net, cache)[0]
-        current, state = lorapro_adamw_step(current, state, bundle, hp)
+        current, state = adamw_step(current, state, bundle, hp)
         _, ft_cache = forward_with_weights([w], ["identity"], "mse", batch)
         g = backward_weight_grads(ft_cache, ["identity"], "mse")[0]
         w, ft_state = full_ft_adamw_step(w, ft_state, g, hp)

@@ -4,7 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from conftest import EXACT
 from lorapro.errors import NonFiniteError, RankDeficiencyError, ShapeError
-from lorapro.gradadjust import choose_x, lora_raw_grads
+from lorapro.gradadjust import adjust, lora_raw_grads
 from lorapro.lora import LoraLayer
 from lorapro.oracle import (
     brute_force_optimal_grads,
@@ -62,7 +62,7 @@ def test_desk_scale_guard():
 def test_scan_confirms_solver_choice_beats_perturbations(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
-    x_star = choose_x(layer, bundle, "sylvester", EXACT)
+    x_star = adjust(layer, bundle, "sylvester", EXACT).x
     best = x_objective_scan(layer, bundle, x_star)
     rng = np.random.default_rng(43)
     for _ in range(50):
@@ -144,7 +144,7 @@ def test_finite_diff_rejects_bad_h():
 def test_certificate_slope_matches_realized_loss_change():
     # on a quadratic loss the realized change per unit step approaches the
     # predicted slope with a gap bounded by 10 * lr * ||g||_F^2
-    from lorapro.gradadjust import adjust, loss_decrease_certificate
+    from lorapro.gradadjust import loss_decrease_certificate
     from lorapro.model import Batch, Network, backward, forward
 
     rng = np.random.default_rng(46)
@@ -160,7 +160,7 @@ def test_certificate_slope_matches_realized_loss_change():
     adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
     g_norm_sq = float(np.sum(bundle.g_full**2))
     for gamma in (1e-2, 1e-3, 1e-4):
-        dl = loss_decrease_certificate(layer, bundle, adjusted, gamma, policy=EXACT)
+        dl = loss_decrease_certificate(adjusted, gamma)
         stepped = LoraLayer(w0=layer.w0, b=layer.b - gamma * adjusted.g_b,
                             a=layer.a - gamma * adjusted.g_a, alpha=layer.alpha,
                             rank=layer.rank, scaling_mode=layer.scaling_mode)
