@@ -1,16 +1,18 @@
 """Versioned binary checkpoint container.
 
-Layout: an 8-byte magic with version, a little-endian uint64 header length,
-a UTF-8 JSON header, then the raw array payloads. The header carries
-arbitrary JSON metadata, the shape table and the SHA-256 of the payload;
-payloads are float64, row-major, little-endian, in the header's order (names
-sorted). Round trips are bit-exact, which is what makes resumed runs
+Layout (format 3): an 8-byte magic with version, a little-endian uint64
+header length, a UTF-8 JSON header, the 32-byte SHA-256 of the header and
+payload bytes, then the raw array payloads. The header carries arbitrary JSON
+metadata and the shape table; payloads are float64, row-major,
+little-endian, in the header's order (names sorted). A changed bit anywhere
+after the length field fails the hash, or the header's decoding or the
+payload's length, first. Round trips are bit-exact, which is what makes resumed runs
 reproduce the uninterrupted trajectory. A save writes a temporary file in
 the target's directory and renames it over the target, so a save that fails
 partway leaves any earlier checkpoint at that path as it was.
 
 A save streams the payload: one pass over the arrays checks their shapes and
-hashes them, a second writes them, both through a byte view of each array,
+hashes them after the header, a second writes them, both through a byte view of each array,
 so it holds no copy of the payload (only an array that is not already
 C-contiguous little-endian float64 is converted, into a copy of its own).
 A load reads each array straight into the array it returns, hashing it as
@@ -31,7 +33,7 @@ from .errors import CheckpointError, ShapeError
 
 __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"LRPCKP02"
+MAGIC = b"LRPCKP03"
 
 
 def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -40,19 +42,16 @@ def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> Non
     Raises ShapeError, before any file is created, if an array is not 2-D.
     """
     table, views = [], []
-    digest = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         if arr.ndim != 2:
             raise ShapeError(f"checkpoint array {name!r} must be 2-D, got ndim={arr.ndim}")
         table.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1]})
-        view = memoryview(arr.reshape(-1).view(np.uint8))
+        views.append(memoryview(arr.reshape(-1).view(np.uint8)))
+    header = json.dumps({"meta": meta, "arrays": table}, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256(header)
+    for view in views:
         digest.update(view)
-        views.append(view)
-    header = json.dumps(
-        {"meta": meta, "arrays": table, "payload_sha256": digest.hexdigest()},
-        sort_keys=True,
-    ).encode("utf-8")
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -60,6 +59,7 @@ def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> Non
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
+            fh.write(digest.digest())
             for view in views:
                 fh.write(view)
             fh.flush()
@@ -74,10 +74,11 @@ def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> Non
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Raises CheckpointError (a ValueError) if the file is not a checkpoint, if
-    its length field or header is cut short or cannot be decoded, if its
-    payload is shorter or longer than the header's array table says, or if
-    the payload's SHA-256 differs from the one in the header.
+    Raises CheckpointError (a ValueError) if the file is not a format-3
+    checkpoint (earlier formats included), if its length field or header is
+    cut short or cannot be decoded, if its payload is shorter or longer than
+    the header's array table says, or if the SHA-256 of its header and
+    payload differs from the one it holds.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -94,22 +95,23 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(
                 f"{path}: header length {header_len} exceeds the {size - fh.tell()} bytes left"
             )
+        header_bytes = fh.read(header_len)
+        received = hashlib.sha256(header_bytes)
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(header_bytes.decode("utf-8"))
             meta = header["meta"]
             table = [(e["name"], int(e["rows"]), int(e["cols"])) for e in header["arrays"]]
-            digest = str(header["payload_sha256"])
             if any(rows < 0 or cols < 0 for _, rows, cols in table):
                 raise ValueError("negative array shape")
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: undecodable header ({exc})") from exc
+        digest = fh.read(received.digest_size)
         expected = sum(8 * rows * cols for _, rows, cols in table)
         left = size - fh.tell()
-        if left < expected:
+        if len(digest) != received.digest_size or left < expected:
             raise CheckpointError(f"{path}: payload truncated ({left} of {expected} bytes)")
         if left > expected:
             raise CheckpointError(f"{path}: {left - expected} trailing bytes after the payload")
-        received = hashlib.sha256()
         arrays: dict[str, np.ndarray] = {}
         for name, rows, cols in table:
             arr = np.empty((rows, cols), dtype="<f8")
@@ -118,6 +120,6 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 raise CheckpointError(f"{path}: payload truncated while reading")
             received.update(view)
             arrays[name] = arr.astype(np.float64, copy=False)  # a copy only off little-endian
-    if received.hexdigest() != digest:
-        raise CheckpointError(f"{path}: payload SHA-256 does not match the header's")
+    if received.digest() != digest:
+        raise CheckpointError(f"{path}: SHA-256 of the header and payload does not match")
     return meta, arrays

@@ -15,8 +15,10 @@ import contextlib
 import hashlib
 import itertools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +90,25 @@ class CompareResult:
     json_path: Path
 
 
+class MethodState(NamedTuple):
+    """The optimizer state a method keeps in a Trainer: each attribute that
+    holds one AdamWState per layer, mapped to the shape that state tracks in
+    a layer, and whether the method trains each layer's m x n weight itself,
+    in ``Trainer.weights``."""
+
+    families: dict[str, Callable[[LoraLayer], tuple[int, int]]]
+    weights: bool = False
+
+
+METHOD_STATES = {
+    "lora": MethodState({"states_a": lambda layer: layer.a.shape,
+                         "states_b": lambda layer: layer.b.shape}),
+    "lora_pro_sgd": MethodState({}),
+    "lora_pro_adamw": MethodState({"states": lambda layer: layer.shape}),
+    "full_ft": MethodState({"ft_states": lambda layer: layer.shape}, weights=True),
+}
+
+
 def _check_commit(i: int, values: dict[str, np.ndarray]) -> None:
     """A step's one finiteness check of what it is about to commit for layer ``i``.
 
@@ -137,17 +158,11 @@ class Trainer:
         ]
         self.task.base_weights = []  # each layer holds its own copy of its base weight
         self._set_layers(layers)
-
-        method = config.method
-        if method == "full_ft":
+        spec = METHOD_STATES[config.method]
+        if spec.weights:
             self.weights = self.network.effective_weights()
-            self.ft_states = [init_adamw_state(w.shape) for w in self.weights]
-        elif method == "lora":
-            self.states_a = [init_adamw_state(l.a.shape) for l in layers]
-            self.states_b = [init_adamw_state(l.b.shape) for l in layers]
-        elif method == "lora_pro_adamw":
-            self.states = [init_adamw_state(l.shape) for l in layers]
-        # lora_pro_sgd keeps no optimizer state
+        for attr, shape_of in spec.families.items():
+            setattr(self, attr, [init_adamw_state(shape_of(layer)) for layer in layers])
 
     def _start(self, config: RunConfig) -> np.random.SeedSequence:
         """Set what a new and a restored trainer share: the config, the task,
@@ -269,7 +284,7 @@ class Trainer:
                 new_layer, sa, sb = lora_adamw_step(
                     layer, self.states_a[i], self.states_b[i], bundle, hp_now
                 )
-                new_states.append((sa, sb))
+                new_states.append((sa, sb))  # in the order of the method's families
                 moments = {"v_a": sa.v, "v_b": sb.v}
             else:
                 if not geometry.passthrough:
@@ -291,7 +306,7 @@ class Trainer:
                         hp_now,
                         cfg.x_strategy,
                     )
-                    new_states.append(state)
+                    new_states.append((state,))
                     moments = {"v": state.v}
             del g_tilde  # free before the next layer allocates its own
             _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
@@ -311,44 +326,37 @@ class Trainer:
 
         self.network.layers[:] = [geo.layer for geo in new_geometries]
         self.geometries = new_geometries
-        if cfg.method == "lora":
-            self.states_a = [sa for sa, _ in new_states]
-            self.states_b = [sb for _, sb in new_states]
-        elif cfg.method == "lora_pro_adamw":
-            self.states = new_states
+        for j, attr in enumerate(METHOD_STATES[cfg.method].families):
+            setattr(self, attr, [states[j] for states in new_states])
         return loss, metrics
 
     # --- checkpointing ---------------------------------------------------
 
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Every array a checkpoint holds beside the layers, named by its family.
+
+        Layer ``i``'s AdamW state of family ``attr`` gives ``{attr}{i}/m`` and
+        ``{attr}{i}/v``, and full_ft's weights ``weights{i}``. A state's step
+        count is not saved: each equals ``step_count``.
+        """
+        arrays = {f"weights{i}": w for i, w in enumerate(getattr(self, "weights", ()))}
+        for attr in METHOD_STATES[self.config.method].families:
+            for i, state in enumerate(getattr(self, attr)):
+                arrays[f"{attr}{i}/m"], arrays[f"{attr}{i}/v"] = state.m, state.v
+        return arrays
+
     def save(self, path) -> None:
-        cfg = self.config
-        arrays: dict[str, np.ndarray] = {}
+        arrays = self.state_arrays()
         layer_meta = []
         for i, layer in enumerate(self.network.layers):
             meta_i, arrays_i = layer_state(layer, prefix=f"layer{i}/")
             layer_meta.append(meta_i)
             arrays.update(arrays_i)
-
-        def saved(states, prefix) -> list[int]:
-            for i, st in enumerate(states):
-                arrays[f"{prefix}{i}/m"], arrays[f"{prefix}{i}/v"] = st.m, st.v
-            return [st.t for st in states]
-
-        adamw_t: list = []
-        if cfg.method == "full_ft":
-            arrays.update({f"ft{i}/w": w for i, w in enumerate(self.weights)})
-            adamw_t = saved(self.ft_states, "ft")
-        elif cfg.method == "lora":
-            steps = zip(saved(self.states_a, "sta"), saved(self.states_b, "stb"))
-            adamw_t = [[ta, tb] for ta, tb in steps]
-        elif cfg.method == "lora_pro_adamw":
-            adamw_t = saved(self.states, "st")
         meta = {
             "kind": "trainer-state",
-            "config": cfg.to_dict(),
+            "config": self.config.to_dict(),
             "step_count": self.step_count,
             "layers": layer_meta,
-            "adamw_t": adamw_t,
             "data_rng_state": self.data_rng.bit_generator.state,
         }
         save_checkpoint(str(path), meta, arrays)
@@ -386,28 +394,19 @@ class Trainer:
                 )
             layers.append(loaded)
         trainer._set_layers(layers)
-        adamw_t = meta["adamw_t"]
-        if config.method != "lora_pro_sgd" and len(adamw_t) != n_layers:
-            raise CheckpointError(
-                f"{path}: checkpoint holds optimizer states for {len(adamw_t)} layers, "
-                f"the run has {n_layers}"
-            )
-
-        def restored(prefix, steps):
-            return [
-                AdamWState(m=arrays[f"{prefix}{i}/m"], v=arrays[f"{prefix}{i}/v"], t=int(t))
-                for i, t in enumerate(steps)
-            ]
-
-        if config.method == "full_ft":
-            trainer.weights = [arrays[f"ft{i}/w"] for i in range(n_layers)]
-            trainer.ft_states = restored("ft", adamw_t)
-        elif config.method == "lora":
-            trainer.states_a = restored("sta", [t for t, _ in adamw_t])
-            trainer.states_b = restored("stb", [t for _, t in adamw_t])
-        elif config.method == "lora_pro_adamw":
-            trainer.states = restored("st", adamw_t)
         trainer.step_count = int(meta["step_count"])
+        spec = METHOD_STATES[config.method]
+        try:
+            if spec.weights:
+                trainer.weights = [arrays[f"weights{i}"] for i in range(n_layers)]
+            for attr in spec.families:
+                states = [
+                    AdamWState(arrays[f"{attr}{i}/m"], arrays[f"{attr}{i}/v"], trainer.step_count)
+                    for i in range(n_layers)
+                ]
+                setattr(trainer, attr, states)
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: checkpoint holds no array {exc}") from None
         trainer.data_rng.bit_generator.state = meta["data_rng_state"]
         return trainer
 
@@ -428,11 +427,6 @@ def _rows(record: RunRecord) -> list[str]:
         )
         for i, lm in enumerate(record.per_layer)
     ]
-
-
-def records_to_csv_lines(records: list[RunRecord]) -> list[str]:
-    """The lines of the metrics.csv that ``run`` writes for ``records``."""
-    return [CSV_HEADER] + [line for record in records for line in _rows(record)]
 
 
 def _write_hashed(path: Path, chunks) -> str:

@@ -12,7 +12,7 @@ import pytest
 from conftest import EXACT, adamw_step
 from lorapro.config import RunConfig
 from lorapro.gradadjust import adjust, lora_raw_grads, loss_decrease_certificate
-from lorapro.harness import Trainer, compare, records_to_csv_lines, run
+from lorapro.harness import Trainer, _rows, compare, run
 from lorapro.linalg import numerical_rank
 from lorapro.lora import LoraLayer
 from lorapro.optim import HyperParams, init_adamw_state
@@ -258,5 +258,5 @@ def test_reproducibility_and_checkpoint_round_trip(tmp_path):
     half.save(ckpt)
     resumed = Trainer.from_checkpoint(cfg, ckpt)
     tail = [resumed.step() for _ in range(15)]
-    same = records_to_csv_lines(full_rows) == records_to_csv_lines(head + tail)
+    same = list(map(_rows, full_rows)) == list(map(_rows, head + tail))
     _report("checkpoint round trip continues bit-identically", same)

@@ -37,7 +37,7 @@ from lorapro.gradadjust import (
     equivalent_gradient,
     lora_raw_grads,
 )
-from lorapro.harness import CSV_HEADER, Trainer, compare, records_to_csv_lines, run
+from lorapro.harness import CSV_HEADER, METHOD_STATES, Trainer, _rows, compare, run
 from lorapro.linalg import numerical_rank
 from lorapro.lora import LoraLayer, apply_decayed_merge_step
 from lorapro.model import backward, forward
@@ -51,6 +51,12 @@ from lorapro.selfcheck import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+METHODS = ("lora", "lora_pro_sgd", "lora_pro_adamw", "full_ft")
+
+
+def _csv_rows(records) -> list[str]:
+    """The metrics.csv rows, header aside, that ``run`` writes for ``records``."""
+    return [line for record in records for line in _rows(record)]
 
 
 def small_config(tmp_path, **overrides):
@@ -105,7 +111,7 @@ def test_different_seed_changes_trajectory(tmp_path):
     assert Path(r1.csv_path).read_bytes() != Path(r2.csv_path).read_bytes()
 
 
-@pytest.mark.parametrize("method", ["lora", "lora_pro_sgd", "lora_pro_adamw", "full_ft"])
+@pytest.mark.parametrize("method", METHODS)
 def test_checkpoint_resume_is_bit_identical(tmp_path, method):
     cfg = small_config(tmp_path, method=method, steps=24)
     full = Trainer(cfg)
@@ -121,7 +127,40 @@ def test_checkpoint_resume_is_bit_identical(tmp_path, method):
     assert resumed.geometries == [None, None]
     tail = [resumed.step() for _ in range(12)]
 
-    assert records_to_csv_lines(full_rows) == records_to_csv_lines(head + tail)
+    assert _csv_rows(full_rows) == _csv_rows(head + tail)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_state_counts_the_trainers_steps(tmp_path, method):
+    # a checkpoint holds no AdamW step counts: a restore sets each from step_count
+    trainer = Trainer(small_config(tmp_path, method=method))
+    for _ in range(3):
+        trainer.step()
+    families = METHOD_STATES[method].families
+    counts = [state.t for attr in families for state in getattr(trainer, attr)]
+    assert counts == [trainer.step_count] * (2 * len(families))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_checkpoint_passes_the_benchmark_bit_identity_check(tmp_path, monkeypatch, method):
+    # perfbench/bench.py compares a saved and a restored trainer through
+    # trainer_arrays, which reads the state attributes by name: an array it
+    # does not read would drop out of that check unseen
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from bench import bit_identical, trainer_arrays
+
+    cfg = small_config(tmp_path, method=method)
+    trainer = Trainer(cfg)
+    for _ in range(3):
+        trainer.step()
+    ckpt = tmp_path / "state.bin"
+    trainer.save(ckpt)
+    compared = trainer_arrays(trainer)
+    assert bit_identical(compared, trainer_arrays(Trainer.from_checkpoint(cfg, ckpt)))
+    layers = [f"layer{i}/{part}" for i in range(2) for part in ("w0", "b", "a")]
+    saved = sorted(load_checkpoint(str(ckpt))[1])
+    assert saved == sorted([*layers, *trainer.state_arrays()])
+    assert {name.replace("/", ".") for name in saved} <= compared.keys()
 
 
 def _new_layer(old):
@@ -165,7 +204,7 @@ def test_replaced_layer_gets_a_fresh_geometry(tmp_path, method, change):
     from_start = Trainer.from_checkpoint(cfg, ckpt)  # holds the new layer from its start
     rows = [trainer.step() for _ in range(2)]
     expected = [from_start.step() for _ in range(2)]
-    assert records_to_csv_lines(rows) == records_to_csv_lines(expected)
+    assert _csv_rows(rows) == _csv_rows(expected)
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
@@ -178,18 +217,23 @@ def test_checkpoint_rejects_other_config(tmp_path):
         Trainer.from_checkpoint(cfg.with_overrides(lr=1e-4), ckpt)
 
 
-@pytest.mark.parametrize("method", ["lora", "lora_pro_adamw", "full_ft"])
-def test_checkpoint_with_wrong_state_count_raises_typed_error(tmp_path, method):
-    # each restored state is built from the checkpoint alone, one per layer
+@pytest.mark.parametrize("method, missing", [
+    ("lora", "states_a1/m"), ("lora_pro_adamw", "states1/m"), ("full_ft", "weights1"),
+])
+def test_checkpoint_with_wrong_state_count_raises_typed_error(tmp_path, method, missing):
+    # each restored state is built from the checkpoint alone, one per layer; a
+    # file without layer 1's state arrays names the first one the restore needs
     cfg = small_config(tmp_path, method=method)
     trainer = Trainer(cfg)
     trainer.step()
     ckpt = tmp_path / "state.bin"
     trainer.save(ckpt)
     meta, arrays = load_checkpoint(str(ckpt))
-    meta["adamw_t"] = meta["adamw_t"][:1]
+    for name in trainer.state_arrays():
+        if name.split("/")[0].endswith("1"):
+            del arrays[name]
     save_checkpoint(str(ckpt), meta, arrays)
-    with pytest.raises(CheckpointError, match="optimizer states for 1 layers, the run has 2"):
+    with pytest.raises(CheckpointError, match=f"checkpoint holds no array '{missing}'"):
         Trainer.from_checkpoint(cfg, ckpt)
 
 
@@ -222,8 +266,8 @@ LAYER_LIST_DAMAGE = {
 
 @pytest.mark.parametrize("damage", sorted(LAYER_LIST_DAMAGE))
 def test_checkpoint_layer_list_must_match_the_run(tmp_path, damage):
-    # the header's layer list is not hashed: a short list used to resume with the
-    # missing layers at their initial values, and a long one ended in a KeyError
+    # a header re-saved with another layer list: a short list used to resume with
+    # the missing layers at their initial values, and a long one ended in a KeyError
     cfg = small_config(tmp_path, method="lora_pro_sgd")
     trainer = Trainer(cfg)
     trainer.step()
@@ -244,8 +288,17 @@ def _flip_bit(data: bytes, offset: int, bit: int) -> bytes:
     return bytes(out)
 
 
+def _edit_step_count(data: bytes) -> bytes:
+    # a valid-JSON edit of the same length, which only the hash can catch
+    edited = data.replace(b'"step_count": 1', b'"step_count": 7', 1)
+    assert edited != data
+    return edited
+
+
 HEADER_AT = 16  # 8-byte magic, then the 8-byte header length
 CHECKPOINT_DAMAGE = {
+    "format_2": lambda data: b"LRPCKP02" + data[8:],
+    "edited_header": _edit_step_count,
     "bad_magic": lambda data: _flip_bit(data, 0, 0),
     "short_length_field": lambda data: data[:HEADER_AT - 3],
     "oversized_header_length": lambda data: _flip_bit(data, HEADER_AT - 1, 7),
@@ -267,6 +320,8 @@ def test_damaged_checkpoint_raises_typed_error(tmp_path, damage):
     damaged.write_bytes(CHECKPOINT_DAMAGE[damage](intact.read_bytes()))
     with pytest.raises(CheckpointError) as excinfo:
         load_checkpoint(str(damaged))
+    if damage == "format_2":
+        assert "LRPCKP02" in str(excinfo.value)
     # existing callers catch ValueError; the CLI catches LoraProError
     assert isinstance(excinfo.value, ValueError)
     assert isinstance(excinfo.value, LoraProError)
@@ -303,17 +358,15 @@ def test_failed_save_keeps_earlier_checkpoint(tmp_path, monkeypatch):
 
 
 def _whole_payload_file(meta: dict, arrays: dict) -> bytes:
-    """A format-2 checkpoint assembled in memory, payload and all, as a reference."""
+    """A format-3 checkpoint assembled in memory, payload and all, as a reference."""
     table, payload = [], bytearray()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
         table.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1]})
         payload += arr.astype("<f8").tobytes(order="C")
-    header = json.dumps(
-        {"meta": meta, "arrays": table, "payload_sha256": hashlib.sha256(payload).hexdigest()},
-        sort_keys=True,
-    ).encode("utf-8")
-    return checkpoint.MAGIC + struct.pack("<Q", len(header)) + header + bytes(payload)
+    header = json.dumps({"meta": meta, "arrays": table}, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256(header + payload).digest()
+    return checkpoint.MAGIC + struct.pack("<Q", len(header)) + header + digest + bytes(payload)
 
 
 def test_streamed_save_matches_a_whole_payload_assembly(tmp_path, monkeypatch):
@@ -486,11 +539,7 @@ def _committed(trainer) -> dict:
     for i, layer in enumerate(trainer.network.layers):
         for part in ("w0", "b", "a"):
             state[f"layer{i}.{part}"] = getattr(layer, part).tobytes()
-    for attr in ("states", "states_a", "states_b", "ft_states"):
-        for i, st in enumerate(getattr(trainer, attr, ())):
-            state[f"{attr}{i}"] = (st.m.tobytes(), st.v.tobytes(), st.t)
-    for i, w in enumerate(getattr(trainer, "weights", ())):
-        state[f"weights{i}"] = w.tobytes()
+    state.update({name: arr.tobytes() for name, arr in trainer.state_arrays().items()})
     return state
 
 
@@ -964,7 +1013,7 @@ def test_aborted_run_keeps_the_rows_of_its_completed_steps(tmp_path):
     assert [p.name for p in out.iterdir()] == ["metrics.csv"]
     trainer = Trainer(cfg)
     completed = [trainer.step() for _ in range(37)]
-    expected = "".join(line + "\n" for line in records_to_csv_lines(completed))
+    expected = "".join(line + "\n" for line in [CSV_HEADER, *_csv_rows(completed)])
     assert (out / "metrics.csv").read_bytes() == expected.encode("utf-8")
 
 
