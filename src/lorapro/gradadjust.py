@@ -17,6 +17,8 @@ Sylvester equation  B^T B X + X A A^T = -(1/s^2) (B^T B)^{-1} g_a_raw A^T.
 
 Gram inversions are Tikhonov-damped per a DampingPolicy so the adjustment
 stays defined when B starts at zero (the standard adapter initialization).
+Every Gram above is then the damped one, both Sylvester coefficients
+included, so X minimizes over the geometry the adjustment projects onto.
 Both Grams are eigendecomposed once per layer-step in a TangentGeometry,
 which serves the damped Gram solves, the Sylvester X and the factors' ranks.
 
@@ -303,9 +305,13 @@ class TangentGeometry:
         return g_b - q @ (q.T @ g_b)
 
     def solve_sylvester(self, c: np.ndarray) -> np.ndarray:
-        """X with (B^T B + eps_b I) X + X A A^T = c, by ``sylvester.solve_sylvester``."""
-        w, v = self._w, self._v
-        return solve_sylvester(c, w[0] + self._damping[0], v[0], w[1], v[1])
+        """X with (B^T B + eps_b I) X + X (A A^T + eps_a I) = c, by ``sylvester.solve_sylvester``.
+
+        Both Grams carry the damping that ``solve_b``, ``solve_a_right`` and
+        the certificate use, so X is solved in the geometry it is checked in.
+        """
+        w, v, eps = self._w, self._v, self._damping
+        return solve_sylvester(c, w[0] + eps[0], v[0], w[1] + eps[1], v[1])
 
 
 def _geometry(

@@ -181,10 +181,10 @@ def _sylvester_solve(rng: np.random.Generator, r: int) -> tuple:
     """The X that a random rank-``r`` layer's geometry solves under the
     shipped damping for a Gaussian right-hand side c, with (p, q, c).
 
-    The coefficients p = B^T B + eps_b I and q = A A^T of its equation are
-    formed here from the factors, with eps_b the shipped relative damping
-    times the mean diagonal of B^T B. The factors are at least 2r long, so
-    that well-conditioned draws are common at every rank.
+    The coefficients p = B^T B + eps_b I and q = A A^T + eps_a I of its
+    equation are formed here from the factors, with each eps the shipped
+    relative damping times the mean diagonal of its Gram. The factors are at
+    least 2r long, so that well-conditioned draws are common at every rank.
     """
     m, n = (int(d) for d in rng.integers(2 * r, 2 * r + 5, size=2))
     layer = LoraLayer(
@@ -195,9 +195,8 @@ def _sylvester_solve(rng: np.random.Generator, r: int) -> tuple:
         rank=r,
         scaling_mode="lora",
     )
-    gram_b = layer.b.T @ layer.b
-    p = gram_b + SHIPPED.rel_epsilon * float(np.mean(np.diag(gram_b))) * np.eye(r)
-    q = layer.a @ layer.a.T
+    p, q = (g + SHIPPED.rel_epsilon * float(np.mean(np.diag(g))) * np.eye(r)
+            for g in (layer.b.T @ layer.b, layer.a @ layer.a.T))
     c = rng.normal(size=(r, r))
     return TangentGeometry(layer, SHIPPED).solve_sylvester(c), p, q, c
 

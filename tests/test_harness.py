@@ -1296,7 +1296,7 @@ def test_cli_selfcheck_json(capsys):
 
 def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
     # the shipped config's lora_pro_sgd at lr 1 overflows the certificate's
-    # inner products at step 101; with warnings as errors, that must still end
+    # inner products at step 107; with warnings as errors, that must still end
     # in NonFiniteError, not in a numpy RuntimeWarning
     text = (ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8")
     cfg = parse_config_text(text).with_overrides(
@@ -1304,7 +1304,7 @@ def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError, match="aborting at step 101: certificate"):
+        with pytest.raises(NonFiniteError, match="aborting at step 107: certificate"):
             run(cfg)
 
 
