@@ -1,22 +1,20 @@
 """Versioned binary checkpoint container.
 
 Layout (format 3): an 8-byte magic with version, a little-endian uint64
-header length, a UTF-8 JSON header, the 32-byte SHA-256 of the header and
-payload bytes, then the raw array payloads. The header carries arbitrary JSON
-metadata and the shape table; payloads are float64, row-major,
-little-endian, in the header's order (names sorted). A changed bit anywhere
-after the length field fails the hash, or the header's decoding or the
-payload's length, first. Round trips are bit-exact, which is what makes resumed runs
+header length, a UTF-8 JSON header (metadata and the shape table), the
+SHA-256 of the header and payload bytes, then the raw array payloads:
+float64, row-major, little-endian, in the header's order (names sorted).
+Round trips are bit-exact, which is what makes resumed runs
 reproduce the uninterrupted trajectory. A save writes a temporary file in
 the target's directory and renames it over the target, so a save that fails
 partway leaves any earlier checkpoint at that path as it was.
 
 A save streams the payload: one pass over the arrays checks their shapes and
-hashes them after the header, a second writes them, both through a byte view of each array,
-so it holds no copy of the payload (only an array that is not already
-C-contiguous little-endian float64 is converted, into a copy of its own).
-A load reads each array straight into the array it returns, hashing it as
-it goes, so it too holds the payload once.
+hashes them after the header, a second writes them, both through a byte view
+of each array, so it holds no copy of the payload (only an array that is not
+already C-contiguous little-endian float64 is converted, into a copy of its
+own). A load reads each array straight into the array it returns, hashing it
+as it goes, so it too holds the payload once.
 """
 
 from __future__ import annotations
@@ -75,10 +73,9 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint written by ``save_checkpoint``.
 
     Raises CheckpointError (a ValueError) if the file is not a format-3
-    checkpoint (earlier formats included), if its length field or header is
-    cut short or cannot be decoded, if its payload is shorter or longer than
-    the header's array table says, or if the SHA-256 of its header and
-    payload differs from the one it holds.
+    checkpoint, if its length field or header is cut short or cannot be
+    decoded, if its payload is shorter or longer than the header's array
+    table says, or if its header and payload do not hash to its SHA-256.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

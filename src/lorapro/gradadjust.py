@@ -15,10 +15,10 @@ equivalent gradient. Three selections are provided: zero, "symmetry"
 that keeps the adjusted pair closest to the raw pair, which reduces to the
 Sylvester equation  B^T B X + X A A^T = -(1/s^2) (B^T B)^{-1} g_a_raw A^T.
 
-Gram inversions are Tikhonov-damped per a DampingPolicy so the adjustment
-stays defined when B starts at zero (the standard adapter initialization).
-Every Gram above is then the damped one, both Sylvester coefficients
-included, so X minimizes over the geometry the adjustment projects onto.
+Every Gram above is Tikhonov-damped per a DampingPolicy, the two Sylvester
+coefficients included, so the adjustment stays defined when B starts at zero
+(the standard adapter initialization) and X is solved in the geometry that
+the adjustment projects onto.
 Both Grams are eigendecomposed once per layer-step in a TangentGeometry,
 which serves the damped Gram solves, the Sylvester X and the factors' ranks.
 
@@ -305,11 +305,8 @@ class TangentGeometry:
         return g_b - q @ (q.T @ g_b)
 
     def solve_sylvester(self, c: np.ndarray) -> np.ndarray:
-        """X with (B^T B + eps_b I) X + X (A A^T + eps_a I) = c, by ``sylvester.solve_sylvester``.
-
-        Both Grams carry the damping that ``solve_b``, ``solve_a_right`` and
-        the certificate use, so X is solved in the geometry it is checked in.
-        """
+        """X with (B^T B + eps_b I) X + X (A A^T + eps_a I) = c: the damped Grams of
+        every other solve here, by ``sylvester.solve_sylvester``."""
         w, v, eps = self._w, self._v, self._damping
         return solve_sylvester(c, w[0] + eps[0], v[0], w[1] + eps[1], v[1])
 

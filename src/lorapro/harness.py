@@ -100,6 +100,7 @@ class MethodState(NamedTuple):
     weights: bool = False
 
 
+# perfbench/bench.py's checkpoint check reads these attribute names and `weights`
 METHOD_STATES = {
     "lora": MethodState({"states_a": lambda layer: layer.a.shape,
                          "states_b": lambda layer: layer.b.shape}),
