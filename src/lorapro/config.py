@@ -30,19 +30,13 @@ __all__ = ["METHODS", "RunConfig", "parse_config_file", "parse_config_text"]
 METHODS = ("lora", "lora_pro_sgd", "lora_pro_adamw", "full_ft")
 
 
-def _bool(raw: str) -> bool:
-    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"not a boolean: {raw!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-
-
 def _check_value(key: str, value, hint) -> None:
     """Raise a ConfigError naming ``key`` unless ``value`` is a ``hint``, and finite if a float.
 
-    An int serves where a float is declared; a bool serves only where a bool is.
+    An int serves where a float is declared; a bool serves as neither.
     """
     accepted = (int, float) if hint is float else hint
-    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise ConfigError(
             f"invalid config key '{key}': expected {hint.__name__}, "
             f"got {type(value).__name__} {value!r}"
@@ -55,8 +49,7 @@ def _check_value(key: str, value, hint) -> None:
 _SECTIONS = {
     "run": ("task", "method", "steps", "batch_size", "seed", "out_dir"),
     "adapter": ("rank", "alpha", "scaling", "init"),
-    "optimizer": ("lr", "weight_decay", "beta1", "beta2", "epsilon", "schedule", "warmup_ratio",
-                  "decay_after_update"),
+    "optimizer": ("lr", "weight_decay", "beta1", "beta2", "epsilon", "schedule", "warmup_ratio"),
     "lorapro": ("x_strategy", "damping", "fallback"),
 }
 
@@ -83,7 +76,6 @@ class RunConfig:
     epsilon: float = 1e-8
     schedule: str = "cosine_with_warmup"
     warmup_ratio: float = 0.03
-    decay_after_update: bool = False
     x_strategy: str = "sylvester"
     damping: float = 1e-8
     fallback: str = "damp"
@@ -174,7 +166,7 @@ def parse_config_text(text: str) -> RunConfig:
             if key not in types:
                 raise ConfigError(f"invalid config key '{key}' in [{section}]")
             try:
-                into[key] = (_bool if types[key] is bool else types[key])(raw)
+                into[key] = types[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"invalid config key '{key}' in [{section}]: {exc}") from exc
     return RunConfig(**kwargs)

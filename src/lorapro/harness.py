@@ -15,10 +15,8 @@ import contextlib
 import hashlib
 import itertools
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DescentViolationError, LoraProError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
 from .linalg import as_matrix, build_unchecked, replace_unchecked
-from .lora import InitScheme, LoraLayer, init_layer, layer_from_state, layer_state
+from .lora import InitScheme, LoraLayer, init_layer
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
     AdamWState,
@@ -90,24 +88,36 @@ class CompareResult:
     json_path: Path
 
 
-class MethodState(NamedTuple):
-    """The optimizer state a method keeps in a Trainer: each attribute that
-    holds one AdamWState per layer, mapped to the shape that state tracks in
-    a layer, and whether the method trains each layer's m x n weight itself,
-    in ``Trainer.weights``."""
-
-    families: dict[str, Callable[[LoraLayer], tuple[int, int]]]
-    weights: bool = False
-
-
-# perfbench/bench.py's checkpoint check reads these attribute names and `weights`
-METHOD_STATES = {
-    "lora": MethodState({"states_a": lambda layer: layer.a.shape,
-                         "states_b": lambda layer: layer.b.shape}),
-    "lora_pro_sgd": MethodState({}),
-    "lora_pro_adamw": MethodState({"states": lambda layer: layer.shape}),
-    "full_ft": MethodState({"ft_states": lambda layer: layer.shape}, weights=True),
+# The AdamW states each method keeps for an m x n layer at rank r, by shape:
+# lora's moments of A, then of B; LoRA-Pro AdamW's of the equivalent
+# gradient; full_ft's of the weight it trains. Trainer.states holds them
+# layer by layer, in this order within a layer.
+STATE_SHAPES = {
+    "lora": ("rn", "mr"),
+    "lora_pro_sgd": (),
+    "lora_pro_adamw": ("mn",),
+    "full_ft": ("mn",),
 }
+
+
+def checkpoint_shapes(config: RunConfig, layer_shapes: list) -> dict[str, tuple[int, int]]:
+    """The name and shape of every array a checkpoint of a run under ``config`` holds.
+
+    The m x n layer ``i`` gives ``layer{i}/w0`` (m x n), ``layer{i}/b``
+    (m x r) and ``layer{i}/a`` (r x n), and under full_ft ``weights{i}``
+    (m x n). ``Trainer.states[j]`` gives ``states{j}/m`` and ``states{j}/v``,
+    in order; no other name ends in ``/m``.
+    """
+    r, arrays, states = config.rank, {}, []
+    for i, (m, n) in enumerate(layer_shapes):
+        arrays.update({f"layer{i}/w0": (m, n), f"layer{i}/b": (m, r), f"layer{i}/a": (r, n)})
+        if config.method == "full_ft":
+            arrays[f"weights{i}"] = (m, n)
+        dims = {"m": m, "n": n, "r": r}
+        states += [(dims[rows], dims[cols]) for rows, cols in STATE_SHAPES[config.method]]
+    for j, shape in enumerate(states):
+        arrays[f"states{j}/m"] = arrays[f"states{j}/v"] = shape
+    return arrays
 
 
 def _check_commit(i: int, values: dict[str, np.ndarray]) -> None:
@@ -138,6 +148,8 @@ class Trainer:
     ``geometries`` caches each committed layer's TangentGeometry for the next
     step and is never saved; a step rebuilds one whose layer, or one of whose
     factor arrays, was replaced. The factors a step commits are read-only.
+    ``states`` holds the method's AdamW states as ``checkpoint_shapes`` lists
+    them, and ``weights`` full_ft's trained weights.
     """
 
     def __init__(self, config: RunConfig):
@@ -147,23 +159,16 @@ class Trainer:
             for child in init_ss.spawn(len(self.task.base_weights))
         ]
         layers = [
-            init_layer(
-                *w0.shape,
-                config.rank,
-                alpha=config.alpha,
-                mode=config.scaling,
-                scheme=InitScheme(kind=config.init, seed=seed),
-                w0=w0,
-            )
+            init_layer(*w0.shape, config.rank, alpha=config.alpha, mode=config.scaling,
+                       scheme=InitScheme(kind=config.init, seed=seed), w0=w0)
             for w0, seed in zip(self.task.base_weights, layer_seeds)
         ]
         self.task.base_weights = []  # each layer holds its own copy of its base weight
         self._set_layers(layers)
-        spec = METHOD_STATES[config.method]
-        if spec.weights:
+        if config.method == "full_ft":
             self.weights = self.network.effective_weights()
-        for attr, shape_of in spec.families.items():
-            setattr(self, attr, [init_adamw_state(shape_of(layer)) for layer in layers])
+        shapes = checkpoint_shapes(config, [layer.shape for layer in layers])
+        self.states = [init_adamw_state(s) for name, s in shapes.items() if name.endswith("/m")]
 
     def _start(self, config: RunConfig) -> np.random.SeedSequence:
         """Set what a new and a restored trainer share: the config, the task,
@@ -231,14 +236,14 @@ class Trainer:
         # layer's gradient buffer takes its Adam direction and is dropped as
         # soon as the layer's update is computed
         new = []
-        for i, (w, state) in enumerate(zip(self.weights, self.ft_states)):
+        for i, (w, state) in enumerate(zip(self.weights, self.states)):
             g, grads[i] = grads[i], None
             new.append(full_ft_adamw_step(w, state, g, hp_now, out=g))
             del g
         for i, (w, state) in enumerate(new):
             _check_commit(i, {"w": w, "v": state.v})
         self.weights = [w for w, _ in new]
-        self.ft_states = [state for _, state in new]
+        self.states = [state for _, state in new]
         metrics = [
             LayerMetrics(discrepancy=0.0, rank_a=None, rank_b=None, dl_certificate=None)
             for _ in new
@@ -254,7 +259,9 @@ class Trainer:
         del cache  # its effective weights and activations are not read again
 
         # every layer is computed and checked before any is committed, so a
-        # step that raises leaves the trainer as it was
+        # step that raises leaves the trainer as it was; each layer takes
+        # its states from the flat list in STATE_SHAPES order
+        states = iter(self.states)
         new_geometries, new_states, metrics = [], [], []
         for i, (layer, bundle) in enumerate(zip(self.network.layers, bundles)):
             certificate, moments = None, {}
@@ -283,9 +290,9 @@ class Trainer:
             bundle.g_full = bundle._origin = residual = None
             if cfg.method == "lora":
                 new_layer, sa, sb = lora_adamw_step(
-                    layer, self.states_a[i], self.states_b[i], bundle, hp_now
+                    layer, next(states), next(states), bundle, hp_now
                 )
-                new_states.append((sa, sb))  # in the order of the method's families
+                new_states += [sa, sb]
                 moments = {"v_a": sa.v, "v_b": sb.v}
             else:
                 if not geometry.passthrough:
@@ -300,14 +307,11 @@ class Trainer:
                     del adjusted  # with its projection, which served only this layer
                 else:
                     del adjusted  # the AdamW step reads g_tilde alone
+                    # g_tilde is consumed: it now holds the Adam direction
                     new_layer, state = lorapro_adamw_step(
-                        geometry,
-                        self.states[i],
-                        g_tilde,  # consumed: it now holds the Adam direction
-                        hp_now,
-                        cfg.x_strategy,
+                        geometry, next(states), g_tilde, hp_now, cfg.x_strategy
                     )
-                    new_states.append((state,))
+                    new_states.append(state)
                     moments = {"v": state.v}
             del g_tilde  # free before the next layer allocates its own
             _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
@@ -327,37 +331,29 @@ class Trainer:
 
         self.network.layers[:] = [geo.layer for geo in new_geometries]
         self.geometries = new_geometries
-        for j, attr in enumerate(METHOD_STATES[cfg.method].families):
-            setattr(self, attr, [states[j] for states in new_states])
+        self.states = new_states
         return loss, metrics
 
     # --- checkpointing ---------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every array a checkpoint holds beside the layers, named by its family.
+        """Every array a checkpoint holds beside the layers, by its ``checkpoint_shapes`` name.
 
-        Layer ``i``'s AdamW state of family ``attr`` gives ``{attr}{i}/m`` and
-        ``{attr}{i}/v``, and full_ft's weights ``weights{i}``. A state's step
-        count is not saved: each equals ``step_count``.
+        A state's step count is not saved: each equals ``step_count``.
         """
         arrays = {f"weights{i}": w for i, w in enumerate(getattr(self, "weights", ()))}
-        for attr in METHOD_STATES[self.config.method].families:
-            for i, state in enumerate(getattr(self, attr)):
-                arrays[f"{attr}{i}/m"], arrays[f"{attr}{i}/v"] = state.m, state.v
+        for j, state in enumerate(self.states):
+            arrays[f"states{j}/m"], arrays[f"states{j}/v"] = state.m, state.v
         return arrays
 
     def save(self, path) -> None:
         arrays = self.state_arrays()
-        layer_meta = []
         for i, layer in enumerate(self.network.layers):
-            meta_i, arrays_i = layer_state(layer, prefix=f"layer{i}/")
-            layer_meta.append(meta_i)
-            arrays.update(arrays_i)
+            arrays.update({f"layer{i}/{part}": getattr(layer, part) for part in ("w0", "b", "a")})
         meta = {
             "kind": "trainer-state",
             "config": self.config.to_dict(),
             "step_count": self.step_count,
-            "layers": layer_meta,
             "data_rng_state": self.data_rng.bit_generator.state,
         }
         save_checkpoint(str(path), meta, arrays)
@@ -369,46 +365,46 @@ class Trainer:
         Builds the task first and drops its base weights, then takes the
         layers and optimizer states straight from the file, so a restore
         holds no initial layers or zeroed moments beside the loaded ones.
+        Raises CheckpointError naming the file and the first array, by name,
+        that is missing, extra or of another shape than ``checkpoint_shapes``
+        gives, or a header field that is missing or out of range.
         """
         trainer = cls.__new__(cls)
         trainer._start(config)
-        shapes = [w0.shape for w0 in trainer.task.base_weights]
+        n_layers = len(trainer.task.base_weights)
+        expected = checkpoint_shapes(config, [w0.shape for w0 in trainer.task.base_weights])
         trainer.task.base_weights = []  # the checkpoint holds each layer's w0
         meta, arrays = load_checkpoint(str(path))
         if meta.get("config") != config.to_dict():
             raise ConfigError("checkpoint was produced by a different config")
-        n_layers = len(shapes)
-        if len(meta["layers"]) != n_layers:
+        found = {name: arr.shape for name, arr in arrays.items()}
+        if found != expected:
+            name = min(n for n in {*found, *expected} if found.get(n) != expected.get(n))
             raise CheckpointError(
-                f"{path}: checkpoint holds {len(meta['layers'])} layers, the run has {n_layers}"
+                f"{path}: array {name!r} is {found.get(name, 'missing')} in the file, "
+                f"{expected.get(name, 'missing')} in the run"
             )
-        layers = []
-        for i, (layer_meta, shape) in enumerate(zip(meta["layers"], shapes)):
-            try:
-                loaded = layer_from_state(layer_meta, arrays, prefix=f"layer{i}/")
-            except (KeyError, ValueError) as exc:
-                raise CheckpointError(f"{path}: layer {i}: {exc}") from exc
-            if (loaded.shape, loaded.rank) != (shape, config.rank):
-                raise CheckpointError(
-                    f"{path}: layer {i} is {loaded.shape} at rank {loaded.rank}, "
-                    f"the run's is {shape} at rank {config.rank}"
-                )
-            layers.append(loaded)
-        trainer._set_layers(layers)
-        trainer.step_count = int(meta["step_count"])
-        spec = METHOD_STATES[config.method]
+        step_count = trainer.step_count = meta.get("step_count")
+        if type(step_count) is not int or step_count < 0:
+            raise CheckpointError(
+                f"{path}: header field 'step_count' must be an int >= 0, got {step_count!r}"
+            )
         try:
-            if spec.weights:
+            trainer.data_rng.bit_generator.state = meta["data_rng_state"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: header field 'data_rng_state': {exc!r}") from exc
+        try:
+            trainer._set_layers([
+                LoraLayer(*(arrays[f"layer{i}/{part}"] for part in ("w0", "b", "a")),
+                          config.alpha, config.rank, config.scaling)
+                for i in range(n_layers)
+            ])
+            if config.method == "full_ft":
                 trainer.weights = [arrays[f"weights{i}"] for i in range(n_layers)]
-            for attr in spec.families:
-                states = [
-                    AdamWState(arrays[f"{attr}{i}/m"], arrays[f"{attr}{i}/v"], trainer.step_count)
-                    for i in range(n_layers)
-                ]
-                setattr(trainer, attr, states)
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: checkpoint holds no array {exc}") from None
-        trainer.data_rng.bit_generator.state = meta["data_rng_state"]
+            trainer.states = [AdamWState(arrays[name], arrays[name[:-1] + "v"], step_count)
+                              for name in expected if name.endswith("/m")]
+        except ValueError as exc:  # a non-finite array, or a negative second moment
+            raise CheckpointError(f"{path}: {exc}") from exc
         return trainer
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "init_layer",
     "effective_weight",
     "apply_decayed_merge_step",
-    "layer_state",
-    "layer_from_state",
 ]
 
 SCALING_MODES = ("lora", "rslora")
@@ -147,29 +145,3 @@ def apply_decayed_merge_step(layer: LoraLayer, lr: float, weight_decay: float) -
     factor = 1.0 - gamma_lambda
     root = math.sqrt(factor)
     return replace_unchecked(layer, w0=factor * layer.w0, b=root * layer.b, a=root * layer.a)
-
-
-def layer_state(layer: LoraLayer, prefix: str = "") -> tuple[dict, dict]:
-    """Split a layer into JSON-able metadata and named float64 arrays."""
-    meta = {
-        "alpha": layer.alpha,
-        "rank": layer.rank,
-        "scaling_mode": layer.scaling_mode,
-    }
-    arrays = {
-        prefix + "w0": layer.w0,
-        prefix + "b": layer.b,
-        prefix + "a": layer.a,
-    }
-    return meta, arrays
-
-
-def layer_from_state(meta: dict, arrays: dict, prefix: str = "") -> LoraLayer:
-    return LoraLayer(
-        w0=arrays[prefix + "w0"],
-        b=arrays[prefix + "b"],
-        a=arrays[prefix + "a"],
-        alpha=float(meta["alpha"]),
-        rank=int(meta["rank"]),
-        scaling_mode=str(meta["scaling_mode"]),
-    )

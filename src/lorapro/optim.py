@@ -65,9 +65,6 @@ class HyperParams:
     epsilon: float = 1e-8
     schedule: str = "constant"
     warmup_ratio: float = 0.0
-    # Ablation switch: apply the decomposed weight decay after the factor
-    # update instead of before it (the default order).
-    decay_after_update: bool = False
 
     def __post_init__(self):
         for name in ("lr", "weight_decay", "beta1", "beta2", "epsilon", "warmup_ratio"):
@@ -242,15 +239,12 @@ def lorapro_adamw_step(
         layer, reprojected, strategy=x_strategy, policy=geometry.policy, geometry=geometry
     )
 
-    if not hp.decay_after_update:
-        layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
+    layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
     layer = replace_unchecked(
         layer,
         b=layer.b - hp.lr * second.g_b,
         a=layer.a - hp.lr * second.g_a,
     )
-    if hp.decay_after_update:
-        layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
     return layer, state
 
 

@@ -234,8 +234,7 @@ TASK = {"d_in": 8, "d_hidden": 16, "d_out": 4}
     ("lr", {"lr": "1e-3"}),
     ("d_in", {"task_params": {**TASK, "d_in": "8"}}),
     ("steps", {"steps": True}),
-    ("decay_after_update", {"decay_after_update": 1}),
-], ids=["alpha=str", "steps=str", "lr=str", "d_in=str", "steps=bool", "decay_after_update=int"])
+], ids=["alpha=str", "steps=str", "lr=str", "d_in=str", "steps=bool"])
 def test_code_built_config_checks_each_type(key, fields):
     with pytest.raises(ConfigError, match=f"invalid config key '{key}': expected"):
         RunConfig(task="teacher_student_regression", **{"task_params": TASK, **fields})

@@ -37,7 +37,7 @@ from lorapro.gradadjust import (
     equivalent_gradient,
     lora_raw_grads,
 )
-from lorapro.harness import CSV_HEADER, METHOD_STATES, Trainer, _rows, compare, run
+from lorapro.harness import CSV_HEADER, STATE_SHAPES, Trainer, _rows, compare, run
 from lorapro.linalg import numerical_rank
 from lorapro.lora import LoraLayer, apply_decayed_merge_step
 from lorapro.model import backward, forward
@@ -136,9 +136,8 @@ def test_every_state_counts_the_trainers_steps(tmp_path, method):
     trainer = Trainer(small_config(tmp_path, method=method))
     for _ in range(3):
         trainer.step()
-    families = METHOD_STATES[method].families
-    counts = [state.t for attr in families for state in getattr(trainer, attr)]
-    assert counts == [trainer.step_count] * (2 * len(families))
+    counts = [state.t for state in trainer.states]
+    assert counts == [trainer.step_count] * (2 * len(STATE_SHAPES[method]))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -217,70 +216,125 @@ def test_checkpoint_rejects_other_config(tmp_path):
         Trainer.from_checkpoint(cfg.with_overrides(lr=1e-4), ckpt)
 
 
-FIRST_STATE_OF_LAYER_1 = {"lora": "states_a1/m", "lora_pro_adamw": "states1/m",
-                          "full_ft": "weights1"}
+# layer 0's states come first in Trainer.states, so layer 1's first is at
+# the count of one layer's states
+FIRST_STATE_OF_LAYER_1 = {method: f"states{len(STATE_SHAPES[method])}/m"
+                          for method in ("lora", "lora_pro_adamw", "full_ft")}
 
 
-@pytest.mark.parametrize("method", sorted(FIRST_STATE_OF_LAYER_1))
-def test_checkpoint_with_wrong_state_count_raises_typed_error(tmp_path, method):
-    # each restored state is built from the checkpoint alone, one per layer; a
-    # file without layer 1's state arrays names the first one the restore needs
-    missing = FIRST_STATE_OF_LAYER_1[method]
-    cfg = small_config(tmp_path, method=method)
+def _saved_after_one_step(tmp_path, cfg):
+    """A checkpoint of ``cfg``'s trainer after one step: its path, header and arrays."""
     trainer = Trainer(cfg)
     trainer.step()
     ckpt = tmp_path / "state.bin"
     trainer.save(ckpt)
-    meta, arrays = load_checkpoint(str(ckpt))
-    for name in trainer.state_arrays():
-        if name.split("/")[0].endswith("1"):
+    return (ckpt, *load_checkpoint(str(ckpt)))
+
+
+@pytest.mark.parametrize("method", sorted(FIRST_STATE_OF_LAYER_1))
+def test_checkpoint_with_wrong_state_count_raises_typed_error(tmp_path, method):
+    # each restored state is built from the checkpoint alone; a file without
+    # layer 1's states (and full_ft's weights1) names the first one missing
+    missing = FIRST_STATE_OF_LAYER_1[method]
+    cfg = small_config(tmp_path, method=method)
+    ckpt, meta, arrays = _saved_after_one_step(tmp_path, cfg)
+    for name in [*arrays]:
+        if name == "weights1" or name.startswith("states") and name >= missing:
             del arrays[name]
     save_checkpoint(str(ckpt), meta, arrays)
-    with pytest.raises(CheckpointError, match=f"checkpoint holds no array '{missing}'"):
+    with pytest.raises(CheckpointError, match=f"array '{missing}' is missing in the file"):
         Trainer.from_checkpoint(cfg, ckpt)
 
 
-def _rank_one(meta, arrays):
-    # a layer-0 entry that is a valid adapter, at rank 1 where the run has 2
-    meta["layers"][0]["rank"] = 1
+def _rank_one(arrays):
+    # layer 0's factors of a valid adapter at rank 1, where the run has 2
     arrays["layer0/b"] = arrays["layer0/b"][:, :1]
     arrays["layer0/a"] = arrays["layer0/a"][:1]
 
 
-def _rank_field_only(meta, arrays):
-    meta["layers"][0]["rank"] = 1
+def _drop_last_layer(arrays):
+    for part in ("w0", "b", "a"):
+        del arrays[f"layer1/{part}"]
 
 
-def _drop_last_layer(meta, arrays):
-    meta["layers"] = meta["layers"][:1]
+def _repeat_first_layer(arrays):
+    for part in ("w0", "b", "a"):
+        arrays[f"layer2/{part}"] = arrays[f"layer0/{part}"]
 
 
-def _repeat_first_layer(meta, arrays):
-    meta["layers"] = meta["layers"] + meta["layers"][:1]
+def _transpose_first_state(arrays):
+    arrays["states0/m"] = arrays["states0/m"].T
+    arrays["states0/v"] = arrays["states0/v"].T
 
 
+def _nan_in_w0(arrays):
+    arrays["layer0/w0"][0, 0] = np.nan
+
+
+def _negative_second_moment(arrays):
+    arrays["states1/v"][0, 0] = -1.0
+
+
+# (method, damage to the arrays, what the error says): the first array of
+# the sorted names that is missing, extra or of another shape, or the value
+# that a layer or state refuses
 LAYER_LIST_DAMAGE = {
-    "short": (_drop_last_layer, "checkpoint holds 1 layers, the run has 2"),
-    "long": (_repeat_first_layer, "checkpoint holds 3 layers, the run has 2"),
-    "other_rank": (_rank_one, r"layer 0 is \(6, 10\) at rank 1, the run's is \(6, 10\) at rank 2"),
-    "rank_field": (_rank_field_only, r"layer 0: b must be 6x1, got \(6, 2\)"),
+    "short": ("lora_pro_sgd", _drop_last_layer,
+              r"array 'layer1/a' is missing in the file, \(2, 3\) in the run"),
+    "long": ("lora_pro_sgd", _repeat_first_layer,
+             r"array 'layer2/a' is \(2, 10\) in the file, missing in the run"),
+    "other_rank": ("lora_pro_sgd", _rank_one,
+                   r"array 'layer0/a' is \(1, 10\) in the file, \(2, 10\) in the run"),
+    # a restore used to take these, and the next step failed without naming the file
+    "state_transposed": ("lora_pro_adamw", _transpose_first_state,
+                         r"array 'states0/m' is \(10, 6\) in the file, \(6, 10\) in the run"),
+    # arrays of the right shapes, whose values no trainer can have saved
+    "nan_w0": ("lora_pro_sgd", _nan_in_w0, "w0 contains non-finite"),
+    "negative_second_moment": ("lora_pro_adamw", _negative_second_moment,
+                               "second moment must be entrywise nonnegative"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(LAYER_LIST_DAMAGE))
 def test_checkpoint_layer_list_must_match_the_run(tmp_path, damage):
-    # a header re-saved with another layer list: a short list used to resume with
-    # the missing layers at their initial values, and a long one ended in a KeyError
-    cfg = small_config(tmp_path, method="lora_pro_sgd")
-    trainer = Trainer(cfg)
-    trainer.step()
-    ckpt = tmp_path / "state.bin"
-    trainer.save(ckpt)
-    meta, arrays = load_checkpoint(str(ckpt))
-    rewrite, message = LAYER_LIST_DAMAGE[damage]
-    rewrite(meta, arrays)
+    # a checkpoint re-saved with other arrays: the restore compares every
+    # array's name and shape with checkpoint_shapes before it builds anything,
+    # and a value that the layers or states refuse is reported as damage too
+    method, rewrite, message = LAYER_LIST_DAMAGE[damage]
+    cfg = small_config(tmp_path, method=method)
+    ckpt, meta, arrays = _saved_after_one_step(tmp_path, cfg)
+    rewrite(arrays)
     save_checkpoint(str(ckpt), meta, arrays)
     with pytest.raises(CheckpointError, match=message) as excinfo:
+        Trainer.from_checkpoint(cfg, ckpt)
+    assert str(ckpt) in str(excinfo.value)
+
+
+# (method, header edit, the field the error names)
+HEADER_DAMAGE = {
+    "no_step_count": ("lora_pro_adamw", lambda meta: meta.pop("step_count"), "step_count"),
+    "negative_step_count": ("lora_pro_adamw", lambda meta: meta.update(step_count=-1),
+                            "step_count"),
+    "negative_step_count_sgd": ("lora_pro_sgd", lambda meta: meta.update(step_count=-1),
+                                "step_count"),
+    "no_data_rng_state": ("lora_pro_adamw", lambda meta: meta.pop("data_rng_state"),
+                          "data_rng_state"),
+    "other_generator": ("lora_pro_adamw",
+                        lambda meta: meta.update(data_rng_state=np.random.PCG64DXSM(0).state),
+                        "data_rng_state"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_checkpoint_header_fields_raise_typed_errors(tmp_path, damage):
+    # a header re-saved without a field, or with one out of range: these used
+    # to end in a bare KeyError or ValueError, or to restore without error
+    method, edit, field = HEADER_DAMAGE[damage]
+    cfg = small_config(tmp_path, method=method)
+    ckpt, meta, arrays = _saved_after_one_step(tmp_path, cfg)
+    edit(meta)
+    save_checkpoint(str(ckpt), meta, arrays)
+    with pytest.raises(CheckpointError, match=f"header field '{field}'") as excinfo:
         Trainer.from_checkpoint(cfg, ckpt)
     assert str(ckpt) in str(excinfo.value)
 

@@ -9,8 +9,6 @@ from lorapro.lora import (
     apply_decayed_merge_step,
     effective_weight,
     init_layer,
-    layer_from_state,
-    layer_state,
 )
 from lorapro.model import Batch, Network, forward
 
@@ -132,15 +130,3 @@ def test_standard_init_forward_matches_frozen_base():
     with_adapter, _ = forward(Network([layer], ["identity"], "mse"), batch)
     base_only = float(np.sum((x @ w0 - targets) ** 2)) / 4
     assert abs(with_adapter - base_only) <= 1e-12 * max(1.0, abs(base_only))
-
-
-def test_layer_state_round_trip():
-    layer = init_layer(4, 6, 2, alpha=7.0, mode="rslora",
-                       scheme=InitScheme("gaussian_both", seed=12))
-    meta, arrays = layer_state(layer, prefix="x/")
-    back = layer_from_state(meta, arrays, prefix="x/")
-    assert np.array_equal(back.w0, layer.w0)
-    assert np.array_equal(back.b, layer.b)
-    assert np.array_equal(back.a, layer.a)
-    assert back.alpha == layer.alpha and back.rank == layer.rank
-    assert back.scaling_mode == layer.scaling_mode

@@ -253,16 +253,6 @@ def test_adamw_shape_mismatch(unit_instance):
                    HyperParams(lr=0.1))
 
 
-def test_adamw_decay_order_switch(unit_instance):
-    layer, g = unit_instance
-    bundle = lora_raw_grads(layer, g)
-    hp_pre = HyperParams(lr=0.1, weight_decay=0.5)
-    hp_post = HyperParams(lr=0.1, weight_decay=0.5, decay_after_update=True)
-    pre, _ = adamw_step(layer, init_adamw_state((2, 2)), bundle, hp_pre, policy=EXACT)
-    post, _ = adamw_step(layer, init_adamw_state((2, 2)), bundle, hp_post, policy=EXACT)
-    assert not np.allclose(pre.a, post.a)
-
-
 def test_baseline_full_ft_zero_lr():
     rng = np.random.default_rng(30)
     w = rng.normal(size=(3, 3))
