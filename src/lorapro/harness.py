@@ -88,10 +88,10 @@ class CompareResult:
     json_path: Path
 
 
-# The AdamW states each method keeps for an m x n layer at rank r, by shape:
-# lora's moments of A, then of B; LoRA-Pro AdamW's of the equivalent
-# gradient; full_ft's of the weight it trains. Trainer.states holds them
-# layer by layer, in this order within a layer.
+# The AdamW states each method keeps for an m x n layer at rank r, by shape
+# ("rn" is r x n): lora's moments of A, then of B; LoRA-Pro AdamW's of the
+# equivalent gradient; full_ft's of the weight it trains. Trainer.states
+# holds them layer by layer, in this order within a layer.
 STATE_SHAPES = {
     "lora": ("rn", "mr"),
     "lora_pro_sgd": (),
@@ -399,12 +399,12 @@ class Trainer:
                           config.alpha, config.rank, config.scaling)
                 for i in range(n_layers)
             ])
-            if config.method == "full_ft":
-                trainer.weights = [arrays[f"weights{i}"] for i in range(n_layers)]
             trainer.states = [AdamWState(arrays[name], arrays[name[:-1] + "v"], step_count)
                               for name in expected if name.endswith("/m")]
         except ValueError as exc:  # a non-finite array, or a negative second moment
             raise CheckpointError(f"{path}: {exc}") from exc
+        if config.method == "full_ft":
+            trainer.weights = [arrays[f"weights{i}"] for i in range(n_layers)]
         return trainer
 
 
