@@ -25,7 +25,7 @@ from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DescentViolationError, LoraProError
 from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
 from .linalg import as_matrix, build_unchecked, replace_unchecked
-from .lora import InitScheme, LoraLayer, init_layer
+from .lora import InitScheme, LoraLayer, effective_weight, init_layer
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
     AdamWState,
@@ -103,16 +103,13 @@ STATE_SHAPES = {
 def checkpoint_shapes(config: RunConfig, layer_shapes: list) -> dict[str, tuple[int, int]]:
     """The name and shape of every array a checkpoint of a run under ``config`` holds.
 
-    The m x n layer ``i`` gives ``layer{i}/w0`` (m x n), ``layer{i}/b``
-    (m x r) and ``layer{i}/a`` (r x n), and under full_ft ``weights{i}``
-    (m x n). ``Trainer.states[j]`` gives ``states{j}/m`` and ``states{j}/v``,
-    in order; no other name ends in ``/m``.
+    The m x n layer ``i`` gives ``layer{i}/w0`` (m x n), ``layer{i}/b`` (m x r)
+    and ``layer{i}/a`` (r x n) under every method, and ``Trainer.states[j]``
+    gives ``states{j}/m`` and ``states{j}/v``, in order; no other name ends in ``/m``.
     """
     r, arrays, states = config.rank, {}, []
     for i, (m, n) in enumerate(layer_shapes):
         arrays.update({f"layer{i}/w0": (m, n), f"layer{i}/b": (m, r), f"layer{i}/a": (r, n)})
-        if config.method == "full_ft":
-            arrays[f"weights{i}"] = (m, n)
         dims = {"m": m, "n": n, "r": r}
         states += [(dims[rows], dims[cols]) for rows, cols in STATE_SHAPES[config.method]]
     for j, shape in enumerate(states):
@@ -133,6 +130,22 @@ def _check_commit(i: int, values: dict[str, np.ndarray]) -> None:
         as_matrix(value, f"layer {i}: new {name}")
 
 
+def _config_keys(echo) -> dict:
+    """Each ``[section] key`` of a config echo, with its value; a non-table holds none."""
+    tables = echo.items() if isinstance(echo, dict) else ()
+    return {f"[{s}] {k}": v for s, table in tables if isinstance(table, dict)
+            for k, v in table.items()}
+
+
+def _check_same(error, path, what: str, found: dict, expected: dict) -> None:
+    """Raise ``error`` naming ``path`` and the first ``what``, in sorted order,
+    that the file (``found``) and the run (``expected``) disagree on, if any."""
+    if found != expected:
+        key = min(k for k in {*found, *expected} if found.get(k, ...) != expected.get(k, ...))
+        raise error(f"{path}: {what} {key!r} is {found.get(key, 'missing')} in the file, "
+                    f"{expected.get(key, 'missing')} in the run")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -149,7 +162,8 @@ class Trainer:
     step and is never saved; a step rebuilds one whose layer, or one of whose
     factor arrays, was replaced. The factors a step commits are read-only.
     ``states`` holds the method's AdamW states as ``checkpoint_shapes`` lists
-    them, and ``weights`` full_ft's trained weights.
+    them. full_ft merges each adapter into w0 (w0 := w0 + s*b*a, b := 0) and
+    trains w0, so every method's trained state is the layers plus ``states``.
     """
 
     def __init__(self, config: RunConfig):
@@ -164,9 +178,10 @@ class Trainer:
             for w0, seed in zip(self.task.base_weights, layer_seeds)
         ]
         self.task.base_weights = []  # each layer holds its own copy of its base weight
+        if config.method == "full_ft":  # one at a time: one unmerged w0 at most is held
+            for i, old in enumerate(layers):
+                layers[i] = replace_unchecked(old, w0=effective_weight(old), b=np.zeros_like(old.b))
         self._set_layers(layers)
-        if config.method == "full_ft":
-            self.weights = self.network.effective_weights()
         shapes = checkpoint_shapes(config, [layer.shape for layer in layers])
         self.states = [init_adamw_state(s) for name, s in shapes.items() if name.endswith("/m")]
 
@@ -228,21 +243,23 @@ class Trainer:
         )
 
     def _step_full_ft(self, batch: Batch, hp_now) -> tuple[float, list[LayerMetrics]]:
-        acts, loss_kind = self.network.activations, self.network.loss_kind
-        loss, cache = forward_with_weights(self.weights, acts, loss_kind, batch)
+        net = self.network
+        layers, acts, loss_kind = net.layers, net.activations, net.loss_kind
+        # each layer's b is zero, so its w0 is the weight the network applies
+        loss, cache = forward_with_weights([layer.w0 for layer in layers], acts, loss_kind, batch)
         grads = backward_weight_grads(cache, acts, loss_kind)
         del cache
         # every layer is computed and checked before any is committed; a
         # layer's gradient buffer takes its Adam direction and is dropped as
         # soon as the layer's update is computed
         new = []
-        for i, (w, state) in enumerate(zip(self.weights, self.states)):
+        for i, (layer, state) in enumerate(zip(layers, self.states)):
             g, grads[i] = grads[i], None
-            new.append(full_ft_adamw_step(w, state, g, hp_now, out=g))
+            new.append(full_ft_adamw_step(layer.w0, state, g, hp_now, out=g))
             del g
         for i, (w, state) in enumerate(new):
             _check_commit(i, {"w": w, "v": state.v})
-        self.weights = [w for w, _ in new]
+        layers[:] = [replace_unchecked(layer, w0=w) for layer, (w, _) in zip(layers, new)]
         self.states = [state for _, state in new]
         metrics = [
             LayerMetrics(discrepancy=0.0, rank_a=None, rank_b=None, dl_certificate=None)
@@ -341,10 +358,8 @@ class Trainer:
 
         A state's step count is not saved: each equals ``step_count``.
         """
-        arrays = {f"weights{i}": w for i, w in enumerate(getattr(self, "weights", ()))}
-        for j, state in enumerate(self.states):
-            arrays[f"states{j}/m"], arrays[f"states{j}/v"] = state.m, state.v
-        return arrays
+        return {f"states{j}/{part}": getattr(state, part)
+                for j, state in enumerate(self.states) for part in ("m", "v")}
 
     def save(self, path) -> None:
         arrays = self.state_arrays()
@@ -365,25 +380,20 @@ class Trainer:
         Builds the task first and drops its base weights, then takes the
         layers and optimizer states straight from the file, so a restore
         holds no initial layers or zeroed moments beside the loaded ones.
-        Raises CheckpointError naming the file and the first array, by name,
-        that is missing, extra or of another shape than ``checkpoint_shapes``
-        gives, or a header field that is missing or out of range.
+        Raises ConfigError naming the file and the first ``[section] key``
+        that differs from ``config``, and CheckpointError naming the file and
+        the first array that differs from ``checkpoint_shapes``, an array whose
+        values no trainer saves, or a header field missing or out of range.
         """
         trainer = cls.__new__(cls)
         trainer._start(config)
-        n_layers = len(trainer.task.base_weights)
         expected = checkpoint_shapes(config, [w0.shape for w0 in trainer.task.base_weights])
         trainer.task.base_weights = []  # the checkpoint holds each layer's w0
         meta, arrays = load_checkpoint(str(path))
-        if meta.get("config") != config.to_dict():
-            raise ConfigError("checkpoint was produced by a different config")
-        found = {name: arr.shape for name, arr in arrays.items()}
-        if found != expected:
-            name = min(n for n in {*found, *expected} if found.get(n) != expected.get(n))
-            raise CheckpointError(
-                f"{path}: array {name!r} is {found.get(name, 'missing')} in the file, "
-                f"{expected.get(name, 'missing')} in the run"
-            )
+        _check_same(ConfigError, path, "config key",
+                    _config_keys(meta.get("config")), _config_keys(config.to_dict()))
+        _check_same(CheckpointError, path, "array",
+                    {name: arr.shape for name, arr in arrays.items()}, expected)
         step_count = trainer.step_count = meta.get("step_count")
         if type(step_count) is not int or step_count < 0:
             raise CheckpointError(
@@ -393,18 +403,19 @@ class Trainer:
             trainer.data_rng.bit_generator.state = meta["data_rng_state"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: header field 'data_rng_state': {exc!r}") from exc
-        try:
-            trainer._set_layers([
-                LoraLayer(*(arrays[f"layer{i}/{part}"] for part in ("w0", "b", "a")),
-                          config.alpha, config.rank, config.scaling)
-                for i in range(n_layers)
-            ])
-            trainer.states = [AdamWState(arrays[name], arrays[name[:-1] + "v"], step_count)
-                              for name in expected if name.endswith("/m")]
-        except ValueError as exc:  # a non-finite array, or a negative second moment
-            raise CheckpointError(f"{path}: {exc}") from exc
-        if config.method == "full_ft":
-            trainer.weights = [arrays[f"weights{i}"] for i in range(n_layers)]
+        for name, arr in arrays.items():  # checked by name, so what is built below is not
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: array {name!r} contains non-finite entries")
+            if name.endswith("/v") and (arr < 0.0).any():
+                raise CheckpointError(f"{path}: array {name!r} has a negative second moment")
+            if config.method == "full_ft" and name.endswith("/b") and arr.any():
+                raise CheckpointError(f"{path}: array {name!r} is not zero, as full_ft keeps it")
+        trainer._set_layers([build_unchecked(
+            LoraLayer, **{part: arrays[name[:-2] + part] for part in ("w0", "b", "a")},
+            alpha=config.alpha, rank=config.rank, scaling_mode=config.scaling,
+        ) for name in expected if name.endswith("/w0")])
+        trainer.states = [build_unchecked(AdamWState, m=arrays[name], v=arrays[name[:-1] + "v"],
+                                          t=step_count) for name in expected if name.endswith("/m")]
         return trainer
 
 

@@ -25,7 +25,7 @@ __all__ = [
     "numerical_rank",
 ]
 
-DEFAULT_RANK_TOL = 1e-7
+RANK_TOL = 1e-7
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -155,27 +155,25 @@ def sym_eig(p) -> tuple[np.ndarray, np.ndarray]:
     return w, np.ascontiguousarray(v)
 
 
-def numerical_rank(m, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rel_tol`` times the largest one.
+def numerical_rank(m) -> int:
+    """Number of singular values above ``RANK_TOL`` times the largest one.
 
     Singular values are recovered as square roots of the eigenvalues of the
     smaller of the two Gram matrices, which is cheap at the sizes this
     package works with. The zero matrix has rank 0.
     """
     m = as_matrix(m, "m")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     if m.shape[0] >= m.shape[1]:
         gram = m.T @ m
     else:
         gram = m @ m.T
     eigvals, _ = sym_eig(gram)
-    return int(_gram_rank(eigvals, rel_tol))
+    return int(_gram_rank(eigvals))
 
 
-def _gram_rank(eigvals: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL):
+def _gram_rank(eigvals: np.ndarray):
     """``numerical_rank``'s rule on ascending Gram eigenvalues along the last
     axis (0 for a zero Gram), so ``gradadjust.TangentGeometry`` ranks its
     stacked spectra in one call; one count per spectrum."""
     sigmas = np.sqrt(np.maximum(eigvals, 0.0))
-    return (sigmas > rel_tol * sigmas[..., -1:]).sum(axis=-1)
+    return (sigmas > RANK_TOL * sigmas[..., -1:]).sum(axis=-1)

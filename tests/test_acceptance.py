@@ -113,7 +113,7 @@ def test_equivalent_gradient_rank_bound(instances):
 
 
 def test_backward_pass_matches_finite_differences():
-    eq, fd = check_chain_rule_and_gradients(SEED, n_networks=20)
+    eq, fd = check_chain_rule_and_gradients(SEED)
     _report(
         "factor-gradient identities",
         eq.passed,

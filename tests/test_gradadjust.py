@@ -35,6 +35,7 @@ from lorapro.oracle import (
     solve_sylvester_kron,
     x_objective_scan,
 )
+from lorapro.selfcheck import MAX_FACTOR_COND, _conditioned
 
 
 def test_raw_grads_hand_values(unit_instance):
@@ -434,6 +435,46 @@ def test_geometry_ranks_follow_numerical_rank(factors):
     geometry = TangentGeometry(layer, DampingPolicy(fallback="passthrough"))
     assert (geometry.rank_a, geometry.rank_b) == (numerical_rank(a), numerical_rank(b))
     assert geometry.passthrough == (numerical_rank(b) == 0)
+
+
+@st.composite
+def _scaled_full_rank_layers(draw):
+    """A layer up to 8 x 8 at rank up to 3 with its full gradient.
+
+    The factors are drawn as selfcheck draws them, each of condition at most
+    1e2, and then each is scaled by its own 10^U(-3, 3).
+    """
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    r = draw(st.integers(1, min(3, m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale_b, scale_a = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    s = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    layer = LoraLayer(w0=np.zeros((m, n)),
+                      b=scale_b * _conditioned(rng, (m, r), MAX_FACTOR_COND),
+                      a=scale_a * _conditioned(rng, (r, n), MAX_FACTOR_COND),
+                      alpha=s * r, rank=r, scaling_mode="lora")
+    return layer, rng.normal(size=(m, n))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scaled_full_rank_layers())
+def test_undamped_adjustment_is_optimal_at_every_factor_scale(case):
+    # selfcheck's tolerances, on factors each scaled anywhere from 1e-3 to 1e3
+    layer, g = case
+    bundle = lora_raw_grads(layer, g)
+    _, _, brute = brute_force_optimal_grads(layer, g)
+    geometry = TangentGeometry(layer, EXACT)
+    tildes = []
+    for strategy in X_STRATEGIES:
+        adjusted = adjust(layer, bundle, strategy, EXACT, geometry=geometry)
+        g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b)
+        ours = float(np.sum((g_tilde - g) ** 2))
+        assert _rel(abs(ours - brute), ours, brute, 1.0) <= 1e-7
+        assert loss_decrease_certificate(adjusted, 0.1) <= 1e-12
+        tildes.append(g_tilde)
+    for g_tilde in tildes[1:]:
+        assert _rel(frob_norm(g_tilde - tildes[0]), frob_norm(tildes[0]), 1.0) <= 1e-9
 
 
 def test_geometry_rejects_another_layer(unit_instance):

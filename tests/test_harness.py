@@ -39,7 +39,7 @@ from lorapro.gradadjust import (
 )
 from lorapro.harness import CSV_HEADER, STATE_SHAPES, Trainer, _rows, compare, run
 from lorapro.linalg import numerical_rank
-from lorapro.lora import LoraLayer, apply_decayed_merge_step
+from lorapro.lora import LoraLayer, apply_decayed_merge_step, effective_weight
 from lorapro.model import backward, forward
 from lorapro.optim import adamw_transform, lr_at
 from lorapro.selfcheck import (
@@ -162,6 +162,61 @@ def test_checkpoint_passes_the_benchmark_bit_identity_check(tmp_path, monkeypatc
     assert {name.replace("/", ".") for name in saved} <= compared.keys()
 
 
+def _held_arrays(trainer) -> list[np.ndarray]:
+    """Every distinct array the trainer holds, outside its task's data."""
+    held, todo = {}, [value for name, value in vars(trainer).items() if name != "task"]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            held[id(value)] = value
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif dataclasses.is_dataclass(value):
+            todo.extend(vars(value).values())
+    return list(held.values())
+
+
+@pytest.mark.parametrize("init", ["standard", "gaussian_both"])
+def test_full_ft_trains_its_merged_layer(tmp_path, init):
+    # full_ft merges each adapter into w0 and trains it there: per layer the
+    # trainer holds w0 and its two moments, and no second copy of the weight
+    cfg = small_config(tmp_path, method="full_ft", init=init)
+    trainer = Trainer(cfg)
+    for _ in range(3):
+        trainer.step()
+    ckpt = tmp_path / "state.bin"
+    trainer.save(ckpt)
+    for held_by in (trainer, Trainer.from_checkpoint(cfg, ckpt)):
+        shapes = [arr.shape for arr in _held_arrays(held_by)]
+        for layer in held_by.network.layers:
+            assert shapes.count(layer.shape) == 3
+            assert np.array_equal(effective_weight(layer), layer.w0)
+            assert not layer.b.any()
+
+
+@pytest.mark.parametrize("init", ["standard", "gaussian_both"])
+@pytest.mark.parametrize("strategy", X_STRATEGIES)
+@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
+def test_rank_lost_mid_run_keeps_training_sound(tmp_path, method, strategy, init):
+    # layer 0 loses a column of B between steps, and every later step stays
+    # finite and certified
+    trainer = Trainer(small_config(tmp_path, method=method, x_strategy=strategy, init=init,
+                                   steps=13))
+    for _ in range(3):
+        trainer.step()
+    layer = trainer.network.layers[0]
+    b = layer.b.copy()
+    b[:, 0] = 0.0
+    trainer.network.layers[0] = dataclasses.replace(layer, b=b)
+    for _ in range(10):
+        record = trainer.step()
+        assert math.isfinite(record.train_loss)
+        for metrics in record.per_layer:
+            assert metrics.dl_certificate is None or (
+                metrics.dl_certificate <= harness.CERTIFICATE_CEILING
+            )
+
+
 def _new_layer(old):
     return LoraLayer(
         w0=old.w0, b=2.0 * old.b, a=old.a[::-1].copy(), alpha=old.alpha, rank=old.rank,
@@ -212,8 +267,10 @@ def test_checkpoint_rejects_other_config(tmp_path):
     trainer.step()
     ckpt = tmp_path / "state.bin"
     trainer.save(ckpt)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"config key '\[optimizer\] lr' is 0.005 in the file, "
+                                          r"0.0001 in the run") as excinfo:
         Trainer.from_checkpoint(cfg.with_overrides(lr=1e-4), ckpt)
+    assert str(ckpt) in str(excinfo.value)
 
 
 # layer 0's states come first in Trainer.states, so layer 1's first is at
@@ -234,14 +291,13 @@ def _saved_after_one_step(tmp_path, cfg):
 @pytest.mark.parametrize("method", sorted(FIRST_STATE_OF_LAYER_1))
 def test_checkpoint_with_wrong_state_count_raises_typed_error(tmp_path, method):
     # each restored state is built from the checkpoint alone; a file without
-    # layer 1's states (and full_ft's weights1) names the first one missing
+    # layer 1's states names the first one missing
     missing = FIRST_STATE_OF_LAYER_1[method]
     cfg = small_config(tmp_path, method=method)
     ckpt, meta, arrays = _saved_after_one_step(tmp_path, cfg)
     per_layer = len(STATE_SHAPES[method])
     for j in range(per_layer, 2 * per_layer):
         del arrays[f"states{j}/m"], arrays[f"states{j}/v"]
-    arrays.pop("weights1", None)
     save_checkpoint(str(ckpt), meta, arrays)
     with pytest.raises(CheckpointError, match=f"array '{missing}' is missing in the file"):
         Trainer.from_checkpoint(cfg, ckpt)
@@ -276,9 +332,18 @@ def _negative_second_moment(arrays):
     arrays["states1/v"][0, 0] = -1.0
 
 
+def _add_unmerged_weight(arrays):
+    # a full_ft checkpoint of a trainer that kept its weight beside the layer
+    arrays["weights0"] = arrays["layer0/w0"].copy()
+
+
+def _nonzero_b(arrays):
+    arrays["layer1/b"][0, 0] = 1.0
+
+
 # (method, damage to the arrays, what the error says): the first array of
-# the sorted names that is missing, extra or of another shape, or the value
-# that a layer or state refuses
+# the sorted names that is missing, extra or of another shape, or the array
+# whose values the restore refuses
 LAYER_LIST_DAMAGE = {
     "short": ("lora_pro_sgd", _drop_last_layer,
               r"array 'layer1/a' is missing in the file, \(2, 3\) in the run"),
@@ -289,10 +354,13 @@ LAYER_LIST_DAMAGE = {
     # a restore used to take these, and the next step failed without naming the file
     "state_transposed": ("lora_pro_adamw", _transpose_first_state,
                          r"array 'states0/m' is \(10, 6\) in the file, \(6, 10\) in the run"),
+    "unmerged_full_ft": ("full_ft", _add_unmerged_weight,
+                         r"array 'weights0' is \(6, 10\) in the file, missing in the run"),
     # arrays of the right shapes, whose values no trainer can have saved
-    "nan_w0": ("lora_pro_sgd", _nan_in_w0, "w0 contains non-finite"),
+    "nan_w0": ("lora_pro_sgd", _nan_in_w0, "array 'layer0/w0' contains non-finite"),
     "negative_second_moment": ("lora_pro_adamw", _negative_second_moment,
-                               "second moment must be entrywise nonnegative"),
+                               "array 'states1/v' has a negative second moment"),
+    "full_ft_nonzero_b": ("full_ft", _nonzero_b, "array 'layer1/b' is not zero"),
 }
 
 
@@ -300,7 +368,7 @@ LAYER_LIST_DAMAGE = {
 def test_checkpoint_layer_list_must_match_the_run(tmp_path, damage):
     # a checkpoint re-saved with other arrays: the restore compares every
     # array's name and shape with checkpoint_shapes before it builds anything,
-    # and a value that the layers or states refuse is reported as damage too
+    # and names an array whose values no trainer saves
     method, rewrite, message = LAYER_LIST_DAMAGE[damage]
     cfg = small_config(tmp_path, method=method)
     ckpt, meta, arrays = _saved_after_one_step(tmp_path, cfg)

@@ -143,10 +143,3 @@ def test_numerical_rank_never_exceeds_min_dim():
     for _ in range(30):
         m = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
         assert numerical_rank(m) <= min(m.shape)
-
-
-def test_numerical_rank_tolerance_validation():
-    with pytest.raises(ValueError):
-        numerical_rank(np.eye(2), rel_tol=0.0)
-    with pytest.raises(ValueError):
-        numerical_rank(np.eye(2), rel_tol=1.0)
