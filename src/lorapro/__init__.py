@@ -18,7 +18,6 @@ from .errors import (
     RankDeficiencyError,
     ShapeError,
     SpectrumError,
-    StaleCacheError,
 )
 from .gradadjust import (
     AdjustedGrads,
@@ -73,7 +72,6 @@ __all__ = [
     "RankDeficiencyError",
     "ShapeError",
     "SpectrumError",
-    "StaleCacheError",
     "TangentGeometry",
     "adjust",
     "apply_decayed_merge_step",

@@ -49,10 +49,6 @@ class RankDeficiencyError(LoraProError, RuntimeError):
     """A full-rank precondition does not hold numerically."""
 
 
-class StaleCacheError(LoraProError, RuntimeError):
-    """A backward pass received a cache whose network has since changed."""
-
-
 class ConfigError(LoraProError, ValueError):
     """Invalid run configuration; the message names the offending key."""
 

@@ -46,7 +46,7 @@ from .errors import (
     SpectrumError,
 )
 from .linalg import _gram_rank, as_matrix, build_unchecked, factorization_error, frob_norm
-from .lora import LoraLayer
+from .lora import LoraLayer, capture, holds
 from .sylvester import solve_sylvester
 
 __all__ = [
@@ -79,7 +79,7 @@ class GradBundle:
     g_a_lora: np.ndarray
     g_b_lora: np.ndarray
     g_full: np.ndarray | None = None
-    # (B, A, g_a_lora, g_b_lora, g_full, s) of a bundle lora_raw_grads built
+    # (capture of the layer, g_a_lora, g_b_lora, g_full) of a bundle lora_raw_grads built
     _origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,21 +131,21 @@ class DampingPolicy:
 
 
 def _built_from(bundle: GradBundle, layer: LoraLayer) -> bool:
-    """Whether ``lora_raw_grads`` built ``bundle`` from ``layer``'s current factors."""
+    """Whether ``lora_raw_grads`` built ``bundle`` from what ``layer`` holds (``lora.holds``)."""
     if bundle._origin is None:
         return False
-    *arrays, scaling = bundle._origin
-    current = (layer.b, layer.a, bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
-    return scaling == layer.scaling and all(x is y for x, y in zip(arrays, current))
+    captured, *arrays = bundle._origin
+    current = (bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
+    return holds(layer, captured) and all(x is y for x, y in zip(arrays, current))
 
 
 def validate_bundle(layer: LoraLayer, bundle: GradBundle):
     """Check the chain-rule identities against g_full when it is present.
 
-    A bundle that ``lora_raw_grads`` built from this layer's factors, still
-    holding the arrays it was built with, satisfies them by construction, so
-    only its shapes are checked. Arrays written in place afterwards are not
-    re-read.
+    A bundle that ``lora_raw_grads`` built from what this layer still holds
+    (``lora.holds``), still holding the arrays it was built with, satisfies
+    them by construction, so only its shapes are checked. The bundle's arrays
+    written in place afterwards are not re-read.
     """
     m, n = layer.shape
     r = layer.rank
@@ -181,7 +181,7 @@ def lora_raw_grads(layer: LoraLayer, g_full: np.ndarray) -> GradBundle:
         g_a_lora=g_a,
         g_b_lora=g_b,
         g_full=g_full,
-        _origin=(layer.b, layer.a, g_a, g_b, g_full, s),
+        _origin=(capture(layer), g_a, g_b, g_full),
     )
 
 
@@ -236,7 +236,8 @@ class TangentGeometry:
     def __init__(self, layer: LoraLayer, policy: DampingPolicy = DampingPolicy()):
         self.layer = layer
         self.policy = policy
-        self._factors = b, a = layer.b, layer.a
+        self._captured = capture(layer)
+        b, a = layer.b, layer.a
         grams = np.array((b.T @ b, a @ a.T))
         self._grams = 0.5 * (grams + grams.transpose(0, 2, 1))
         self._damping = (policy.damping_for(self._grams[0]), policy.damping_for(self._grams[1]))
@@ -249,8 +250,8 @@ class TangentGeometry:
         self.passthrough = policy.fallback == "passthrough" and self.rank_b == 0
 
     def describes(self, layer: LoraLayer) -> bool:
-        """Whether ``layer`` is the layer decomposed here, still holding the same factor arrays."""
-        return self.layer is layer and self._factors[0] is layer.b and self._factors[1] is layer.a
+        """Whether ``layer`` is the layer decomposed here and ``lora.holds`` what it held."""
+        return self.layer is layer and holds(layer, self._captured)
 
     @cached_property
     def _ranks(self) -> tuple[int, int]:

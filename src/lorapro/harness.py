@@ -160,7 +160,8 @@ class Trainer:
     Layers are values: a step replaces each layer and never writes into it.
     ``geometries`` caches each committed layer's TangentGeometry for the next
     step and is never saved; a step rebuilds one whose layer, or one of whose
-    factor arrays, was replaced. The factors a step commits are read-only.
+    factor arrays, was replaced. Every factor the trainer holds, initial,
+    restored or committed, is read-only, so ``lora.holds`` checks its identity.
     ``states`` holds the method's AdamW states as ``checkpoint_shapes`` lists
     them. full_ft merges each adapter into w0 (w0 := w0 + s*b*a, b := 0) and
     trains w0, so every method's trained state is the layers plus ``states``.
@@ -209,6 +210,9 @@ class Trainer:
         return init_ss
 
     def _set_layers(self, layers: list[LoraLayer]) -> None:
+        for layer in layers:
+            layer.b.setflags(write=False)
+            layer.a.setflags(write=False)
         self.network = Network(
             layers=layers, activations=list(self.task.activations), loss_kind=self.task.loss_kind
         )
@@ -247,7 +251,7 @@ class Trainer:
         layers, acts, loss_kind = net.layers, net.activations, net.loss_kind
         # each layer's b is zero, so its w0 is the weight the network applies
         loss, cache = forward_with_weights([layer.w0 for layer in layers], acts, loss_kind, batch)
-        grads = backward_weight_grads(cache, acts, loss_kind)
+        grads = backward_weight_grads(cache)
         del cache
         # every layer is computed and checked before any is committed; a
         # layer's gradient buffer takes its Adam direction and is dropped as
@@ -270,9 +274,8 @@ class Trainer:
     def _step_adapters(self, batch: Batch, hp_now) -> tuple[float, list[LayerMetrics]]:
         cfg = self.config
         loss, cache = forward(self.network, batch)
-        # backward checks each weight gradient as it comes out, naming the
-        # layer, and skips its stale-cache recompute for the cache just made
-        bundles = backward(self.network, cache)
+        # backward checks each weight gradient as it comes out, naming the layer
+        bundles = backward(cache)
         del cache  # its effective weights and activations are not read again
 
         # every layer is computed and checked before any is committed, so a
@@ -332,7 +335,7 @@ class Trainer:
                     moments = {"v": state.v}
             del g_tilde  # free before the next layer allocates its own
             _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
-            # fresh arrays; read-only, as a write would go unseen by the carried geometry
+            # fresh arrays, read-only as every factor the trainer holds
             new_layer.b.setflags(write=False)
             new_layer.a.setflags(write=False)
             committed = TangentGeometry(new_layer, self.policy)  # the next step's, too

@@ -20,6 +20,8 @@ __all__ = [
     "INIT_KINDS",
     "InitScheme",
     "LoraLayer",
+    "capture",
+    "holds",
     "scaling_factor",
     "init_layer",
     "effective_weight",
@@ -91,6 +93,34 @@ class LoraLayer:
     @property
     def scaling(self) -> float:
         return scaling_factor(self.alpha, self.rank, self.scaling_mode)
+
+
+def _read_only(factor: np.ndarray) -> np.ndarray:
+    if factor.flags.writeable:
+        factor = factor.copy()
+        factor.setflags(write=False)
+    return factor
+
+
+def capture(layer: LoraLayer) -> tuple:
+    """What a value computed from ``layer`` now is computed from, for ``holds``:
+    (b, a, b's values, a's values, alpha, rank, mode). A read-only factor is
+    its own values, as it cannot change in place; a writable one's are a
+    read-only copy."""
+    b, a = layer.b, layer.a
+    return b, a, _read_only(b), _read_only(a), layer.alpha, layer.rank, layer.scaling_mode
+
+
+def holds(layer: LoraLayer, captured: tuple) -> bool:
+    """Whether ``layer`` holds exactly what ``capture`` recorded: the same factor
+    arrays, at the captured values where writable, and the same alpha, rank
+    and mode. The one rule by which a forward pass, a geometry or a gradient
+    bundle computed from a layer is known to still describe it."""
+    b, a, b_values, a_values, alpha, rank, mode = captured
+    return (layer.b is b and layer.a is a
+            and (b_values is b or np.array_equal(b, b_values))
+            and (a_values is a or np.array_equal(a, a_values))
+            and layer.alpha == alpha and layer.rank == rank and layer.scaling_mode == mode)
 
 
 def init_layer(

@@ -9,15 +9,15 @@ reference every adjustment check compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError, StaleCacheError
+from .errors import NonFiniteError, ShapeError
 from .gradadjust import GradBundle, lora_raw_grads
-from .linalg import as_matrix
-from .lora import LoraLayer, effective_weight
+from .linalg import as_matrix, replace_unchecked
+from .lora import LoraLayer, capture, effective_weight, holds
 
 __all__ = [
     "ACTIVATIONS",
@@ -57,9 +57,6 @@ class Network:
                     f"layer dimensions do not compose: {prev.shape} feeds {nxt.shape}"
                 )
 
-    def effective_weights(self) -> list[np.ndarray]:
-        return [effective_weight(layer) for layer in self.layers]
-
 
 @dataclass
 class Batch:
@@ -85,14 +82,17 @@ class Batch:
 
 @dataclass
 class ForwardCache:
+    """What a forward pass computed, and all that its backward pass reads."""
+
     weights: list[np.ndarray]
     pre_activations: list[np.ndarray]
     post_activations: list[np.ndarray]  # index 0 is the input batch
     batch: Batch
-    loss: float
-    # per layer (w0, b, a, scaling) when ``forward`` made the cache: a factor
-    # that is read-only as itself, a writable one as a copy
-    layers_seen: list[tuple] | None = field(default=None, init=False, repr=False, compare=False)
+    activations: list[str]
+    loss_kind: str
+    # (layer, lora.capture of it) per layer when ``forward`` made the cache;
+    # None when ``forward_with_weights`` made it from bare weights
+    layers: list[tuple[LoraLayer, tuple]] | None = None
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -176,96 +176,59 @@ def forward_with_weights(
     batch: Batch,
 ) -> tuple[float, ForwardCache]:
     """Forward pass over explicit per-layer weights (used directly by full fine-tuning)."""
-    x = batch.inputs
-    if x.shape[1] != weights[0].shape[0]:
-        raise ShapeError(
-            f"input dim {x.shape[1]} does not match first layer rows {weights[0].shape[0]}"
-        )
-    pre, post = [], [x]
-    for w, act in zip(weights, activations):
+    pre, post = [], [batch.inputs]
+    for i, (w, act) in enumerate(zip(weights, activations)):
         if post[-1].shape[1] != w.shape[0]:
-            raise ShapeError(f"dimension chain broken at weight of shape {w.shape}")
+            raise ShapeError(f"layer {i} gets inputs of dim {post[-1].shape[1]}, "
+                             f"but its weight has {w.shape[0]} rows")
         z = post[-1] @ w
         pre.append(z)
         post.append(_activate(z, act))
     loss = _loss(post[-1], batch, loss_kind)
     if not np.isfinite(loss):
         raise NonFiniteError(f"forward produced non-finite loss {loss}")
-    return loss, ForwardCache(
-        weights=[w for w in weights],
-        pre_activations=pre,
-        post_activations=post,
-        batch=batch,
-        loss=loss,
-    )
+    return loss, ForwardCache(weights=list(weights), pre_activations=pre, post_activations=post,
+                              batch=batch, activations=list(activations), loss_kind=loss_kind)
 
 
 def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
     loss, cache = forward_with_weights(
-        net.effective_weights(), net.activations, net.loss_kind, batch
+        [effective_weight(layer) for layer in net.layers], net.activations, net.loss_kind, batch
     )
-    cache.layers_seen = [
-        (layer.w0, _seen(layer.b), _seen(layer.a), layer.scaling) for layer in net.layers
-    ]
+    cache.layers = [(layer, capture(layer)) for layer in net.layers]
     return loss, cache
 
 
-def _seen(factor: np.ndarray) -> np.ndarray:
-    """What ``forward`` records of a factor: a read-only one itself, a writable one's copy."""
-    return factor if not factor.flags.writeable else factor.copy()
-
-
-def _unchanged_since(cache: ForwardCache, net: Network) -> bool:
-    """Whether every layer still has the w0, factor values and scaling ``forward`` saw.
-
-    w0 is frozen and a read-only factor cannot be written in place, so both
-    pass by identity, the rule ``TangentGeometry.describes`` applies; any
-    other factor, which a training loop may write in place, is compared by
-    value.
-    """
-    if cache.layers_seen is None or len(cache.layers_seen) != len(net.layers):
-        return False
-    return all(
-        layer.w0 is w0
-        and layer.scaling == scaling
-        and (layer.b is b or np.array_equal(layer.b, b))
-        and (layer.a is a or np.array_equal(layer.a, a))
-        for layer, (w0, b, a, scaling) in zip(net.layers, cache.layers_seen)
-    )
-
-
-def backward_weight_grads(cache: ForwardCache, activations: Sequence[str],
-                          loss_kind: str) -> list[np.ndarray]:
+def backward_weight_grads(cache: ForwardCache) -> list[np.ndarray]:
     """Exact batch-loss gradient with respect to each layer's weight matrix."""
-    delta = _loss_grad(cache.post_activations[-1], cache.batch, loss_kind)
+    delta = _loss_grad(cache.post_activations[-1], cache.batch, cache.loss_kind)
     grads: list[np.ndarray] = [None] * len(cache.weights)  # type: ignore[list-item]
     for i in reversed(range(len(cache.weights))):
-        delta = delta * _activate_grad(cache.pre_activations[i], activations[i])
+        delta = delta * _activate_grad(cache.pre_activations[i], cache.activations[i])
         grads[i] = cache.post_activations[i].T @ delta
         if i > 0:
             delta = delta @ cache.weights[i].T
     return grads
 
 
-def backward(net: Network, cache: ForwardCache) -> list[GradBundle]:
+def backward(cache: ForwardCache) -> list[GradBundle]:
     """Per-layer gradient bundles (full weight gradient plus raw factor gradients).
 
-    Raises StaleCacheError if the network's effective weights are no longer
-    the ones ``cache`` was computed with. A cache that ``forward`` made from
-    layers whose w0, factors and scaling are unchanged passes without
-    recomputing the effective weights. A non-finite weight gradient raises
-    NonFiniteError naming its layer.
+    Differentiates the forward pass that made ``cache``: the raw factor
+    gradients come from the layers as ``forward`` captured them, whatever the
+    network or its layers have done since. A cache of ``forward_with_weights``
+    holds no layers and raises ShapeError. A non-finite weight gradient
+    raises NonFiniteError naming its layer.
     """
-    if not _unchanged_since(cache, net):
-        current = net.effective_weights()
-        if len(current) != len(cache.weights) or any(
-            w.shape != cw.shape or not np.array_equal(w, cw)
-            for w, cw in zip(current, cache.weights)
-        ):
-            raise StaleCacheError("cache does not match the network's current weights")
-    grads = backward_weight_grads(cache, net.activations, net.loss_kind)
+    if cache.layers is None:
+        raise ShapeError("a forward_with_weights cache holds no layers to take factor "
+                         "gradients of; backward_weight_grads takes its weight gradients")
+    grads = backward_weight_grads(cache)
     bundles = []
-    for i, (layer, g) in enumerate(zip(net.layers, grads)):
+    for i, ((layer, captured), g) in enumerate(zip(cache.layers, grads)):
+        if not holds(layer, captured):  # a new value only for a layer changed since
+            _, _, b, a, alpha, rank, mode = captured
+            layer = replace_unchecked(layer, b=b, a=a, alpha=alpha, rank=rank, scaling_mode=mode)
         try:
             bundles.append(lora_raw_grads(layer, g))
         except NonFiniteError as exc:

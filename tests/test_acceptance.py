@@ -208,10 +208,10 @@ def test_full_rank_limit_matches_full_fine_tuning_trajectory():
     for _ in range(20):
         net = Network([current], ["identity"], "mse")
         _, cache = forward(net, batch)
-        bundle = backward(net, cache)[0]
+        bundle = backward(cache)[0]
         current, state = adamw_step(current, state, bundle, hp)
         _, ft_cache = forward_with_weights([w], ["identity"], "mse", batch)
-        g = backward_weight_grads(ft_cache, ["identity"], "mse")[0]
+        g = backward_weight_grads(ft_cache)[0]
         w, ft_state = full_ft_adamw_step(w, ft_state, g, hp)
     gap = float(np.linalg.norm(effective_weight(current) - w))
     _report("full-rank limit shadows direct fine-tuning", gap < 1e-6,

@@ -96,7 +96,7 @@ def test_sgd_descends_on_quadratic_losses():
         for _ in range(3):
             net = Network([layer], ["identity"], "mse")
             loss0, cache = forward(net, batch)
-            bundle = backward(net, cache)[0]
+            bundle = backward(cache)[0]
             layer = _sgd_step(layer, bundle, hp, policy=EXACT)
             loss1, _ = forward(Network([layer], ["identity"], "mse"), batch)
             assert loss1 < loss0
@@ -338,9 +338,9 @@ def test_full_rank_limit_tracks_full_fine_tuning():
     for _ in range(20):
         net = Network([current], ["identity"], "mse")
         _, cache = forward(net, batch)
-        bundle = backward(net, cache)[0]
+        bundle = backward(cache)[0]
         current, state = adamw_step(current, state, bundle, hp)
         _, ft_cache = forward_with_weights([w], ["identity"], "mse", batch)
-        g = backward_weight_grads(ft_cache, ["identity"], "mse")[0]
+        g = backward_weight_grads(ft_cache)[0]
         w, ft_state = full_ft_adamw_step(w, ft_state, g, hp)
     assert np.linalg.norm(effective_weight(current) - w) < 1e-6

@@ -156,7 +156,7 @@ def test_certificate_slope_matches_realized_loss_change():
     batch = Batch(inputs=rng.normal(size=(16, m)), targets=rng.normal(size=(16, n)))
     net = Network([layer], ["identity"], "mse")
     loss0, cache = forward(net, batch)
-    bundle = backward(net, cache)[0]
+    bundle = backward(cache)[0]
     adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
     g_norm_sq = float(np.sum(bundle.g_full**2))
     for gamma in (1e-2, 1e-3, 1e-4):
