@@ -12,9 +12,11 @@ and the final state lands in a binary checkpoint that resumes bit-exactly.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from .optim import (
     lorapro_sgd_step,
     lr_at,
 )
-from .tasks import build_task
+from .tasks import TaskData, _unreadable, build_task
 
 __all__ = [
     "CSV_HEADER",
@@ -146,6 +148,44 @@ def _check_same(error, path, what: str, found: dict, expected: dict) -> None:
                     f"{expected.get(key, 'missing')} in the run")
 
 
+def _streams(seed: int) -> list[np.random.SeedSequence]:
+    """The task, initial-factor and batch streams of a run seeded ``seed``."""
+    return np.random.SeedSequence(seed).spawn(3)
+
+
+def _task_key(config: RunConfig) -> tuple:
+    """What the task of a run under ``config`` is built from, as ``_task``'s arguments.
+
+    A csv task's key also holds its file's identity (device, inode, size,
+    modification time), so a file rewritten or replaced is read again.
+    """
+    source = None
+    if config.task == "csv_dataset":
+        path = config.task_params["path"]
+        try:
+            st = os.stat(path)
+        except OSError as exc:
+            raise _unreadable(path, exc) from exc
+        source = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    return config.task, tuple(sorted(config.task_params.items())), config.seed, source
+
+
+@functools.lru_cache(maxsize=1)
+def _task(kind: str, params: tuple, seed: int, source) -> TaskData:
+    """The task of a run seeded ``seed``, built once per process for every trainer of it.
+
+    Its inputs, targets and base weights are read-only, so the trainers that
+    share them cannot change one another's data. ``build_task`` is looked up
+    here at each build, so a wrapper set on this module sees every build.
+    The last task stays alive until a different one replaces it.
+    """
+    task_ss = _streams(seed)[0]
+    task = build_task(kind, dict(params), np.random.default_rng(task_ss))
+    for array in (task.inputs, task.targets, *task.base_weights):
+        array.setflags(write=False)
+    return task
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -165,6 +205,9 @@ class Trainer:
     ``states`` holds the method's AdamW states as ``checkpoint_shapes`` lists
     them. full_ft merges each adapter into w0 (w0 := w0 + s*b*a, b := 0) and
     trains w0, so every method's trained state is the layers plus ``states``.
+    ``task`` is the trainer's own ``TaskData`` over the read-only arrays that
+    every trainer of the same task, seed (and csv file) in the process
+    shares; an adapter layer's w0 is the shared base weight itself.
     """
 
     def __init__(self, config: RunConfig):
@@ -178,10 +221,9 @@ class Trainer:
                        scheme=InitScheme(kind=config.init, seed=seed), w0=w0)
             for w0, seed in zip(self.task.base_weights, layer_seeds)
         ]
-        self.task.base_weights = []  # each layer holds its own copy of its base weight
-        if config.method == "full_ft":  # one at a time: one unmerged w0 at most is held
-            for i, old in enumerate(layers):
-                layers[i] = replace_unchecked(old, w0=effective_weight(old), b=np.zeros_like(old.b))
+        if config.method == "full_ft":  # its merged w0s sit beside the shared base weights
+            layers = [replace_unchecked(old, w0=effective_weight(old), b=np.zeros_like(old.b))
+                      for old in layers]
         self._set_layers(layers)
         shapes = checkpoint_shapes(config, [layer.shape for layer in layers])
         self.states = [init_adamw_state(s) for name, s in shapes.items() if name.endswith("/m")]
@@ -194,8 +236,11 @@ class Trainer:
         stream that draws the initial factors.
         """
         self.config = config
-        task_ss, init_ss, data_ss = np.random.SeedSequence(config.seed).spawn(3)
-        self.task = build_task(config.task, config.task_params, np.random.default_rng(task_ss))
+        _, init_ss, data_ss = _streams(config.seed)
+        shared = _task(*_task_key(config))
+        # the trainer's own fields over the shared arrays: rebinding one reaches no other trainer
+        self.task = replace_unchecked(shared, activations=list(shared.activations),
+                                      base_weights=list(shared.base_weights))
         for w0 in self.task.base_weights:
             m, n = w0.shape
             if config.rank > min(m, n):
@@ -380,18 +425,24 @@ class Trainer:
     def from_checkpoint(cls, config: RunConfig, path) -> "Trainer":
         """The trainer that ``Trainer.save`` wrote to ``path`` under ``config``.
 
-        Builds the task first and drops its base weights, then takes the
-        layers and optimizer states straight from the file, so a restore
-        holds no initial layers or zeroed moments beside the loaded ones.
+        Takes the task as a new trainer does, then the layers and optimizer
+        states straight from the file, so a restore holds no initial layers or
+        zeroed moments beside the loaded ones. A task the process already
+        holds is shared, not built again. One built for this restore alone
+        is not cached, and the trainer drops its base weights, since the file
+        holds each layer's w0, so they are not held through the load.
         Raises ConfigError naming the file and the first ``[section] key``
         that differs from ``config``, and CheckpointError naming the file and
         the first array that differs from ``checkpoint_shapes``, an array whose
         values no trainer saves, or a header field missing or out of range.
         """
         trainer = cls.__new__(cls)
+        misses = _task.cache_info().misses
         trainer._start(config)
         expected = checkpoint_shapes(config, [w0.shape for w0 in trainer.task.base_weights])
-        trainer.task.base_weights = []  # the checkpoint holds each layer's w0
+        if _task.cache_info().misses > misses:  # built for this restore alone
+            _task.cache_clear()
+            trainer.task.base_weights = []
         meta, arrays = load_checkpoint(str(path))
         _check_same(ConfigError, path, "config key",
                     _config_keys(meta.get("config")), _config_keys(config.to_dict()))

@@ -132,7 +132,12 @@ def init_layer(
     scheme: InitScheme = InitScheme(),
     w0: np.ndarray | None = None,
 ) -> LoraLayer:
-    """Build a fresh adapter layer; ``w0`` defaults to zeros."""
+    """Build a fresh adapter layer; ``w0`` defaults to zeros.
+
+    A read-only ``w0`` is held as it is, since nothing can write into it, so
+    layers built from one shared base weight share its memory; a writable
+    one is copied, so the caller's later writes never reach the layer.
+    """
     if r > min(m, n):
         raise ShapeError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
     rng = np.random.default_rng(np.random.SeedSequence(scheme.seed))
@@ -144,7 +149,7 @@ def init_layer(
         scale = 1.0 / math.sqrt(r)
         a = rng.normal(0.0, scale, size=(r, n))
         b = rng.normal(0.0, scale, size=(m, r))
-    base = np.zeros((m, n)) if w0 is None else as_matrix(w0, "w0").copy()
+    base = np.zeros((m, n)) if w0 is None else _read_only(as_matrix(w0, "w0"))
     if base.shape != (m, n):
         raise ShapeError(f"w0 must be {m}x{n}, got {base.shape}")
     return LoraLayer(w0=base, b=b, a=a, alpha=alpha, rank=r, scaling_mode=mode)

@@ -113,20 +113,27 @@ def _two_cluster(
     )
 
 
+def _unreadable(path: str, exc: OSError | UnicodeDecodeError) -> ConfigError:
+    """The error for a ``[task] path`` that cannot be read as UTF-8 text."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return ConfigError(f"invalid config key '[task] path': cannot read {path}: {reason}")
+
+
 def _csv_dataset(
     rng: np.random.Generator, *, path: str, target_column: str, loss: str = "mse"
 ) -> TaskData:
     if loss not in LOSS_KINDS:
         raise ConfigError(f"invalid config key 'loss': {loss!r} not in {LOSS_KINDS}")
 
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or target_column not in reader.fieldnames:
-            raise ConfigError(
-                f"invalid config key 'target_column': {target_column!r} not in {path}"
-            )
-        feature_names = [c for c in reader.fieldnames if c != target_column]
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+    if columns is None or target_column not in columns:
+        raise ConfigError(f"invalid config key 'target_column': {target_column!r} not in {path}")
+    feature_names = [c for c in columns if c != target_column]
     if not rows:
         raise ConfigError(f"csv dataset {path} is empty")
 
@@ -180,7 +187,10 @@ def build_task(kind: str, params: dict, rng: np.random.Generator) -> TaskData:
 
     The data is checked here, once, so a batch drawn from its rows needs no
     check of its own. The task keeps the checked arrays, which are the
-    builder's own unless they needed a conversion.
+    builder's own unless they needed a conversion. Each call builds anew and
+    returns writable arrays; the harness builds a run's task once per process
+    and shares it, read-only, with every trainer of it. A csv file that is
+    missing, a directory or not UTF-8 raises ConfigError naming ``[task] path``.
     """
     check_task_params(kind, params)
     task = _BUILDERS[kind](rng, **params)

@@ -9,6 +9,7 @@ import pytest
 from lorapro.cli import main as cli_main
 from lorapro.config import _SECTIONS, RunConfig, parse_config_text
 from lorapro.errors import ConfigError
+from lorapro.harness import Trainer
 from lorapro.optim import HyperParams
 from lorapro.tasks import build_task, task_keys
 
@@ -355,6 +356,29 @@ def test_csv_task(tmp_path):
         build_task("csv_dataset",
                    {"path": str(path), "target_column": "y", "loss": "softmax_crossentropy"},
                    np.random.default_rng(8))
+
+
+@pytest.mark.parametrize("unusable", ["missing", "directory", "not-utf8"])
+def test_unusable_csv_file_raises_config_error_naming_it(tmp_path, capsys, unusable):
+    path = tmp_path / "data.csv"
+    if unusable == "directory":
+        path.mkdir()
+    elif unusable == "not-utf8":
+        path.write_bytes(b"x1,y\n\xff\xfe,1.0\n")
+    params = {"path": str(path), "target_column": "y"}
+    with pytest.raises(ConfigError, match=r"\[task\] path") as built:
+        build_task("csv_dataset", params, np.random.default_rng(0))
+    assert str(path) in str(built.value)
+    cfg = RunConfig(task="csv_dataset", task_params=params, rank=1, out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match=r"\[task\] path") as trained:
+        Trainer(cfg)
+    assert str(trained.value) == str(built.value)
+    config_path = tmp_path / "run.cfg"
+    text = _task_config("csv_dataset", f"path = {path}\ntarget_column = y")
+    config_path.write_text(_with(text, rank=1, out_dir=tmp_path / "out"), encoding="utf-8")
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: {built.value}"
 
 
 def test_csv_task_classification(tmp_path):

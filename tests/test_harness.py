@@ -622,9 +622,9 @@ def test_load_holds_the_payload_once(tmp_path):
 
 @pytest.mark.parametrize("method", ["lora_pro_adamw", "full_ft"])
 def test_restore_holds_no_throwaway_trainer(tmp_path, method):
-    # from_checkpoint builds the task, drops its base weights and takes the
-    # layers and states from the file, so its peak is the larger of the task
-    # build's and the load's, plus the task's data
+    # from_checkpoint in a process that holds no task builds it, keeps no
+    # base weights and takes the layers and states from the file, so its peak
+    # is the larger of the task build's and the load's, plus the task's data
     cfg = small_config(
         tmp_path,
         task_params={"d_in": 128, "d_hidden": 256, "d_out": 64, "n_samples": 64,
@@ -652,10 +652,12 @@ def test_restore_holds_no_throwaway_trainer(tmp_path, method):
     task_rng = np.random.default_rng(0)
     parts = max(peak(lambda: load_checkpoint(str(path))),
                 peak(lambda: harness.build_task(cfg.task, cfg.task_params, task_rng)))
+    harness._task.cache_clear()  # so the restore builds the task, as a fresh process does
     restore = peak(lambda: Trainer.from_checkpoint(cfg, path))
-    # 0.5 units above the load measured for both methods; building a whole
-    # new trainer and replacing its layers and moments read 5.5 (adamw) and
-    # 7.0 (full_ft) units above it
+    # 0.5 units above the load measured for both methods; keeping the base
+    # weights it built through the load reads 2.0, and building a whole new
+    # trainer and replacing its layers and moments 5.5 (adamw) and 7.0
+    # (full_ft) units above it
     assert restore < parts + 1.0, (restore, parts)
 
 
@@ -1018,6 +1020,134 @@ def test_one_solve_per_layer_step_changes_no_bit(tmp_path, method, strategy, pol
     assert passthrough_steps == (2 if policy else 0)  # lr 0 at step 1 keeps B = 0 for step 2
 
 
+# --- the task every trainer of one config shares -------------------------
+
+
+@pytest.fixture
+def task_builds(monkeypatch):
+    """The calls ``harness`` makes to ``build_task``, from a cold task cache on."""
+    calls = []
+    build = harness.build_task
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_task", counting)
+    harness._task.cache_clear()
+    return calls
+
+
+def _fresh_task(cfg):
+    """``build_task`` as a run seeded ``cfg.seed`` calls it, uncached."""
+    task_ss = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+    return harness.build_task(cfg.task, cfg.task_params, np.random.default_rng(task_ss))
+
+
+def _task_bytes(task) -> list:
+    return [(arr.dtype, arr.shape, arr.tobytes())
+            for arr in (task.inputs, task.targets, *task.base_weights)]
+
+
+def test_compare_builds_its_task_once(tmp_path, task_builds):
+    compare(small_config(tmp_path, steps=2), list(METHODS))
+    assert len(task_builds) == 1
+
+
+def test_second_trainer_and_its_restore_build_no_task(tmp_path, task_builds):
+    cfg = small_config(tmp_path)
+    Trainer(cfg)
+    assert len(task_builds) == 1
+    second = Trainer(cfg)
+    second.step()
+    second.save(tmp_path / "state.bin")
+    Trainer.from_checkpoint(cfg, tmp_path / "state.bin")
+    assert len(task_builds) == 1
+
+
+def test_shared_task_is_a_fresh_build_and_read_only(tmp_path):
+    cfg = small_config(tmp_path)
+    task = Trainer(cfg).task
+    assert _task_bytes(task) == _task_bytes(_fresh_task(cfg))
+    for arr in (task.inputs, task.targets, *task.base_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("method", ["lora", "lora_pro_sgd", "lora_pro_adamw"])
+def test_adapter_layer_w0_is_the_shared_base_weight(tmp_path, method):
+    cfg = small_config(tmp_path, method=method)
+    first, second = Trainer(cfg), Trainer(cfg)
+    for i, layer in enumerate(first.network.layers):
+        assert layer.w0 is first.task.base_weights[i] is second.network.layers[i].w0
+
+
+def test_rebinding_one_trainers_task_leaves_another_unchanged(tmp_path):
+    cfg = small_config(tmp_path)
+    expected = Trainer(cfg).step().train_loss
+    first, second = Trainer(cfg), Trainer(cfg)
+    first.task.inputs = first.task.inputs * 1e200
+    first.task.targets = first.task.targets * -1e200
+    first.task.base_weights = []
+    assert second.step().train_loss == expected
+    assert len(second.task.base_weights) == 2
+
+
+@pytest.mark.parametrize("change", [
+    *({"task_params": {key: value}} for key, value in [
+        ("d_in", 7), ("d_hidden", 11), ("d_out", 4), ("n_samples", 65),
+        ("noise_sd", 0.02), ("perturb_rank", 1), ("perturb_scale", 0.25)]),
+    {"seed": 12},
+    {"task": "two_cluster_classification", "task_params": {"d": 6, "k": 3}},
+], ids=lambda change: "task" if "task" in change else next(iter(change.get("task_params", change))))
+def test_another_task_key_seed_or_kind_builds_anew(tmp_path, task_builds, change):
+    cfg = small_config(tmp_path)
+    params = change.get("task_params", {})
+    if "task" not in change:
+        params = {**cfg.task_params, **params}
+    other = small_config(tmp_path, **{**change, "task_params": params})
+    Trainer(cfg)
+    task = Trainer(other).task
+    assert len(task_builds) == 2
+    assert _task_bytes(task) == _task_bytes(_fresh_task(other))
+
+
+@pytest.mark.parametrize("rewrite", ["size", "mtime"])
+def test_rewritten_csv_file_is_read_again(tmp_path, task_builds, rewrite):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,y\n1.0,2.0,3.0\n4.0,5.0,9.0\n0.5,0.5,1.0\n")
+    cfg = small_config(tmp_path, task="csv_dataset", rank=1,
+                       task_params={"path": str(path), "target_column": "y"})
+    Trainer(cfg)
+    before = os.stat(path)
+    if rewrite == "size":
+        path.write_text("x1,x2,y\n1.0,2.0,3.0\n4.0,5.0,9.0\n0.5,0.5,1.0\n2.0,2.0,4.0\n")
+    else:  # the same size and inode, a later modification time
+        path.write_text("x1,x2,y\n1.0,2.0,3.0\n4.0,5.0,9.0\n0.5,0.5,2.0\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    task = Trainer(cfg).task
+    assert len(task_builds) == 2
+    assert _task_bytes(task) == _task_bytes(_fresh_task(cfg))
+
+
+def test_cold_and_warm_task_give_the_same_files(tmp_path, task_builds):
+    written = []
+    for name in ("cold", "warm"):
+        result = compare(small_config(tmp_path / name, steps=6), list(METHODS))
+        assert len(task_builds) == 1  # the warm compare builds none
+        written.append((
+            [result.results[label].csv_path.read_bytes() for label in result.labels],
+            result.csv_path.read_bytes(),
+            [load_checkpoint(str(result.results[label].checkpoint_path))[1]
+             for label in result.labels],
+        ))
+    (cold_csvs, cold_comparison, cold_arrays), (warm_csvs, warm_comparison, warm_arrays) = written
+    assert cold_csvs == warm_csvs and cold_comparison == warm_comparison
+    for cold, warm in zip(cold_arrays, warm_arrays):
+        assert cold.keys() == warm.keys()
+        assert all(cold[name].tobytes() == warm[name].tobytes() for name in cold)
+
+
 def test_compare_needs_two_methods(tmp_path):
     with pytest.raises(ConfigError):
         compare(small_config(tmp_path), ["full_ft"])
@@ -1110,6 +1240,7 @@ def test_run_memory_does_not_grow_with_its_step_count(tmp_path):
     peaks = {}
     for steps in (50, 1000):
         cfg = desk_config(tmp_path / str(steps), steps=steps)
+        harness._task.cache_clear()  # both runs build their task, as a fresh process does
         gc.collect()
         tracemalloc.start()
         try:

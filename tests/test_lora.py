@@ -52,6 +52,16 @@ def test_effective_weight_zero_adapter_is_base():
     assert np.array_equal(effective_weight(layer), w0)
 
 
+def test_init_layer_keeps_a_read_only_w0_and_copies_a_writable_one():
+    shared = np.arange(12.0).reshape(3, 4)
+    shared.setflags(write=False)
+    assert init_layer(3, 4, 2, w0=shared).w0 is shared
+    writable = np.arange(12.0).reshape(3, 4)
+    layer = init_layer(3, 4, 2, w0=writable)
+    writable[0, 0] = 99.0
+    assert layer.w0 is not writable and layer.w0[0, 0] == 0.0
+
+
 def test_effective_weight_rank_one_outer_product():
     layer = LoraLayer(
         w0=np.zeros((2, 2)),
