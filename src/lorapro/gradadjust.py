@@ -272,7 +272,7 @@ class TangentGeometry:
         lam = self._w[k] + self._damping[k]
         if not lam[0] > 0.0:
             coeff = self._grams[k] + self._damping[k] * np.eye(self._grams.shape[1])
-            raise factorization_error(coeff, self._damping[k])
+            raise factorization_error(coeff, self._damping[k], ("B^T B", "A A^T")[k])
         return self._v[k] / np.sqrt(lam)
 
     @cached_property

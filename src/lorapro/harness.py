@@ -119,19 +119,6 @@ def checkpoint_shapes(config: RunConfig, layer_shapes: list) -> dict[str, tuple[
     return arrays
 
 
-def _check_commit(i: int, values: dict[str, np.ndarray]) -> None:
-    """A step's one finiteness check of what it is about to commit for layer ``i``.
-
-    The values inside a step derive from inputs checked where they entered
-    it, so only overflow can make them non-finite; checking them once here,
-    before anything is committed, catches it without re-checking every
-    intermediate. A finite second moment also bounds the gradient that fed
-    it, so the first moment needs no check of its own.
-    """
-    for name, value in values.items():
-        as_matrix(value, f"layer {i}: new {name}")
-
-
 def _config_keys(echo) -> dict:
     """Each ``[section] key`` of a config echo, with its value; a non-table holds none."""
     tables = echo.items() if isinstance(echo, dict) else ()
@@ -197,6 +184,9 @@ def _fmt(value) -> str:
 class Trainer:
     """Owns the model, optimizer state, and data stream of a single run.
 
+    A step of every method is one forward and backward (full_ft's over its
+    merged w0s) and one loop that computes, checks and records each layer's
+    update, committing none until all pass; an error gains its layer and step.
     Layers are values: a step replaces each layer and never writes into it.
     ``geometries`` caches each committed layer's TangentGeometry for the next
     step and is never saved; a step rebuilds one whose layer, or one of whose
@@ -269,7 +259,7 @@ class Trainer:
         return build_unchecked(Batch, inputs=self.task.inputs[idx], targets=self.task.targets[idx])
 
     def step(self) -> RunRecord:
-        cfg = self.config
+        cfg, net = self.config, self.network
         lr_now = lr_at(self.hp, self.step_count, cfg.steps)
         # lr_at gives a value in [0, lr], which the checks of self.hp cover
         hp_now = replace_unchecked(self.hp, lr=lr_now)
@@ -277,127 +267,115 @@ class Trainer:
 
         try:
             if cfg.method == "full_ft":
-                loss, metrics = self._step_full_ft(batch, hp_now)
+                # each layer's b is zero, so its w0 is the weight the network applies
+                weights = [layer.w0 for layer in net.layers]
+                loss, cache = forward_with_weights(weights, net.activations, net.loss_kind, batch)
+                grads = backward_weight_grads(cache)
             else:
-                loss, metrics = self._step_adapters(batch, hp_now)
+                loss, cache = forward(net, batch)
+                # backward checks each weight gradient as it comes out, naming the layer
+                grads = backward(cache)
+            del cache  # its weights and activations are not read again
+
+            # every layer is computed and checked before any is committed, so
+            # a step that raises leaves the trainer as it was; each layer takes
+            # its states from the flat list in STATE_SHAPES order
+            states = iter(self.states)
+            new_layers, new_geometries, new_states, metrics = [], [], [], []
+            for i, layer in enumerate(net.layers):
+                # a layer's gradient is dropped as soon as its update is computed
+                grad, grads[i] = grads[i], None
+                try:
+                    new_layer, layer_states, values, discrepancy, certificate = self._update(
+                        i, layer, grad, states, hp_now
+                    )
+                    del grad
+                    # the step's one finiteness check: its values derive from
+                    # inputs checked where they entered it, so only overflow can
+                    # make them non-finite, and this catches it without
+                    # re-checking every intermediate. A finite second moment
+                    # also bounds the gradient that fed it, so the first moment
+                    # needs no check of its own
+                    for name, value in values.items():
+                        as_matrix(value, f"new {name}")
+                    # fresh factors, read-only as every factor the trainer holds
+                    new_layer.b.setflags(write=False)
+                    new_layer.a.setflags(write=False)
+                    # the next step's geometry, too; full_ft's layer needs none
+                    committed = (None if cfg.method == "full_ft"
+                                 else TangentGeometry(new_layer, self.policy))
+                except LoraProError as exc:
+                    exc.args = (f"layer {i}: {exc}",)
+                    raise
+                new_layers.append(new_layer)
+                new_geometries.append(committed)
+                new_states += layer_states
+                metrics.append(LayerMetrics(discrepancy, getattr(committed, "rank_a", None),
+                                            getattr(committed, "rank_b", None), certificate))
         except LoraProError as exc:
             # the message gains the step; the type and what the error carries
             # (a SpectrumError's pair, a FactorizationError's leading minor) stay
             exc.args = (f"aborting at step {self.step_count + 1}: {exc}",)
             raise
 
+        net.layers[:] = new_layers
+        self.geometries = new_geometries
+        self.states = new_states
         self.step_count += 1
         return RunRecord(
             step=self.step_count, lr=lr_now, train_loss=loss, per_layer=metrics
         )
 
-    def _step_full_ft(self, batch: Batch, hp_now) -> tuple[float, list[LayerMetrics]]:
-        net = self.network
-        layers, acts, loss_kind = net.layers, net.activations, net.loss_kind
-        # each layer's b is zero, so its w0 is the weight the network applies
-        loss, cache = forward_with_weights([layer.w0 for layer in layers], acts, loss_kind, batch)
-        grads = backward_weight_grads(cache)
-        del cache
-        # every layer is computed and checked before any is committed; a
-        # layer's gradient buffer takes its Adam direction and is dropped as
-        # soon as the layer's update is computed
-        new = []
-        for i, (layer, state) in enumerate(zip(layers, self.states)):
-            g, grads[i] = grads[i], None
-            new.append(full_ft_adamw_step(layer.w0, state, g, hp_now, out=g))
-            del g
-        for i, (w, state) in enumerate(new):
-            _check_commit(i, {"w": w, "v": state.v})
-        layers[:] = [replace_unchecked(layer, w0=w) for layer, (w, _) in zip(layers, new)]
-        self.states = [state for _, state in new]
-        metrics = [
-            LayerMetrics(discrepancy=0.0, rank_a=None, rank_b=None, dl_certificate=None)
-            for _ in new
-        ]
-        return loss, metrics
-
-    def _step_adapters(self, batch: Batch, hp_now) -> tuple[float, list[LayerMetrics]]:
-        cfg = self.config
-        loss, cache = forward(self.network, batch)
-        # backward checks each weight gradient as it comes out, naming the layer
-        bundles = backward(cache)
-        del cache  # its effective weights and activations are not read again
-
-        # every layer is computed and checked before any is committed, so a
-        # step that raises leaves the trainer as it was; each layer takes
-        # its states from the flat list in STATE_SHAPES order
-        states = iter(self.states)
-        new_geometries, new_states, metrics = [], [], []
-        for i, (layer, bundle) in enumerate(zip(self.network.layers, bundles)):
-            certificate, moments = None, {}
-            # the pairs below derive from the checked weight gradient; an
-            # overflow in them is caught by the discrepancy's check
-            if cfg.method == "lora":
-                g_tilde = equivalent_gradient(
-                    layer, bundle.g_a_lora, bundle.g_b_lora, checked=True
+    def _update(self, i: int, layer: LoraLayer, grad, states, hp_now) -> tuple:
+        """Layer ``i``'s update arm: its new value and states, the values to check
+        before a commit, its discrepancy and its certificate. ``grad`` is full_ft's
+        weight gradient, which becomes the Adam direction's buffer, or a ``GradBundle``."""
+        cfg, certificate = self.config, None
+        if cfg.method == "full_ft":
+            w, state = full_ft_adamw_step(layer.w0, next(states), grad, hp_now, out=grad)
+            return replace_unchecked(layer, w0=w), [state], {"w": w, "v": state.v}, 0.0, None
+        # the pairs below derive from the checked weight gradient; an
+        # overflow in them is caught by the discrepancy's check
+        if cfg.method == "lora":
+            g_tilde = equivalent_gradient(layer, grad.g_a_lora, grad.g_b_lora, checked=True)
+        else:
+            # one geometry and one X = 0 solve serve the metric, the
+            # certificate and the step
+            geometry = self.geometries[i]
+            if geometry is None or not geometry.describes(layer):
+                geometry = TangentGeometry(layer, self.policy)
+            adjusted = adjust(layer, grad, strategy="zero", policy=self.policy, geometry=geometry)
+            g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b, checked=True)
+        # the discrepancy is g_full's last read, so it is taken before the
+        # update, with g_tilde - g_full written into g_full's own buffer;
+        # then the layer's g_full (held by the bundle, its origin record and
+        # residual) is dropped before the update allocates
+        residual = np.subtract(g_tilde, grad.g_full, out=grad.g_full)
+        discrepancy = float(np.linalg.norm(as_matrix(residual, "g_tilde - g")))
+        grad.g_full = grad._origin = residual = None
+        if cfg.method != "lora" and not geometry.passthrough:
+            certificate = loss_decrease_certificate(adjusted, hp_now.lr)
+            if certificate > CERTIFICATE_CEILING:
+                raise DescentViolationError(
+                    f"predicted loss change {certificate:.3e} above {CERTIFICATE_CEILING:.0e}"
                 )
-            else:
-                # one geometry and one X = 0 solve serve the metric, the
-                # certificate and the step
-                geometry = self.geometries[i]
-                if geometry is None or not geometry.describes(layer):
-                    geometry = TangentGeometry(layer, self.policy)
-                adjusted = adjust(
-                    layer, bundle, strategy="zero", policy=self.policy, geometry=geometry
-                )
-                g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b, checked=True)
-            # the discrepancy is g_full's last read, so it is taken before the
-            # update, with g_tilde - g_full written into g_full's own buffer;
-            # then the layer's g_full (held by the bundle, its origin record and
-            # residual) is dropped before the update allocates
-            residual = np.subtract(g_tilde, bundle.g_full, out=bundle.g_full)
-            discrepancy = float(np.linalg.norm(as_matrix(residual, f"layer {i}: g_tilde - g")))
-            bundle.g_full = bundle._origin = residual = None
-            if cfg.method == "lora":
-                new_layer, sa, sb = lora_adamw_step(
-                    layer, next(states), next(states), bundle, hp_now
-                )
-                new_states += [sa, sb]
-                moments = {"v_a": sa.v, "v_b": sb.v}
-            else:
-                if not geometry.passthrough:
-                    certificate = loss_decrease_certificate(adjusted, hp_now.lr)
-                    if certificate > CERTIFICATE_CEILING:
-                        raise DescentViolationError(
-                            f"layer {i}: predicted loss change {certificate:.3e} above "
-                            f"{CERTIFICATE_CEILING:.0e}"
-                        )
-                if cfg.method == "lora_pro_sgd":
-                    new_layer = lorapro_sgd_step(adjusted.projection, hp_now, cfg.x_strategy)
-                    del adjusted  # with its projection, which served only this layer
-                else:
-                    del adjusted  # the AdamW step reads g_tilde alone
-                    # g_tilde is consumed: it now holds the Adam direction
-                    new_layer, state = lorapro_adamw_step(
-                        geometry, next(states), g_tilde, hp_now, cfg.x_strategy
-                    )
-                    new_states.append(state)
-                    moments = {"v": state.v}
-            del g_tilde  # free before the next layer allocates its own
-            _check_commit(i, {"b": new_layer.b, "a": new_layer.a, **moments})
-            # fresh arrays, read-only as every factor the trainer holds
-            new_layer.b.setflags(write=False)
-            new_layer.a.setflags(write=False)
-            committed = TangentGeometry(new_layer, self.policy)  # the next step's, too
-            new_geometries.append(committed)
-            metrics.append(
-                LayerMetrics(
-                    discrepancy=discrepancy,
-                    rank_a=committed.rank_a,
-                    rank_b=committed.rank_b,
-                    dl_certificate=certificate,
-                )
+        if cfg.method == "lora":
+            new_layer, sa, sb = lora_adamw_step(layer, next(states), next(states), grad, hp_now)
+            new_states, moments = [sa, sb], {"v_a": sa.v, "v_b": sb.v}
+        elif cfg.method == "lora_pro_sgd":
+            new_layer = lorapro_sgd_step(adjusted.projection, hp_now, cfg.x_strategy)
+            new_states, moments = [], {}
+            del adjusted  # with its projection, which served only this layer
+        else:
+            del adjusted  # the AdamW step reads g_tilde alone
+            # g_tilde is consumed: it now holds the Adam direction
+            new_layer, state = lorapro_adamw_step(
+                geometry, next(states), g_tilde, hp_now, cfg.x_strategy
             )
-
-        self.network.layers[:] = [geo.layer for geo in new_geometries]
-        self.geometries = new_geometries
-        self.states = new_states
-        return loss, metrics
+            new_states, moments = [state], {"v": state.v}
+        del g_tilde  # free before the next layer allocates its own
+        values = {"b": new_layer.b, "a": new_layer.a, **moments}
+        return new_layer, new_states, values, discrepancy, certificate
 
     # --- checkpointing ---------------------------------------------------
 

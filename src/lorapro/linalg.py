@@ -106,13 +106,13 @@ def spd_solve(p, rhs, damping: float = 0.0) -> np.ndarray:
     try:
         lower = np.linalg.cholesky(coeff)
     except np.linalg.LinAlgError:
-        raise factorization_error(coeff, damping) from None
+        raise factorization_error(coeff, damping, "matrix") from None
     x = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     return _finite_output(np.ascontiguousarray(x), "spd_solve")
 
 
-def factorization_error(coeff: np.ndarray, damping: float) -> FactorizationError:
-    """The typed error for a symmetric ``coeff`` that is not positive definite.
+def factorization_error(coeff: np.ndarray, damping: float, what: str) -> FactorizationError:
+    """The typed error for a symmetric ``coeff``, named ``what``, that is not positive definite.
 
     ``leading_minor`` is the order of the first leading k x k block that does
     not factor, which is where a Cholesky of the whole matrix stops; the
@@ -130,7 +130,7 @@ def factorization_error(coeff: np.ndarray, damping: float) -> FactorizationError
             break
     return FactorizationError(
         f"Cholesky factorization failed at leading minor {minor} "
-        f"(matrix of dimension {n}, damping {damping})",
+        f"({what} of dimension {n}, damping {damping})",
         leading_minor=minor,
     )
 

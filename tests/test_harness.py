@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from lorapro.config import RunConfig, parse_config_text
 from lorapro.errors import (
     CheckpointError,
     ConfigError,
+    FactorizationError,
     LoraProError,
     NonFiniteError,
     ShapeError,
@@ -752,13 +754,15 @@ def test_non_finite_update_is_caught_before_commit(tmp_path, monkeypatch, method
     assert _committed(trainer) == before
 
 
-def test_failed_step_commits_no_layer(tmp_path, monkeypatch):
-    trainer = Trainer(desk_config(tmp_path))
+@pytest.mark.parametrize("method", sorted(STEP_FUNCTIONS))
+def test_failed_step_commits_no_layer(tmp_path, monkeypatch, method):
+    # the second layer's update arm fails after the first layer's update was
+    # computed and checked: neither layer, no state and no geometry is committed
+    trainer = Trainer(desk_config(tmp_path).with_overrides(method=method))
     trainer.step()
-    layers = [(layer.b.copy(), layer.a.copy()) for layer in trainer.network.layers]
-    states = [(st.m.copy(), st.v.copy(), st.t) for st in trainer.states]
+    before, geometries = _committed(trainer), list(trainer.geometries)
     calls = []
-    real_step = harness.lorapro_adamw_step
+    real_step = getattr(harness, STEP_FUNCTIONS[method])
 
     def fail_on_second_layer(*args, **kwargs):
         calls.append(None)
@@ -766,18 +770,35 @@ def test_failed_step_commits_no_layer(tmp_path, monkeypatch):
             raise RuntimeError("injected failure on layer 1")
         return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "lorapro_adamw_step", fail_on_second_layer)
+    monkeypatch.setattr(harness, STEP_FUNCTIONS[method], fail_on_second_layer)
     with pytest.raises(RuntimeError, match="injected"):
         trainer.step()
     assert len(calls) == 2
-    assert trainer.step_count == 1
-    for layer, (b, a) in zip(trainer.network.layers, layers):
-        assert np.array_equal(layer.b, b) and np.array_equal(layer.a, a)
-    for st, (m, v, t) in zip(trainer.states, states):
-        assert np.array_equal(st.m, m) and np.array_equal(st.v, v) and st.t == t
+    assert _committed(trainer) == before
+    assert all(now is then for now, then in zip(trainer.geometries, geometries))
 
 
-@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
+# the spans of a traced step that the per-layer metrics read, each named after
+# the module that makes the call
+_ADJUSTED_STEP_SPANS = {
+    "harness>model.forward",
+    "harness>model.backward",
+    "harness>gradadjust.adjust",
+    "harness>gradadjust.loss_decrease_certificate",
+    "gradadjust>gradadjust.choose_x",
+    # the Sylvester X, by the sylvester module's one solver
+    "gradadjust>sylvester.solve_sylvester",
+}
+TRACED_STEP_SPANS = {
+    "lora": {"harness>model.forward", "harness>model.backward", "harness>optim.lora_adamw_step"},
+    "lora_pro_sgd": {*_ADJUSTED_STEP_SPANS, "harness>optim.lorapro_sgd_step"},
+    "lora_pro_adamw": {*_ADJUSTED_STEP_SPANS, "harness>optim.lorapro_adamw_step"},
+    "full_ft": {"harness>model.forward_with_weights", "harness>model.backward_weight_grads",
+                "harness>optim.full_ft_adamw_step"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(TRACED_STEP_SPANS))
 def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch, method):
     # perfbench/tracer.py looks up every watched lorapro function by name; a
     # deletion or rename in the library would break its --trace 1 pass, and a
@@ -797,25 +818,21 @@ def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch, method):
     assert harness.adjust is adjust
 
     names = {span[tracer.NAME] for span in recorder.spans}
-    step_function = "lorapro_sgd_step" if method == "lora_pro_sgd" else "lorapro_adamw_step"
-    assert {
-        tracer.STEP,
-        tracer.RUN,
-        "harness>gradadjust.adjust",
-        "harness>gradadjust.loss_decrease_certificate",
-        "gradadjust>gradadjust.choose_x",
-        f"harness>optim.{step_function}",
-        # the Sylvester X, by the sylvester module's one solver
-        "gradadjust>sylvester.solve_sylvester",
-    } <= names
+    assert {tracer.STEP, tracer.RUN, *TRACED_STEP_SPANS[method]} <= names
     assert any(name.endswith(">linalg.as_matrix") for name in names)
     metrics, counts = tracer.step_metrics(recorder.spans, cfg.method, n_layers=2)
-    assert counts["gradadjust.adjust"] > 0 and counts["linalg.as_matrix"] > 0
+    assert counts["linalg.as_matrix"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
-    for stage in ("gradadjust.certificate_ms", "gradadjust.choose_x_ms", "sylvester.solve_ms"):
-        assert metrics[stage] > 0.0, stage
-    # the Sylvester X of each of the two layers
-    assert metrics["sylvester.solve_calls"] == 2.0
+    if method != "full_ft":
+        for stage in ("model.forward_ms", "model.backward_ms", "harness.metric_ms"):
+            assert metrics[stage] > 0.0, stage
+    if method.startswith("lora_pro"):
+        assert counts["gradadjust.adjust"] > 0
+        for stage in ("gradadjust.certificate_ms", "gradadjust.choose_x_ms",
+                      "sylvester.solve_ms"):
+            assert metrics[stage] > 0.0, stage
+        # the Sylvester X of each of the two layers
+        assert metrics["sylvester.solve_calls"] == 2.0
 
 
 def _count_calls(monkeypatch, watched) -> dict[str, int]:
@@ -1561,7 +1578,7 @@ def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError, match="aborting at step 107: certificate"):
+        with pytest.raises(NonFiniteError, match=r"aborting at step 107: layer \d: certificate"):
             run(cfg)
 
 
@@ -1604,7 +1621,7 @@ def test_step_error_names_its_step_and_keeps_its_context(tmp_path, monkeypatch):
     trainer = Trainer(small_config(tmp_path))
     trainer.step()
     trainer.step()
-    with pytest.raises(SpectrumError, match=r"^aborting at step 3: X selection") as excinfo:
+    with pytest.raises(SpectrumError, match=r"^aborting at step 3: layer \d: X selection") as excinfo:
         trainer.step()
     assert excinfo.value.pair == (1e-14, 0.0)
     assert trainer.step_count == 2
@@ -1618,7 +1635,8 @@ def test_cli_run_reports_a_step_error_in_one_line(tmp_path, monkeypatch, capsys)
     assert cli_main(["run", "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: aborting at step 3: X selection 'sylvester' failed")
+    assert re.match(r"error: aborting at step 3: layer \d: X selection 'sylvester' failed",
+                    captured.err)
     assert captured.err.count("\n") == 1
 
 
@@ -1631,6 +1649,22 @@ def test_non_finite_loss_aborts_with_step_index(tmp_path):
     trainer.task.targets = trainer.task.targets * -1e200
     with pytest.raises(NonFiniteError, match="step 1"):
         trainer.step()
+
+
+@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
+def test_undamped_zero_b_error_names_its_layer_and_gram(tmp_path, method):
+    # damping = 0 under the damp fallback: the standard init's B = 0 leaves
+    # B^T B singular, and the first layer's step refuses it
+    cfg = small_config(tmp_path, method=method, damping=0.0, fallback="damp")
+    trainer = Trainer(cfg)
+    before = _committed(trainer)
+    with pytest.raises(FactorizationError, match=(
+        r"^aborting at step 1: layer 0: Cholesky factorization failed at leading minor 1 "
+        r"\(B\^T B of dimension 2, damping 0\.0\)$"
+    )) as excinfo:
+        trainer.step()
+    assert excinfo.value.leading_minor == 1
+    assert _committed(trainer) == before
 
 
 @pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
