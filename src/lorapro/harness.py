@@ -25,7 +25,13 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .errors import CheckpointError, ConfigError, DescentViolationError, LoraProError
-from .gradadjust import TangentGeometry, adjust, equivalent_gradient, loss_decrease_certificate
+from .gradadjust import (
+    TangentGeometry,
+    adjust,
+    discrepancy,
+    equivalent_gradient,
+    loss_decrease_certificate,
+)
 from .linalg import as_matrix, build_unchecked, replace_unchecked
 from .lora import InitScheme, LoraLayer, effective_weight, init_layer
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
@@ -246,8 +252,8 @@ class Trainer:
 
     def _set_layers(self, layers: list[LoraLayer]) -> None:
         for layer in layers:
-            layer.b.setflags(write=False)
-            layer.a.setflags(write=False)
+            for array in (layer.w0, layer.b, layer.a):
+                array.setflags(write=False)
         self.network = Network(
             layers=layers, activations=list(self.task.activations), loss_kind=self.task.loss_kind
         )
@@ -273,9 +279,9 @@ class Trainer:
                 grads = backward_weight_grads(cache)
             else:
                 loss, cache = forward(net, batch)
-                # backward checks each weight gradient as it comes out, naming the layer
+                # each bundle is checked at its discrepancy, which names the layer
                 grads = backward(cache)
-            del cache  # its weights and activations are not read again
+            del cache  # what it holds beyond the bundles is not read again
 
             # every layer is computed and checked before any is committed, so
             # a step that raises leaves the trainer as it was; each layer takes
@@ -286,7 +292,7 @@ class Trainer:
                 # a layer's gradient is dropped as soon as its update is computed
                 grad, grads[i] = grads[i], None
                 try:
-                    new_layer, layer_states, values, discrepancy, certificate = self._update(
+                    new_layer, layer_states, values, layer_discrepancy, certificate = self._update(
                         i, layer, grad, states, hp_now
                     )
                     del grad
@@ -298,9 +304,9 @@ class Trainer:
                     # needs no check of its own
                     for name, value in values.items():
                         as_matrix(value, f"new {name}")
-                    # fresh factors, read-only as every factor the trainer holds
-                    new_layer.b.setflags(write=False)
-                    new_layer.a.setflags(write=False)
+                    # fresh arrays, read-only as every layer array the trainer holds
+                    for array in (new_layer.w0, new_layer.b, new_layer.a):
+                        array.setflags(write=False)
                     # the next step's geometry, too; full_ft's layer needs none
                     committed = (None if cfg.method == "full_ft"
                                  else TangentGeometry(new_layer, self.policy))
@@ -310,7 +316,7 @@ class Trainer:
                 new_layers.append(new_layer)
                 new_geometries.append(committed)
                 new_states += layer_states
-                metrics.append(LayerMetrics(discrepancy, getattr(committed, "rank_a", None),
+                metrics.append(LayerMetrics(layer_discrepancy, getattr(committed, "rank_a", None),
                                             getattr(committed, "rank_b", None), certificate))
         except LoraProError as exc:
             # the message gains the step; the type and what the error carries
@@ -334,25 +340,22 @@ class Trainer:
         if cfg.method == "full_ft":
             w, state = full_ft_adamw_step(layer.w0, next(states), grad, hp_now, out=grad)
             return replace_unchecked(layer, w0=w), [state], {"w": w, "v": state.v}, 0.0, None
-        # the pairs below derive from the checked weight gradient; an
-        # overflow in them is caught by the discrepancy's check
+        # the pair whose equivalent gradient the method applies: the raw one,
+        # or the X = 0 adjustment, whose one geometry and one solve serve the
+        # metric, the certificate and the step. It derives from the bundle's
+        # unchecked arrays; the discrepancy checks them all, naming the layer
         if cfg.method == "lora":
-            g_tilde = equivalent_gradient(layer, grad.g_a_lora, grad.g_b_lora, checked=True)
+            g_a, g_b = grad.g_a_lora, grad.g_b_lora
         else:
-            # one geometry and one X = 0 solve serve the metric, the
-            # certificate and the step
             geometry = self.geometries[i]
             if geometry is None or not geometry.describes(layer):
                 geometry = TangentGeometry(layer, self.policy)
             adjusted = adjust(layer, grad, strategy="zero", policy=self.policy, geometry=geometry)
-            g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b, checked=True)
-        # the discrepancy is g_full's last read, so it is taken before the
-        # update, with g_tilde - g_full written into g_full's own buffer;
-        # then the layer's g_full (held by the bundle, its origin record and
-        # residual) is dropped before the update allocates
-        residual = np.subtract(g_tilde, grad.g_full, out=grad.g_full)
-        discrepancy = float(np.linalg.norm(as_matrix(residual, "g_tilde - g")))
-        grad.g_full = grad._origin = residual = None
+            g_a, g_b = adjusted.g_a, adjusted.g_b
+        layer_discrepancy = discrepancy(layer, g_a, g_b, grad)
+        # its last read of the gradient's factors: the bundle, its origin
+        # record and the projection drop them before the update allocates
+        grad.x = grad.delta = grad._origin = None
         if cfg.method != "lora" and not geometry.passthrough:
             certificate = loss_decrease_certificate(adjusted, hp_now.lr)
             if certificate > CERTIFICATE_CEILING:
@@ -367,15 +370,17 @@ class Trainer:
             new_states, moments = [], {}
             del adjusted  # with its projection, which served only this layer
         else:
-            del adjusted  # the AdamW step reads g_tilde alone
+            # the m x n equivalent gradient its moments need
+            g_tilde = equivalent_gradient(layer, g_a, g_b, checked=True)
+            del adjusted, g_a, g_b  # the AdamW step reads g_tilde alone
             # g_tilde is consumed: it now holds the Adam direction
             new_layer, state = lorapro_adamw_step(
                 geometry, next(states), g_tilde, hp_now, cfg.x_strategy
             )
             new_states, moments = [state], {"v": state.v}
-        del g_tilde  # free before the next layer allocates its own
+            del g_tilde  # free before the next layer allocates its own
         values = {"b": new_layer.b, "a": new_layer.a, **moments}
-        return new_layer, new_states, values, discrepancy, certificate
+        return new_layer, new_states, values, layer_discrepancy, certificate
 
     # --- checkpointing ---------------------------------------------------
 

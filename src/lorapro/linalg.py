@@ -10,6 +10,8 @@ module pins the contracts on top of them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import EigenDecompositionError, FactorizationError, NonFiniteError, ShapeError
@@ -39,7 +41,10 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # a NaN or an infinity reaches the minimum or the maximum, so two
+    # reductions check every entry without an m x n bool temporary
+    if not (math.isfinite(np.minimum.reduce(a, axis=None))
+            and math.isfinite(np.maximum.reduce(a, axis=None))):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return a
 

@@ -2,9 +2,14 @@
 
 A network is a stack of bias-free linear maps y = x @ W with an elementwise
 activation after each, followed by a batch-mean loss. The backward pass is
-analytic and layer-local (three primitives do not warrant an autodiff tape),
-which keeps the full weight gradients exact and reproducible — they are the
-reference every adjustment check compares against.
+analytic and layer-local (three primitives do not warrant an autodiff tape).
+
+An adapter layer's W = W0 + s*B*A is never formed: ``forward`` computes
+x @ W0 + s*(x @ B) @ A, and ``backward`` gives each layer's weight gradient
+factored, as x^T delta, beside the factor gradients it determines. The
+dense pair ``forward_with_weights``/``backward_weight_grads`` takes explicit
+weights; full fine-tuning trains with it, and the certification suite
+checks the factored pair against it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
-from .gradadjust import GradBundle, lora_raw_grads
-from .linalg import as_matrix, replace_unchecked
-from .lora import LoraLayer, capture, effective_weight, holds
+from .gradadjust import GradBundle, _derived
+from .linalg import as_matrix
+from .lora import LoraLayer, _read_only, capture, scaling_factor
 
 __all__ = [
     "ACTIVATIONS",
@@ -84,15 +89,16 @@ class Batch:
 class ForwardCache:
     """What a forward pass computed, and all that its backward pass reads."""
 
-    weights: list[np.ndarray]
+    # the weights of ``forward_with_weights``; None when ``forward`` made the cache
+    weights: list[np.ndarray] | None
     pre_activations: list[np.ndarray]
     post_activations: list[np.ndarray]  # index 0 is the input batch
     batch: Batch
     activations: list[str]
     loss_kind: str
-    # (layer, lora.capture of it) per layer when ``forward`` made the cache;
-    # None when ``forward_with_weights`` made it from bare weights
-    layers: list[tuple[LoraLayer, tuple]] | None = None
+    # (lora.capture of the layer, its w0, x @ B) per layer when ``forward``
+    # made the cache; None when ``forward_with_weights`` made it
+    layers: list[tuple[tuple, np.ndarray, np.ndarray]] | None = None
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -192,11 +198,30 @@ def forward_with_weights(
 
 
 def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
-    loss, cache = forward_with_weights(
-        [effective_weight(layer) for layer in net.layers], net.activations, net.loss_kind, batch
-    )
-    cache.layers = [(layer, capture(layer)) for layer in net.layers]
-    return loss, cache
+    """Forward pass of the adapter network, each layer as x @ W0 + s*(x @ B) @ A.
+
+    The cache keeps, per layer, ``lora.capture`` of it, its w0 (a read-only
+    copy if it is writable) and x @ B, so ``backward`` differentiates this
+    pass whatever the layers do afterwards.
+    """
+    pre, post, layers = [], [batch.inputs], []
+    for i, (layer, act) in enumerate(zip(net.layers, net.activations)):
+        x, w0 = post[-1], _read_only(layer.w0)
+        if x.shape[1] != w0.shape[0]:
+            raise ShapeError(f"layer {i} gets inputs of dim {x.shape[1]}, "
+                             f"but its weight has {w0.shape[0]} rows")
+        xb = x @ layer.b
+        z = x @ w0
+        z += (layer.scaling * xb) @ layer.a
+        pre.append(z)
+        post.append(_activate(z, act))
+        layers.append((capture(layer), w0, xb))
+    loss = _loss(post[-1], batch, net.loss_kind)
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"forward produced non-finite loss {loss}")
+    return loss, ForwardCache(weights=None, pre_activations=pre, post_activations=post,
+                              batch=batch, activations=list(net.activations),
+                              loss_kind=net.loss_kind, layers=layers)
 
 
 def backward_weight_grads(cache: ForwardCache) -> list[np.ndarray]:
@@ -212,25 +237,40 @@ def backward_weight_grads(cache: ForwardCache) -> list[np.ndarray]:
 
 
 def backward(cache: ForwardCache) -> list[GradBundle]:
-    """Per-layer gradient bundles (full weight gradient plus raw factor gradients).
+    """Per-layer gradient bundles: the raw factor gradients and the factored weight gradient.
 
-    Differentiates the forward pass that made ``cache``: the raw factor
-    gradients come from the layers as ``forward`` captured them, whatever the
-    network or its layers have done since. A cache of ``forward_with_weights``
-    holds no layers and raises ShapeError. A non-finite weight gradient
-    raises NonFiniteError naming its layer.
+    The loss gradient delta at a layer's output goes down as
+    delta @ W0^T + s*(delta @ A^T) @ B^T. Each layer's bundle holds
+    g_a_lora = s*(x @ B)^T delta, g_b_lora = s*x^T (delta @ A^T) and the
+    weight gradient g = x^T delta as its factors ``x`` and ``delta``; no
+    m x n array is formed. ``GradBundle.full_gradient`` forms g on request.
+
+    Differentiates the forward pass that made ``cache``, at the factors,
+    scaling and w0 it captured, whatever the network or its layers have done
+    since. A cache of ``forward_with_weights`` holds no layers and raises
+    ShapeError. The bundles' arrays derive from the checked forward pass and
+    are not checked again: an overflow in them shows in the discrepancy
+    (``gradadjust.discrepancy``), which a training step checks.
     """
     if cache.layers is None:
         raise ShapeError("a forward_with_weights cache holds no layers to take factor "
                          "gradients of; backward_weight_grads takes its weight gradients")
-    grads = backward_weight_grads(cache)
-    bundles = []
-    for i, ((layer, captured), g) in enumerate(zip(cache.layers, grads)):
-        if not holds(layer, captured):  # a new value only for a layer changed since
-            _, _, b, a, alpha, rank, mode = captured
-            layer = replace_unchecked(layer, b=b, a=a, alpha=alpha, rank=rank, scaling_mode=mode)
-        try:
-            bundles.append(lora_raw_grads(layer, g))
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"layer {i}: {exc}") from exc
+    delta = _loss_grad(cache.post_activations[-1], cache.batch, cache.loss_kind)
+    bundles: list[GradBundle] = [None] * len(cache.layers)  # type: ignore[list-item]
+    for i in reversed(range(len(cache.layers))):
+        captured, w0, xb = cache.layers[i]
+        _, _, b, a, alpha, rank, mode = captured
+        x = cache.post_activations[i]
+        if cache.activations[i] != "identity":  # whose derivative is 1, exactly
+            delta = delta * _activate_grad(cache.pre_activations[i], cache.activations[i])
+        # s scales the rank-sized products, not delta, which the bundle keeps
+        s = scaling_factor(alpha, rank, mode)
+        g_a = xb.T @ delta
+        g_a *= s
+        scaled_a = delta @ a.T
+        scaled_a *= s
+        bundles[i] = _derived(captured, g_a_lora=g_a, g_b_lora=x.T @ scaled_a, x=x, delta=delta)
+        if i > 0:
+            delta = delta @ w0.T
+            delta += scaled_a @ b.T
     return bundles

@@ -28,8 +28,16 @@ from .gradadjust import (
     loss_decrease_certificate,
 )
 from .linalg import frob_norm, numerical_rank
-from .lora import LoraLayer
-from .model import Batch, ForwardCache, Network, backward, forward, forward_with_weights
+from .lora import LoraLayer, effective_weight
+from .model import (
+    Batch,
+    ForwardCache,
+    Network,
+    backward,
+    backward_weight_grads,
+    forward,
+    forward_with_weights,
+)
 from .oracle import (
     brute_force_optimal_grads,
     finite_diff_grad,
@@ -448,7 +456,8 @@ def _loss_at_w0(net: Network, batch: Batch, weights, i: int) -> Callable:
     ``weights`` are the network's effective weights. A probe adds the
     layer's s*B*A product to the w0 it is given, the operations
     ``lora.effective_weight`` makes, so each loss equals, bit for bit, the
-    forward loss of the network rebuilt around a layer holding that w0.
+    ``forward_with_weights`` loss over the effective weights of the network
+    rebuilt around a layer holding that w0.
     """
     layer = net.layers[i]
     product = layer.b @ layer.a
@@ -463,7 +472,15 @@ def _loss_at_w0(net: Network, batch: Batch, weights, i: int) -> Callable:
 
 
 def check_chain_rule_and_gradients(seed: int) -> list[PropertyResult]:
-    """Backward vs central differences, plus the raw-gradient identities, on 20 networks."""
+    """The factored backward against the dense one, and the dense one against
+    central differences, on 20 networks.
+
+    The dense reference is ``backward_weight_grads`` over
+    ``forward_with_weights`` of the layers' effective weights. Each bundle of
+    ``backward`` must hold s*B^T g and s*g*A^T as its factor gradients and g
+    as its factored x^T delta, for that dense g; and g must match central
+    differences of the loss in the layer's w0.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed + 404))
     activations_pool = ("identity", "relu", "tanh")
     worst_fd = 0.0
@@ -472,22 +489,24 @@ def check_chain_rule_and_gradients(seed: int) -> list[PropertyResult]:
     while built < 20:
         loss_kind = ("mse", "softmax_cross_entropy")[built % 2]
         net, batch = _random_network(rng, loss_kind, activations_pool)
-        _, cache = forward(net, batch)
+        weights = [effective_weight(layer) for layer in net.layers]
+        _, dense = forward_with_weights(weights, net.activations, net.loss_kind, batch)
         # finite differences need a margin from relu kinks; resample if close
-        if not _relu_safe(cache):
+        if not _relu_safe(dense):
             continue
         built += 1
-        bundles = backward(cache)
-        for i, (layer, bundle) in enumerate(zip(net.layers, bundles)):
+        _, cache = forward(net, batch)
+        for i, (layer, bundle, g) in enumerate(
+            zip(net.layers, backward(cache), backward_weight_grads(dense), strict=True)
+        ):
             s = layer.scaling
-            eq_a = frob_norm(bundle.g_a_lora - s * (layer.b.T @ bundle.g_full))
-            eq_b = frob_norm(bundle.g_b_lora - s * (bundle.g_full @ layer.a.T))
-            worst_eq = _worse(worst_eq, _rel(eq_a, frob_norm(bundle.g_a_lora), 1.0))
-            worst_eq = _worse(worst_eq, _rel(eq_b, frob_norm(bundle.g_b_lora), 1.0))
+            for ours, ref in ((bundle.g_a_lora, s * (layer.b.T @ g)),
+                              (bundle.g_b_lora, s * (g @ layer.a.T)),
+                              (bundle.full_gradient(), g)):
+                worst_eq = _worse(worst_eq, _rel(frob_norm(ours - ref), frob_norm(ref), 1.0))
 
-            fd = finite_diff_grad(_loss_at_w0(net, batch, cache.weights, i), layer.w0, 1e-5)
-            diff = frob_norm(fd - bundle.g_full)
-            worst_fd = _worse(worst_fd, diff / (frob_norm(bundle.g_full) + 1e-3))
+            fd = finite_diff_grad(_loss_at_w0(net, batch, weights, i), layer.w0, 1e-5)
+            worst_fd = _worse(worst_fd, frob_norm(fd - g) / (frob_norm(g) + 1e-3))
     return [
         _result("chain_rule_identities", worst_eq, 1e-10, built),
         _result("gradient_finite_difference", worst_fd, 1e-5, built),

@@ -21,6 +21,7 @@ from lorapro.gradadjust import (
     TangentGeometry,
     adjust,
     choose_x,
+    discrepancy,
     equivalent_gradient,
     lora_raw_grads,
     loss_decrease_certificate,
@@ -638,3 +639,80 @@ def test_damped_sylvester_x_converges_to_the_papers_x(rel_epsilon):
         x = TangentGeometry(layer, DampingPolicy(rel_epsilon=rel_epsilon)).solve_sylvester(c)
         x_paper = solve_sylvester_kron(p, q, c)
         assert frob_norm(x - x_paper) <= rel_epsilon * kappa * frob_norm(x_paper)
+
+
+def _tangent_gradient(rng, m=40, n=30, r=2, rows=5):
+    """A layer and a factored bundle whose g = x^T delta lies in the layer's
+    tangent space: the rows of delta lie in the row space of A, so g = (x^T C) A.
+    At these sizes the discrepancy takes the factored sum of squares."""
+    layer = LoraLayer(w0=np.zeros((m, n)), b=rng.normal(size=(m, r)),
+                      a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
+    x = rng.normal(size=(rows, m))
+    delta = rng.normal(size=(rows, r)) @ layer.a
+    s = layer.scaling
+    bundle = GradBundle(g_a_lora=s * ((x @ layer.b).T @ delta),
+                        g_b_lora=s * (x.T @ (delta @ layer.a.T)), x=x, delta=delta)
+    return layer, bundle
+
+
+def test_discrepancy_takes_the_dense_residual_where_its_sum_cancels():
+    # LoRA-Pro's g_tilde is g projected onto the tangent space, so a g inside
+    # it gives g_tilde = g up to rounding. The factored sum of squares then
+    # cancels to its rounding error, some sqrt(eps) ||g|| once rooted, or
+    # below zero; past DISCREPANCY_CANCELLATION the residual is formed
+    # instead, and the discrepancy is the dense residual's, accurate to a few
+    # eps ||g||
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        layer, bundle = _tangent_gradient(rng)
+        validate_bundle(layer, bundle)  # chain-rule consistent with its dense g
+        adjusted = adjust(layer, bundle, strategy="zero", policy=EXACT)
+        g = bundle.full_gradient()
+        residual = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b) - g
+        dense = float(np.linalg.norm(residual))
+        assert dense <= 100 * eps * np.linalg.norm(g)
+        got = discrepancy(layer, adjusted.g_a, adjusted.g_b, bundle)
+        assert abs(got - dense) <= 4 * eps * np.linalg.norm(g)
+
+
+def test_discrepancy_of_a_dense_or_missing_full_gradient():
+    rng = np.random.default_rng(32)
+    layer, bundle = _tangent_gradient(rng)
+    g = bundle.full_gradient()
+    dense = GradBundle(bundle.g_a_lora, bundle.g_b_lora, g_full=g)
+    pair = (bundle.g_a_lora, bundle.g_b_lora)
+    expected = float(np.linalg.norm(equivalent_gradient(layer, *pair) - g))
+    assert discrepancy(layer, *pair, dense) == expected
+    assert discrepancy(layer, *pair, bundle) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ShapeError, match="no full gradient"):
+        discrepancy(layer, *pair, GradBundle(*pair))
+    with pytest.raises(ShapeError, match="not both"):
+        GradBundle(*pair, g_full=g, x=bundle.x, delta=bundle.delta)
+    with pytest.raises(ShapeError, match="both x and delta"):
+        GradBundle(*pair, x=bundle.x)
+
+
+def test_user_built_factored_bundle_is_checked_against_its_dense_gradient():
+    rng = np.random.default_rng(33)
+    layer, bundle = _tangent_gradient(rng)
+    validate_bundle(layer, bundle)
+    off = GradBundle(bundle.g_a_lora, bundle.g_b_lora, x=bundle.x, delta=2.0 * bundle.delta)
+    with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
+        validate_bundle(layer, off)
+    wrong = GradBundle(bundle.g_a_lora, bundle.g_b_lora, x=bundle.x[:, :-1], delta=bundle.delta)
+    with pytest.raises(ShapeError, match="x and delta must be batch x 40 and batch x 30"):
+        validate_bundle(layer, wrong)
+
+
+@pytest.mark.parametrize("scale, match", [(1e200, "overflows to inf"),
+                                          (np.inf, "g_tilde - g contains non-finite")])
+def test_discrepancy_overflow_raises_only_the_typed_error(scale, match):
+    # a 1e200-scale gradient overflows the factored sum of squares and then
+    # the dense residual's norm; an infinite one reaches the residual itself
+    layer, bundle = _tangent_gradient(np.random.default_rng(34))
+    bundle.delta[0, 0] = scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=match):
+            discrepancy(layer, bundle.g_a_lora, bundle.g_b_lora, bundle)

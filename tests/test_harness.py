@@ -36,6 +36,7 @@ from lorapro.gradadjust import (
     X_STRATEGIES,
     GradBundle,
     TangentGeometry,
+    discrepancy,
     equivalent_gradient,
     lora_raw_grads,
 )
@@ -576,11 +577,13 @@ def _step_and_save_over(tmp_path, method):
 def test_adamw_step_and_save_working_set(tmp_path):
     step_over, save_over = _step_and_save_over(tmp_path, "lora_pro_adamw")
     # a step holds the layer's two new moments, its direction (in the
-    # equivalent gradient's buffer) and one scratch array, plus the g_full
-    # of the layers after it (here half a unit): 4.7 units measured. Holding
-    # the layer's own g_full through its update as well reads 5.8; the
-    # forward cache, g_full and a separate direction together, 8.6.
-    assert max(step_over) < 5.5, step_over
+    # equivalent gradient's buffer) and one scratch array, beside the
+    # factored gradients of the layers after it and the activations, all
+    # batch-sized: 4.37 units measured. Keeping the layer's own factors
+    # through its update read 4.49, and the dense g of each later layer (half
+    # a unit here) 4.71; holding the layer's own as well, 5.8; the forward
+    # cache, g and a separate direction together, 8.6.
+    assert max(step_over) < 5.0, step_over
     # a save holds no copy of the payload: 0.09 units measured, 5.7 for a
     # save that assembles the payload in memory
     assert max(save_over) < 1.0, save_over
@@ -675,18 +678,20 @@ def _committed(trainer) -> dict:
 
 @pytest.mark.parametrize("method", ["lora", "lora_pro_sgd", "lora_pro_adamw"])
 def test_non_finite_weight_gradient_aborts_and_commits_nothing(tmp_path, monkeypatch, method):
+    # a NaN in a layer's weight gradient g = x^T delta, held factored by
+    # backward's bundle, through its delta
     trainer = Trainer(desk_config(tmp_path).with_overrides(method=method))
-    real = model.backward_weight_grads
+    real = harness.backward
     calls = []
 
     def poisoned(*args, **kwargs):
-        grads = real(*args, **kwargs)
+        bundles = real(*args, **kwargs)
         calls.append(None)
         if len(calls) == 3:
-            grads[1][0, 0] = np.nan
-        return grads
+            bundles[1].delta[0, 0] = np.nan
+        return bundles
 
-    monkeypatch.setattr(model, "backward_weight_grads", poisoned)
+    monkeypatch.setattr(harness, "backward", poisoned)
     trainer.step()
     trainer.step()
     before = _committed(trainer)
@@ -704,19 +709,57 @@ def test_non_finite_factor_gradient_is_caught_at_the_discrepancy(tmp_path, monke
     # naming the layer
     trainer = Trainer(desk_config(tmp_path).with_overrides(method=method))
     trainer.step()
-    real = model.lora_raw_grads
+    real = harness.backward
 
-    def overflowing(layer, g_full):
-        bundle = real(layer, g_full)
-        if layer.b is trainer.network.layers[1].b:
-            bundle.g_a_lora[0, 0] = np.nan
-        return bundle
+    def overflowing(*args, **kwargs):
+        bundles = real(*args, **kwargs)
+        bundles[1].g_a_lora[0, 0] = np.nan
+        return bundles
 
-    monkeypatch.setattr(model, "lora_raw_grads", overflowing)
+    monkeypatch.setattr(harness, "backward", overflowing)
     before = _committed(trainer)
     with pytest.raises(NonFiniteError, match=r"step 2: layer 1: g_tilde - g contains"):
         trainer.step()
     assert _committed(trainer) == before
+
+
+@pytest.mark.parametrize("layers, grams", [((8, 16, 4), False), ((64, 96, 48), True)],
+                         ids=["desk", "wider"])
+@pytest.mark.parametrize("method", ["lora", "lora_pro_sgd", "lora_pro_adamw"])
+def test_step_discrepancy_matches_the_dense_residual(tmp_path, monkeypatch, method, layers,
+                                                     grams):
+    # every layer-step's discrepancy is the dense residual's ||g_tilde - g||.
+    # At rank 2 and batch 4, k = 8 columns: the 8-16-4 layers are smaller
+    # than their k x k Grams, so the step forms the residual, and the
+    # 64-96-48 ones larger, so it takes the factored sum of squares
+    import lorapro.gradadjust as gradadjust
+
+    real, dense_pair, formed, seen = gradadjust.discrepancy, gradadjust.equivalent_gradient, [], []
+
+    def counting(*args, **kwargs):
+        formed.append(None)
+        return dense_pair(*args, **kwargs)
+
+    def compared(layer, g_a, g_b, bundle):
+        got = real(layer, g_a, g_b, bundle)
+        g_tilde = dense_pair(layer, g_a, g_b)
+        g = bundle.full_gradient()
+        scale = float(np.linalg.norm(g_tilde) + np.linalg.norm(g))
+        assert abs(got - float(np.linalg.norm(g_tilde - g))) <= 1e-12 * scale
+        seen.append(None)
+        return got
+
+    monkeypatch.setattr(gradadjust, "equivalent_gradient", counting)
+    monkeypatch.setattr(harness, "discrepancy", compared)
+    d_in, d_hidden, d_out = layers
+    cfg = small_config(tmp_path, method=method, batch_size=4, task_params={
+        "d_in": d_in, "d_hidden": d_hidden, "d_out": d_out, "n_samples": 32,
+        "noise_sd": 0.01, "perturb_rank": 2, "perturb_scale": 0.5})
+    trainer = Trainer(cfg)
+    for _ in range(3):
+        trainer.step()
+    assert len(seen) == 6
+    assert len(formed) == (0 if grams else 6)
 
 
 STEP_FUNCTIONS = {
@@ -824,9 +867,18 @@ def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch, method):
     assert counts["linalg.as_matrix"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
     if method != "full_ft":
-        for stage in ("model.forward_ms", "model.backward_ms", "harness.metric_ms"):
+        for stage in ("model.forward_ms", "model.backward_ms"):
             assert metrics[stage] > 0.0, stage
+        # an adapter step forms no effective weight. Its discrepancy forms
+        # each desk layer's equivalent gradient, as the layers are smaller
+        # than their k x k Grams, and lora_pro_adamw one more, for its moments
+        assert counts.get("lora.effective_weight", 0) == 0
+        assert counts["gradadjust.equivalent_gradient"] == (
+            4 if method == "lora_pro_adamw" else 2)
     if method.startswith("lora_pro"):
+        # the harness's adjust and certificate calls; a lora step's metric,
+        # gradadjust.discrepancy, is not among the calls it counts
+        assert metrics["harness.metric_ms"] > 0.0
         assert counts["gradadjust.adjust"] > 0
         for stage in ("gradadjust.certificate_ms", "gradadjust.choose_x_ms",
                       "sylvester.solve_ms"):
@@ -866,17 +918,20 @@ def _count_calls(monkeypatch, watched) -> dict[str, int]:
     return counts
 
 
-# per desk lora_pro_adamw step (2 layers): the forward pass's effective
-# weights and nothing else; the backward and re-projection bundles; the
-# inputs of public functions, the gradients, each layer's g_tilde - g and the
-# values a step commits, but not the batch, whose rows were checked once with
-# the task, nor the pairs the step derives from a checked gradient;
-# one Gram eigendecomposition per layer, of the layer the step commits, whose
-# geometry gives the rank metrics and serves the next step's solves
+# per desk lora_pro_adamw step (2 layers): no effective weight, as the
+# forward pass is factored; the re-projection bundles alone, as backward's
+# are factored; the inputs of public functions, the re-projected direction,
+# each layer's g_tilde - g (desk's layers are smaller than the Grams of the
+# factored discrepancy, so it forms the residual) and the values a step
+# commits, but not the batch, whose rows were checked once with the task,
+# nor backward's bundles and the pairs the step derives from them, which the
+# discrepancy checks; one Gram eigendecomposition per layer, of the layer the
+# step commits, whose geometry gives the rank metrics and serves the next
+# step's solves
 DESK_ADAMW_STEP_CALLS = {
-    "lora.effective_weight": 2,
-    "gradadjust.lora_raw_grads": 4,
-    "linalg.as_matrix": 18,
+    "lora.effective_weight": 0,
+    "gradadjust.lora_raw_grads": 2,
+    "linalg.as_matrix": 16,
     "linalg.numerical_rank": 0,
     "linalg.sym_eig": 0,
     "np.linalg.eigh": 2,
@@ -884,9 +939,9 @@ DESK_ADAMW_STEP_CALLS = {
 # the other adapter methods: lora_pro_sgd has no re-projection, and a lora
 # step has no adjustment, so its geometries give the rank metrics only
 DESK_STEP_CALLS = {
-    "lora_pro_sgd": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 2,
-                     "linalg.as_matrix": 12},
-    "lora": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 2, "linalg.as_matrix": 12},
+    "lora_pro_sgd": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 0,
+                     "linalg.as_matrix": 10},
+    "lora": {**DESK_ADAMW_STEP_CALLS, "gradadjust.lora_raw_grads": 0, "linalg.as_matrix": 10},
 }
 
 
@@ -985,7 +1040,7 @@ def _reference_step(trainer):
         geometry = TangentGeometry(layer, policy)
         g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, "zero", geometry)
         g_tilde = equivalent_gradient(layer, g_a, g_b)
-        discrepancy = float(np.linalg.norm(g_tilde - bundle.g_full))
+        layer_discrepancy = discrepancy(layer, g_a, g_b, bundle)
         certificate = None
         if not geometry.passthrough:
             certificate = _certificate_by_hand(layer, bundle, lr, geometry)
@@ -998,7 +1053,7 @@ def _reference_step(trainer):
             g_a, g_b = _pair_as_adjust_formed_it(layer, reprojected, cfg.x_strategy, geometry)
             layer = apply_decayed_merge_step(layer, lr, hp.weight_decay)
         b, a = layer.b - lr * g_b, layer.a - lr * g_a
-        metrics = (discrepancy, numerical_rank(a), numerical_rank(b), certificate)
+        metrics = (layer_discrepancy, numerical_rank(a), numerical_rank(b), certificate)
         out.append(((layer.w0, b, a), state, metrics))
     return loss, out
 
@@ -1477,7 +1532,8 @@ def test_selfcheck_shares_geometries_and_oracle_minima(monkeypatch):
 @pytest.mark.parametrize("activation", model.ACTIVATIONS)
 def test_selfcheck_probe_loss_matches_a_rebuilt_network_bit_for_bit(loss_kind, activation):
     # a probe adds the held s*B*A product to the probed w0; the network it
-    # replaces rebuilt the layer and the network around that w0 for every probe
+    # replaces rebuilt the layer and the network around that w0 for every
+    # probe, and took the loss over their effective weights
     import lorapro.selfcheck as selfcheck
 
     rng = np.random.default_rng(71)
@@ -1485,15 +1541,16 @@ def test_selfcheck_probe_loss_matches_a_rebuilt_network_bit_for_bit(loss_kind, a
         net, batch = selfcheck._random_network(rng, loss_kind, (activation,))
         # a scaling other than 1, so that where it is applied shows in the bits
         net.layers = [dataclasses.replace(layer, alpha=1.5 * layer.rank) for layer in net.layers]
-        _, cache = model.forward(net, batch)
+        weights = [effective_weight(layer) for layer in net.layers]
         for i, old in enumerate(net.layers):
-            probe = selfcheck._loss_at_w0(net, batch, cache.weights, i)
+            probe = selfcheck._loss_at_w0(net, batch, weights, i)
             for w0 in (old.w0, old.w0 + 1e-5 * rng.normal(size=old.shape)):
                 layers = list(net.layers)
                 layers[i] = LoraLayer(w0=w0, b=old.b, a=old.a, alpha=old.alpha,
                                       rank=old.rank, scaling_mode=old.scaling_mode)
-                rebuilt = model.Network(layers, net.activations, net.loss_kind)
-                assert probe(w0) == model.forward(rebuilt, batch)[0]
+                rebuilt = [effective_weight(layer) for layer in layers]
+                assert probe(w0) == model.forward_with_weights(
+                    rebuilt, net.activations, net.loss_kind, batch)[0]
 
 
 def test_selfcheck_oracle_that_raises_fails_both_properties_that_read_it(monkeypatch):
@@ -1570,7 +1627,9 @@ def test_cli_selfcheck_json(capsys):
 
 def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
     # the shipped config's lora_pro_sgd at lr 1 overflows the certificate's
-    # inner products at step 107; with warnings as errors, that must still end
+    # inner products at step 106 (at step 107 under the dense forward and
+    # backward: the run diverges, its loss past 1e91 by step 50, so the last
+    # digits decide the step); with warnings as errors, that must still end
     # in NonFiniteError, not in a numpy RuntimeWarning
     text = (ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8")
     cfg = parse_config_text(text).with_overrides(
@@ -1578,7 +1637,7 @@ def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError, match=r"aborting at step 107: layer \d: certificate"):
+        with pytest.raises(NonFiniteError, match=r"aborting at step 106: layer \d: certificate"):
             run(cfg)
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lorapro.errors import FactorizationError, NonFiniteError
+from lorapro.errors import FactorizationError, NonFiniteError, ShapeError
 from lorapro.linalg import (
+    as_matrix,
     frob_norm,
     numerical_rank,
     spd_solve,
@@ -143,3 +146,40 @@ def test_numerical_rank_never_exceeds_min_dim():
     for _ in range(30):
         m = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
         assert numerical_rank(m) <= min(m.shape)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 5), (-1, -1)])
+def test_as_matrix_names_any_non_finite_entry(bad, where):
+    a = np.ones((4, 6))
+    a[where] = bad
+    with pytest.raises(NonFiniteError, match="^w contains non-finite entries$"):
+        as_matrix(a, "w")
+    # through the float64 conversion too, and among huge finite neighbours
+    with pytest.raises(NonFiniteError):
+        as_matrix(a.astype(np.float32), "w")
+    a[a == 1.0] = -np.finfo(np.float64).max
+    with pytest.raises(NonFiniteError):
+        as_matrix(a, "w")
+
+
+def test_as_matrix_accepts_the_extreme_finite_values():
+    top = np.finfo(np.float64).max
+    a = np.array([[top, -top], [np.finfo(np.float64).tiny, -0.0]])
+    assert as_matrix(a, "w") is a
+    for bad in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 2, 2))):
+        with pytest.raises(ShapeError):
+            as_matrix(bad, "w")
+
+
+def test_as_matrix_checks_finiteness_without_an_entrywise_temporary():
+    # a 512 x 512 float64 matrix: np.isfinite(a).all() allocated m*n bytes
+    a = np.random.default_rng(3).normal(size=(512, 512))
+    tracemalloc.start()
+    try:
+        steady = tracemalloc.get_traced_memory()[0]
+        assert as_matrix(a, "a") is a
+        peak = tracemalloc.get_traced_memory()[1] - steady
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 // 64, peak

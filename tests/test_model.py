@@ -1,12 +1,29 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lorapro.model as model
 from lorapro.errors import ShapeError
-from lorapro.lora import InitScheme, LoraLayer, init_layer
-from lorapro.model import Batch, Network, backward, forward, forward_with_weights
+from lorapro.gradadjust import (
+    DampingPolicy,
+    adjust,
+    discrepancy,
+    equivalent_gradient,
+    lora_raw_grads,
+)
+from lorapro.lora import SCALING_MODES, InitScheme, LoraLayer, effective_weight, init_layer
+from lorapro.model import (
+    Batch,
+    Network,
+    backward,
+    backward_weight_grads,
+    forward,
+    forward_with_weights,
+)
 from lorapro.oracle import finite_diff_grad
 
 
@@ -68,7 +85,7 @@ def test_zero_residual_gives_zero_gradients():
     batch = Batch(inputs=x, targets=x @ w0)
     _, cache = forward(net, batch)
     bundle = backward(cache)[0]
-    assert np.allclose(bundle.g_full, 0.0, atol=1e-14)
+    assert np.allclose(bundle.full_gradient(), 0.0, atol=1e-14)
 
 
 def test_linear_mse_gradient_matches_analytic_form():
@@ -80,7 +97,7 @@ def test_linear_mse_gradient_matches_analytic_form():
     _, cache = forward(net, Batch(inputs=x, targets=y))
     bundle = backward(cache)[0]
     expected = x.T @ ((x @ w0 - y) * 2.0 / 5.0)
-    assert np.allclose(bundle.g_full, expected, atol=1e-12)
+    assert np.allclose(bundle.full_gradient(), expected, atol=1e-12)
 
 
 def test_backward_matches_finite_differences_on_deep_net():
@@ -107,8 +124,9 @@ def test_backward_matches_finite_differences_on_deep_net():
             return forward(Network(probe_layers, acts, "mse"), batch)[0]
 
         fd = finite_diff_grad(loss_at, net.layers[i].w0, h=1e-5)
-        denom = np.linalg.norm(bundle.g_full) + 1e-3
-        assert np.linalg.norm(fd - bundle.g_full) / denom < 1e-5
+        g = bundle.full_gradient()
+        denom = np.linalg.norm(g) + 1e-3
+        assert np.linalg.norm(fd - g) / denom < 1e-5
 
 
 def test_factor_gradients_match_finite_differences():
@@ -143,7 +161,7 @@ def test_directional_base_weight_perturbation():
     net = Network([zero_adapter_layer(w0)], ["tanh"], "mse")
     batch = Batch(inputs=rng.normal(size=(4, 3)), targets=rng.normal(size=(4, 3)))
     loss0, cache = forward(net, batch)
-    g = backward(cache)[0].g_full
+    g = backward(cache)[0].full_gradient()
     direction = rng.normal(size=(3, 3))
     delta = 1e-6
     probe = Network([zero_adapter_layer(w0 + delta * direction)], ["tanh"], "mse")
@@ -183,7 +201,7 @@ def test_backward_differentiates_the_forward_that_made_the_cache(change):
         first.alpha *= 2.0
     _, fresh_cache = forward(fresh, batch)
     for ours, ref in zip(backward(cache), backward(fresh_cache), strict=True):
-        for part in ("g_full", "g_a_lora", "g_b_lora"):
+        for part in ("x", "delta", "g_a_lora", "g_b_lora"):
             assert np.array_equal(getattr(ours, part), getattr(ref, part))
 
 
@@ -230,7 +248,7 @@ def test_split_loss_and_gradient_match_the_fused_routine_bit_for_bit(loss_kind, 
         dims = [int(d) for d in rng.integers(2, 7, size=depth + 1)]
         layers = [
             LoraLayer(w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, 1)),
-                      a=rng.normal(size=(1, n)), alpha=1.0, rank=1, scaling_mode="lora")
+                      a=rng.normal(size=(1, n)), alpha=1.5, rank=1, scaling_mode="lora")
             for m, n in zip(dims, dims[1:])
         ]
         net = Network(layers, [activation] * depth, loss_kind)
@@ -243,11 +261,87 @@ def test_split_loss_and_gradient_match_the_fused_routine_bit_for_bit(loss_kind, 
         loss, cache = forward(net, batch)
         ref_loss, delta = _fused_loss_and_grad(cache.post_activations[-1], batch, loss_kind)
         assert loss == ref_loss
-        # backward_weight_grads's chain, fed the fused routine's gradient
+        # backward's factored chain, fed the fused routine's gradient
         ref_grads = [None] * depth
         for i in reversed(range(depth)):
+            layer, x = layers[i], cache.post_activations[i]
             delta = delta * model._activate_grad(cache.pre_activations[i], activation)
-            ref_grads[i] = cache.post_activations[i].T @ delta
-            delta = delta @ cache.weights[i].T
-        for bundle, ref in zip(backward(cache), ref_grads):
-            assert np.array_equal(bundle.g_full, ref)
+            scaled_a = (delta @ layer.a.T) * layer.scaling
+            g_a = ((x @ layer.b).T @ delta) * layer.scaling
+            ref_grads[i] = (g_a, x.T @ scaled_a, delta)
+            delta = delta @ layer.w0.T + scaled_a @ layer.b.T
+        for bundle, (g_a, g_b, delta) in zip(backward(cache), ref_grads, strict=True):
+            assert np.array_equal(bundle.g_a_lora, g_a)
+            assert np.array_equal(bundle.g_b_lora, g_b)
+            assert np.array_equal(bundle.delta, delta)
+
+
+@st.composite
+def _networks(draw):
+    """An adapter network and a batch: every activation and loss kind, layers up
+    to 40 x 40 at any rank up to min(m, n) (often up to 3), a batch of 1 to 12
+    rows (so smaller and larger than the layer sizes), both scaling modes.
+    Layers on both sides of the discrepancy's choice between its factored
+    sum and the dense residual come up.
+
+    Weights are drawn at unit variance per output, so pre-activations stay of
+    order one and tanh does not saturate.
+    """
+    depth = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 40)) for _ in range(depth + 1)]
+    rows = draw(st.integers(1, 12))
+    loss_kind = draw(st.sampled_from(model.LOSS_KINDS))
+    activations = [draw(st.sampled_from(model.ACTIVATIONS)) for _ in range(depth)]
+    mode = draw(st.sampled_from(SCALING_MODES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for m, n in zip(dims, dims[1:]):
+        r = draw(st.integers(1, min(m, n)) | st.integers(1, min(3, m, n)))
+        layers.append(LoraLayer(
+            w0=rng.normal(size=(m, n)) / math.sqrt(m), b=rng.normal(size=(m, r)) / math.sqrt(m),
+            a=rng.normal(size=(r, n)) / math.sqrt(r), alpha=draw(st.sampled_from((0.5, 1.0, 4.0))),
+            rank=r, scaling_mode=mode))
+    if loss_kind == "mse":
+        targets = rng.normal(size=(rows, dims[-1]))
+    else:
+        targets = rng.integers(0, dims[-1], size=rows)
+    batch = Batch(inputs=rng.normal(size=(rows, dims[0])), targets=targets)
+    return Network(layers, activations, loss_kind), batch
+
+
+def _rel(ours: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(ours - ref)) / max(float(np.linalg.norm(ref)), 1e-300)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_networks())
+def test_factored_pass_matches_the_dense_reference(case):
+    # forward/backward never form a layer's effective weight or its m x n
+    # gradient; the dense reference does: forward_with_weights over the
+    # effective weights, backward_weight_grads, lora_raw_grads of its g, and
+    # ||g_tilde - g|| formed entrywise. The loss and the factor gradients
+    # agree to 1e-12 relative. The discrepancies of lora (the raw pair) and
+    # of LoRA-Pro (the X = 0 adjusted pair, which both lora_pro methods
+    # measure) agree to 1e-12 relative to ||g_tilde|| + ||g||, the size of the
+    # terms whose difference they are: where g_tilde ~ g (r = min(m, n) makes
+    # LoRA-Pro's g_tilde equal g up to its damping) no route knows the
+    # difference better than that
+    net, batch = case
+    loss, cache = forward(net, batch)
+    weights = [effective_weight(layer) for layer in net.layers]
+    ref_loss, dense = forward_with_weights(weights, net.activations, net.loss_kind, batch)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    policy = DampingPolicy()
+    for layer, bundle, g in zip(net.layers, backward(cache), backward_weight_grads(dense),
+                                strict=True):
+        ref = lora_raw_grads(layer, g)
+        assert _rel(bundle.g_a_lora, ref.g_a_lora) <= 1e-12
+        assert _rel(bundle.g_b_lora, ref.g_b_lora) <= 1e-12
+        pro, pro_ref = (adjust(layer, b, "zero", policy) for b in (bundle, ref))
+        for ours, theirs in (((bundle.g_a_lora, bundle.g_b_lora), (ref.g_a_lora, ref.g_b_lora)),
+                             ((pro.g_a, pro.g_b), (pro_ref.g_a, pro_ref.g_b))):
+            g_tilde = equivalent_gradient(layer, *theirs)
+            expected = float(np.linalg.norm(g_tilde - g))
+            scale = float(np.linalg.norm(g_tilde) + np.linalg.norm(g))
+            assert abs(discrepancy(layer, *ours, bundle) - expected) <= 1e-12 * scale

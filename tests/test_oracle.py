@@ -158,7 +158,7 @@ def test_certificate_slope_matches_realized_loss_change():
     loss0, cache = forward(net, batch)
     bundle = backward(cache)[0]
     adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
-    g_norm_sq = float(np.sum(bundle.g_full**2))
+    g_norm_sq = float(np.sum(bundle.full_gradient()**2))
     for gamma in (1e-2, 1e-3, 1e-4):
         dl = loss_decrease_certificate(adjusted, gamma)
         stepped = LoraLayer(w0=layer.w0, b=layer.b - gamma * adjusted.g_b,
