@@ -58,7 +58,6 @@ __all__ = [
     "TangentGeometry",
     "lora_raw_grads",
     "equivalent_gradient",
-    "discrepancy",
     "choose_x",
     "shift",
     "adjust",
@@ -68,11 +67,6 @@ __all__ = [
 
 X_STRATEGIES = ("zero", "symmetry", "sylvester")
 BUNDLE_CONSISTENCY_TOL = 1e-10
-# The share of its rounding bound below which the factored discrepancy's sum
-# of squares counts as cancelled (see ``discrepancy``). Its relative error
-# measured at most 0.4 eps over that share, about 1e-11 at this bound; in
-# training the share stayed above 1e-4 (the wide config, seeds 0-2).
-DISCREPANCY_CANCELLATION = 1e-5
 
 
 @dataclass
@@ -83,7 +77,8 @@ class GradBundle:
     bundle holds g densely, as ``g_full`` (m x n), or factored, as
     g = x^T delta with the layer's input ``x`` (batch x m) and the loss
     gradient ``delta`` at its output (batch x n), as ``model.backward``
-    gives it; ``full_gradient`` forms g from either.
+    gives it for layers much wider than the batch; ``full_gradient`` forms
+    g from either.
     """
 
     g_a_lora: np.ndarray
@@ -252,50 +247,6 @@ def equivalent_gradient(
     right *= s
     out += right
     return out
-
-
-def discrepancy(layer: LoraLayer, g_a: np.ndarray, g_b: np.ndarray, bundle: GradBundle) -> float:
-    """||g_tilde - g||_F, for g_tilde the equivalent gradient of (g_a, g_b) and g the bundle's.
-
-    ``g_a`` and ``g_b`` are taken as ``equivalent_gradient(checked=True)``
-    takes them. For a factored g = x^T delta, g_tilde - g = s U W^T with
-    U = [B, g_b, x^T] and W = [g_a^T, A^T, -delta^T / s], so its squared norm
-    is s^2 sum((U^T U) o (W^T W)): two k x k Grams, k = 2r + batch, and no
-    m x n array. They take fewer products than the m x n residual where
-    k (m + n) < m n, and only there are they used. Their sum's rounding error
-    is a small multiple of eps times (sum_i |u_i| |w_i|)^2 over the columns
-    of U and W, at most k times the sum of the diagonal terms, so where the
-    sum falls below ``DISCREPANCY_CANCELLATION`` times that bound (g_tilde
-    close to g) the residual is formed densely, as it is for a dense g and
-    for smaller layers.
-
-    A non-finite entry in the pair or the bundle raises NonFiniteError
-    ("g_tilde - g contains non-finite entries"), and so does a norm that
-    overflows, with no numpy warning first.
-    """
-    if bundle.x is None and bundle.g_full is None:
-        raise ShapeError("the bundle holds no full gradient to measure the discrepancy from")
-    s = layer.scaling
-    m, n = layer.shape
-    # an overflow or a non-finite entry shows as a non-finite sum, which the
-    # dense residual's check names, with no numpy warning first
-    with np.errstate(over="ignore", invalid="ignore"):
-        if bundle.x is not None and (2 * layer.rank + len(bundle.x)) * (m + n) < m * n:
-            u = np.concatenate((layer.b, g_b, bundle.x.T), axis=1)
-            w = np.concatenate((g_a, layer.a, bundle.delta * (-1.0 / s)))  # W^T
-            terms = u.T @ u
-            terms *= w @ w.T
-            total = terms.sum()
-            # k tr(terms) = k sum_i |u_i|^2 |w_i|^2 >= (sum_i |u_i| |w_i|)^2
-            bound = DISCREPANCY_CANCELLATION * len(terms) * terms.trace()
-            if math.isfinite(total) and total >= bound:
-                return s * math.sqrt(total)
-        residual = equivalent_gradient(layer, g_a, g_b, checked=True)
-        residual -= bundle.full_gradient()
-        norm = float(np.linalg.norm(as_matrix(residual, "g_tilde - g")))
-    if not math.isfinite(norm):
-        raise NonFiniteError(f"||g_tilde - g|| overflows to {norm}")
-    return norm
 
 
 class TangentGeometry:

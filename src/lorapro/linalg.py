@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-7
+# the most entries ``as_matrix`` checks through an entrywise bool temporary
+ENTRYWISE_CHECK_MAX = 4096
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -41,10 +43,15 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, got shape {a.shape}")
-    # a NaN or an infinity reaches the minimum or the maximum, so two
-    # reductions check every entry without an m x n bool temporary
-    if not (math.isfinite(np.minimum.reduce(a, axis=None))
-            and math.isfinite(np.maximum.reduce(a, axis=None))):
+    # isfinite is the faster check, but its bool temporary has an entry per
+    # entry of a; on a larger array the minimum and the maximum check every
+    # entry without one, as a NaN or an infinity reaches one of them
+    if a.size <= ENTRYWISE_CHECK_MAX:
+        finite = np.isfinite(a).all()
+    else:
+        finite = (math.isfinite(np.minimum.reduce(a, axis=None))
+                  and math.isfinite(np.maximum.reduce(a, axis=None)))
+    if not finite:
         raise NonFiniteError(f"{name} contains non-finite entries")
     return a
 

@@ -115,7 +115,10 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         # subgradient at exactly 0 is fixed to 0
         return (z > 0.0).astype(np.float64)
-    return 1.0 - np.tanh(z) ** 2
+    # 1 - tanh(z)^2 in one buffer
+    grad = np.tanh(z)
+    grad *= grad
+    return np.subtract(1.0, grad, out=grad)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -237,20 +240,22 @@ def backward_weight_grads(cache: ForwardCache) -> list[np.ndarray]:
 
 
 def backward(cache: ForwardCache) -> list[GradBundle]:
-    """Per-layer gradient bundles: the raw factor gradients and the factored weight gradient.
+    """Per-layer gradient bundles: the raw factor gradients and the weight gradient.
 
     The loss gradient delta at a layer's output goes down as
     delta @ W0^T + s*(delta @ A^T) @ B^T. Each layer's bundle holds
     g_a_lora = s*(x @ B)^T delta, g_b_lora = s*x^T (delta @ A^T) and the
-    weight gradient g = x^T delta as its factors ``x`` and ``delta``; no
-    m x n array is formed. ``GradBundle.full_gradient`` forms g on request.
+    weight gradient g = x^T delta. Where (2r + batch)(m + n) < m n, as on
+    layers much wider than the batch, g is held as its factors ``x`` and
+    ``delta`` and no m x n array is formed (``GradBundle.full_gradient``
+    forms g on request); on smaller layers it is held as ``g_full``.
 
     Differentiates the forward pass that made ``cache``, at the factors,
     scaling and w0 it captured, whatever the network or its layers have done
     since. A cache of ``forward_with_weights`` holds no layers and raises
     ShapeError. The bundles' arrays derive from the checked forward pass and
     are not checked again: an overflow in them shows in the discrepancy
-    (``gradadjust.discrepancy``), which a training step checks.
+    (``harness.discrepancy``), which a training step checks.
     """
     if cache.layers is None:
         raise ShapeError("a forward_with_weights cache holds no layers to take factor "
@@ -262,14 +267,25 @@ def backward(cache: ForwardCache) -> list[GradBundle]:
         _, _, b, a, alpha, rank, mode = captured
         x = cache.post_activations[i]
         if cache.activations[i] != "identity":  # whose derivative is 1, exactly
-            delta = delta * _activate_grad(cache.pre_activations[i], cache.activations[i])
+            # in place: delta is this pass's own array, the loss gradient or
+            # the product carried down from the layer above
+            delta *= _activate_grad(cache.pre_activations[i], cache.activations[i])
         # s scales the rank-sized products, not delta, which the bundle keeps
         s = scaling_factor(alpha, rank, mode)
         g_a = xb.T @ delta
         g_a *= s
         scaled_a = delta @ a.T
         scaled_a *= s
-        bundles[i] = _derived(captured, g_a_lora=g_a, g_b_lora=x.T @ scaled_a, x=x, delta=delta)
+        # g stays factored where the discrepancy's two k x k Grams,
+        # k = 2r + batch, take fewer products than g itself; elsewhere it is
+        # formed once here, no larger than those Grams' inputs, and the
+        # discrepancy forms the residual from it
+        m, n = w0.shape
+        if (2 * rank + len(x)) * (m + n) < m * n:
+            g = {"x": x, "delta": delta}
+        else:
+            g = {"g_full": x.T @ delta}
+        bundles[i] = _derived(captured, g_a_lora=g_a, g_b_lora=x.T @ scaled_a, **g)
         if i > 0:
             delta = delta @ w0.T
             delta += scaled_a @ b.T

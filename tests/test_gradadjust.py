@@ -21,13 +21,13 @@ from lorapro.gradadjust import (
     TangentGeometry,
     adjust,
     choose_x,
-    discrepancy,
     equivalent_gradient,
     lora_raw_grads,
     loss_decrease_certificate,
     shift,
     validate_bundle,
 )
+from lorapro.harness import discrepancy
 from lorapro.linalg import frob_norm, numerical_rank
 from lorapro.lora import LoraLayer
 from lorapro.oracle import (
@@ -691,6 +691,29 @@ def test_discrepancy_of_a_dense_or_missing_full_gradient():
         GradBundle(*pair, g_full=g, x=bundle.x, delta=bundle.delta)
     with pytest.raises(ShapeError, match="both x and delta"):
         GradBundle(*pair, x=bundle.x)
+
+
+def test_discrepancy_checks_the_pair_and_takes_any_sign_of_scaling(monkeypatch):
+    # the factored sum pairs the columns of B and g_b with the rows of A and
+    # g_a, so a pair of another rank, consistent with itself, is refused
+    # before either route; and a negative alpha gives the same non-negative
+    # norm as the dense residual
+    import lorapro.harness as harness
+
+    rng = np.random.default_rng(35)
+    layer, bundle = _tangent_gradient(rng)  # rank 2, 40 x 30
+    pair = (rng.normal(size=(2, 30)), rng.normal(size=(40, 2)))
+    rank_3 = (rng.normal(size=(3, 30)), rng.normal(size=(40, 3)))
+    for g_a, g_b, match in ((*rank_3, "g_a must be 2x30"), (pair[0], rank_3[1], "g_b must be 40x2")):
+        with pytest.raises(ShapeError, match=match):
+            discrepancy(layer, g_a, g_b, bundle)
+    g = bundle.full_gradient()
+    for alpha in (layer.alpha, -layer.alpha):
+        signed = dataclasses.replace(layer, alpha=alpha)
+        expected = float(np.linalg.norm(equivalent_gradient(signed, *pair) - g))
+        with monkeypatch.context() as patch:  # the factored sum, not the residual
+            patch.setattr(harness, "equivalent_gradient", None)
+            assert discrepancy(signed, *pair, bundle) == pytest.approx(expected, rel=1e-12)
 
 
 def test_user_built_factored_bundle_is_checked_against_its_dense_gradient():

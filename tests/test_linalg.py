@@ -5,6 +5,7 @@ import pytest
 
 from lorapro.errors import FactorizationError, NonFiniteError, ShapeError
 from lorapro.linalg import (
+    ENTRYWISE_CHECK_MAX,
     as_matrix,
     frob_norm,
     numerical_rank,
@@ -148,10 +149,17 @@ def test_numerical_rank_never_exceeds_min_dim():
         assert numerical_rank(m) <= min(m.shape)
 
 
+# either side of ENTRYWISE_CHECK_MAX, where the check changes
+CHECK_SHAPES = pytest.mark.parametrize("shape", [(4, 6), (64, 80)],
+                                       ids=["entrywise", "reductions"])
+
+
+@CHECK_SHAPES
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (3, 5), (-1, -1)])
-def test_as_matrix_names_any_non_finite_entry(bad, where):
-    a = np.ones((4, 6))
+def test_as_matrix_names_any_non_finite_entry(bad, where, shape):
+    a = np.ones(shape)
+    assert (a.size <= ENTRYWISE_CHECK_MAX) == (shape == (4, 6))
     a[where] = bad
     with pytest.raises(NonFiniteError, match="^w contains non-finite entries$"):
         as_matrix(a, "w")
@@ -163,9 +171,11 @@ def test_as_matrix_names_any_non_finite_entry(bad, where):
         as_matrix(a, "w")
 
 
-def test_as_matrix_accepts_the_extreme_finite_values():
+@CHECK_SHAPES
+def test_as_matrix_accepts_the_extreme_finite_values(shape):
     top = np.finfo(np.float64).max
-    a = np.array([[top, -top], [np.finfo(np.float64).tiny, -0.0]])
+    a = np.full(shape, -0.0)
+    a[:2, :2] = [[top, -top], [np.finfo(np.float64).tiny, -0.0]]
     assert as_matrix(a, "w") is a
     for bad in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 2, 2))):
         with pytest.raises(ShapeError):
@@ -173,7 +183,7 @@ def test_as_matrix_accepts_the_extreme_finite_values():
 
 
 def test_as_matrix_checks_finiteness_without_an_entrywise_temporary():
-    # a 512 x 512 float64 matrix: np.isfinite(a).all() allocated m*n bytes
+    # a 512 x 512 float64 matrix: np.isfinite(a).all() allocates m*n bytes
     a = np.random.default_rng(3).normal(size=(512, 512))
     tracemalloc.start()
     try:

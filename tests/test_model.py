@@ -11,10 +11,10 @@ from lorapro.errors import ShapeError
 from lorapro.gradadjust import (
     DampingPolicy,
     adjust,
-    discrepancy,
     equivalent_gradient,
     lora_raw_grads,
 )
+from lorapro.harness import discrepancy
 from lorapro.lora import SCALING_MODES, InitScheme, LoraLayer, effective_weight, init_layer
 from lorapro.model import (
     Batch,
@@ -201,7 +201,8 @@ def test_backward_differentiates_the_forward_that_made_the_cache(change):
         first.alpha *= 2.0
     _, fresh_cache = forward(fresh, batch)
     for ours, ref in zip(backward(cache), backward(fresh_cache), strict=True):
-        for part in ("x", "delta", "g_a_lora", "g_b_lora"):
+        assert np.array_equal(ours.full_gradient(), ref.full_gradient())
+        for part in ("g_a_lora", "g_b_lora"):
             assert np.array_equal(getattr(ours, part), getattr(ref, part))
 
 
@@ -268,12 +269,12 @@ def test_split_loss_and_gradient_match_the_fused_routine_bit_for_bit(loss_kind, 
             delta = delta * model._activate_grad(cache.pre_activations[i], activation)
             scaled_a = (delta @ layer.a.T) * layer.scaling
             g_a = ((x @ layer.b).T @ delta) * layer.scaling
-            ref_grads[i] = (g_a, x.T @ scaled_a, delta)
+            ref_grads[i] = (g_a, x.T @ scaled_a, x.T @ delta)
             delta = delta @ layer.w0.T + scaled_a @ layer.b.T
-        for bundle, (g_a, g_b, delta) in zip(backward(cache), ref_grads, strict=True):
+        for bundle, (g_a, g_b, g) in zip(backward(cache), ref_grads, strict=True):
             assert np.array_equal(bundle.g_a_lora, g_a)
             assert np.array_equal(bundle.g_b_lora, g_b)
-            assert np.array_equal(bundle.delta, delta)
+            assert np.array_equal(bundle.full_gradient(), g)
 
 
 @st.composite
@@ -281,8 +282,8 @@ def _networks(draw):
     """An adapter network and a batch: every activation and loss kind, layers up
     to 40 x 40 at any rank up to min(m, n) (often up to 3), a batch of 1 to 12
     rows (so smaller and larger than the layer sizes), both scaling modes.
-    Layers on both sides of the discrepancy's choice between its factored
-    sum and the dense residual come up.
+    Layers on both sides of backward's choice between a factored and a
+    dense g come up.
 
     Weights are drawn at unit variance per output, so pre-activations stay of
     order one and tanh does not saturate.
