@@ -46,7 +46,7 @@ from .errors import (
     SpectrumError,
 )
 from .linalg import _gram_rank, as_matrix, build_unchecked, factorization_error, frob_norm
-from .lora import LoraLayer, capture, holds
+from .lora import LoraLayer
 from .sylvester import solve_sylvester
 
 __all__ = [
@@ -86,8 +86,8 @@ class GradBundle:
     g_full: np.ndarray | None = None
     x: np.ndarray | None = None
     delta: np.ndarray | None = None
-    # (capture of the layer, g_a_lora, g_b_lora, g_full, x, delta) of a
-    # bundle that lora_raw_grads or model.backward built
+    # (the layer, g_a_lora, g_b_lora, g_full, x, delta) of a bundle that
+    # lora_raw_grads or model.backward built
     _origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -155,38 +155,44 @@ def _arrays(bundle: GradBundle) -> tuple:
     return bundle.g_a_lora, bundle.g_b_lora, bundle.g_full, bundle.x, bundle.delta
 
 
-def _derived(captured: tuple, **arrays) -> GradBundle:
-    """The unchecked bundle of ``arrays``, derived from checked values of the
-    layer ``lora.capture`` gave ``captured``, with its origin recorded."""
+def _derived(layer: LoraLayer, **arrays) -> GradBundle:
+    """The unchecked bundle of ``arrays``, derived from checked values of
+    ``layer``, with its origin recorded."""
     bundle = build_unchecked(GradBundle, **arrays)
-    bundle._origin = (captured, *_arrays(bundle))
+    bundle._origin = (layer, *_arrays(bundle))
     return bundle
 
 
 def _built_from(bundle: GradBundle, layer: LoraLayer) -> bool:
-    """Whether ``lora_raw_grads`` or ``model.backward`` built ``bundle`` from what
-    ``layer`` holds (``lora.holds``)."""
-    if bundle._origin is None:
-        return False
-    captured, *arrays = bundle._origin
-    return holds(layer, captured) and all(x is y for x, y in zip(arrays, _arrays(bundle)))
+    """Whether ``lora_raw_grads`` or ``model.backward`` built ``bundle`` from
+    ``layer``, and it still holds the arrays it was built with."""
+    origin = bundle._origin
+    return (origin is not None and origin[0] is layer
+            and all(x is y for x, y in zip(origin[1:], _arrays(bundle))))
+
+
+def _check_pair_shapes(layer: LoraLayer, g_a, g_b, names: tuple[str, str] = ("g_a", "g_b")):
+    """Raise ShapeError, naming the factor by ``names``, unless ``g_a`` is r x n
+    and ``g_b`` m x r, the shapes of ``layer``'s A and B."""
+    m, n = layer.shape
+    r = layer.rank
+    if g_a.shape != (r, n):
+        raise ShapeError(f"{names[0]} must be {r}x{n}, got {g_a.shape}")
+    if g_b.shape != (m, r):
+        raise ShapeError(f"{names[1]} must be {m}x{r}, got {g_b.shape}")
 
 
 def validate_bundle(layer: LoraLayer, bundle: GradBundle):
     """Check the chain-rule identities against the full gradient when the bundle has one.
 
     A factored gradient x^T delta is formed densely for the check. A bundle
-    that ``lora_raw_grads`` or ``model.backward`` built from what this layer
-    still holds (``lora.holds``), still holding the arrays it was built with,
-    satisfies them by construction, so only its shapes are checked. The
-    bundle's arrays written in place afterwards are not re-read.
+    that ``lora_raw_grads`` or ``model.backward`` built from this layer
+    object, still holding the arrays it was built with, satisfies them by
+    construction, as a layer cannot change, so only its shapes are checked.
+    The bundle's arrays written in place afterwards are not re-read.
     """
     m, n = layer.shape
-    r = layer.rank
-    if bundle.g_a_lora.shape != (r, n):
-        raise ShapeError(f"g_a_lora must be {r}x{n}, got {bundle.g_a_lora.shape}")
-    if bundle.g_b_lora.shape != (m, r):
-        raise ShapeError(f"g_b_lora must be {m}x{r}, got {bundle.g_b_lora.shape}")
+    _check_pair_shapes(layer, bundle.g_a_lora, bundle.g_b_lora, ("g_a_lora", "g_b_lora"))
     if bundle.g_full is not None and bundle.g_full.shape != (m, n):
         raise ShapeError(f"g_full must be {m}x{n}, got {bundle.g_full.shape}")
     if bundle.x is not None and (bundle.x.shape[1] != m or bundle.delta.shape[1] != n
@@ -217,7 +223,7 @@ def lora_raw_grads(layer: LoraLayer, g_full: np.ndarray) -> GradBundle:
     s = layer.scaling
     g_a = s * (layer.b.T @ g_full)
     g_b = s * (g_full @ layer.a.T)
-    return _derived(capture(layer), g_a_lora=g_a, g_b_lora=g_b, g_full=g_full)
+    return _derived(layer, g_a_lora=g_a, g_b_lora=g_b, g_full=g_full)
 
 
 def equivalent_gradient(
@@ -233,12 +239,7 @@ def equivalent_gradient(
     if not checked:
         g_a = as_matrix(g_a, "g_a")
         g_b = as_matrix(g_b, "g_b")
-    m, n = layer.shape
-    r = layer.rank
-    if g_a.shape != (r, n):
-        raise ShapeError(f"g_a must be {r}x{n}, got {g_a.shape}")
-    if g_b.shape != (m, r):
-        raise ShapeError(f"g_b must be {m}x{r}, got {g_b.shape}")
+    _check_pair_shapes(layer, g_a, g_b)
     # s*(B g_a) + s*(g_b A) in two m x n buffers, same operations in the same order
     s = layer.scaling
     out = layer.b @ g_a
@@ -265,13 +266,13 @@ class TangentGeometry:
     factors it gives are formed on first use, so a damped Gram that is not
     positive definite raises FactorizationError only when a solve with it is
     asked for. ``passthrough`` holds under a passthrough policy while B has
-    rank zero.
+    rank zero. A geometry serves the one layer object it was built from,
+    which cannot change; ``adjust`` refuses it for any other.
     """
 
     def __init__(self, layer: LoraLayer, policy: DampingPolicy = DampingPolicy()):
         self.layer = layer
         self.policy = policy
-        self._captured = capture(layer)
         b, a = layer.b, layer.a
         grams = np.array((b.T @ b, a @ a.T))
         self._grams = 0.5 * (grams + grams.transpose(0, 2, 1))
@@ -283,10 +284,6 @@ class TangentGeometry:
                 "symmetric eigendecomposition of the layer Grams did not converge"
             ) from exc
         self.passthrough = policy.fallback == "passthrough" and self.rank_b == 0
-
-    def describes(self, layer: LoraLayer) -> bool:
-        """Whether ``layer`` is the layer decomposed here and ``lora.holds`` what it held."""
-        return self.layer is layer and holds(layer, self._captured)
 
     @cached_property
     def _ranks(self) -> tuple[int, int]:
@@ -352,7 +349,7 @@ def _geometry(
 ) -> TangentGeometry:
     if geometry is None:
         return TangentGeometry(layer, policy)
-    if not geometry.describes(layer) or geometry.policy != policy:
+    if geometry.layer is not layer or geometry.policy != policy:
         raise ValueError("geometry was built for another layer or damping policy")
     return geometry
 

@@ -36,12 +36,13 @@ from .errors import (
 from .gradadjust import (
     GradBundle,
     TangentGeometry,
+    _check_pair_shapes,
     adjust,
     equivalent_gradient,
     loss_decrease_certificate,
 )
 from .linalg import as_matrix, build_unchecked, replace_unchecked
-from .lora import InitScheme, LoraLayer, effective_weight, init_layer
+from .lora import InitScheme, LoraLayer, derived, effective_weight, freeze, init_layer
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
     AdamWState,
@@ -136,12 +137,8 @@ def discrepancy(
     NonFiniteError ("g_tilde - g contains non-finite entries"), and so does
     a norm that overflows, with no numpy warning first.
     """
-    m, n = layer.shape
+    _check_pair_shapes(layer, g_a, g_b)
     r = layer.rank
-    if g_a.shape != (r, n):
-        raise ShapeError(f"g_a must be {r}x{n}, got {g_a.shape}")
-    if g_b.shape != (m, r):
-        raise ShapeError(f"g_b must be {m}x{r}, got {g_b.shape}")
     if bundle.x is None and bundle.g_full is None:
         raise ShapeError("the bundle holds no full gradient to measure the discrepancy from")
     # an overflow or a non-finite entry shows as a non-finite sum, which the
@@ -248,8 +245,7 @@ def _task(kind: str, params: tuple, seed: int, source) -> TaskData:
     """
     task_ss = _streams(seed)[0]
     task = build_task(kind, dict(params), np.random.default_rng(task_ss))
-    for array in (task.inputs, task.targets, *task.base_weights):
-        array.setflags(write=False)
+    freeze(task.inputs, task.targets, *task.base_weights)
     return task
 
 
@@ -267,11 +263,9 @@ class Trainer:
     A step of every method is one forward and backward (full_ft's over its
     merged w0s) and one loop that computes, checks and records each layer's
     update, committing none until all pass; an error gains its layer and step.
-    Layers are values: a step replaces each layer and never writes into it.
+    Layers are values (``lora.LoraLayer``): a step replaces each layer.
     ``geometries`` caches each committed layer's TangentGeometry for the next
-    step and is never saved; a step rebuilds one whose layer, or one of whose
-    factor arrays, was replaced. Every factor the trainer holds, initial,
-    restored or committed, is read-only, so ``lora.holds`` checks its identity.
+    step and is never saved; a step rebuilds one whose layer was replaced.
     ``states`` holds the method's AdamW states as ``checkpoint_shapes`` lists
     them. full_ft merges each adapter into w0 (w0 := w0 + s*b*a, b := 0) and
     trains w0, so every method's trained state is the layers plus ``states``.
@@ -292,7 +286,7 @@ class Trainer:
             for w0, seed in zip(self.task.base_weights, layer_seeds)
         ]
         if config.method == "full_ft":  # its merged w0s sit beside the shared base weights
-            layers = [replace_unchecked(old, w0=effective_weight(old), b=np.zeros_like(old.b))
+            layers = [derived(old, w0=effective_weight(old), b=np.zeros_like(old.b))
                       for old in layers]
         self._set_layers(layers)
         shapes = checkpoint_shapes(config, [layer.shape for layer in layers])
@@ -325,9 +319,6 @@ class Trainer:
         return init_ss
 
     def _set_layers(self, layers: list[LoraLayer]) -> None:
-        for layer in layers:
-            for array in (layer.w0, layer.b, layer.a):
-                array.setflags(write=False)
         self.network = Network(
             layers=layers, activations=list(self.task.activations), loss_kind=self.task.loss_kind
         )
@@ -378,9 +369,6 @@ class Trainer:
                     # needs no check of its own
                     for name, value in values.items():
                         as_matrix(value, f"new {name}")
-                    # fresh arrays, read-only as every layer array the trainer holds
-                    for array in (new_layer.w0, new_layer.b, new_layer.a):
-                        array.setflags(write=False)
                     # the next step's geometry, too; full_ft's layer needs none
                     committed = (None if cfg.method == "full_ft"
                                  else TangentGeometry(new_layer, self.policy))
@@ -413,7 +401,7 @@ class Trainer:
         cfg, certificate = self.config, None
         if cfg.method == "full_ft":
             w, state = full_ft_adamw_step(layer.w0, next(states), grad, hp_now, out=grad)
-            return replace_unchecked(layer, w0=w), [state], {"w": w, "v": state.v}, 0.0, None
+            return derived(layer, w0=w), [state], {"w": w, "v": state.v}, 0.0, None
         # the pair whose equivalent gradient the method applies: the raw one,
         # or the X = 0 adjustment, whose one geometry and one solve serve the
         # metric, the certificate and the step. It derives from the bundle's
@@ -422,7 +410,7 @@ class Trainer:
             g_a, g_b = grad.g_a_lora, grad.g_b_lora
         else:
             geometry = self.geometries[i]
-            if geometry is None or not geometry.describes(layer):
+            if geometry is None or geometry.layer is not layer:
                 geometry = TangentGeometry(layer, self.policy)
             adjusted = adjust(layer, grad, strategy="zero", policy=self.policy, geometry=geometry)
             g_a, g_b = adjusted.g_a, adjusted.g_b
@@ -524,8 +512,8 @@ class Trainer:
                 raise CheckpointError(f"{path}: array {name!r} has a negative second moment")
             if config.method == "full_ft" and name.endswith("/b") and arr.any():
                 raise CheckpointError(f"{path}: array {name!r} is not zero, as full_ft keeps it")
-        trainer._set_layers([build_unchecked(
-            LoraLayer, **{part: arrays[name[:-2] + part] for part in ("w0", "b", "a")},
+        trainer._set_layers([derived(
+            **{part: arrays[name[:-2] + part] for part in ("w0", "b", "a")},
             alpha=config.alpha, rank=config.rank, scaling_mode=config.scaling,
         ) for name in expected if name.endswith("/w0")])
         trainer.states = [build_unchecked(AdamWState, m=arrays[name], v=arrays[name[:-1] + "v"],

@@ -65,10 +65,11 @@ def build_unchecked(cls, **fields):
     """
     out = object.__new__(cls)
     # attribute by attribute, in field order, as the generated __init__ does,
-    # so the instance keeps the class's compact shared-key attribute storage
+    # so the instance keeps the class's compact shared-key attribute storage;
+    # through object.__setattr__, as a frozen dataclass's __init__ sets them
     for name in cls.__dataclass_fields__:
         if name in fields:
-            setattr(out, name, fields[name])
+            object.__setattr__(out, name, fields[name])
     return out
 
 

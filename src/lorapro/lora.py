@@ -2,7 +2,9 @@
 
 W0 (m x n) is frozen; B (m x r) and A (r x n) are the trainable factors. The
 scaling s is alpha/r in "lora" mode and alpha/sqrt(r) in "rslora" mode
-(the default, which stabilizes larger ranks).
+(the default, which stabilizes larger ranks). A layer is a value: a step
+derives a new one, so what is computed from a layer object (a forward pass,
+a geometry, a gradient bundle) describes it for as long as it lives.
 """
 
 from __future__ import annotations
@@ -13,18 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import as_matrix, replace_unchecked
+from .linalg import as_matrix, build_unchecked, replace_unchecked
 
 __all__ = [
     "SCALING_MODES",
     "INIT_KINDS",
     "InitScheme",
     "LoraLayer",
-    "capture",
-    "holds",
     "scaling_factor",
     "init_layer",
     "effective_weight",
+    "freeze",
+    "derived",
     "apply_decayed_merge_step",
 ]
 
@@ -58,9 +60,15 @@ class InitScheme:
             raise ValueError(f"unknown init kind {self.kind!r}, expected one of {INIT_KINDS}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LoraLayer:
-    """Frozen base weight plus trainable low-rank factors and their scaling."""
+    """Frozen base weight plus trainable low-rank factors and their scaling.
+
+    ``w0``, ``b`` and ``a`` are read-only: a read-only input is held as it
+    is, so layers built from one shared array share its memory, and a
+    writable one is copied, so the caller's later writes never reach the
+    layer. Two layers are equal only if they are the same object.
+    """
 
     w0: np.ndarray
     b: np.ndarray
@@ -70,9 +78,8 @@ class LoraLayer:
     scaling_mode: str = "rslora"
 
     def __post_init__(self):
-        self.w0 = as_matrix(self.w0, "w0")
-        self.b = as_matrix(self.b, "b")
-        self.a = as_matrix(self.a, "a")
+        for name in ("w0", "b", "a"):
+            object.__setattr__(self, name, _read_only(as_matrix(getattr(self, name), name)))
         m, n = self.w0.shape
         r = self.rank
         if not 1 <= r <= min(m, n):
@@ -85,6 +92,9 @@ class LoraLayer:
             raise ValueError(
                 f"unknown scaling mode {self.scaling_mode!r}, expected one of {SCALING_MODES}"
             )
+        # either sign scales the adapter; 0, NaN or inf would leave s*B*A undefined or zero
+        if not (math.isfinite(self.alpha) and self.alpha != 0.0):
+            raise ValueError(f"alpha must be finite and nonzero, got {self.alpha}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -95,32 +105,30 @@ class LoraLayer:
         return scaling_factor(self.alpha, self.rank, self.scaling_mode)
 
 
-def _read_only(factor: np.ndarray) -> np.ndarray:
-    if factor.flags.writeable:
-        factor = factor.copy()
-        factor.setflags(write=False)
-    return factor
+def freeze(*arrays: np.ndarray) -> None:
+    """Make ``arrays``, each its holder's alone, read-only in place; a layer shares them."""
+    for array in arrays:
+        array.setflags(write=False)
 
 
-def capture(layer: LoraLayer) -> tuple:
-    """What a value computed from ``layer`` now is computed from, for ``holds``:
-    (b, a, b's values, a's values, alpha, rank, mode). A read-only factor is
-    its own values, as it cannot change in place; a writable one's are a
-    read-only copy."""
-    b, a = layer.b, layer.a
-    return b, a, _read_only(b), _read_only(a), layer.alpha, layer.rank, layer.scaling_mode
+def _read_only(array: np.ndarray) -> np.ndarray:
+    if array.flags.writeable:
+        array = array.copy()
+        freeze(array)
+    return array
 
 
-def holds(layer: LoraLayer, captured: tuple) -> bool:
-    """Whether ``layer`` holds exactly what ``capture`` recorded: the same factor
-    arrays, at the captured values where writable, and the same alpha, rank
-    and mode. The one rule by which a forward pass, a geometry or a gradient
-    bundle computed from a layer is known to still describe it."""
-    b, a, b_values, a_values, alpha, rank, mode = captured
-    return (layer.b is b and layer.a is a
-            and (b_values is b or np.array_equal(b, b_values))
-            and (a_values is a or np.array_equal(a, a_values))
-            and layer.alpha == alpha and layer.rank == rank and layer.scaling_mode == mode)
+def derived(layer: LoraLayer | None = None, /, **fields) -> LoraLayer:
+    """``layer`` with ``fields`` in place of its own (a layer of ``fields`` alone
+    without ``layer``), unchecked, for a step or a restore that derives it from
+    checked values. Each ``w0``, ``b`` or ``a`` in ``fields`` is made for this
+    layer alone, so it is frozen in place rather than copied."""
+    for name in ("w0", "b", "a"):
+        if name in fields:
+            freeze(fields[name])
+    if layer is None:
+        return build_unchecked(LoraLayer, **fields)
+    return replace_unchecked(layer, **fields)
 
 
 def init_layer(
@@ -134,9 +142,8 @@ def init_layer(
 ) -> LoraLayer:
     """Build a fresh adapter layer; ``w0`` defaults to zeros.
 
-    A read-only ``w0`` is held as it is, since nothing can write into it, so
-    layers built from one shared base weight share its memory; a writable
-    one is copied, so the caller's later writes never reach the layer.
+    ``w0`` is held as ``LoraLayer`` holds it: shared if read-only, copied if
+    writable. The factors drawn here, and the zeros, are frozen, not copied.
     """
     if r > min(m, n):
         raise ShapeError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
@@ -149,7 +156,11 @@ def init_layer(
         scale = 1.0 / math.sqrt(r)
         a = rng.normal(0.0, scale, size=(r, n))
         b = rng.normal(0.0, scale, size=(m, r))
-    base = np.zeros((m, n)) if w0 is None else _read_only(as_matrix(w0, "w0"))
+    freeze(a, b)
+    if w0 is None:
+        w0 = np.zeros((m, n))
+        freeze(w0)
+    base = as_matrix(w0, "w0")
     if base.shape != (m, n):
         raise ShapeError(f"w0 must be {m}x{n}, got {base.shape}")
     return LoraLayer(w0=base, b=b, a=a, alpha=alpha, rank=r, scaling_mode=mode)
@@ -179,4 +190,4 @@ def apply_decayed_merge_step(layer: LoraLayer, lr: float, weight_decay: float) -
         return layer
     factor = 1.0 - gamma_lambda
     root = math.sqrt(factor)
-    return replace_unchecked(layer, w0=factor * layer.w0, b=root * layer.b, a=root * layer.a)
+    return derived(layer, w0=factor * layer.w0, b=root * layer.b, a=root * layer.a)

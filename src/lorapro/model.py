@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 from .gradadjust import GradBundle, _derived
 from .linalg import as_matrix
-from .lora import LoraLayer, _read_only, capture, scaling_factor
+from .lora import LoraLayer
 
 __all__ = [
     "ACTIVATIONS",
@@ -96,9 +96,9 @@ class ForwardCache:
     batch: Batch
     activations: list[str]
     loss_kind: str
-    # (lora.capture of the layer, its w0, x @ B) per layer when ``forward``
-    # made the cache; None when ``forward_with_weights`` made it
-    layers: list[tuple[tuple, np.ndarray, np.ndarray]] | None = None
+    # (the layer, x @ B) per layer when ``forward`` made the cache; None when
+    # ``forward_with_weights`` made it
+    layers: list[tuple[LoraLayer, np.ndarray]] | None = None
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -203,22 +203,22 @@ def forward_with_weights(
 def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
     """Forward pass of the adapter network, each layer as x @ W0 + s*(x @ B) @ A.
 
-    The cache keeps, per layer, ``lora.capture`` of it, its w0 (a read-only
-    copy if it is writable) and x @ B, so ``backward`` differentiates this
-    pass whatever the layers do afterwards.
+    The cache keeps, per layer, the layer itself, which cannot change, and
+    x @ B, so ``backward`` differentiates this pass whatever the network
+    holds afterwards.
     """
     pre, post, layers = [], [batch.inputs], []
     for i, (layer, act) in enumerate(zip(net.layers, net.activations)):
-        x, w0 = post[-1], _read_only(layer.w0)
-        if x.shape[1] != w0.shape[0]:
+        x = post[-1]
+        if x.shape[1] != layer.w0.shape[0]:
             raise ShapeError(f"layer {i} gets inputs of dim {x.shape[1]}, "
-                             f"but its weight has {w0.shape[0]} rows")
+                             f"but its weight has {layer.w0.shape[0]} rows")
         xb = x @ layer.b
-        z = x @ w0
+        z = x @ layer.w0
         z += (layer.scaling * xb) @ layer.a
         pre.append(z)
         post.append(_activate(z, act))
-        layers.append((capture(layer), w0, xb))
+        layers.append((layer, xb))
     loss = _loss(post[-1], batch, net.loss_kind)
     if not np.isfinite(loss):
         raise NonFiniteError(f"forward produced non-finite loss {loss}")
@@ -250,11 +250,11 @@ def backward(cache: ForwardCache) -> list[GradBundle]:
     ``delta`` and no m x n array is formed (``GradBundle.full_gradient``
     forms g on request); on smaller layers it is held as ``g_full``.
 
-    Differentiates the forward pass that made ``cache``, at the factors,
-    scaling and w0 it captured, whatever the network or its layers have done
-    since. A cache of ``forward_with_weights`` holds no layers and raises
-    ShapeError. The bundles' arrays derive from the checked forward pass and
-    are not checked again: an overflow in them shows in the discrepancy
+    Differentiates the forward pass that made ``cache``, at the layers it
+    saw, whatever the network has held since. A cache of
+    ``forward_with_weights`` holds no layers and raises ShapeError. The
+    bundles' arrays derive from the checked forward pass and are not checked
+    again: an overflow in them shows in the discrepancy
     (``harness.discrepancy``), which a training step checks.
     """
     if cache.layers is None:
@@ -263,30 +263,29 @@ def backward(cache: ForwardCache) -> list[GradBundle]:
     delta = _loss_grad(cache.post_activations[-1], cache.batch, cache.loss_kind)
     bundles: list[GradBundle] = [None] * len(cache.layers)  # type: ignore[list-item]
     for i in reversed(range(len(cache.layers))):
-        captured, w0, xb = cache.layers[i]
-        _, _, b, a, alpha, rank, mode = captured
+        layer, xb = cache.layers[i]
         x = cache.post_activations[i]
         if cache.activations[i] != "identity":  # whose derivative is 1, exactly
             # in place: delta is this pass's own array, the loss gradient or
             # the product carried down from the layer above
             delta *= _activate_grad(cache.pre_activations[i], cache.activations[i])
         # s scales the rank-sized products, not delta, which the bundle keeps
-        s = scaling_factor(alpha, rank, mode)
+        s = layer.scaling
         g_a = xb.T @ delta
         g_a *= s
-        scaled_a = delta @ a.T
+        scaled_a = delta @ layer.a.T
         scaled_a *= s
         # g stays factored where the discrepancy's two k x k Grams,
         # k = 2r + batch, take fewer products than g itself; elsewhere it is
         # formed once here, no larger than those Grams' inputs, and the
         # discrepancy forms the residual from it
-        m, n = w0.shape
-        if (2 * rank + len(x)) * (m + n) < m * n:
+        m, n = layer.shape
+        if (2 * layer.rank + len(x)) * (m + n) < m * n:
             g = {"x": x, "delta": delta}
         else:
             g = {"g_full": x.T @ delta}
-        bundles[i] = _derived(captured, g_a_lora=g_a, g_b_lora=x.T @ scaled_a, **g)
+        bundles[i] = _derived(layer, g_a_lora=g_a, g_b_lora=x.T @ scaled_a, **g)
         if i > 0:
-            delta = delta @ w0.T
-            delta += scaled_a @ b.T
+            delta = delta @ layer.w0.T
+            delta += scaled_a @ layer.b.T
     return bundles

@@ -24,7 +24,7 @@ direction. ``lorapro_adamw_step`` always consumes its ``g_tilde`` that way;
 ``adamw_transform`` and ``full_ft_adamw_step`` consume the buffer passed as
 ``out``, if any. The values they return are computed from inputs that were
 checked where they entered, so they are built without re-running the
-constructors' checks.
+constructors' checks: a layer by ``lora.derived``, its new arrays read-only.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ShapeError
 from .gradadjust import GradBundle, Projection, TangentGeometry, adjust, lora_raw_grads, shift
 from .linalg import as_matrix, replace_unchecked
-from .lora import LoraLayer, apply_decayed_merge_step
+from .lora import LoraLayer, apply_decayed_merge_step, derived
 
 __all__ = [
     "HyperParams",
@@ -199,7 +199,7 @@ def lorapro_sgd_step(
         raise ValueError("the SGD loop has no weight decay; got a nonzero weight_decay")
     adjusted = shift(projection, strategy)
     layer = projection.geometry.layer
-    return replace_unchecked(
+    return derived(
         layer,
         b=layer.b - hp.lr * adjusted.g_b,
         a=layer.a - hp.lr * adjusted.g_a,
@@ -240,7 +240,7 @@ def lorapro_adamw_step(
     )
 
     layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
-    layer = replace_unchecked(
+    layer = derived(
         layer,
         b=layer.b - hp.lr * second.g_b,
         a=layer.a - hp.lr * second.g_a,
@@ -260,7 +260,7 @@ def lora_adamw_step(
     dir_a, state_a = adamw_transform(state_a, bundle.g_a_lora, hp, checked=True)
     dir_b, state_b = adamw_transform(state_b, bundle.g_b_lora, hp, checked=True)
     decay = 1.0 - hp.lr * hp.weight_decay
-    layer = replace_unchecked(
+    layer = derived(
         layer,
         a=decay * layer.a - hp.lr * dir_a,
         b=decay * layer.b - hp.lr * dir_b,

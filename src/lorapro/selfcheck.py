@@ -138,10 +138,6 @@ def random_instances(
         layer = LoraLayer(
             w0=np.zeros((m, n)), b=b, a=a, alpha=s * r, rank=r, scaling_mode="lora"
         )
-        # every property reads the instances; read-only, their factors are
-        # captured by identity (``lora.capture``), not copied
-        layer.b.setflags(write=False)
-        layer.a.setflags(write=False)
         out.append((layer, lora_raw_grads(layer, g)))
     return out
 

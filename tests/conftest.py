@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,19 @@ def adamw_step(layer, state, bundle, hp, policy=DampingPolicy(), x_strategy="syl
     zero = adjust(layer, bundle, "zero", policy, geometry=geometry)
     g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
     return lorapro_adamw_step(geometry, state, g_tilde, hp, x_strategy)
+
+
+def assert_layer_is_value(layer, copied=(), shared=None):
+    """The value rule on ``layer``: its arrays are read-only, none of its fields
+    can be rebound, it aliases none of the arrays in ``copied`` (the caller's
+    writable inputs, or the arrays it was derived from), and it holds each
+    array of ``shared`` (field name to the caller's read-only input) as it is."""
+    for name in ("w0", "b", "a"):
+        array = getattr(layer, name)
+        assert not array.flags.writeable, name
+        assert not any(np.shares_memory(array, outside) for outside in copied), name
+    for field in dataclasses.fields(layer):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layer, field.name, getattr(layer, field.name))
+    for name, array in (shared or {}).items():
+        assert getattr(layer, name) is array, name

@@ -296,6 +296,21 @@ def test_readme_config_parses_and_names_every_key():
     assert set(parser["task"]) == set(task_keys(parser["run"]["task"]))
 
 
+def test_readme_library_quick_start_runs():
+    # both python blocks, in order and in one namespace, as a reader runs them
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["bundles"]) == 1
+    assert namespace["g"].shape == namespace["layer"].shape
+    with pytest.raises(ValueError, match="read-only"):
+        namespace["layer"].b[0, 0] = 1.0
+
+
 def test_config_round_trip_dict():
     cfg = parse_config_text(GOOD_CONFIG)
     echo = cfg.to_dict()

@@ -532,33 +532,41 @@ def test_geometry_rejects_another_layer(unit_instance):
         adjust(layer, bundle, policy=EXACT, geometry=TangentGeometry(other, EXACT))
     with pytest.raises(ValueError, match="another layer"):
         adjust(layer, bundle, policy=EXACT, geometry=TangentGeometry(layer, DampingPolicy()))
+    # a layer equal in value, over the very same arrays, is still another layer
+    twin = dataclasses.replace(layer)
+    assert twin.b is layer.b and twin.a is layer.a
+    with pytest.raises(ValueError, match="another layer"):
+        adjust(twin, bundle, policy=EXACT, geometry=TangentGeometry(layer, EXACT))
+    # and the layer a geometry was built from cannot change under it
     geometry = TangentGeometry(layer, EXACT)
-    layer.b = layer.b.copy()  # same layer object, a factor array it was not built from
-    with pytest.raises(ValueError, match="another layer"):
-        adjust(layer, bundle, policy=EXACT, geometry=geometry)
-    # same layer object and factor arrays, a factor written in place
-    rng = np.random.default_rng(71)
-    layer = LoraLayer(w0=np.zeros((6, 5)), b=rng.normal(size=(6, 2)), a=rng.normal(size=(2, 5)),
-                      alpha=2.0, rank=2)
-    g = rng.normal(size=(6, 5))
-    geometry = TangentGeometry(layer)
-    layer.b *= 3.0
-    with pytest.raises(ValueError, match="another layer"):
-        adjust(layer, lora_raw_grads(layer, g), geometry=geometry)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.b = layer.b.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        layer.b *= 3.0
+    assert adjust(layer, bundle, policy=EXACT, geometry=geometry).x_strategy == "sylvester"
 
 
 def test_bundle_of_a_layer_written_in_place_is_checked():
-    # lora_raw_grads's bundle is checked against the layer's new values, as a
-    # bundle built by hand from the same arrays is
+    # a layer cannot be written in place; a layer derived from it, even one
+    # equal in value, gets lora_raw_grads's bundle checked against its own
+    # values, as a bundle built by hand from the same arrays is
     rng = np.random.default_rng(71)
     layer = LoraLayer(w0=np.zeros((6, 5)), b=rng.normal(size=(6, 2)), a=rng.normal(size=(2, 5)),
                       alpha=2.0, rank=2)
     bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
-    layer.b *= 3.0
+    with pytest.raises(ValueError, match="read-only"):
+        layer.b *= 3.0
+    scaled = dataclasses.replace(layer, b=3.0 * layer.b)
     by_hand = GradBundle(bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
     for checked in (by_hand, bundle):
         with pytest.raises(ShapeError, match="g_a_lora inconsistent with g_full"):
-            adjust(layer, checked)
+            adjust(scaled, checked)
+    # g written in place after the bundle was built: its own layer does not
+    # re-read it, a twin equal in value does
+    bundle.g_full *= 2.0
+    adjust(layer, bundle)
+    with pytest.raises(ShapeError, match="g_a_lora inconsistent with g_full"):
+        adjust(dataclasses.replace(layer), bundle)
 
 
 def test_singular_gram_reports_leading_minor():

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_layer_is_value
+
 import lorapro.checkpoint as checkpoint
 import lorapro.harness as harness
 import lorapro.model as model
@@ -41,7 +43,7 @@ from lorapro.gradadjust import (
 )
 from lorapro.harness import CSV_HEADER, STATE_SHAPES, Trainer, _rows, compare, discrepancy, run
 from lorapro.linalg import numerical_rank
-from lorapro.lora import LoraLayer, apply_decayed_merge_step, effective_weight
+from lorapro.lora import LoraLayer, apply_decayed_merge_step, derived, effective_weight
 from lorapro.model import backward, forward
 from lorapro.optim import adamw_transform, lr_at
 from lorapro.selfcheck import (
@@ -227,8 +229,13 @@ def _new_layer(old):
 
 
 def _reassign_b(layer):
-    layer.b = 3.0 * layer.b
-    return layer
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.b = 3.0 * layer.b
+    return dataclasses.replace(layer, b=3.0 * layer.b)
+
+
+def _twin(layer):
+    return dataclasses.replace(layer)  # equal in value, over the same arrays
 
 
 def _write_into_b(layer):
@@ -244,12 +251,14 @@ LORA_PRO_METHODS = ("lora_pro_sgd", "lora_pro_adamw")
     "method, change",
     [pytest.param(m, _new_layer, id=m) for m in LORA_PRO_METHODS]
     + [pytest.param(m, _reassign_b, id=f"{m}-reassign_b") for m in LORA_PRO_METHODS]
+    + [pytest.param(m, _twin, id=f"{m}-twin") for m in LORA_PRO_METHODS]
     + [pytest.param(m, _write_into_b, id=f"{m}-write_into_b") for m in LORA_PRO_METHODS],
 )
 def test_replaced_layer_gets_a_fresh_geometry(tmp_path, method, change):
     # the trainer keeps each committed layer's geometry for the next step; a
-    # layer or factor array put in its place between steps must not be solved
-    # in the old one, and a committed factor cannot be written in place
+    # layer put in its place between steps, even one equal in value, must not
+    # be solved in the old one (adjust would refuse it), and a committed
+    # layer cannot be changed
     cfg = small_config(tmp_path, method=method, steps=6)
     trainer = Trainer(cfg)
     for _ in range(2):  # the first step's warmup lr is 0, so B is still 0 after it
@@ -261,6 +270,33 @@ def test_replaced_layer_gets_a_fresh_geometry(tmp_path, method, change):
     rows = [trainer.step() for _ in range(2)]
     expected = [from_start.step() for _ in range(2)]
     assert _csv_rows(rows) == _csv_rows(expected)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trainer_holds_every_layer_as_a_value(tmp_path, method):
+    # after init, after a step and after a restore: an adapter layer shares
+    # the task's read-only base weight as its w0, full_ft's merged w0 is its
+    # own, and a step's or a restore's arrays alias none a layer held before
+    cfg = small_config(tmp_path, method=method, steps=4)
+    trainer = Trainer(cfg)
+    for layer, base in zip(trainer.network.layers, trainer.task.base_weights, strict=True):
+        if method == "full_ft":
+            assert_layer_is_value(layer, copied=[base])
+        else:
+            assert_layer_is_value(layer, shared={"w0": base})
+    for _ in range(2):  # the first step's warmup lr is 0
+        before = list(trainer.network.layers)
+        trainer.step()
+        for old, layer in zip(before, trainer.network.layers, strict=True):
+            if method == "full_ft":
+                assert_layer_is_value(layer, copied=[old.w0], shared={"b": old.b, "a": old.a})
+            else:
+                assert_layer_is_value(layer, copied=[old.b, old.a], shared={"w0": old.w0})
+    ckpt = tmp_path / "state.bin"
+    trainer.save(ckpt)
+    restored = Trainer.from_checkpoint(cfg, ckpt)
+    for old, layer in zip(trainer.network.layers, restored.network.layers, strict=True):
+        assert_layer_is_value(layer, copied=[old.w0, old.b, old.a])
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
@@ -789,8 +825,8 @@ def test_non_finite_update_is_caught_before_commit(tmp_path, monkeypatch, method
         if method == "full_ft":
             return (np.full_like(out[0], np.inf), *out[1:])
         layer = out if method == "lora_pro_sgd" else out[0]
-        layer.a = np.full_like(layer.a, np.inf)
-        return out
+        layer = derived(layer, a=np.full_like(layer.a, np.inf))
+        return layer if method == "lora_pro_sgd" else (layer, *out[1:])
 
     monkeypatch.setattr(harness, STEP_FUNCTIONS[method], overflowing)
     before = _committed(trainer)

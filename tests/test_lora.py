@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import assert_layer_is_value
 from lorapro.errors import ShapeError
+from lorapro.gradadjust import adjust, lora_raw_grads
+from lorapro.harness import discrepancy
 from lorapro.linalg import frob_norm, numerical_rank
 from lorapro.lora import (
     InitScheme,
     LoraLayer,
     apply_decayed_merge_step,
     effective_weight,
+    freeze,
     init_layer,
 )
 from lorapro.model import Batch, Network, forward
@@ -56,10 +62,51 @@ def test_init_layer_keeps_a_read_only_w0_and_copies_a_writable_one():
     shared = np.arange(12.0).reshape(3, 4)
     shared.setflags(write=False)
     assert init_layer(3, 4, 2, w0=shared).w0 is shared
+    assert_layer_is_value(init_layer(3, 4, 2, w0=shared), shared={"w0": shared})
     writable = np.arange(12.0).reshape(3, 4)
     layer = init_layer(3, 4, 2, w0=writable)
     writable[0, 0] = 99.0
     assert layer.w0 is not writable and layer.w0[0, 0] == 0.0
+    assert_layer_is_value(layer, copied=[writable])
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read_only"])
+def test_layer_copies_a_writable_input_and_shares_a_read_only_one(read_only):
+    rng = np.random.default_rng(12)
+    inputs = {"w0": rng.normal(size=(4, 3)), "b": rng.normal(size=(4, 2)),
+              "a": rng.normal(size=(2, 3))}
+    if read_only:
+        freeze(*inputs.values())
+    layer = LoraLayer(**inputs, alpha=2.0, rank=2)
+    if read_only:
+        assert_layer_is_value(layer, shared=inputs)
+    else:
+        assert_layer_is_value(layer, copied=inputs.values())
+        before = effective_weight(layer)
+        for array in inputs.values():
+            array *= 2.0
+        assert np.array_equal(effective_weight(layer), before)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0],
+                         ids=["nan", "inf", "-inf", "zero"])
+def test_layer_rejects_an_alpha_that_is_not_finite_and_nonzero(alpha):
+    # each ended later in a misleading error (NaN: "a contains non-finite
+    # entries" from adjust) or in a bare numpy RuntimeWarning (inf, 0)
+    with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+        LoraLayer(w0=np.zeros((3, 2)), b=np.ones((3, 1)), a=np.ones((1, 2)), alpha=alpha, rank=1)
+    with pytest.raises(ValueError, match="alpha"):
+        init_layer(3, 2, 1, alpha=alpha)
+
+
+def test_layer_takes_a_negative_alpha():
+    rng = np.random.default_rng(13)
+    layer = LoraLayer(w0=np.zeros((4, 3)), b=rng.normal(size=(4, 2)), a=rng.normal(size=(2, 3)),
+                      alpha=-2.0, rank=2, scaling_mode="lora")
+    assert layer.scaling == -1.0
+    bundle = lora_raw_grads(layer, rng.normal(size=(4, 3)))
+    adjusted = adjust(layer, bundle)
+    assert math.isfinite(discrepancy(layer, adjusted.g_a, adjusted.g_b, bundle))
 
 
 def test_effective_weight_rank_one_outer_product():
@@ -94,6 +141,12 @@ def test_decay_factor_split_is_exact():
     assert np.allclose(decayed.w0, 0.81 * layer.w0, atol=1e-12)
     assert np.allclose(decayed.b, 0.9 * layer.b, atol=1e-12)
     assert abs(0.9 * 0.9 - 0.81) < 1e-12
+
+
+def test_decayed_layer_is_a_value():
+    layer = init_layer(3, 3, 1, w0=np.eye(3), scheme=InitScheme("gaussian_both", seed=7))
+    decayed = apply_decayed_merge_step(layer, lr=0.5, weight_decay=0.4)
+    assert_layer_is_value(decayed, copied=[layer.w0, layer.b, layer.a])
 
 
 def test_decay_on_zero_adapter():

@@ -172,10 +172,10 @@ def test_directional_base_weight_perturbation():
 
 @pytest.mark.parametrize("change", ["swap", "in_place", "reassign", "rescale"])
 def test_backward_differentiates_the_forward_that_made_the_cache(change):
-    # after the forward pass, the network's first layer is swapped, its
-    # writable b written in place, its read-only a replaced by another array,
-    # or its alpha changed; backward still gives, bit for bit, the bundles of
-    # a fresh forward pass at the values the cache was made from
+    # after the forward pass, the network's first layer is swapped, or
+    # replaced by itself with b scaled, a shifted or alpha doubled, each of
+    # which it refuses to take in place; backward still gives, bit for bit,
+    # the bundles of a fresh forward pass at the values the cache was made from
     rng = np.random.default_rng(8)
     layers = [
         init_layer(3, 4, 2, w0=rng.normal(size=(3, 4)),
@@ -183,7 +183,6 @@ def test_backward_differentiates_the_forward_that_made_the_cache(change):
         init_layer(4, 2, 1, w0=rng.normal(size=(4, 2)),
                    scheme=InitScheme("gaussian_both", seed=10)),
     ]
-    layers[0].a.setflags(write=False)
     acts = ["tanh", "identity"]
     batch = Batch(inputs=rng.normal(size=(5, 3)), targets=rng.normal(size=(5, 2)))
     fresh = Network([dataclasses.replace(layer, b=layer.b.copy(), a=layer.a.copy())
@@ -194,11 +193,17 @@ def test_backward_differentiates_the_forward_that_made_the_cache(change):
     if change == "swap":
         net.layers[0] = init_layer(3, 4, 2, scheme=InitScheme("gaussian_both", seed=11))
     elif change == "in_place":
-        first.b *= 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.b *= 3.0
+        net.layers[0] = dataclasses.replace(first, b=3.0 * first.b)
     elif change == "reassign":
-        first.a = first.a + 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.a = first.a + 1.0
+        net.layers[0] = dataclasses.replace(first, a=first.a + 1.0)
     else:
-        first.alpha *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.alpha *= 2.0
+        net.layers[0] = dataclasses.replace(first, alpha=2.0 * first.alpha)
     _, fresh_cache = forward(fresh, batch)
     for ours, ref in zip(backward(cache), backward(fresh_cache), strict=True):
         assert np.array_equal(ours.full_gradient(), ref.full_gradient())

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EXACT, adamw_step
+from conftest import EXACT, adamw_step, assert_layer_is_value
 from lorapro.errors import ShapeError
 from lorapro.gradadjust import (
     DampingPolicy,
@@ -279,6 +279,32 @@ def test_baseline_lora_adamw_moves_both_factors(unit_instance):
     assert not np.array_equal(out.a, layer.a)
     assert not np.array_equal(out.b, layer.b)
     assert sa.t == 1 and sb.t == 1
+
+
+@pytest.mark.parametrize("step", ["lorapro_sgd", "lorapro_adamw", "lora_adamw"])
+def test_each_step_returns_a_layer_value(step):
+    # the new layer's fresh factors are read-only and alias neither the old
+    # factors nor any gradient or buffer the step was given; with no weight
+    # decay its w0 is the old layer's, shared
+    rng = np.random.default_rng(47)
+    layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
+                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
+    bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
+    hp = HyperParams(lr=0.01)
+    given = [layer.b, layer.a, bundle.g_a_lora, bundle.g_b_lora, bundle.g_full]
+    if step == "lorapro_sgd":
+        out = _sgd_step(layer, bundle, hp)
+    elif step == "lorapro_adamw":
+        geometry = TangentGeometry(layer)
+        zero = adjust(layer, bundle, "zero", geometry=geometry)
+        g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
+        out, state = lorapro_adamw_step(geometry, init_adamw_state((6, 5)), g_tilde, hp)
+        given += [g_tilde, state.m, state.v]
+    else:
+        out, sa, sb = lora_adamw_step(layer, init_adamw_state((2, 5)), init_adamw_state((6, 2)),
+                                      bundle, hp)
+        given += [sa.m, sa.v, sb.m, sb.v]
+    assert_layer_is_value(out, copied=given, shared={"w0": layer.w0})
 
 
 def test_adamw_state_validation():
