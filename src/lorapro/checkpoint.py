@@ -74,8 +74,9 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 
     Raises CheckpointError (a ValueError) if the file is not a format-3
     checkpoint, if its length field or header is cut short or cannot be
-    decoded, if its payload is shorter or longer than the header's array
-    table says, or if its header and payload do not hash to its SHA-256.
+    decoded, if the header's ``meta`` is not a JSON object, if its payload
+    is shorter or longer than the header's array table says, or if its
+    header and payload do not hash to its SHA-256.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -102,6 +103,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ValueError("negative array shape")
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: undecodable header ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: header field 'meta' must be an object, got {meta!r}")
         digest = fh.read(received.digest_size)
         expected = sum(8 * rows * cols for _, rows, cols in table)
         left = size - fh.tell()

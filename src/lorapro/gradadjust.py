@@ -69,39 +69,44 @@ X_STRATEGIES = ("zero", "symmetry", "sylvester")
 BUNDLE_CONSISTENCY_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GradBundle:
-    """Raw chain-rule gradients of the factors, plus the full gradient g if known.
+    """Raw chain-rule gradients of one layer's factors, plus its full gradient g if known.
 
-    g_a_lora = s * B^T * g  (r x n) and g_b_lora = s * g * A^T  (m x r). A
-    bundle holds g densely, as ``g_full`` (m x n), or factored, as
-    g = x^T delta with the layer's input ``x`` (batch x m) and the loss
-    gradient ``delta`` at its output (batch x n), as ``model.backward``
-    gives it for layers much wider than the batch; ``full_gradient`` forms
-    g from either.
+    g_a_lora = s * B^T * g  (r x n) and g_b_lora = s * g * A^T  (m x r), for
+    the B, A and s of ``layer``. A bundle holds g densely, as ``g_full``
+    (m x n), or factored, as g = x^T delta with the layer's input ``x``
+    (batch x m) and the loss gradient ``delta`` at its output (batch x n),
+    as ``model.backward`` gives it for layers much wider than the batch;
+    ``full_gradient`` forms g from either.
+
+    A bundle is a value, checked once, by its constructor: every array by
+    ``as_matrix``, one form of g, the shapes against ``layer`` and, where g
+    is known, the chain-rule identities (a factored g is formed densely for
+    the check). Its fields cannot be rebound, and its layer cannot change,
+    so nothing is checked again for that layer. ``lora_raw_grads`` and
+    ``model.backward`` build theirs from checked values, without the check.
+    The arrays are neither copied nor frozen: one written in place is not
+    re-read.
     """
 
+    layer: LoraLayer
     g_a_lora: np.ndarray
     g_b_lora: np.ndarray
     g_full: np.ndarray | None = None
     x: np.ndarray | None = None
     delta: np.ndarray | None = None
-    # (the layer, g_a_lora, g_b_lora, g_full, x, delta) of a bundle that
-    # lora_raw_grads or model.backward built
-    _origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.g_a_lora = as_matrix(self.g_a_lora, "g_a_lora")
-        self.g_b_lora = as_matrix(self.g_b_lora, "g_b_lora")
-        if self.g_full is not None:
-            self.g_full = as_matrix(self.g_full, "g_full")
         if (self.x is None) != (self.delta is None):
             raise ShapeError("a factored gradient needs both x and delta")
-        if self.x is not None:
-            if self.g_full is not None:
-                raise ShapeError("a bundle holds g_full or its factors x and delta, not both")
-            self.x = as_matrix(self.x, "x")
-            self.delta = as_matrix(self.delta, "delta")
+        if self.x is not None and self.g_full is not None:
+            raise ShapeError("a bundle holds g_full or its factors x and delta, not both")
+        for name in ("g_a_lora", "g_b_lora", "g_full", "x", "delta"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, as_matrix(value, name))
+        _check_against(self.layer, self)
 
     def full_gradient(self) -> np.ndarray | None:
         """g as an m x n array: ``g_full``, or x^T delta formed anew; None if unknown."""
@@ -151,26 +156,6 @@ class DampingPolicy:
         return self.rel_epsilon * (mean_diag if mean_diag > 0.0 else 1.0)
 
 
-def _arrays(bundle: GradBundle) -> tuple:
-    return bundle.g_a_lora, bundle.g_b_lora, bundle.g_full, bundle.x, bundle.delta
-
-
-def _derived(layer: LoraLayer, **arrays) -> GradBundle:
-    """The unchecked bundle of ``arrays``, derived from checked values of
-    ``layer``, with its origin recorded."""
-    bundle = build_unchecked(GradBundle, **arrays)
-    bundle._origin = (layer, *_arrays(bundle))
-    return bundle
-
-
-def _built_from(bundle: GradBundle, layer: LoraLayer) -> bool:
-    """Whether ``lora_raw_grads`` or ``model.backward`` built ``bundle`` from
-    ``layer``, and it still holds the arrays it was built with."""
-    origin = bundle._origin
-    return (origin is not None and origin[0] is layer
-            and all(x is y for x, y in zip(origin[1:], _arrays(bundle))))
-
-
 def _check_pair_shapes(layer: LoraLayer, g_a, g_b, names: tuple[str, str] = ("g_a", "g_b")):
     """Raise ShapeError, naming the factor by ``names``, unless ``g_a`` is r x n
     and ``g_b`` m x r, the shapes of ``layer``'s A and B."""
@@ -182,15 +167,9 @@ def _check_pair_shapes(layer: LoraLayer, g_a, g_b, names: tuple[str, str] = ("g_
         raise ShapeError(f"{names[1]} must be {m}x{r}, got {g_b.shape}")
 
 
-def validate_bundle(layer: LoraLayer, bundle: GradBundle):
-    """Check the chain-rule identities against the full gradient when the bundle has one.
-
-    A factored gradient x^T delta is formed densely for the check. A bundle
-    that ``lora_raw_grads`` or ``model.backward`` built from this layer
-    object, still holding the arrays it was built with, satisfies them by
-    construction, as a layer cannot change, so only its shapes are checked.
-    The bundle's arrays written in place afterwards are not re-read.
-    """
+def _check_against(layer: LoraLayer, bundle: GradBundle):
+    """Raise ShapeError unless ``bundle``'s arrays have ``layer``'s shapes and,
+    where g is known, satisfy the chain-rule identities for ``layer``."""
     m, n = layer.shape
     _check_pair_shapes(layer, bundle.g_a_lora, bundle.g_b_lora, ("g_a_lora", "g_b_lora"))
     if bundle.g_full is not None and bundle.g_full.shape != (m, n):
@@ -199,8 +178,6 @@ def validate_bundle(layer: LoraLayer, bundle: GradBundle):
                                  or bundle.x.shape[0] != bundle.delta.shape[0]):
         raise ShapeError(f"x and delta must be batch x {m} and batch x {n}, got "
                          f"{bundle.x.shape} and {bundle.delta.shape}")
-    if _built_from(bundle, layer):
-        return
     g = bundle.full_gradient()
     if g is None:
         return
@@ -215,6 +192,19 @@ def validate_bundle(layer: LoraLayer, bundle: GradBundle):
         raise ShapeError(f"g_b_lora inconsistent with g_full (deviation {err_b:.3e})")
 
 
+def validate_bundle(layer: LoraLayer, bundle: GradBundle):
+    """Check ``bundle`` against ``layer`` as its constructor checked it against its own.
+
+    For the bundle's own layer object, which cannot change, nothing is read:
+    the bundle was checked against it when it was built, or built from its
+    checked values. Any other layer object, even one equal in value, gets
+    the constructor's check: the shapes and, where g is known, the
+    chain-rule identities.
+    """
+    if bundle.layer is not layer:
+        _check_against(layer, bundle)
+
+
 def lora_raw_grads(layer: LoraLayer, g_full: np.ndarray) -> GradBundle:
     """Chain-rule factor gradients induced by the full weight gradient."""
     g_full = as_matrix(g_full, "g_full")
@@ -223,7 +213,8 @@ def lora_raw_grads(layer: LoraLayer, g_full: np.ndarray) -> GradBundle:
     s = layer.scaling
     g_a = s * (layer.b.T @ g_full)
     g_b = s * (g_full @ layer.a.T)
-    return _derived(layer, g_a_lora=g_a, g_b_lora=g_b, g_full=g_full)
+    return build_unchecked(GradBundle, layer=layer, g_a_lora=g_a, g_b_lora=g_b,
+                           g_full=g_full)
 
 
 def equivalent_gradient(
@@ -364,9 +355,10 @@ class Projection:
     and ``white_g_b`` = (I - P_B) g_b_raw W_a. Under a passthrough geometry
     the pair is the raw pair and nothing is solved.
 
-    The bundle is checked against the layer by ``validate_bundle``. The g_b
-    half is solved on first use, after X is chosen, so an X the solver
-    refuses raises its SpectrumError before the Gram of A is inverted.
+    The bundle is checked against the geometry's layer by ``validate_bundle``,
+    which reads nothing for the bundle's own layer. The g_b half is solved
+    on first use, after X is chosen, so an X the solver refuses raises its
+    SpectrumError before the Gram of A is inverted.
     """
 
     def __init__(self, geometry: TangentGeometry, bundle: GradBundle):

@@ -112,13 +112,13 @@ class CompareResult:
 
 
 def discrepancy(
-    layer: LoraLayer,
+    bundle: GradBundle,
     g_a: np.ndarray,
     g_b: np.ndarray,
-    bundle: GradBundle,
     g_tilde: np.ndarray | None = None,
 ) -> float:
-    """||g_tilde - g||_F, for g_tilde the equivalent gradient of (g_a, g_b) and g the bundle's.
+    """||g_tilde - g||_F, for g_tilde the equivalent gradient of (g_a, g_b) on the
+    bundle's layer and g the bundle's.
 
     ``g_a`` and ``g_b`` are taken as ``equivalent_gradient(checked=True)``
     takes them; ``g_tilde``, if given, is their equivalent gradient, already
@@ -137,6 +137,7 @@ def discrepancy(
     NonFiniteError ("g_tilde - g contains non-finite entries"), and so does
     a norm that overflows, with no numpy warning first.
     """
+    layer = bundle.layer
     _check_pair_shapes(layer, g_a, g_b)
     r = layer.rank
     if bundle.x is None and bundle.g_full is None:
@@ -353,14 +354,11 @@ class Trainer:
             # its states from the flat list in STATE_SHAPES order
             states = iter(self.states)
             new_layers, new_geometries, new_states, metrics = [], [], [], []
-            for i, layer in enumerate(net.layers):
-                # a layer's gradient is dropped as soon as its update is computed
-                grad, grads[i] = grads[i], None
+            for i in range(len(net.layers)):
                 try:
                     new_layer, layer_states, values, layer_discrepancy, certificate = self._update(
-                        i, layer, grad, states, hp_now
+                        grads, i, states, hp_now
                     )
-                    del grad
                     # the step's one finiteness check: its values derive from
                     # inputs checked where they entered it, so only overflow can
                     # make them non-finite, and this catches it without
@@ -394,11 +392,15 @@ class Trainer:
             step=self.step_count, lr=lr_now, train_loss=loss, per_layer=metrics
         )
 
-    def _update(self, i: int, layer: LoraLayer, grad, states, hp_now) -> tuple:
+    def _update(self, grads: list, i: int, states, hp_now) -> tuple:
         """Layer ``i``'s update arm: its new value and states, the values to check
-        before a commit, its discrepancy and its certificate. ``grad`` is full_ft's
-        weight gradient, which becomes the Adam direction's buffer, or a ``GradBundle``."""
-        cfg, certificate = self.config, None
+        before a commit, its discrepancy and its certificate. ``grads[i]`` is
+        full_ft's weight gradient, which becomes the Adam direction's buffer,
+        or a ``GradBundle``; it is taken out of ``grads``, so the update holds
+        the only reference to it and drops it as soon as it is read for the
+        last time."""
+        cfg, layer, certificate = self.config, self.network.layers[i], None
+        grad, grads[i] = grads[i], None
         if cfg.method == "full_ft":
             w, state = full_ft_adamw_step(layer.w0, next(states), grad, hp_now, out=grad)
             return derived(layer, w0=w), [state], {"w": w, "v": state.v}, 0.0, None
@@ -407,37 +409,32 @@ class Trainer:
         # metric, the certificate and the step. It derives from the bundle's
         # unchecked arrays; the discrepancy checks them all, naming the layer
         if cfg.method == "lora":
-            g_a, g_b = grad.g_a_lora, grad.g_b_lora
-        else:
-            geometry = self.geometries[i]
-            if geometry is None or geometry.layer is not layer:
-                geometry = TangentGeometry(layer, self.policy)
-            adjusted = adjust(layer, grad, strategy="zero", policy=self.policy, geometry=geometry)
-            g_a, g_b = adjusted.g_a, adjusted.g_b
+            layer_discrepancy = discrepancy(grad, grad.g_a_lora, grad.g_b_lora)
+            new_layer, sa, sb = lora_adamw_step(layer, next(states), next(states), grad, hp_now)
+            values = {"b": new_layer.b, "a": new_layer.a, "v_a": sa.v, "v_b": sb.v}
+            return new_layer, [sa, sb], values, layer_discrepancy, None
+        geometry = self.geometries[i]
+        if geometry is None or geometry.layer is not layer:
+            geometry = TangentGeometry(layer, self.policy)
+        adjusted = adjust(layer, grad, strategy="zero", policy=self.policy, geometry=geometry)
         # lora_pro_adamw's moments need the m x n equivalent gradient, which
         # then serves the discrepancy, too, where it forms the residual
         g_tilde = None
         if cfg.method == "lora_pro_adamw":
-            g_tilde = equivalent_gradient(layer, g_a, g_b, checked=True)
-        layer_discrepancy = discrepancy(layer, g_a, g_b, grad, g_tilde)
-        # its last read of the gradient: the bundle, its origin record and the
-        # projection drop it before the update allocates
-        grad.g_full = grad.x = grad.delta = grad._origin = None
-        if cfg.method != "lora" and not geometry.passthrough:
+            g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b, checked=True)
+        layer_discrepancy = discrepancy(grad, adjusted.g_a, adjusted.g_b, g_tilde)
+        del grad  # from here the projection of ``adjusted`` alone holds the bundle
+        if not geometry.passthrough:
             certificate = loss_decrease_certificate(adjusted, hp_now.lr)
             if certificate > CERTIFICATE_CEILING:
                 raise DescentViolationError(
                     f"predicted loss change {certificate:.3e} above {CERTIFICATE_CEILING:.0e}"
                 )
-        if cfg.method == "lora":
-            new_layer, sa, sb = lora_adamw_step(layer, next(states), next(states), grad, hp_now)
-            new_states, moments = [sa, sb], {"v_a": sa.v, "v_b": sb.v}
-        elif cfg.method == "lora_pro_sgd":
+        if cfg.method == "lora_pro_sgd":
             new_layer = lorapro_sgd_step(adjusted.projection, hp_now, cfg.x_strategy)
             new_states, moments = [], {}
-            del adjusted  # with its projection, which served only this layer
         else:
-            del adjusted, g_a, g_b  # the AdamW step reads g_tilde alone
+            del adjusted  # with its projection and the bundle: the AdamW step reads g_tilde alone
             # g_tilde is consumed: it now holds the Adam direction
             new_layer, state = lorapro_adamw_step(
                 geometry, next(states), g_tilde, hp_now, cfg.x_strategy

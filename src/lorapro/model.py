@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
-from .gradadjust import GradBundle, _derived
-from .linalg import as_matrix
+from .gradadjust import GradBundle
+from .linalg import as_matrix, build_unchecked
 from .lora import LoraLayer
 
 __all__ = [
@@ -252,9 +252,10 @@ def backward(cache: ForwardCache) -> list[GradBundle]:
 
     Differentiates the forward pass that made ``cache``, at the layers it
     saw, whatever the network has held since. A cache of
-    ``forward_with_weights`` holds no layers and raises ShapeError. The
-    bundles' arrays derive from the checked forward pass and are not checked
-    again: an overflow in them shows in the discrepancy
+    ``forward_with_weights`` holds no layers and raises ShapeError. Each
+    bundle holds the layer it differentiates. The bundles' arrays derive
+    from the checked forward pass and are not checked again: an overflow in
+    them shows in the discrepancy
     (``harness.discrepancy``), which a training step checks.
     """
     if cache.layers is None:
@@ -284,7 +285,8 @@ def backward(cache: ForwardCache) -> list[GradBundle]:
             g = {"x": x, "delta": delta}
         else:
             g = {"g_full": x.T @ delta}
-        bundles[i] = _derived(layer, g_a_lora=g_a, g_b_lora=x.T @ scaled_a, **g)
+        bundles[i] = build_unchecked(GradBundle, layer=layer, g_a_lora=g_a,
+                                     g_b_lora=x.T @ scaled_a, **g)
         if i > 0:
             delta = delta @ layer.w0.T
             delta += scaled_a @ layer.b.T

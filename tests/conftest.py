@@ -53,3 +53,12 @@ def assert_layer_is_value(layer, copied=(), shared=None):
             setattr(layer, field.name, getattr(layer, field.name))
     for name, array in (shared or {}).items():
         assert getattr(layer, name) is array, name
+
+
+def assert_bundle_is_value(bundle, layer):
+    """The value rule on a gradient ``bundle``: it holds ``layer``, the layer
+    object it was built for, and none of its fields can be rebound."""
+    assert bundle.layer is layer
+    for field in dataclasses.fields(bundle):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bundle, field.name, getattr(bundle, field.name))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXACT
+from conftest import EXACT, assert_bundle_is_value
 from lorapro.errors import (
     DescentViolationError,
     FactorizationError,
@@ -30,6 +30,7 @@ from lorapro.gradadjust import (
 from lorapro.harness import discrepancy
 from lorapro.linalg import frob_norm, numerical_rank
 from lorapro.lora import LoraLayer
+from lorapro.model import Batch, Network, backward, forward
 from lorapro.oracle import (
     brute_force_optimal_grads,
     projection_residual_norm_sq,
@@ -229,9 +230,13 @@ def test_passthrough_returns_raw_gradients(unit_instance):
 
 
 def test_validate_bundle_rejects_inconsistency(unit_instance):
+    # the constructor refuses an inconsistent bundle for its own layer;
+    # validate_bundle refuses a bundle for a layer it is inconsistent with
     layer, g = unit_instance
-    bad = GradBundle(g_a_lora=np.ones((1, 2)) * 5.0, g_b_lora=np.ones((2, 1)), g_full=g)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
+        GradBundle(layer, g_a_lora=np.ones((1, 2)) * 5.0, g_b_lora=np.ones((2, 1)), g_full=g)
+    bad = lora_raw_grads(dataclasses.replace(layer, alpha=5.0), g)
+    with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
         validate_bundle(layer, bad)
 
 
@@ -247,11 +252,18 @@ def test_user_bundle_inconsistent_with_g_full_is_rejected(unit_instance, consume
     layer, g = unit_instance
     derived = lora_raw_grads(layer, g)
     parts = {"g_a_lora": derived.g_a_lora.copy(), "g_b_lora": derived.g_b_lora.copy()}
-    consistent = GradBundle(**parts, g_full=g)
+    consistent = GradBundle(layer, **parts, g_full=g)
     CONSUMERS[consumer](layer, consistent)
+    CONSUMERS[consumer](dataclasses.replace(layer), consistent)  # rechecked, and consistent
+    # the factor's expected value moves by 1e-6 on a layer whose B (for
+    # g_a_lora) or A (for g_b_lora) is nudged, and on the factor itself
+    nudged = {"g_a_lora": dataclasses.replace(layer, b=layer.b + 1e-6),
+              "g_b_lora": dataclasses.replace(layer, a=layer.a + 1e-6)}[factor]
+    with pytest.raises(ShapeError, match=f"{factor} inconsistent with g_full"):
+        CONSUMERS[consumer](nudged, consistent)
     parts[factor] = parts[factor] + 1e-6
     with pytest.raises(ShapeError, match=f"{factor} inconsistent with g_full"):
-        CONSUMERS[consumer](layer, GradBundle(**parts, g_full=g))
+        GradBundle(layer, **parts, g_full=g)
 
 
 def test_derived_bundle_is_rechecked_once_it_no_longer_matches(unit_instance):
@@ -263,16 +275,89 @@ def test_derived_bundle_is_rechecked_once_it_no_longer_matches(unit_instance):
                       scaling_mode="lora")
     with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
         validate_bundle(other, bundle)
-    # a factor gradient swapped out after lora_raw_grads built the bundle
-    bundle.g_b_lora = bundle.g_b_lora + 1.0
+    # a factor gradient cannot be swapped out after lora_raw_grads built the
+    # bundle; a bundle rebuilt with another one is checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.g_b_lora = bundle.g_b_lora + 1.0
     with pytest.raises(ShapeError, match="g_b_lora inconsistent"):
-        validate_bundle(layer, bundle)
+        dataclasses.replace(bundle, g_b_lora=bundle.g_b_lora + 1.0)
+
+
+def _random_layer(rng, m, n, r=2):
+    return LoraLayer(w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, r)),
+                     a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
+
+
+def _backward_bundle(rng, m, n, rows):
+    """A layer and the bundle ``backward`` gives it, on a random batch of ``rows``."""
+    layer = _random_layer(rng, m, n)
+    batch = Batch(inputs=rng.normal(size=(rows, m)), targets=rng.normal(size=(rows, n)))
+    _, cache = forward(Network(layers=[layer], activations=["tanh"]), batch)
+    return layer, backward(cache)[0]
+
+
+def _constructed_bundle(rng, m=6, n=5):
+    layer, g = _random_layer(rng, m, n), rng.normal(size=(m, n))
+    s = layer.scaling
+    return layer, GradBundle(layer, s * (layer.b.T @ g), s * (g @ layer.a.T), g_full=g)
+
+
+def _raw_grads_bundle(rng, m=6, n=5):
+    layer = _random_layer(rng, m, n)
+    return layer, lora_raw_grads(layer, rng.normal(size=(m, n)))
+
+
+# every path that yields a bundle, and whether it holds g factored
+BUNDLE_PATHS = {
+    "constructor": (_constructed_bundle, False),
+    "lora_raw_grads": (_raw_grads_bundle, False),
+    # (2r + batch)(m + n) against m n: 36 * 24 > 128 keeps g dense, 9 * 70 < 1200 factored
+    "backward_dense": (lambda rng: _backward_bundle(rng, 8, 16, 32), False),
+    "backward_factored": (lambda rng: _backward_bundle(rng, 40, 30, 5), True),
+}
+
+
+@pytest.mark.parametrize("path", sorted(BUNDLE_PATHS))
+def test_every_bundle_is_a_value_of_its_layer(path):
+    make, factored = BUNDLE_PATHS[path]
+    layer, bundle = make(np.random.default_rng(81))
+    assert_bundle_is_value(bundle, layer)
+    assert (bundle.x is not None) == factored
+    assert (bundle.g_full is None) == factored
+    # and it is consistent with that layer, as a twin equal in value rechecks
+    validate_bundle(dataclasses.replace(layer), bundle)
+
+
+# a gradient misshapen against a 6 x 5 layer, and the error its bundle raises
+MISSHAPEN_G = {
+    "g_full_one_row": ({"g_full": (1, 5)}, r"g_full must be 6x5, got \(1, 5\)"),
+    "g_full_one_column": ({"g_full": (6, 1)}, r"g_full must be 6x5, got \(6, 1\)"),
+    "x_too_narrow": ({"x": (3, 4), "delta": (3, 5)},
+                     r"x and delta must be batch x 6 and batch x 5, got \(3, 4\) and \(3, 5\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_G))
+def test_bundle_of_a_misshapen_gradient_is_refused_where_it_is_built(case):
+    # harness.discrepancy used to trust these: a 1 x 5 or 6 x 1 g_full
+    # broadcast into a number, and a 3 x 4 x ended in a bare numpy ValueError
+    rng = np.random.default_rng(83)
+    layer = _random_layer(rng, 6, 5)
+    shapes, match = MISSHAPEN_G[case]
+    arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    with pytest.raises(ShapeError, match=match):
+        GradBundle(layer, rng.normal(size=(2, 5)), rng.normal(size=(6, 2)), **arrays)
 
 
 def test_adjust_shape_mismatch(unit_instance):
     layer, _ = unit_instance
-    with pytest.raises(ShapeError):
-        adjust(layer, GradBundle(g_a_lora=np.zeros((2, 2)), g_b_lora=np.zeros((2, 1))))
+    with pytest.raises(ShapeError, match="g_a_lora must be 1x2"):
+        GradBundle(layer, g_a_lora=np.zeros((2, 2)), g_b_lora=np.zeros((2, 1)))
+    # a bundle of a rank-2 layer on the same base weight, given to adjust for the rank-1 one
+    rank_2 = LoraLayer(w0=layer.w0, b=np.eye(2), a=np.eye(2), alpha=1.0, rank=2)
+    bundle = GradBundle(rank_2, g_a_lora=np.zeros((2, 2)), g_b_lora=np.zeros((2, 2)))
+    with pytest.raises(ShapeError, match="g_a_lora must be 1x2"):
+        adjust(layer, bundle)
 
 
 def test_rank_bound_on_random_instances():
@@ -557,13 +642,13 @@ def test_bundle_of_a_layer_written_in_place_is_checked():
     with pytest.raises(ValueError, match="read-only"):
         layer.b *= 3.0
     scaled = dataclasses.replace(layer, b=3.0 * layer.b)
-    by_hand = GradBundle(bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
+    by_hand = GradBundle(layer, bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
     for checked in (by_hand, bundle):
         with pytest.raises(ShapeError, match="g_a_lora inconsistent with g_full"):
             adjust(scaled, checked)
     # g written in place after the bundle was built: its own layer does not
     # re-read it, a twin equal in value does
-    bundle.g_full *= 2.0
+    bundle.g_full[:] *= 2.0  # a bundle field cannot be rebound, its array can be written
     adjust(layer, bundle)
     with pytest.raises(ShapeError, match="g_a_lora inconsistent with g_full"):
         adjust(dataclasses.replace(layer), bundle)
@@ -657,10 +742,14 @@ def _tangent_gradient(rng, m=40, n=30, r=2, rows=5):
                       a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
     x = rng.normal(size=(rows, m))
     delta = rng.normal(size=(rows, r)) @ layer.a
+    return layer, _factored_bundle(layer, x, delta)
+
+
+def _factored_bundle(layer, x, delta):
+    """The bundle of g = x^T delta on ``layer``, each factor gradient formed as backward does."""
     s = layer.scaling
-    bundle = GradBundle(g_a_lora=s * ((x @ layer.b).T @ delta),
-                        g_b_lora=s * (x.T @ (delta @ layer.a.T)), x=x, delta=delta)
-    return layer, bundle
+    return GradBundle(layer, g_a_lora=s * ((x @ layer.b).T @ delta),
+                      g_b_lora=s * (x.T @ (delta @ layer.a.T)), x=x, delta=delta)
 
 
 def test_discrepancy_takes_the_dense_residual_where_its_sum_cancels():
@@ -680,7 +769,7 @@ def test_discrepancy_takes_the_dense_residual_where_its_sum_cancels():
         residual = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b) - g
         dense = float(np.linalg.norm(residual))
         assert dense <= 100 * eps * np.linalg.norm(g)
-        got = discrepancy(layer, adjusted.g_a, adjusted.g_b, bundle)
+        got = discrepancy(bundle, adjusted.g_a, adjusted.g_b)
         assert abs(got - dense) <= 4 * eps * np.linalg.norm(g)
 
 
@@ -688,17 +777,17 @@ def test_discrepancy_of_a_dense_or_missing_full_gradient():
     rng = np.random.default_rng(32)
     layer, bundle = _tangent_gradient(rng)
     g = bundle.full_gradient()
-    dense = GradBundle(bundle.g_a_lora, bundle.g_b_lora, g_full=g)
+    dense = GradBundle(layer, bundle.g_a_lora, bundle.g_b_lora, g_full=g)
     pair = (bundle.g_a_lora, bundle.g_b_lora)
     expected = float(np.linalg.norm(equivalent_gradient(layer, *pair) - g))
-    assert discrepancy(layer, *pair, dense) == expected
-    assert discrepancy(layer, *pair, bundle) == pytest.approx(expected, rel=1e-12)
+    assert discrepancy(dense, *pair) == expected
+    assert discrepancy(bundle, *pair) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ShapeError, match="no full gradient"):
-        discrepancy(layer, *pair, GradBundle(*pair))
+        discrepancy(GradBundle(layer, *pair), *pair)
     with pytest.raises(ShapeError, match="not both"):
-        GradBundle(*pair, g_full=g, x=bundle.x, delta=bundle.delta)
+        GradBundle(layer, *pair, g_full=g, x=bundle.x, delta=bundle.delta)
     with pytest.raises(ShapeError, match="both x and delta"):
-        GradBundle(*pair, x=bundle.x)
+        GradBundle(layer, *pair, x=bundle.x)
 
 
 def test_discrepancy_checks_the_pair_and_takes_any_sign_of_scaling(monkeypatch):
@@ -714,26 +803,30 @@ def test_discrepancy_checks_the_pair_and_takes_any_sign_of_scaling(monkeypatch):
     rank_3 = (rng.normal(size=(3, 30)), rng.normal(size=(40, 3)))
     for g_a, g_b, match in ((*rank_3, "g_a must be 2x30"), (pair[0], rank_3[1], "g_b must be 40x2")):
         with pytest.raises(ShapeError, match=match):
-            discrepancy(layer, g_a, g_b, bundle)
+            discrepancy(bundle, g_a, g_b)
     g = bundle.full_gradient()
     for alpha in (layer.alpha, -layer.alpha):
         signed = dataclasses.replace(layer, alpha=alpha)
+        signed_bundle = _factored_bundle(signed, bundle.x, bundle.delta)
         expected = float(np.linalg.norm(equivalent_gradient(signed, *pair) - g))
         with monkeypatch.context() as patch:  # the factored sum, not the residual
             patch.setattr(harness, "equivalent_gradient", None)
-            assert discrepancy(signed, *pair, bundle) == pytest.approx(expected, rel=1e-12)
+            assert discrepancy(signed_bundle, *pair) == pytest.approx(expected, rel=1e-12)
 
 
 def test_user_built_factored_bundle_is_checked_against_its_dense_gradient():
     rng = np.random.default_rng(33)
     layer, bundle = _tangent_gradient(rng)
     validate_bundle(layer, bundle)
-    off = GradBundle(bundle.g_a_lora, bundle.g_b_lora, x=bundle.x, delta=2.0 * bundle.delta)
+    # built by hand, or used with another layer object, a factored bundle is
+    # checked against x^T delta formed densely
     with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
-        validate_bundle(layer, off)
-    wrong = GradBundle(bundle.g_a_lora, bundle.g_b_lora, x=bundle.x[:, :-1], delta=bundle.delta)
+        GradBundle(layer, bundle.g_a_lora, bundle.g_b_lora, x=bundle.x, delta=2.0 * bundle.delta)
+    with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
+        validate_bundle(dataclasses.replace(layer, alpha=2.0 * layer.alpha), bundle)
     with pytest.raises(ShapeError, match="x and delta must be batch x 40 and batch x 30"):
-        validate_bundle(layer, wrong)
+        GradBundle(layer, bundle.g_a_lora, bundle.g_b_lora, x=bundle.x[:, :-1],
+                   delta=bundle.delta)
 
 
 @pytest.mark.parametrize("scale, match", [(1e200, "overflows to inf"),
@@ -746,4 +839,4 @@ def test_discrepancy_overflow_raises_only_the_typed_error(scale, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=match):
-            discrepancy(layer, bundle.g_a_lora, bundle.g_b_lora, bundle)
+            discrepancy(bundle, bundle.g_a_lora, bundle.g_b_lora)

@@ -12,6 +12,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,21 @@ def test_checkpoint_header_fields_raise_typed_errors(tmp_path, damage):
     assert str(ckpt) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("meta", [["trainer-state"], "trainer-state", None],
+                         ids=["list", "str", "null"])
+def test_checkpoint_whose_meta_is_not_an_object_raises_typed_error(tmp_path, meta):
+    # a header whose meta is valid JSON but no object, in a file whose
+    # SHA-256 holds, as save_checkpoint called directly writes it: the
+    # restore used to end in a bare AttributeError on meta.get
+    cfg = small_config(tmp_path)
+    ckpt, _, arrays = _saved_after_one_step(tmp_path, cfg)
+    save_checkpoint(str(ckpt), meta, arrays)
+    for restore in (lambda: load_checkpoint(str(ckpt)), lambda: Trainer.from_checkpoint(cfg, ckpt)):
+        with pytest.raises(CheckpointError, match="header field 'meta' must be an object") as excinfo:
+            restore()
+        assert str(ckpt) in str(excinfo.value)
+
+
 def _flip_bit(data: bytes, offset: int, bit: int) -> bytes:
     out = bytearray(data)
     out[offset] ^= 1 << bit
@@ -758,6 +774,33 @@ def test_non_finite_factor_gradient_is_caught_at_the_discrepancy(tmp_path, monke
     assert _committed(trainer) == before
 
 
+def test_each_bundle_is_released_before_its_adamw_step(tmp_path, monkeypatch):
+    # the step takes each layer's bundle out of backward's list, and drops the
+    # adjustment, whose projection holds it last, before lorapro_adamw_step
+    # allocates; the bundles of the layers after it are still held
+    real_backward, real_step, refs, done = harness.backward, harness.lorapro_adamw_step, [], []
+
+    def recording(cache):
+        bundles = real_backward(cache)
+        refs[:] = [weakref.ref(bundle) for bundle in bundles]
+        done.append([])
+        return bundles
+
+    def checking(geometry, *args, **kwargs):
+        i = len(done[-1])
+        assert refs[i]() is None, f"layer {i}'s bundle is alive in its AdamW step"
+        assert all(ref() is not None for ref in refs[i + 1:])
+        done[-1].append(i)
+        return real_step(geometry, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "backward", recording)
+    monkeypatch.setattr(harness, "lorapro_adamw_step", checking)
+    trainer = Trainer(desk_config(tmp_path))
+    trainer.step()
+    trainer.step()
+    assert done == [[0, 1], [0, 1]]
+
+
 @pytest.mark.parametrize("layers, grams", [((8, 16, 4), False), ((64, 96, 48), True)],
                          ids=["desk", "wider"])
 @pytest.mark.parametrize("method", ["lora", "lora_pro_sgd", "lora_pro_adamw"])
@@ -776,11 +819,11 @@ def test_step_discrepancy_matches_the_dense_residual(tmp_path, monkeypatch, meth
         formed.append(None)
         return dense_pair(*args, **kwargs)
 
-    def compared(layer, g_a, g_b, bundle, g_tilde=None):
+    def compared(bundle, g_a, g_b, g_tilde=None):
         assert (bundle.x is not None) == grams
         assert (bundle.g_full is None) == grams
-        got = real(layer, g_a, g_b, bundle, g_tilde)
-        g_tilde = dense_pair(layer, g_a, g_b)
+        got = real(bundle, g_a, g_b, g_tilde)
+        g_tilde = dense_pair(bundle.layer, g_a, g_b)
         g = bundle.full_gradient()
         scale = float(np.linalg.norm(g_tilde) + np.linalg.norm(g))
         assert abs(got - float(np.linalg.norm(g_tilde - g))) <= 1e-12 * scale
@@ -1074,7 +1117,7 @@ def _reference_step(trainer):
         geometry = TangentGeometry(layer, policy)
         g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, "zero", geometry)
         g_tilde = equivalent_gradient(layer, g_a, g_b)
-        layer_discrepancy = discrepancy(layer, g_a, g_b, bundle)
+        layer_discrepancy = discrepancy(bundle, g_a, g_b)
         certificate = None
         if not geometry.passthrough:
             certificate = _certificate_by_hand(layer, bundle, lr, geometry)
@@ -1465,7 +1508,7 @@ def test_selfcheck_scan_alone_flags_a_non_optimal_x():
     rng = np.random.default_rng(49)
     instances = random_instances(0, count=20)
     offset = [
-        (layer, GradBundle(g_a_lora=bundle.g_a_lora,
+        (layer, GradBundle(layer, g_a_lora=bundle.g_a_lora,
                            g_b_lora=bundle.g_b_lora + layer.b @ rng.normal(size=(layer.rank,) * 2)))
         for layer, bundle in instances
     ]

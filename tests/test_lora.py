@@ -106,7 +106,7 @@ def test_layer_takes_a_negative_alpha():
     assert layer.scaling == -1.0
     bundle = lora_raw_grads(layer, rng.normal(size=(4, 3)))
     adjusted = adjust(layer, bundle)
-    assert math.isfinite(discrepancy(layer, adjusted.g_a, adjusted.g_b, bundle))
+    assert math.isfinite(discrepancy(bundle, adjusted.g_a, adjusted.g_b))
 
 
 def test_effective_weight_rank_one_outer_product():

@@ -350,4 +350,4 @@ def test_factored_pass_matches_the_dense_reference(case):
             g_tilde = equivalent_gradient(layer, *theirs)
             expected = float(np.linalg.norm(g_tilde - g))
             scale = float(np.linalg.norm(g_tilde) + np.linalg.norm(g))
-            assert abs(discrepancy(layer, *ours, bundle) - expected) <= 1e-12 * scale
+            assert abs(discrepancy(bundle, *ours) - expected) <= 1e-12 * scale
