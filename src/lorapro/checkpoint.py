@@ -37,8 +37,12 @@ MAGIC = b"LRPCKP03"
 def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``meta`` and the 2-D ``arrays`` to ``path``; see the module docstring.
 
-    Raises ShapeError, before any file is created, if an array is not 2-D.
+    Raises, before any file is created, CheckpointError if ``meta`` is not a
+    dict (``load_checkpoint`` reads only an object back) and ShapeError if an
+    array is not 2-D.
     """
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint field 'meta' must be a dict, got {type(meta).__name__}")
     table, views = [], []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")

@@ -78,7 +78,7 @@ class RunConfig:
     warmup_ratio: float = 0.03
     x_strategy: str = "sylvester"
     damping: float = 1e-8
-    fallback: str = "damp"
+    fallback: str = "damp"  # the one geometry; kept as a key for the configs that name it
 
     def __post_init__(self):
         # each value has the type its field, or its task builder's parameter, declares
@@ -100,6 +100,10 @@ class RunConfig:
             raise ConfigError(
                 f"invalid config key 'x_strategy': {self.x_strategy!r} not in {X_STRATEGIES}"
             )
+        if self.fallback != "damp":
+            raise ConfigError(
+                f"invalid config key 'fallback': only 'damp' is supported, got {self.fallback!r}"
+            )
         if self.method == "lora_pro_sgd" and self.weight_decay != 0.0:
             raise ConfigError(
                 f"invalid config key 'weight_decay': lora_pro_sgd has no weight decay, "
@@ -111,7 +115,7 @@ class RunConfig:
             (("seed",), lambda: np.random.SeedSequence(self.seed)),
             (("init",), lambda: InitScheme(self.init)),
             (_SECTIONS["optimizer"], self.hyperparams),
-            (("damping", "fallback"), self.damping_policy),
+            (("damping",), self.damping_policy),
         )
         for keys, build in builds:
             try:
@@ -126,7 +130,7 @@ class RunConfig:
         return HyperParams(**{key: getattr(self, key) for key in _SECTIONS["optimizer"]})
 
     def damping_policy(self) -> DampingPolicy:
-        return DampingPolicy(rel_epsilon=self.damping, fallback=self.fallback)
+        return DampingPolicy(rel_epsilon=self.damping)
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

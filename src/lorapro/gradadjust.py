@@ -127,27 +127,23 @@ class AdjustedGrads:
     projection: Projection = field(repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DampingPolicy:
     """How to keep Gram inversions defined when a factor is rank deficient.
 
-    ``damp`` adds rel_epsilon * mean(diag(Gram)) to the Gram diagonal (an
+    Each Gram gets rel_epsilon * mean(diag(Gram)) added to its diagonal (an
     absolute rel_epsilon when the Gram is exactly zero, where the solve's
-    right-hand side vanishes anyway). ``passthrough`` skips the adjustment
-    entirely while B has rank zero and returns the raw gradients for that
-    step.
+    right-hand side vanishes anyway). A policy is a value: its field cannot
+    be rebound under a geometry built from it.
     """
 
     rel_epsilon: float = 1e-8
-    fallback: str = "damp"
 
     def __post_init__(self):
         if not math.isfinite(self.rel_epsilon):
             raise ValueError(f"rel_epsilon must be finite, got {self.rel_epsilon}")
         if self.rel_epsilon < 0.0:
             raise ValueError(f"rel_epsilon must be >= 0, got {self.rel_epsilon}")
-        if self.fallback not in ("damp", "passthrough"):
-            raise ValueError(f"fallback must be 'damp' or 'passthrough', got {self.fallback!r}")
 
     def damping_for(self, gram: np.ndarray) -> float:
         if self.rel_epsilon == 0.0:
@@ -256,8 +252,7 @@ class TangentGeometry:
     The eigendecomposition runs at construction; the ranks and whitening
     factors it gives are formed on first use, so a damped Gram that is not
     positive definite raises FactorizationError only when a solve with it is
-    asked for. ``passthrough`` holds under a passthrough policy while B has
-    rank zero. A geometry serves the one layer object it was built from,
+    asked for. A geometry serves the one layer object it was built from,
     which cannot change; ``adjust`` refuses it for any other.
     """
 
@@ -274,7 +269,6 @@ class TangentGeometry:
             raise EigenDecompositionError(
                 "symmetric eigendecomposition of the layer Grams did not converge"
             ) from exc
-        self.passthrough = policy.fallback == "passthrough" and self.rank_b == 0
 
     @cached_property
     def _ranks(self) -> tuple[int, int]:
@@ -352,8 +346,7 @@ class Projection:
     shifted by some X, so one projection, built by ``adjust``, serves each
     ``shift`` and the certificate. It also holds what its solves formed:
     ``solved_a`` = (B^T B + eps_b I)^-1 g_a_raw, ``white_g_a`` = W_b^T g_a_raw
-    and ``white_g_b`` = (I - P_B) g_b_raw W_a. Under a passthrough geometry
-    the pair is the raw pair and nothing is solved.
+    and ``white_g_b`` = (I - P_B) g_b_raw W_a.
 
     The bundle is checked against the geometry's layer by ``validate_bundle``,
     which reads nothing for the bundle's own layer. The g_b half is solved
@@ -365,18 +358,13 @@ class Projection:
         validate_bundle(geometry.layer, bundle)
         self.geometry = geometry
         self.bundle = bundle
-        if geometry.passthrough:
-            self.g_a, self.solved_a, self.white_g_a = bundle.g_a_lora, None, None
-        else:
-            # one solve serves the Sylvester right-hand side and the X = 0 g_a
-            self.solved_a, self.white_g_a = geometry.solve_b(bundle.g_a_lora)
-            self.g_a = self.solved_a / geometry.layer.scaling**2
+        # one solve serves the Sylvester right-hand side and the X = 0 g_a
+        self.solved_a, self.white_g_a = geometry.solve_b(bundle.g_a_lora)
+        self.g_a = self.solved_a / geometry.layer.scaling**2
 
     @cached_property
-    def _b_half(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _b_half(self) -> tuple[np.ndarray, np.ndarray]:
         geo = self.geometry
-        if geo.passthrough:
-            return self.bundle.g_b_lora, None
         solved_b, white_g_b = geo.solve_a_right(geo.project_out_b(self.bundle.g_b_lora))
         return solved_b / geo.layer.scaling**2, white_g_b
 
@@ -385,21 +373,18 @@ class Projection:
         return self._b_half[0]
 
     @property
-    def white_g_b(self) -> np.ndarray | None:
+    def white_g_b(self) -> np.ndarray:
         return self._b_half[1]
 
 
 def choose_x(projection: Projection, strategy: str = "sylvester") -> np.ndarray:
-    """Pick the free r x r parameter of the adjustment for a given strategy.
-
-    A passthrough step applies no X, so its projection gets zero.
-    """
+    """Pick the free r x r parameter of the adjustment for a given strategy."""
     if strategy not in X_STRATEGIES:
         raise ValueError(f"unknown X strategy {strategy!r}, expected one of {X_STRATEGIES}")
     geo = projection.geometry
     layer = geo.layer
     r = layer.rank
-    if strategy == "zero" or geo.passthrough:
+    if strategy == "zero":
         return np.zeros((r, r))
     s = layer.scaling
     if strategy == "symmetry":
@@ -424,19 +409,10 @@ def shift(
     """The X = 0 pair of ``projection`` shifted by X: (g_a + X A, g_b - B X).
 
     X is ``choose_x``'s for ``strategy``, or ``x_override`` used directly
-    (the equivalent gradient does not depend on it). A passthrough
-    projection gives a copy of the raw pair, labelled ``passthrough``.
+    (the equivalent gradient does not depend on it).
     """
     layer = projection.geometry.layer
     r = layer.rank
-    if projection.geometry.passthrough:
-        return AdjustedGrads(
-            g_a=projection.g_a.copy(),
-            g_b=projection.g_b.copy(),
-            x=np.zeros((r, r)),
-            x_strategy="passthrough",
-            projection=projection,
-        )
     if x_override is None:
         # through the module-level name, the binding perfbench's tracer wraps
         x, label = choose_x(projection, strategy), strategy
@@ -465,10 +441,10 @@ def adjust(
 
     Solves ``bundle`` into its ``Projection`` in this layer's geometry under
     ``policy`` (``geometry``, if the caller already holds it) and ``shift``s
-    it by the strategy's X, or by ``x_override``. With a ``passthrough``
-    policy and B at numerical rank zero, the raw gradients are returned
-    unchanged for this step. The pair's ``projection`` serves
-    ``loss_decrease_certificate`` and a ``shift`` by another X.
+    it by the strategy's X, or by ``x_override``; B at rank zero, as the
+    standard initialization starts it, takes the same damped path. The
+    pair's ``projection`` serves ``loss_decrease_certificate`` and a
+    ``shift`` by another X.
     """
     return shift(Projection(_geometry(layer, policy, geometry), bundle), strategy, x_override)
 
@@ -489,14 +465,12 @@ def loss_decrease_certificate(adjusted: AdjustedGrads, lr: float) -> float:
     the adjusted pair (the X terms cancel for chain-rule-consistent raw
     gradients); a mismatch or a positive value signals an implementation bug
     and raises. The quadratic forms read the whitened products of the pair's
-    ``projection``; a passthrough step, which solves nothing, has none.
+    ``projection``.
     """
     if lr < 0.0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     projection = adjusted.projection
     geo, bundle = projection.geometry, projection.bundle
-    if geo.passthrough:
-        raise ValueError("a passthrough step is not adjusted and has no certificate")
     g_a = as_matrix(adjusted.g_a, "adjusted g_a")
     g_b = as_matrix(adjusted.g_b, "adjusted g_b")
     if g_a.shape != bundle.g_a_lora.shape or g_b.shape != bundle.g_b_lora.shape:

@@ -132,13 +132,16 @@ def discrepancy(
     ``DISCREPANCY_CANCELLATION`` times that bound (g_tilde close to g) the
     residual is formed densely, as it is for a dense g.
 
-    A pair not shaped as the layer's A and B raises ShapeError before
-    either route. A non-finite entry in the pair or the bundle raises
-    NonFiniteError ("g_tilde - g contains non-finite entries"), and so does
-    a norm that overflows, with no numpy warning first.
+    A pair not shaped as the layer's A and B, or a ``g_tilde`` not shaped
+    as the layer, raises ShapeError before either route. A non-finite entry
+    in the pair or the bundle raises NonFiniteError ("g_tilde - g contains
+    non-finite entries"), and so does a norm that overflows, with no numpy
+    warning first.
     """
     layer = bundle.layer
     _check_pair_shapes(layer, g_a, g_b)
+    if g_tilde is not None and np.shape(g_tilde) != layer.shape:
+        raise ShapeError(f"g_tilde must be {layer.shape}, got {np.shape(g_tilde)}")
     r = layer.rank
     if bundle.x is None and bundle.g_full is None:
         raise ShapeError("the bundle holds no full gradient to measure the discrepancy from")
@@ -399,7 +402,7 @@ class Trainer:
         or a ``GradBundle``; it is taken out of ``grads``, so the update holds
         the only reference to it and drops it as soon as it is read for the
         last time."""
-        cfg, layer, certificate = self.config, self.network.layers[i], None
+        cfg, layer = self.config, self.network.layers[i]
         grad, grads[i] = grads[i], None
         if cfg.method == "full_ft":
             w, state = full_ft_adamw_step(layer.w0, next(states), grad, hp_now, out=grad)
@@ -424,12 +427,11 @@ class Trainer:
             g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b, checked=True)
         layer_discrepancy = discrepancy(grad, adjusted.g_a, adjusted.g_b, g_tilde)
         del grad  # from here the projection of ``adjusted`` alone holds the bundle
-        if not geometry.passthrough:
-            certificate = loss_decrease_certificate(adjusted, hp_now.lr)
-            if certificate > CERTIFICATE_CEILING:
-                raise DescentViolationError(
-                    f"predicted loss change {certificate:.3e} above {CERTIFICATE_CEILING:.0e}"
-                )
+        certificate = loss_decrease_certificate(adjusted, hp_now.lr)
+        if certificate > CERTIFICATE_CEILING:
+            raise DescentViolationError(
+                f"predicted loss change {certificate:.3e} above {CERTIFICATE_CEILING:.0e}"
+            )
         if cfg.method == "lora_pro_sgd":
             new_layer = lorapro_sgd_step(adjusted.projection, hp_now, cfg.x_strategy)
             new_states, moments = [], {}

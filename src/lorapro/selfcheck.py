@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .gradadjust import (
     DampingPolicy,
     GradBundle,
@@ -518,8 +519,11 @@ def run_selfcheck(seed: int = 0, adjust_fn: Callable = adjust) -> SelfcheckRepor
     layer. The oracle minima are computed once, for the two properties that
     read them. A property that raises counts as failed (with the exception
     recorded) rather than aborting the rest of the suite; an oracle that
-    raises fails both.
+    raises fails both. A seed that is not a non-negative integer raises
+    ConfigError before any property runs.
     """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"invalid seed: expected a non-negative integer, got {seed!r}")
     instances = random_instances(seed)
     # not cached when it raises, so each property that reads it records the exception
     minima = functools.cache(lambda: oracle_minima(instances))

@@ -134,6 +134,7 @@ BAD_VALUES = [
     {"scaling": "lora_plus"},
     {"init": "orthogonal"},
     {"fallback": "skip"},
+    {"fallback": "passthrough"},
     {"x_strategy": "random"},
     {"damping": "nan"},
     {"weight_decay": "nan"},
@@ -157,7 +158,8 @@ NAMED_KEYS = {
     "schedule=cosine": ({"schedule": "cosine"}, "'schedule'"),
     "weight_decay=2000": ({"weight_decay": "2000"}, "'lr' or 'weight_decay'"),
     "fallback=skip": ({"fallback": "skip"}, "'fallback'"),
-    "damping=-1": ({"damping": "-1"}, "'damping' or 'fallback'"),  # message names neither
+    "fallback=passthrough": ({"fallback": "passthrough"}, "'fallback'"),
+    "damping=-1": ({"damping": "-1"}, "'damping'"),
 }
 
 
@@ -241,6 +243,13 @@ def test_code_built_config_checks_each_type(key, fields):
         RunConfig(task="teacher_student_regression", **{"task_params": TASK, **fields})
 
 
+def test_code_built_config_refuses_a_fallback_but_damp():
+    # damp is the one geometry a step has; the key stays for the configs that name it
+    RunConfig(task="teacher_student_regression", task_params=TASK, fallback="damp")
+    with pytest.raises(ConfigError, match="^invalid config key 'fallback': .*'passthrough'"):
+        RunConfig(task="teacher_student_regression", task_params=TASK, fallback="passthrough")
+
+
 def test_code_built_config_takes_an_int_for_a_float():
     cfg = RunConfig(task="teacher_student_regression", task_params={**TASK, "noise_sd": 0},
                     alpha=16, lr=1, weight_decay=0, epsilon=1)
@@ -309,6 +318,25 @@ def test_readme_library_quick_start_runs():
     assert namespace["g"].shape == namespace["layer"].shape
     with pytest.raises(ValueError, match="read-only"):
         namespace["layer"].b[0, 0] = 1.0
+
+
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) + sorted(
+    (ROOT / "perfbench" / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_config_parses_and_echoes_every_key(tmp_path, path):
+    # the benchmark's configs hold placeholders its runner fills in
+    text = path.read_text(encoding="utf-8").replace("{seed}", "7").replace(
+        "{steps}", "3").replace("{out_dir}", str(tmp_path / "out"))
+    echo = parse_config_text(text).to_dict()
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text)
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            value = echo[section][key]
+            assert value == type(value)(raw), (section, key)
 
 
 def test_config_round_trip_dict():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -204,29 +205,18 @@ def test_damped_adjustment_handles_zero_b(unit_instance):
     zeroed = LoraLayer(w0=layer.w0, b=np.zeros_like(layer.b), a=layer.a,
                        alpha=layer.alpha, rank=layer.rank, scaling_mode=layer.scaling_mode)
     bundle = lora_raw_grads(zeroed, g)
-    adj = adjust(zeroed, bundle, strategy="sylvester", policy=DampingPolicy())
+    policy = DampingPolicy()
+    adj = adjust(zeroed, bundle, strategy="sylvester", policy=policy)
     assert not adj.g_a.any()          # nothing to move while b is zero
     assert np.allclose(adj.x, 0.0)    # zero right-hand side forces a zero X
     assert np.all(np.isfinite(adj.g_b)) and adj.g_b.any()
-
-
-def test_passthrough_returns_raw_gradients(unit_instance):
-    layer, g = unit_instance
-    zeroed = LoraLayer(w0=layer.w0, b=np.zeros_like(layer.b), a=layer.a,
-                       alpha=layer.alpha, rank=layer.rank, scaling_mode=layer.scaling_mode)
-    bundle = lora_raw_grads(zeroed, g)
-    adj = adjust(zeroed, bundle, policy=DampingPolicy(fallback="passthrough"))
-    assert np.array_equal(adj.g_a, bundle.g_a_lora)
-    assert np.array_equal(adj.g_b, bundle.g_b_lora)
-    assert adj.x_strategy == "passthrough"
-    # a passthrough step applies no X, and has no adjustment to certify
-    assert np.array_equal(choose_x(adj.projection, "sylvester"), [[0.0]])
-    with pytest.raises(ValueError, match="passthrough"):
-        loss_decrease_certificate(adj, lr=0.1)
-    # once b has rank again, passthrough behaves like the damped path
-    full = adjust(layer, lora_raw_grads(layer, g),
-                  policy=DampingPolicy(fallback="passthrough"))
-    assert full.x_strategy == "sylvester"
+    # the damped step from B = 0: g_b_raw (A A^T + eps_a I)^-1 / s^2
+    gram_a = zeroed.a @ zeroed.a.T
+    gram_a += policy.damping_for(gram_a) * np.eye(zeroed.rank)
+    expect_b = np.linalg.solve(gram_a, bundle.g_b_lora.T).T / zeroed.scaling**2
+    assert np.allclose(adj.g_b, expect_b, rtol=1e-12, atol=0.0)
+    # and it is certified like any other step
+    assert loss_decrease_certificate(adj, lr=0.1) < 0.0
 
 
 def test_validate_bundle_rejects_inconsistency(unit_instance):
@@ -465,8 +455,7 @@ def test_shifting_the_zero_projection_is_adjust_byte_for_byte():
     # one X = 0 projection serves every X: shifting it lands on the bytes of
     # a fresh adjust with that X, and certifies to the same number
     rng = np.random.default_rng(25)
-    for b_scale, policy in ((1.0, EXACT), (1.0, DampingPolicy()), (0.0, DampingPolicy()),
-                            (0.0, DampingPolicy(rel_epsilon=0.0, fallback="passthrough"))):
+    for b_scale, policy in ((1.0, EXACT), (1.0, DampingPolicy()), (0.0, DampingPolicy())):
         for _ in range(4):
             layer = _layer(rng, 7, 6, 3, b_scale)
             bundle = lora_raw_grads(layer, rng.normal(size=(7, 6)))
@@ -479,9 +468,8 @@ def test_shifting_the_zero_projection_is_adjust_byte_for_byte():
                 for name in ("g_a", "g_b", "x"):
                     assert getattr(shifted, name).tobytes() == getattr(fresh, name).tobytes()
                 assert shifted.x_strategy == fresh.x_strategy
-                if not projection.geometry.passthrough:
-                    assert (loss_decrease_certificate(shifted, 0.1)
-                            == loss_decrease_certificate(fresh, 0.1))
+                assert (loss_decrease_certificate(shifted, 0.1)
+                        == loss_decrease_certificate(fresh, 0.1))
 
 
 @st.composite
@@ -512,15 +500,13 @@ def _factor_pairs(draw):
 @example((np.zeros((4, 4)), np.vstack([np.eye(4)[:3], np.eye(4)[2]])))  # square A, one repeat
 @example((np.ones((12, 12)), np.diag(np.geomspace(1.0, 1e-9, 12))))  # square A, graded
 def test_geometry_ranks_follow_numerical_rank(factors):
-    # the trainer reads the rank metrics and the passthrough decision from the
-    # geometry's eigenvalues; numerical_rank decomposes A^T A where A is
-    # square, the geometry A A^T
+    # the trainer reads the rank metrics from the geometry's eigenvalues;
+    # numerical_rank decomposes A^T A where A is square, the geometry A A^T
     b, a = factors
     m, r, n = b.shape[0], b.shape[1], a.shape[1]
     layer = LoraLayer(w0=np.zeros((m, n)), b=b, a=a, alpha=1.0, rank=r)
-    geometry = TangentGeometry(layer, DampingPolicy(fallback="passthrough"))
+    geometry = TangentGeometry(layer, DampingPolicy())
     assert (geometry.rank_a, geometry.rank_b) == (numerical_rank(a), numerical_rank(b))
-    assert geometry.passthrough == (numerical_rank(b) == 0)
 
 
 @st.composite
@@ -628,6 +614,9 @@ def test_geometry_rejects_another_layer(unit_instance):
         layer.b = layer.b.copy()
     with pytest.raises(ValueError, match="read-only"):
         layer.b *= 3.0
+    # nor the policy it was built under
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geometry.policy.rel_epsilon = 10.0
     assert adjust(layer, bundle, policy=EXACT, geometry=geometry).x_strategy == "sylvester"
 
 
@@ -812,6 +801,20 @@ def test_discrepancy_checks_the_pair_and_takes_any_sign_of_scaling(monkeypatch):
         with monkeypatch.context() as patch:  # the factored sum, not the residual
             patch.setattr(harness, "equivalent_gradient", None)
             assert discrepancy(signed_bundle, *pair) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (6, 1), ()], ids=["1x5", "6x1", "0-d"])
+def test_discrepancy_refuses_a_misshapen_g_tilde_before_either_route(shape):
+    # a g_tilde that would broadcast against the 6 x 5 g is refused by its
+    # shape alone, its NaN entries unread, on the dense and the factored route
+    rng = np.random.default_rng(36)
+    layer, factored = _tangent_gradient(rng, m=6, n=5, r=2, rows=3)
+    dense = lora_raw_grads(layer, factored.full_gradient())
+    pair = (rng.normal(size=(2, 5)), rng.normal(size=(6, 2)))
+    match = rf"g_tilde must be \(6, 5\), got {re.escape(str(shape))}"
+    for bundle in (dense, factored):
+        with pytest.raises(ShapeError, match=match):
+            discrepancy(bundle, *pair, g_tilde=np.full(shape, np.nan))
 
 
 def test_user_built_factored_bundle_is_checked_against_its_dense_gradient():

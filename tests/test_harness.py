@@ -95,6 +95,9 @@ def test_run_writes_artifacts_and_schema(tmp_path):
     lines = Path(result.csv_path).read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + cfg.steps * 2  # one row per (step, layer)
+    # every layer-step from B = 0 on is adjusted and certified, step 1 included
+    assert all(float(line.rsplit(",", 1)[1]) <= harness.CERTIFICATE_CEILING
+               for line in lines[1:])
     summary = json.loads(Path(result.summary_path).read_text())
     assert summary["config"]["run"]["seed"] == 11
     assert summary["verdicts"]["dl_certificate_nonpositive"] is True
@@ -217,9 +220,7 @@ def test_rank_lost_mid_run_keeps_training_sound(tmp_path, method, strategy, init
         record = trainer.step()
         assert math.isfinite(record.train_loss)
         for metrics in record.per_layer:
-            assert metrics.dl_certificate is None or (
-                metrics.dl_certificate <= harness.CERTIFICATE_CEILING
-            )
+            assert metrics.dl_certificate <= harness.CERTIFICATE_CEILING
 
 
 def _new_layer(old):
@@ -450,12 +451,18 @@ def test_checkpoint_header_fields_raise_typed_errors(tmp_path, damage):
 @pytest.mark.parametrize("meta", [["trainer-state"], "trainer-state", None],
                          ids=["list", "str", "null"])
 def test_checkpoint_whose_meta_is_not_an_object_raises_typed_error(tmp_path, meta):
-    # a header whose meta is valid JSON but no object, in a file whose
-    # SHA-256 holds, as save_checkpoint called directly writes it: the
-    # restore used to end in a bare AttributeError on meta.get
+    # save_checkpoint refuses a meta its reader would refuse, before it
+    # touches the file: an earlier checkpoint at the path keeps its bytes
     cfg = small_config(tmp_path)
     ckpt, _, arrays = _saved_after_one_step(tmp_path, cfg)
-    save_checkpoint(str(ckpt), meta, arrays)
+    earlier = ckpt.read_bytes()
+    with pytest.raises(CheckpointError, match="'meta' must be a dict"):
+        save_checkpoint(str(ckpt), meta, arrays)
+    assert ckpt.read_bytes() == earlier
+    assert [p.name for p in ckpt.parent.iterdir()] == [ckpt.name]
+    # a header whose meta is valid JSON but no object, in a file whose
+    # SHA-256 holds: the restore used to end in a bare AttributeError on meta.get
+    ckpt.write_bytes(_whole_payload_file(meta, arrays))
     for restore in (lambda: load_checkpoint(str(ckpt)), lambda: Trainer.from_checkpoint(cfg, ckpt)):
         with pytest.raises(CheckpointError, match="header field 'meta' must be an object") as excinfo:
             restore()
@@ -1074,8 +1081,6 @@ def test_desk_step_solves_once_per_layer_step(tmp_path, monkeypatch, method):
 
 def _pair_as_adjust_formed_it(layer, bundle, strategy, geometry):
     """The adjusted pair by separate solves: the strategy's X, then the base pair's own."""
-    if geometry.passthrough:
-        return bundle.g_a_lora.copy(), bundle.g_b_lora.copy()
     r, s = layer.rank, layer.scaling
     if strategy == "zero":
         x = np.zeros((r, r))
@@ -1118,9 +1123,7 @@ def _reference_step(trainer):
         g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, "zero", geometry)
         g_tilde = equivalent_gradient(layer, g_a, g_b)
         layer_discrepancy = discrepancy(bundle, g_a, g_b)
-        certificate = None
-        if not geometry.passthrough:
-            certificate = _certificate_by_hand(layer, bundle, lr, geometry)
+        certificate = _certificate_by_hand(layer, bundle, lr, geometry)
         state = None
         if cfg.method == "lora_pro_sgd":
             g_a, g_b = _pair_as_adjust_formed_it(layer, bundle, cfg.x_strategy, geometry)
@@ -1135,27 +1138,24 @@ def _reference_step(trainer):
     return loss, out
 
 
-@pytest.mark.parametrize("policy", [{}, {"damping": 0.0, "fallback": "passthrough"}],
-                         ids=["damp", "passthrough"])
+@pytest.mark.parametrize("policy", [{}, {"damping": 1e-2}], ids=["damp", "damp=1e-2"])
 @pytest.mark.parametrize("strategy", X_STRATEGIES)
 @pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
 def test_one_solve_per_layer_step_changes_no_bit(tmp_path, method, strategy, policy):
     # the step shares one X = 0 solve between the metric, the certificate and
     # the update; from B = 0, five steps must land on the bytes of separate
-    # solves, passthrough steps included
+    # solves, and every layer-step is certified, the two from B = 0 included
     decay = 0.1 if method == "lora_pro_adamw" else 0.0
     cfg = desk_config(tmp_path, steps=5).with_overrides(
         method=method, x_strategy=strategy, lr=0.05, weight_decay=decay, **policy
     )
     trainer = Trainer(cfg)
-    passthrough_steps = 0
     for _ in range(5):
         draw = trainer.data_rng.bit_generator.state
         loss, want = _reference_step(trainer)
         trainer.data_rng.bit_generator.state = draw
         record = trainer.step()
         assert record.train_loss == loss
-        passthrough_steps += record.per_layer[0].dl_certificate is None
         for i, ((w0, b, a), state, metrics) in enumerate(want):
             layer = trainer.network.layers[i]
             for got, expect in ((layer.w0, w0), (layer.b, b), (layer.a, a)):
@@ -1166,7 +1166,6 @@ def test_one_solve_per_layer_step_changes_no_bit(tmp_path, method, strategy, pol
                     state.m.tobytes(), state.v.tobytes(), state.t)
             lm = record.per_layer[i]
             assert (lm.discrepancy, lm.rank_a, lm.rank_b, lm.dl_certificate) == metrics
-    assert passthrough_steps == (2 if policy else 0)  # lr 0 at step 1 keeps B = 0 for step 2
 
 
 # --- the task every trainer of one config shares -------------------------
@@ -1702,6 +1701,26 @@ def test_cli_selfcheck_json(capsys):
     assert any(p["name"] == "oracle_self_consistency" for p in report["properties"])
 
 
+def test_cli_negative_seed_is_one_error_line(tmp_path, capsys):
+    # selfcheck used to end in numpy's traceback; run's override names its key
+    for seed in (-1, True, 1.5):
+        with pytest.raises(ConfigError, match="invalid seed: expected a non-negative integer"):
+            run_selfcheck(seed=seed)
+    config = tmp_path / "run.cfg"
+    config.write_text((ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8"))
+    out_dir = tmp_path / "out"
+    run_argv = ["run", "--config", str(config), "--seed", "-3", "--out", str(out_dir)]
+    for argv, named in ((["selfcheck", "--seed", "-1"], ("seed", "-1")),
+                        (run_argv, ("'seed'",))):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(word in err[0] for word in named)
+        assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_diverging_run_ends_in_the_typed_error_alone(tmp_path):
     # the shipped config's lora_pro_sgd at lr 1 overflows the certificate's
     # inner products at step 106 (at step 107 under the dense forward and
@@ -1789,9 +1808,9 @@ def test_non_finite_loss_aborts_with_step_index(tmp_path):
 
 @pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
 def test_undamped_zero_b_error_names_its_layer_and_gram(tmp_path, method):
-    # damping = 0 under the damp fallback: the standard init's B = 0 leaves
-    # B^T B singular, and the first layer's step refuses it
-    cfg = small_config(tmp_path, method=method, damping=0.0, fallback="damp")
+    # damping = 0: the standard init's B = 0 leaves B^T B singular, and the
+    # first layer's step refuses it
+    cfg = small_config(tmp_path, method=method, damping=0.0)
     trainer = Trainer(cfg)
     before = _committed(trainer)
     with pytest.raises(FactorizationError, match=(
@@ -1802,17 +1821,6 @@ def test_undamped_zero_b_error_names_its_layer_and_gram(tmp_path, method):
     assert excinfo.value.leading_minor == 1
     assert _committed(trainer) == before
 
-
-@pytest.mark.parametrize("method", ["lora_pro_sgd", "lora_pro_adamw"])
-def test_passthrough_without_damping_trains_from_zero_b(tmp_path, method):
-    # B starts at zero: step 1 must pass the raw gradients through without
-    # factoring the singular, undamped B^T B
-    cfg = small_config(tmp_path, method=method, steps=3, damping=0.0, fallback="passthrough")
-    trainer = Trainer(cfg)
-    records = [trainer.step() for _ in range(3)]
-    assert all(math.isfinite(rec.train_loss) for rec in records)
-    assert all(lm.dl_certificate is None for lm in records[0].per_layer)
-    assert all(lm.dl_certificate is not None for lm in records[-1].per_layer)
 
 
 def test_metrics_csv_bytes_reproduce_at_one_blas_thread(tmp_path):
