@@ -78,7 +78,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 
     Raises CheckpointError (a ValueError) if the file is not a format-3
     checkpoint, if its length field or header is cut short or cannot be
-    decoded, if the header's ``meta`` is not a JSON object, if its payload
+    decoded (array names that are not distinct strings count as
+    undecodable), if the header's ``meta`` is not a JSON object, if its payload
     is shorter or longer than the header's array table says, or if its
     header and payload do not hash to its SHA-256.
     """
@@ -105,6 +106,11 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             table = [(e["name"], int(e["rows"]), int(e["cols"])) for e in header["arrays"]]
             if any(rows < 0 or cols < 0 for _, rows, cols in table):
                 raise ValueError("negative array shape")
+            seen = set()
+            for name, _, _ in table:
+                if not isinstance(name, str) or name in seen:
+                    raise ValueError(f"array name {name!r} is not a string or is repeated")
+                seen.add(name)
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: undecodable header ({exc})") from exc
         if not isinstance(meta, dict):

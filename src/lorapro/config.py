@@ -17,8 +17,6 @@ import re
 import typing
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import ConfigError
 from .gradadjust import DampingPolicy, X_STRATEGIES
 from .lora import InitScheme, scaling_factor
@@ -90,10 +88,10 @@ class RunConfig:
             _check_value(key, value, keys[key].annotation)
         if self.method not in METHODS:
             raise ConfigError(f"invalid config key 'method': {self.method!r} not in {METHODS}")
-        for key in ("steps", "batch_size", "rank"):
+        for key, least in (("steps", 1), ("batch_size", 1), ("rank", 1), ("seed", 0)):
             value = getattr(self, key)
-            if value < 1:
-                raise ConfigError(f"invalid config key '{key}': must be >= 1, got {value}")
+            if value < least:
+                raise ConfigError(f"invalid config key '{key}': must be >= {least}, got {value}")
         if not self.alpha > 0.0:
             raise ConfigError(f"invalid config key 'alpha': must be > 0, got {self.alpha}")
         if self.x_strategy not in X_STRATEGIES:
@@ -112,7 +110,6 @@ class RunConfig:
         # every other value is checked by building, once, what a run builds from it
         builds = (
             (("scaling",), lambda: scaling_factor(self.alpha, self.rank, self.scaling)),
-            (("seed",), lambda: np.random.SeedSequence(self.seed)),
             (("init",), lambda: InitScheme(self.init)),
             (_SECTIONS["optimizer"], self.hyperparams),
             (("damping",), self.damping_policy),

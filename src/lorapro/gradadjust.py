@@ -249,11 +249,13 @@ class TangentGeometry:
     Cholesky factors, these see only the square root of a Gram's condition
     number, where an explicit inverse would amplify rounding by all of it.
 
-    The eigendecomposition runs at construction; the ranks and whitening
-    factors it gives are formed on first use, so a damped Gram that is not
-    positive definite raises FactorizationError only when a solve with it is
-    asked for. A geometry serves the one layer object it was built from,
-    which cannot change; ``adjust`` refuses it for any other.
+    The eigendecomposition runs at construction, and so does the count of
+    the numerical ranks ``rank_b`` and ``rank_a`` it gives (plain ints, by
+    ``linalg.numerical_rank``'s rule). The whitening factors are formed on
+    first use, so a damped Gram that is not positive definite raises
+    FactorizationError only when a solve with it is asked for. A geometry
+    serves the one layer object it was built from, which cannot change;
+    ``adjust`` refuses it for any other.
     """
 
     def __init__(self, layer: LoraLayer, policy: DampingPolicy = DampingPolicy()):
@@ -269,21 +271,8 @@ class TangentGeometry:
             raise EigenDecompositionError(
                 "symmetric eigendecomposition of the layer Grams did not converge"
             ) from exc
-
-    @cached_property
-    def _ranks(self) -> tuple[int, int]:
-        rank_b, rank_a = _gram_rank(self._w)
-        return int(rank_b), int(rank_a)
-
-    @property
-    def rank_b(self) -> int:
-        """The numerical rank of B, by ``linalg.numerical_rank``'s rule."""
-        return self._ranks[0]
-
-    @property
-    def rank_a(self) -> int:
-        """The numerical rank of A, by ``linalg.numerical_rank``'s rule."""
-        return self._ranks[1]
+        # the numerical ranks of B and A, by linalg.numerical_rank's rule
+        self.rank_b, self.rank_a = _gram_rank(self._w).tolist()
 
     def _whitener(self, k: int) -> np.ndarray:
         lam = self._w[k] + self._damping[k]

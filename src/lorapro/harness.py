@@ -42,7 +42,15 @@ from .gradadjust import (
     loss_decrease_certificate,
 )
 from .linalg import as_matrix, build_unchecked, replace_unchecked
-from .lora import InitScheme, LoraLayer, derived, effective_weight, freeze, init_layer
+from .lora import (
+    InitScheme,
+    LoraLayer,
+    derived,
+    effective_weight,
+    freeze,
+    init_layer,
+    scaling_factor,
+)
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
     AdamWState,
@@ -513,7 +521,7 @@ class Trainer:
                 raise CheckpointError(f"{path}: array {name!r} is not zero, as full_ft keeps it")
         trainer._set_layers([derived(
             **{part: arrays[name[:-2] + part] for part in ("w0", "b", "a")},
-            alpha=config.alpha, rank=config.rank, scaling_mode=config.scaling,
+            scaling=scaling_factor(config.alpha, config.rank, config.scaling),
         ) for name in expected if name.endswith("/w0")])
         trainer.states = [build_unchecked(AdamWState, m=arrays[name], v=arrays[name[:-1] + "v"],
                                           t=step_count) for name in expected if name.endswith("/m")]

@@ -1,8 +1,9 @@
 """Low-rank adapter layers: W = W0 + s*B*A.
 
-W0 (m x n) is frozen; B (m x r) and A (r x n) are the trainable factors. The
-scaling s is alpha/r in "lora" mode and alpha/sqrt(r) in "rslora" mode
-(the default, which stabilizes larger ranks). A layer is a value: a step
+W0 (m x n) is frozen; B (m x r) and A (r x n) are the trainable factors. A
+layer holds the scaling s itself, computed once by ``scaling_factor``:
+alpha/r in "lora" mode and alpha/sqrt(r) in "rslora" mode (the default,
+which stabilizes larger ranks). A layer is a value: a step
 derives a new one, so what is computed from a layer object (a forward pass,
 a geometry, a gradient bundle) describes it for as long as it lives.
 """
@@ -62,20 +63,22 @@ class InitScheme:
 
 @dataclass(frozen=True, eq=False)
 class LoraLayer:
-    """Frozen base weight plus trainable low-rank factors and their scaling.
+    """Frozen base weight, trainable low-rank factors and the scaling s.
 
     ``w0``, ``b`` and ``a`` are read-only: a read-only input is held as it
     is, so layers built from one shared array share its memory, and a
     writable one is copied, so the caller's later writes never reach the
-    layer. Two layers are equal only if they are the same object.
+    layer. The rank r is B's column count; the constructor requires
+    1 <= r <= min(m, n) and A of shape r x n. ``scaling`` is s itself,
+    finite and nonzero, of either sign; ``scaling_factor`` computes it from
+    alpha, r and a mode. Two layers are equal only if they are the same
+    object.
     """
 
     w0: np.ndarray
     b: np.ndarray
     a: np.ndarray
-    alpha: float
-    rank: int
-    scaling_mode: str = "rslora"
+    scaling: float
 
     def __post_init__(self):
         for name in ("w0", "b", "a"):
@@ -88,21 +91,17 @@ class LoraLayer:
             raise ShapeError(f"b must be {m}x{r}, got {self.b.shape}")
         if self.a.shape != (r, n):
             raise ShapeError(f"a must be {r}x{n}, got {self.a.shape}")
-        if self.scaling_mode not in SCALING_MODES:
-            raise ValueError(
-                f"unknown scaling mode {self.scaling_mode!r}, expected one of {SCALING_MODES}"
-            )
         # either sign scales the adapter; 0, NaN or inf would leave s*B*A undefined or zero
-        if not (math.isfinite(self.alpha) and self.alpha != 0.0):
-            raise ValueError(f"alpha must be finite and nonzero, got {self.alpha}")
+        if not (math.isfinite(self.scaling) and self.scaling != 0.0):
+            raise ValueError(f"scaling must be finite and nonzero, got {self.scaling}")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.w0.shape
 
     @property
-    def scaling(self) -> float:
-        return scaling_factor(self.alpha, self.rank, self.scaling_mode)
+    def rank(self) -> int:
+        return self.b.shape[1]
 
 
 def freeze(*arrays: np.ndarray) -> None:
@@ -120,9 +119,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def derived(layer: LoraLayer | None = None, /, **fields) -> LoraLayer:
     """``layer`` with ``fields`` in place of its own (a layer of ``fields`` alone
-    without ``layer``), unchecked, for a step or a restore that derives it from
-    checked values. Each ``w0``, ``b`` or ``a`` in ``fields`` is made for this
-    layer alone, so it is frozen in place rather than copied."""
+    without ``layer``: ``w0``, ``b``, ``a`` and ``scaling``), unchecked, for a
+    step or a restore that derives it from checked values. Each ``w0``, ``b``
+    or ``a`` in ``fields`` is made for this layer alone, so it is frozen in
+    place rather than copied."""
     for name in ("w0", "b", "a"):
         if name in fields:
             freeze(fields[name])
@@ -140,13 +140,15 @@ def init_layer(
     scheme: InitScheme = InitScheme(),
     w0: np.ndarray | None = None,
 ) -> LoraLayer:
-    """Build a fresh adapter layer; ``w0`` defaults to zeros.
+    """Build a fresh adapter layer of rank ``r``, scaled by
+    ``scaling_factor(alpha, r, mode)``; ``w0`` defaults to zeros.
 
     ``w0`` is held as ``LoraLayer`` holds it: shared if read-only, copied if
     writable. The factors drawn here, and the zeros, are frozen, not copied.
     """
-    if r > min(m, n):
-        raise ShapeError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
+    if not 1 <= r <= min(m, n):
+        raise ShapeError(f"rank {r} must be in [1, min(m,n)={min(m, n)}]")
+    scaling = scaling_factor(alpha, r, mode)
     rng = np.random.default_rng(np.random.SeedSequence(scheme.seed))
     if scheme.kind == "standard":
         bound = 1.0 / math.sqrt(n)
@@ -163,7 +165,7 @@ def init_layer(
     base = as_matrix(w0, "w0")
     if base.shape != (m, n):
         raise ShapeError(f"w0 must be {m}x{n}, got {base.shape}")
-    return LoraLayer(w0=base, b=b, a=a, alpha=alpha, rank=r, scaling_mode=mode)
+    return LoraLayer(w0=base, b=b, a=a, scaling=scaling)
 
 
 def effective_weight(layer: LoraLayer) -> np.ndarray:

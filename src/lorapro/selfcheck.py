@@ -136,9 +136,7 @@ def random_instances(
         b = _conditioned(rng, (m, r), MAX_FACTOR_COND)
         a = _conditioned(rng, (r, n), MAX_FACTOR_COND)
         g = rng.normal(size=(m, n))
-        layer = LoraLayer(
-            w0=np.zeros((m, n)), b=b, a=a, alpha=s * r, rank=r, scaling_mode="lora"
-        )
+        layer = LoraLayer(w0=np.zeros((m, n)), b=b, a=a, scaling=s)
         out.append((layer, lora_raw_grads(layer, g)))
     return out
 
@@ -200,9 +198,7 @@ def _sylvester_solve(rng: np.random.Generator, r: int) -> tuple:
         w0=np.zeros((m, n)),
         b=_conditioned(rng, (m, r), MAX_FACTOR_COND),
         a=_conditioned(rng, (r, n), MAX_FACTOR_COND),
-        alpha=float(r),
-        rank=r,
-        scaling_mode="lora",
+        scaling=1.0,
     )
     p, q = (g + SHIPPED.rel_epsilon * float(np.mean(np.diag(g))) * np.eye(r)
             for g in (layer.b.T @ layer.b, layer.a @ layer.a.T))
@@ -321,9 +317,7 @@ def check_certificate_first_order(seed: int) -> PropertyResult:
             w0=0.1 * rng.normal(size=(m, n)),
             b=_conditioned(rng, (m, r), 20.0),
             a=_conditioned(rng, (r, n), 20.0),
-            alpha=float(r),
-            rank=r,
-            scaling_mode="lora",
+            scaling=1.0,
         )
         batch = Batch(inputs=rng.normal(size=(16, m)), targets=rng.normal(size=(16, n)))
         net = Network(layers=[layer], activations=["identity"], loss_kind="mse")
@@ -338,9 +332,7 @@ def check_certificate_first_order(seed: int) -> PropertyResult:
                 w0=layer.w0,
                 b=layer.b - gamma * adjusted.g_b,
                 a=layer.a - gamma * adjusted.g_a,
-                alpha=layer.alpha,
-                rank=layer.rank,
-                scaling_mode=layer.scaling_mode,
+                scaling=layer.scaling,
             )
             loss1, _ = forward(
                 Network(layers=[stepped], activations=["identity"], loss_kind="mse"), batch
@@ -427,9 +419,7 @@ def _random_network(rng: np.random.Generator, loss_kind: str, activations_pool) 
                 w0=0.5 * rng.normal(size=(m, n)),
                 b=rng.normal(size=(m, r)),
                 a=rng.normal(size=(r, n)),
-                alpha=float(r),
-                rank=r,
-                scaling_mode="lora",
+                scaling=1.0,
             )
         )
         acts.append(activations_pool[int(rng.integers(len(activations_pool)))])

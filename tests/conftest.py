@@ -22,9 +22,7 @@ def unit_instance():
         w0=np.zeros((2, 2)),
         b=np.array([[1.0], [0.0]]),
         a=np.array([[1.0, 0.0]]),
-        alpha=1.0,
-        rank=1,
-        scaling_mode="lora",
+        scaling=1.0,
     )
     g = np.array([[1.0, 2.0], [3.0, 4.0]])
     return layer, g

@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import EXACT, adamw_step
-from lorapro.config import RunConfig
+from lorapro.config import RunConfig, parse_config_text
 from lorapro.gradadjust import adjust, lora_raw_grads, loss_decrease_certificate
 from lorapro.harness import Trainer, _rows, compare, run
 from lorapro.linalg import numerical_rank
@@ -198,7 +199,7 @@ def test_full_rank_limit_matches_full_fine_tuning_trajectory():
     layer = LoraLayer(w0=0.3 * rng.normal(size=(m, n)),
                       b=np.eye(m) + 0.05 * rng.normal(size=(m, r)),
                       a=rng.normal(size=(r, n)) / np.sqrt(r),
-                      alpha=float(r), rank=r, scaling_mode="lora")
+                      scaling=1.0)
     batch = Batch(inputs=rng.normal(size=(16, m)), targets=rng.normal(size=(16, n)))
     hp = HyperParams(lr=1e-4)
     state = init_adamw_state((m, n))
@@ -260,3 +261,28 @@ def test_reproducibility_and_checkpoint_round_trip(tmp_path):
     tail = [resumed.step() for _ in range(15)]
     same = list(map(_rows, full_rows)) == list(map(_rows, head + tail))
     _report("checkpoint round trip continues bit-identically", same)
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide"])
+def test_benchmark_reference_losses_hold(tmp_path, monkeypatch, workload):
+    # the fixed-seed compare that perfbench/bench.py checks against
+    # perfbench/references.json before it measures, run with its own settings
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    from bench import GOLDEN_SEED, METHODS, WORKLOADS, config_text
+
+    references = json.loads((perfbench / "references.json").read_text(encoding="utf-8"))
+    settings = WORKLOADS[workload]
+    cfg = parse_config_text(
+        config_text(settings, GOLDEN_SEED, settings.golden_steps, tmp_path / workload)
+    )
+    result = compare(cfg, list(METHODS))
+    tolerance = references["rel_tolerance"]
+    gaps = {}
+    for method, want in references["final_loss"][workload].items():
+        got = result.results[method].final_loss
+        gaps[method] = abs(got - want) / abs(want)
+    worst = max(gaps, key=gaps.get)
+    _report(f"{workload} reference losses ({settings.golden_steps} steps)",
+            all(gap <= tolerance for gap in gaps.values()) and set(gaps) == set(METHODS),
+            f"worst relative gap {gaps[worst]:.1e} ({worst}) vs tol {tolerance:.0e}")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -58,7 +59,7 @@ def test_raw_grads_zero_gradient(unit_instance):
 def test_raw_grads_zero_b_annihilates_left_factor(unit_instance):
     layer, g = unit_instance
     zeroed = LoraLayer(w0=layer.w0, b=np.zeros_like(layer.b), a=layer.a,
-                       alpha=layer.alpha, rank=layer.rank, scaling_mode=layer.scaling_mode)
+                       scaling=layer.scaling)
     bundle = lora_raw_grads(zeroed, g)
     assert not bundle.g_a_lora.any()
     assert bundle.g_b_lora.any()
@@ -81,9 +82,7 @@ def test_equivalent_gradient_full_rank_limit_recovers_g():
             w0=np.zeros((m, n)),
             b=rng.normal(size=(m, r)) + np.eye(m),
             a=rng.normal(size=(r, n)),
-            alpha=float(r),
-            rank=r,
-            scaling_mode="lora",
+            scaling=1.0,
         )
         g = rng.normal(size=(m, n))
         adj = adjust(layer, lora_raw_grads(layer, g), strategy="zero", policy=EXACT)
@@ -149,9 +148,8 @@ def test_scaling_enters_adjustment():
     a = rng.normal(size=(2, 4))
     g = rng.normal(size=(5, 4))
     tildes = []
-    for alpha in (1.0, 6.0):
-        layer = LoraLayer(w0=np.zeros((5, 4)), b=b, a=a, alpha=alpha, rank=2,
-                          scaling_mode="lora")
+    for scaling in (0.5, 3.0):
+        layer = LoraLayer(w0=np.zeros((5, 4)), b=b, a=a, scaling=scaling)
         adj = adjust(layer, lora_raw_grads(layer, g), strategy="zero", policy=EXACT)
         tildes.append(equivalent_gradient(layer, adj.g_a, adj.g_b))
     assert frob_norm(tildes[0] - tildes[1]) <= 1e-9 * max(1.0, frob_norm(tildes[0]))
@@ -203,7 +201,7 @@ def test_certificate_rejects_tampered_gradients(unit_instance):
 def test_damped_adjustment_handles_zero_b(unit_instance):
     layer, g = unit_instance
     zeroed = LoraLayer(w0=layer.w0, b=np.zeros_like(layer.b), a=layer.a,
-                       alpha=layer.alpha, rank=layer.rank, scaling_mode=layer.scaling_mode)
+                       scaling=layer.scaling)
     bundle = lora_raw_grads(zeroed, g)
     policy = DampingPolicy()
     adj = adjust(zeroed, bundle, strategy="sylvester", policy=policy)
@@ -225,7 +223,7 @@ def test_validate_bundle_rejects_inconsistency(unit_instance):
     layer, g = unit_instance
     with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
         GradBundle(layer, g_a_lora=np.ones((1, 2)) * 5.0, g_b_lora=np.ones((2, 1)), g_full=g)
-    bad = lora_raw_grads(dataclasses.replace(layer, alpha=5.0), g)
+    bad = lora_raw_grads(dataclasses.replace(layer, scaling=5.0), g)
     with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
         validate_bundle(layer, bad)
 
@@ -261,8 +259,7 @@ def test_derived_bundle_is_rechecked_once_it_no_longer_matches(unit_instance):
     bundle = lora_raw_grads(layer, g)
     validate_bundle(layer, bundle)
     # the same bundle against other factors of the same shapes
-    other = LoraLayer(w0=layer.w0, b=np.array([[0.0], [1.0]]), a=layer.a, alpha=1.0, rank=1,
-                      scaling_mode="lora")
+    other = LoraLayer(w0=layer.w0, b=np.array([[0.0], [1.0]]), a=layer.a, scaling=1.0)
     with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
         validate_bundle(other, bundle)
     # a factor gradient cannot be swapped out after lora_raw_grads built the
@@ -275,7 +272,7 @@ def test_derived_bundle_is_rechecked_once_it_no_longer_matches(unit_instance):
 
 def _random_layer(rng, m, n, r=2):
     return LoraLayer(w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, r)),
-                     a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
+                     a=rng.normal(size=(r, n)), scaling=2.0 * math.sqrt(r))
 
 
 def _backward_bundle(rng, m, n, rows):
@@ -344,7 +341,7 @@ def test_adjust_shape_mismatch(unit_instance):
     with pytest.raises(ShapeError, match="g_a_lora must be 1x2"):
         GradBundle(layer, g_a_lora=np.zeros((2, 2)), g_b_lora=np.zeros((2, 1)))
     # a bundle of a rank-2 layer on the same base weight, given to adjust for the rank-1 one
-    rank_2 = LoraLayer(w0=layer.w0, b=np.eye(2), a=np.eye(2), alpha=1.0, rank=2)
+    rank_2 = LoraLayer(w0=layer.w0, b=np.eye(2), a=np.eye(2), scaling=1.0)
     bundle = GradBundle(rank_2, g_a_lora=np.zeros((2, 2)), g_b_lora=np.zeros((2, 2)))
     with pytest.raises(ShapeError, match="g_a_lora must be 1x2"):
         adjust(layer, bundle)
@@ -359,9 +356,7 @@ def test_rank_bound_on_random_instances():
             w0=np.zeros((m, n)),
             b=rng.normal(size=(m, r)),
             a=rng.normal(size=(r, n)),
-            alpha=float(r),
-            rank=r,
-            scaling_mode="lora",
+            scaling=1.0,
         )
         g = rng.normal(size=(m, n))
         adj = adjust(layer, lora_raw_grads(layer, g), strategy="zero", policy=EXACT)
@@ -390,14 +385,13 @@ def test_shared_geometry_changes_nothing():
             r = int(rng.integers(2, 4))
             factor_cond = np.sqrt(gram_cond)
             layer = LoraLayer(w0=np.zeros((m, n)), b=_factor(rng, m, r, factor_cond),
-                              a=_factor(rng, r, n, factor_cond), alpha=2.0 * r, rank=r,
-                              scaling_mode="lora")
+                              a=_factor(rng, r, n, factor_cond), scaling=2.0)
             cases.append((gram_cond, layer, EXACT))
     # the damped start of training: B = 0
     for _ in range(2):
         a = rng.normal(size=(3, 7))
         cases.append((None, LoraLayer(w0=np.zeros((6, 7)), b=np.zeros((6, 3)), a=a,
-                                      alpha=16.0, rank=3), DampingPolicy()))
+                                      scaling=16.0 / math.sqrt(3)), DampingPolicy()))
 
     for gram_cond, layer, policy in cases:
         g = rng.normal(size=layer.shape)
@@ -448,7 +442,7 @@ def test_shared_geometry_changes_nothing():
 
 def _layer(rng, m, n, r, b_scale=1.0):
     return LoraLayer(w0=np.zeros((m, n)), b=b_scale * rng.normal(size=(m, r)),
-                     a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
+                     a=rng.normal(size=(r, n)), scaling=2.0 * math.sqrt(r))
 
 
 def test_shifting_the_zero_projection_is_adjust_byte_for_byte():
@@ -504,9 +498,11 @@ def test_geometry_ranks_follow_numerical_rank(factors):
     # numerical_rank decomposes A^T A where A is square, the geometry A A^T
     b, a = factors
     m, r, n = b.shape[0], b.shape[1], a.shape[1]
-    layer = LoraLayer(w0=np.zeros((m, n)), b=b, a=a, alpha=1.0, rank=r)
+    layer = LoraLayer(w0=np.zeros((m, n)), b=b, a=a, scaling=1.0)
     geometry = TangentGeometry(layer, DampingPolicy())
     assert (geometry.rank_a, geometry.rank_b) == (numerical_rank(a), numerical_rank(b))
+    # counted once, at construction, into plain ints
+    assert type(vars(geometry)["rank_a"]) is type(vars(geometry)["rank_b"]) is int
 
 
 @st.composite
@@ -524,7 +520,7 @@ def _scaled_full_rank_layers(draw):
     layer = LoraLayer(w0=np.zeros((m, n)),
                       b=scale_b * _conditioned(rng, (m, r), MAX_FACTOR_COND),
                       a=scale_a * _conditioned(rng, (r, n), MAX_FACTOR_COND),
-                      alpha=s * r, rank=r, scaling_mode="lora")
+                      scaling=s)
     return layer, rng.normal(size=(m, n))
 
 
@@ -569,7 +565,7 @@ def _ill_conditioned_scaled_layers(draw):
     layer = LoraLayer(w0=np.zeros((m, n)),
                       b=scale_b * _with_condition(rng, (m, r), cond_b),
                       a=scale_a * _with_condition(rng, (r, n), cond_a),
-                      alpha=s * r, rank=r, scaling_mode="lora")
+                      scaling=s)
     return layer, rng.normal(size=(m, n))
 
 
@@ -597,8 +593,7 @@ def test_undamped_adjustment_is_optimal_at_gram_condition_up_to_1e12(case):
 def test_geometry_rejects_another_layer(unit_instance):
     layer, g = unit_instance
     bundle = lora_raw_grads(layer, g)
-    other = LoraLayer(w0=layer.w0, b=layer.b.copy(), a=layer.a.copy(), alpha=layer.alpha,
-                      rank=layer.rank, scaling_mode=layer.scaling_mode)
+    other = LoraLayer(w0=layer.w0, b=layer.b.copy(), a=layer.a.copy(), scaling=layer.scaling)
     with pytest.raises(ValueError, match="another layer"):
         adjust(layer, bundle, policy=EXACT, geometry=TangentGeometry(other, EXACT))
     with pytest.raises(ValueError, match="another layer"):
@@ -626,7 +621,7 @@ def test_bundle_of_a_layer_written_in_place_is_checked():
     # values, as a bundle built by hand from the same arrays is
     rng = np.random.default_rng(71)
     layer = LoraLayer(w0=np.zeros((6, 5)), b=rng.normal(size=(6, 2)), a=rng.normal(size=(2, 5)),
-                      alpha=2.0, rank=2)
+                      scaling=2.0)
     bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
     with pytest.raises(ValueError, match="read-only"):
         layer.b *= 3.0
@@ -650,8 +645,7 @@ def test_singular_gram_reports_leading_minor():
     for zero_col, minor in ((0, 1), (1, 2)):
         b = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
         b[:, zero_col] = 0.0
-        layer = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, alpha=2.0, rank=2,
-                          scaling_mode="lora")
+        layer = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, scaling=1.0)
         bundle = lora_raw_grads(layer, g)
         for strategy in X_STRATEGIES:
             with pytest.raises(FactorizationError) as excinfo:
@@ -665,7 +659,7 @@ def test_sylvester_x_spectrum_error_matches_solver():
     # smallest eigenvalue of each Gram
     b = np.array([[1.0, 0.0], [0.0, 1e-7], [0.0, 0.0]])
     a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    layer = LoraLayer(w0=np.zeros((3, 3)), b=b, a=a, alpha=2.0, rank=2, scaling_mode="lora")
+    layer = LoraLayer(w0=np.zeros((3, 3)), b=b, a=a, scaling=1.0)
     bundle = lora_raw_grads(layer, np.ones((3, 3)))
     with pytest.raises(SpectrumError, match="X selection 'sylvester' failed") as ours:
         adjust(layer, bundle, "sylvester", EXACT)
@@ -688,7 +682,7 @@ def test_certificate_holds_on_ill_conditioned_damped_layers(scaled):
         r = int(rng.integers(2, min(m, n) + 1))
         scale_b, scale_a = 10.0 ** rng.uniform(-3.0, 3.0, 2) if scaled else (1.0, 1.0)
         layer = LoraLayer(w0=np.zeros((m, n)), b=scale_b * _factor(rng, m, r, 1e6),
-                          a=scale_a * _factor(rng, r, n, 1e6), alpha=2.0 * r, rank=r)
+                          a=scale_a * _factor(rng, r, n, 1e6), scaling=2.0 * math.sqrt(r))
         for gram in (layer.b.T @ layer.b, layer.a @ layer.a.T):
             assert np.linalg.cond(gram) > 1e11
         bundle = lora_raw_grads(layer, rng.normal(size=(m, n)))
@@ -713,7 +707,7 @@ def test_damped_sylvester_x_converges_to_the_papers_x(rel_epsilon):
         m, n = int(rng.integers(4, 13)), int(rng.integers(4, 13))
         r = int(rng.integers(2, min(m, n) + 1))
         layer = LoraLayer(w0=np.zeros((m, n)), b=_factor(rng, m, r, 1e2),
-                          a=_factor(rng, r, n, 1e2), alpha=2.0 * r, rank=r)
+                          a=_factor(rng, r, n, 1e2), scaling=2.0 * math.sqrt(r))
         p, q = layer.b.T @ layer.b, layer.a @ layer.a.T
         kappa = max(np.linalg.cond(p), np.linalg.cond(q))
         assert kappa == pytest.approx(1e4)
@@ -728,7 +722,7 @@ def _tangent_gradient(rng, m=40, n=30, r=2, rows=5):
     tangent space: the rows of delta lie in the row space of A, so g = (x^T C) A.
     At these sizes the discrepancy takes the factored sum of squares."""
     layer = LoraLayer(w0=np.zeros((m, n)), b=rng.normal(size=(m, r)),
-                      a=rng.normal(size=(r, n)), alpha=2.0 * r, rank=r)
+                      a=rng.normal(size=(r, n)), scaling=2.0 * math.sqrt(r))
     x = rng.normal(size=(rows, m))
     delta = rng.normal(size=(rows, r)) @ layer.a
     return layer, _factored_bundle(layer, x, delta)
@@ -782,7 +776,7 @@ def test_discrepancy_of_a_dense_or_missing_full_gradient():
 def test_discrepancy_checks_the_pair_and_takes_any_sign_of_scaling(monkeypatch):
     # the factored sum pairs the columns of B and g_b with the rows of A and
     # g_a, so a pair of another rank, consistent with itself, is refused
-    # before either route; and a negative alpha gives the same non-negative
+    # before either route; and a negative scaling gives the same non-negative
     # norm as the dense residual
     import lorapro.harness as harness
 
@@ -794,8 +788,8 @@ def test_discrepancy_checks_the_pair_and_takes_any_sign_of_scaling(monkeypatch):
         with pytest.raises(ShapeError, match=match):
             discrepancy(bundle, g_a, g_b)
     g = bundle.full_gradient()
-    for alpha in (layer.alpha, -layer.alpha):
-        signed = dataclasses.replace(layer, alpha=alpha)
+    for scaling in (layer.scaling, -layer.scaling):
+        signed = dataclasses.replace(layer, scaling=scaling)
         signed_bundle = _factored_bundle(signed, bundle.x, bundle.delta)
         expected = float(np.linalg.norm(equivalent_gradient(signed, *pair) - g))
         with monkeypatch.context() as patch:  # the factored sum, not the residual
@@ -826,7 +820,7 @@ def test_user_built_factored_bundle_is_checked_against_its_dense_gradient():
     with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
         GradBundle(layer, bundle.g_a_lora, bundle.g_b_lora, x=bundle.x, delta=2.0 * bundle.delta)
     with pytest.raises(ShapeError, match="g_a_lora inconsistent"):
-        validate_bundle(dataclasses.replace(layer, alpha=2.0 * layer.alpha), bundle)
+        validate_bundle(dataclasses.replace(layer, scaling=2.0 * layer.scaling), bundle)
     with pytest.raises(ShapeError, match="x and delta must be batch x 40 and batch x 30"):
         GradBundle(layer, bundle.g_a_lora, bundle.g_b_lora, x=bundle.x[:, :-1],
                    delta=bundle.delta)

@@ -119,9 +119,13 @@ def test_different_seed_changes_trajectory(tmp_path):
     assert Path(r1.csv_path).read_bytes() != Path(r2.csv_path).read_bytes()
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_checkpoint_resume_is_bit_identical(tmp_path, method):
-    cfg = small_config(tmp_path, method=method, steps=24)
+# a restore computes each layer's scaling from the config, as a new trainer's
+# init_layer does, so under either mode the two must agree bit for bit
+@pytest.mark.parametrize("method, scaling", [(m, "rslora") for m in METHODS]
+                         + [(m, "lora") for m in METHODS],
+                         ids=list(METHODS) + [f"{m}-scaling=lora" for m in METHODS])
+def test_checkpoint_resume_is_bit_identical(tmp_path, method, scaling):
+    cfg = small_config(tmp_path, method=method, steps=24, scaling=scaling)
     full = Trainer(cfg)
     full_rows = [full.step() for _ in range(24)]
 
@@ -225,8 +229,7 @@ def test_rank_lost_mid_run_keeps_training_sound(tmp_path, method, strategy, init
 
 def _new_layer(old):
     return LoraLayer(
-        w0=old.w0, b=2.0 * old.b, a=old.a[::-1].copy(), alpha=old.alpha, rank=old.rank,
-        scaling_mode=old.scaling_mode,
+        w0=old.w0, b=2.0 * old.b, a=old.a[::-1].copy(), scaling=old.scaling,
     )
 
 
@@ -469,6 +472,23 @@ def test_checkpoint_whose_meta_is_not_an_object_raises_typed_error(tmp_path, met
         assert str(ckpt) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("rename", ["int", "repeated"])
+def test_checkpoint_whose_array_names_are_not_distinct_strings_raises_typed_error(tmp_path, rename):
+    # in a file whose SHA-256 holds: an int name ended the restore in a bare
+    # TypeError from comparing it with the expected names, and a repeated name
+    # loaded one array, the last
+    cfg = small_config(tmp_path)
+    ckpt, meta, arrays = _saved_after_one_step(tmp_path, cfg)
+    names = sorted(arrays)
+    names[0] = 0 if rename == "int" else names[1]
+    ckpt.write_bytes(_whole_payload_file(meta, arrays, names))
+    for restore in (lambda: load_checkpoint(str(ckpt)), lambda: Trainer.from_checkpoint(cfg, ckpt)):
+        with pytest.raises(CheckpointError, match="undecodable header.*is not a string or is "
+                                                  "repeated") as excinfo:
+            restore()
+        assert str(ckpt) in str(excinfo.value)
+
+
 def _flip_bit(data: bytes, offset: int, bit: int) -> bytes:
     out = bytearray(data)
     out[offset] ^= 1 << bit
@@ -544,12 +564,14 @@ def test_failed_save_keeps_earlier_checkpoint(tmp_path, monkeypatch):
     assert [p.name for p in target.parent.iterdir()] == ["state.bin"]
 
 
-def _whole_payload_file(meta: dict, arrays: dict) -> bytes:
-    """A format-3 checkpoint assembled in memory, payload and all, as a reference."""
+def _whole_payload_file(meta: dict, arrays: dict, names: list | None = None) -> bytes:
+    """A format-3 checkpoint assembled in memory, payload and all, as a reference;
+    ``names``, if given, stand in the array table for the sorted names, one for one."""
     table, payload = [], bytearray()
-    for name in sorted(arrays):
+    for i, name in enumerate(sorted(arrays)):
         arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        table.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1]})
+        label = name if names is None else names[i]
+        table.append({"name": label, "rows": arr.shape[0], "cols": arr.shape[1]})
         payload += arr.astype("<f8").tobytes(order="C")
     header = json.dumps({"meta": meta, "arrays": table}, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256(header + payload).digest()
@@ -1616,14 +1638,13 @@ def test_selfcheck_probe_loss_matches_a_rebuilt_network_bit_for_bit(loss_kind, a
     for _ in range(4):
         net, batch = selfcheck._random_network(rng, loss_kind, (activation,))
         # a scaling other than 1, so that where it is applied shows in the bits
-        net.layers = [dataclasses.replace(layer, alpha=1.5 * layer.rank) for layer in net.layers]
+        net.layers = [dataclasses.replace(layer, scaling=1.5) for layer in net.layers]
         weights = [effective_weight(layer) for layer in net.layers]
         for i, old in enumerate(net.layers):
             probe = selfcheck._loss_at_w0(net, batch, weights, i)
             for w0 in (old.w0, old.w0 + 1e-5 * rng.normal(size=old.shape)):
                 layers = list(net.layers)
-                layers[i] = LoraLayer(w0=w0, b=old.b, a=old.a, alpha=old.alpha,
-                                      rank=old.rank, scaling_mode=old.scaling_mode)
+                layers[i] = LoraLayer(w0=w0, b=old.b, a=old.a, scaling=old.scaling)
                 rebuilt = [effective_weight(layer) for layer in layers]
                 assert probe(w0) == model.forward_with_weights(
                     rebuilt, net.activations, net.loss_kind, batch)[0]
@@ -1711,7 +1732,7 @@ def test_cli_negative_seed_is_one_error_line(tmp_path, capsys):
     out_dir = tmp_path / "out"
     run_argv = ["run", "--config", str(config), "--seed", "-3", "--out", str(out_dir)]
     for argv, named in ((["selfcheck", "--seed", "-1"], ("seed", "-1")),
-                        (run_argv, ("'seed'",))):
+                        (run_argv, ("'seed'", "must be >= 0, got -3"))):
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from lorapro.lora import (
     effective_weight,
     freeze,
     init_layer,
+    scaling_factor,
 )
 from lorapro.model import Batch, Network, forward
 
@@ -44,6 +46,27 @@ def test_scaling_factor_modes():
 def test_init_rejects_oversized_rank():
     with pytest.raises(ShapeError):
         init_layer(4, 3, 5)
+
+
+def test_an_unknown_scaling_mode_is_refused_by_scaling_factor_and_init_layer():
+    with pytest.raises(ValueError, match="unknown scaling mode 'dora'"):
+        scaling_factor(16.0, 2, "dora")
+    with pytest.raises(ValueError, match="unknown scaling mode 'dora'"):
+        init_layer(4, 3, 2, mode="dora")
+
+
+def test_layer_reads_its_rank_from_b():
+    rng = np.random.default_rng(14)
+    layer = LoraLayer(w0=np.zeros((5, 4)), b=rng.normal(size=(5, 3)), a=rng.normal(size=(3, 4)),
+                      scaling=0.5)
+    assert layer.rank == 3 and layer.scaling == 0.5
+    assert [f.name for f in dataclasses.fields(LoraLayer)] == ["w0", "b", "a", "scaling"]
+    with pytest.raises(ShapeError, match="a must be 3x4"):
+        LoraLayer(w0=np.zeros((5, 4)), b=layer.b, a=np.ones((2, 4)), scaling=0.5)
+    with pytest.raises(ShapeError, match=r"rank 5 must be in \[1, min\(m,n\)=4\]"):
+        LoraLayer(w0=np.zeros((5, 4)), b=np.ones((5, 5)), a=np.ones((5, 4)), scaling=0.5)
+    with pytest.raises(ShapeError, match="rank 0"):
+        init_layer(5, 4, 0)
 
 
 def test_init_is_seed_deterministic():
@@ -77,7 +100,7 @@ def test_layer_copies_a_writable_input_and_shares_a_read_only_one(read_only):
               "a": rng.normal(size=(2, 3))}
     if read_only:
         freeze(*inputs.values())
-    layer = LoraLayer(**inputs, alpha=2.0, rank=2)
+    layer = LoraLayer(**inputs, scaling=2.0)
     if read_only:
         assert_layer_is_value(layer, shared=inputs)
     else:
@@ -92,18 +115,20 @@ def test_layer_copies_a_writable_input_and_shares_a_read_only_one(read_only):
                          ids=["nan", "inf", "-inf", "zero"])
 def test_layer_rejects_an_alpha_that_is_not_finite_and_nonzero(alpha):
     # each ended later in a misleading error (NaN: "a contains non-finite
-    # entries" from adjust) or in a bare numpy RuntimeWarning (inf, 0)
-    with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
-        LoraLayer(w0=np.zeros((3, 2)), b=np.ones((3, 1)), a=np.ones((1, 2)), alpha=alpha, rank=1)
-    with pytest.raises(ValueError, match="alpha"):
-        init_layer(3, 2, 1, alpha=alpha)
+    # entries" from adjust) or in a bare numpy RuntimeWarning (inf, 0); the
+    # layer refuses the scaling such an alpha gives in either mode
+    with pytest.raises(ValueError, match="scaling must be finite and nonzero"):
+        LoraLayer(w0=np.zeros((3, 2)), b=np.ones((3, 1)), a=np.ones((1, 2)), scaling=alpha)
+    for mode in ("lora", "rslora"):
+        with pytest.raises(ValueError, match="scaling must be finite and nonzero"):
+            init_layer(3, 2, 1, alpha=alpha, mode=mode)
 
 
 def test_layer_takes_a_negative_alpha():
     rng = np.random.default_rng(13)
+    assert init_layer(4, 3, 2, alpha=-2.0, mode="lora").scaling == -1.0
     layer = LoraLayer(w0=np.zeros((4, 3)), b=rng.normal(size=(4, 2)), a=rng.normal(size=(2, 3)),
-                      alpha=-2.0, rank=2, scaling_mode="lora")
-    assert layer.scaling == -1.0
+                      scaling=-1.0)
     bundle = lora_raw_grads(layer, rng.normal(size=(4, 3)))
     adjusted = adjust(layer, bundle)
     assert math.isfinite(discrepancy(bundle, adjusted.g_a, adjusted.g_b))
@@ -114,9 +139,7 @@ def test_effective_weight_rank_one_outer_product():
         w0=np.zeros((2, 2)),
         b=np.array([[1.0], [0.0]]),
         a=np.array([[1.0, 0.0]]),
-        alpha=1.0,
-        rank=1,
-        scaling_mode="lora",
+        scaling=1.0,
     )
     assert np.allclose(effective_weight(layer), [[1.0, 0.0], [0.0, 0.0]])
 
@@ -125,8 +148,10 @@ def test_effective_weight_linear_in_alpha():
     rng = np.random.default_rng(8)
     b = rng.normal(size=(4, 2))
     a = rng.normal(size=(2, 3))
-    one = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, alpha=8.0, rank=2, scaling_mode="lora")
-    two = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, alpha=16.0, rank=2, scaling_mode="lora")
+    one = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, scaling=4.0)
+    two = LoraLayer(w0=np.zeros((4, 3)), b=b, a=a, scaling=8.0)
+    for mode in ("lora", "rslora"):
+        assert scaling_factor(16.0, 2, mode) == 2.0 * scaling_factor(8.0, 2, mode)
     assert np.allclose(effective_weight(two), 2.0 * effective_weight(one))
 
 
@@ -172,9 +197,8 @@ def test_decay_consistency_property(gamma_lambda):
             w0=rng.normal(size=(m, n)),
             b=rng.normal(size=(m, r)),
             a=rng.normal(size=(r, n)),
-            alpha=float(rng.uniform(1, 32)),
-            rank=r,
-            scaling_mode=("lora", "rslora")[int(rng.integers(2))],
+            scaling=scaling_factor(float(rng.uniform(1, 32)), r,
+                                   ("lora", "rslora")[int(rng.integers(2))]),
         )
         before = effective_weight(layer)
         after = effective_weight(apply_decayed_merge_step(layer, 1.0, gamma_lambda))

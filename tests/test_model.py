@@ -15,7 +15,14 @@ from lorapro.gradadjust import (
     lora_raw_grads,
 )
 from lorapro.harness import discrepancy
-from lorapro.lora import SCALING_MODES, InitScheme, LoraLayer, effective_weight, init_layer
+from lorapro.lora import (
+    SCALING_MODES,
+    InitScheme,
+    LoraLayer,
+    effective_weight,
+    init_layer,
+    scaling_factor,
+)
 from lorapro.model import (
     Batch,
     Network,
@@ -108,8 +115,7 @@ def test_backward_matches_finite_differences_on_deep_net():
         r = 2
         layers.append(
             LoraLayer(w0=0.5 * rng.normal(size=(m, n)), b=rng.normal(size=(m, r)),
-                      a=rng.normal(size=(r, n)), alpha=float(r), rank=r,
-                      scaling_mode="lora")
+                      a=rng.normal(size=(r, n)), scaling=1.0)
         )
     net = Network(layers, acts, "mse")
     batch = Batch(inputs=rng.normal(size=(4, 4)), targets=rng.normal(size=(4, 3)))
@@ -119,8 +125,7 @@ def test_backward_matches_finite_differences_on_deep_net():
         def loss_at(w0, i=i):
             probe_layers = list(net.layers)
             old = probe_layers[i]
-            probe_layers[i] = LoraLayer(w0=w0, b=old.b, a=old.a, alpha=old.alpha,
-                                        rank=old.rank, scaling_mode=old.scaling_mode)
+            probe_layers[i] = LoraLayer(w0=w0, b=old.b, a=old.a, scaling=old.scaling)
             return forward(Network(probe_layers, acts, "mse"), batch)[0]
 
         fd = finite_diff_grad(loss_at, net.layers[i].w0, h=1e-5)
@@ -133,20 +138,18 @@ def test_factor_gradients_match_finite_differences():
     # the raw adapter gradients really are d(loss)/d(factor)
     rng = np.random.default_rng(6)
     layer = LoraLayer(w0=rng.normal(size=(4, 3)), b=rng.normal(size=(4, 2)),
-                      a=rng.normal(size=(2, 3)), alpha=2.0, rank=2, scaling_mode="lora")
+                      a=rng.normal(size=(2, 3)), scaling=1.0)
     net = Network([layer], ["identity"], "mse")
     batch = Batch(inputs=rng.normal(size=(5, 4)), targets=rng.normal(size=(5, 3)))
     _, cache = forward(net, batch)
     bundle = backward(cache)[0]
 
     def loss_at_a(a):
-        probe = LoraLayer(w0=layer.w0, b=layer.b, a=a, alpha=layer.alpha,
-                          rank=layer.rank, scaling_mode=layer.scaling_mode)
+        probe = LoraLayer(w0=layer.w0, b=layer.b, a=a, scaling=layer.scaling)
         return forward(Network([probe], ["identity"], "mse"), batch)[0]
 
     def loss_at_b(b):
-        probe = LoraLayer(w0=layer.w0, b=b, a=layer.a, alpha=layer.alpha,
-                          rank=layer.rank, scaling_mode=layer.scaling_mode)
+        probe = LoraLayer(w0=layer.w0, b=b, a=layer.a, scaling=layer.scaling)
         return forward(Network([probe], ["identity"], "mse"), batch)[0]
 
     fd_a = finite_diff_grad(loss_at_a, layer.a, h=1e-5)
@@ -202,8 +205,8 @@ def test_backward_differentiates_the_forward_that_made_the_cache(change):
         net.layers[0] = dataclasses.replace(first, a=first.a + 1.0)
     else:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            first.alpha *= 2.0
-        net.layers[0] = dataclasses.replace(first, alpha=2.0 * first.alpha)
+            first.scaling *= 2.0
+        net.layers[0] = dataclasses.replace(first, scaling=2.0 * first.scaling)
     _, fresh_cache = forward(fresh, batch)
     for ours, ref in zip(backward(cache), backward(fresh_cache), strict=True):
         assert np.array_equal(ours.full_gradient(), ref.full_gradient())
@@ -254,7 +257,7 @@ def test_split_loss_and_gradient_match_the_fused_routine_bit_for_bit(loss_kind, 
         dims = [int(d) for d in rng.integers(2, 7, size=depth + 1)]
         layers = [
             LoraLayer(w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, 1)),
-                      a=rng.normal(size=(1, n)), alpha=1.5, rank=1, scaling_mode="lora")
+                      a=rng.normal(size=(1, n)), scaling=1.5)
             for m, n in zip(dims, dims[1:])
         ]
         net = Network(layers, [activation] * depth, loss_kind)
@@ -305,8 +308,8 @@ def _networks(draw):
         r = draw(st.integers(1, min(m, n)) | st.integers(1, min(3, m, n)))
         layers.append(LoraLayer(
             w0=rng.normal(size=(m, n)) / math.sqrt(m), b=rng.normal(size=(m, r)) / math.sqrt(m),
-            a=rng.normal(size=(r, n)) / math.sqrt(r), alpha=draw(st.sampled_from((0.5, 1.0, 4.0))),
-            rank=r, scaling_mode=mode))
+            a=rng.normal(size=(r, n)) / math.sqrt(r),
+            scaling=scaling_factor(draw(st.sampled_from((0.5, 1.0, 4.0))), r, mode)))
     if loss_kind == "mse":
         targets = rng.normal(size=(rows, dims[-1]))
     else:

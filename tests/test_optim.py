@@ -89,8 +89,7 @@ def test_sgd_descends_on_quadratic_losses():
         m, n, r = 4, 5, 2
         layer = LoraLayer(w0=0.1 * rng.normal(size=(m, n)),
                           b=np.eye(m)[:, :r] + 0.3 * rng.normal(size=(m, r)),
-                          a=rng.normal(size=(r, n)), alpha=float(r), rank=r,
-                          scaling_mode="lora")
+                          a=rng.normal(size=(r, n)), scaling=1.0)
         batch = Batch(inputs=rng.normal(size=(12, m)), targets=rng.normal(size=(12, n)))
         hp = HyperParams(lr=1e-2)
         for _ in range(3):
@@ -165,7 +164,7 @@ def test_adamw_step_rejects_g_tilde_of_another_shape(make):
     # float64 array of the layer's shape
     rng = np.random.default_rng(45)
     layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
-                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
+                      a=rng.normal(size=(2, 5)), scaling=2.0)
     with pytest.raises(ShapeError):
         lorapro_adamw_step(TangentGeometry(layer), init_adamw_state((6, 5)), make(rng),
                            HyperParams(lr=0.01))
@@ -228,7 +227,7 @@ def test_adamw_transform_out_must_match_the_state():
 def test_adamw_step_without_g_tilde_mutates_no_input():
     rng = np.random.default_rng(46)
     layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
-                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
+                      a=rng.normal(size=(2, 5)), scaling=2.0)
     state = AdamWState(m=rng.normal(size=(6, 5)), v=rng.normal(size=(6, 5)) ** 2, t=3)
     bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
     inputs = (layer.w0, layer.b, layer.a, state.m, state.v,
@@ -288,7 +287,7 @@ def test_each_step_returns_a_layer_value(step):
     # decay its w0 is the old layer's, shared
     rng = np.random.default_rng(47)
     layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
-                      a=rng.normal(size=(2, 5)), alpha=4.0, rank=2, scaling_mode="lora")
+                      a=rng.normal(size=(2, 5)), scaling=2.0)
     bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
     hp = HyperParams(lr=0.01)
     given = [layer.b, layer.a, bundle.g_a_lora, bundle.g_b_lora, bundle.g_full]
@@ -353,7 +352,7 @@ def test_full_rank_limit_tracks_full_fine_tuning():
     layer = LoraLayer(w0=0.3 * rng.normal(size=(m, n)),
                       b=np.eye(m) + 0.05 * rng.normal(size=(m, r)),
                       a=rng.normal(size=(r, n)) / np.sqrt(r),
-                      alpha=float(r), rank=r, scaling_mode="lora")
+                      scaling=1.0)
     batch = Batch(inputs=rng.normal(size=(16, m)), targets=rng.normal(size=(16, n)))
     hp = HyperParams(lr=1e-4)
     state = init_adamw_state((m, n))

@@ -26,7 +26,7 @@ def test_hand_instance_objective(unit_instance):
 def test_representable_gradient_reaches_zero():
     rng = np.random.default_rng(40)
     layer = LoraLayer(w0=np.zeros((5, 6)), b=rng.normal(size=(5, 2)),
-                      a=rng.normal(size=(2, 6)), alpha=2.0, rank=2, scaling_mode="lora")
+                      a=rng.normal(size=(2, 6)), scaling=1.0)
     g = layer.b @ rng.normal(size=(2, 6)) + rng.normal(size=(5, 2)) @ layer.a
     _, _, objective = brute_force_optimal_grads(layer, g)
     assert objective <= 1e-18
@@ -36,8 +36,7 @@ def test_square_invertible_left_factor_reaches_zero():
     rng = np.random.default_rng(41)
     m = r = 4
     layer = LoraLayer(w0=np.zeros((m, 6)), b=rng.normal(size=(m, r)) + np.eye(m),
-                      a=rng.normal(size=(r, 6)), alpha=float(r), rank=r,
-                      scaling_mode="lora")
+                      a=rng.normal(size=(r, 6)), scaling=1.0)
     for _ in range(5):
         _, _, objective = brute_force_optimal_grads(layer, rng.normal(size=(m, 6)))
         assert objective <= 1e-18
@@ -47,14 +46,14 @@ def test_rank_deficient_factor_detected():
     layer = LoraLayer(w0=np.zeros((4, 4)),
                       b=np.ones((4, 2)),  # rank 1
                       a=np.random.default_rng(42).normal(size=(2, 4)),
-                      alpha=2.0, rank=2, scaling_mode="lora")
+                      scaling=1.0)
     with pytest.raises(RankDeficiencyError):
         brute_force_optimal_grads(layer, np.ones((4, 4)))
 
 
 def test_desk_scale_guard():
     layer = LoraLayer(w0=np.zeros((70, 70)), b=np.ones((70, 1)),
-                      a=np.ones((1, 70)), alpha=1.0, rank=1, scaling_mode="lora")
+                      a=np.ones((1, 70)), scaling=1.0)
     with pytest.raises(ShapeError):
         brute_force_optimal_grads(layer, np.zeros((70, 70)))
 
@@ -151,8 +150,7 @@ def test_certificate_slope_matches_realized_loss_change():
     m, n, r = 4, 5, 2
     layer = LoraLayer(w0=0.1 * rng.normal(size=(m, n)),
                       b=np.eye(m)[:, :r] + 0.3 * rng.normal(size=(m, r)),
-                      a=rng.normal(size=(r, n)), alpha=float(r), rank=r,
-                      scaling_mode="lora")
+                      a=rng.normal(size=(r, n)), scaling=1.0)
     batch = Batch(inputs=rng.normal(size=(16, m)), targets=rng.normal(size=(16, n)))
     net = Network([layer], ["identity"], "mse")
     loss0, cache = forward(net, batch)
@@ -162,7 +160,6 @@ def test_certificate_slope_matches_realized_loss_change():
     for gamma in (1e-2, 1e-3, 1e-4):
         dl = loss_decrease_certificate(adjusted, gamma)
         stepped = LoraLayer(w0=layer.w0, b=layer.b - gamma * adjusted.g_b,
-                            a=layer.a - gamma * adjusted.g_a, alpha=layer.alpha,
-                            rank=layer.rank, scaling_mode=layer.scaling_mode)
+                            a=layer.a - gamma * adjusted.g_a, scaling=layer.scaling)
         loss1, _ = forward(Network([stepped], ["identity"], "mse"), batch)
         assert abs((loss1 - loss0) / gamma - dl / gamma) <= 10.0 * gamma * g_norm_sq
