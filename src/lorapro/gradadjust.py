@@ -56,6 +56,7 @@ __all__ = [
     "AdjustedGrads",
     "DampingPolicy",
     "TangentGeometry",
+    "factor_ranks",
     "lora_raw_grads",
     "equivalent_gradient",
     "choose_x",
@@ -84,8 +85,9 @@ class GradBundle:
     ``as_matrix``, one form of g, the shapes against ``layer`` and, where g
     is known, the chain-rule identities (a factored g is formed densely for
     the check). Its fields cannot be rebound, and its layer cannot change,
-    so nothing is checked again for that layer. ``lora_raw_grads`` and
-    ``model.backward`` build theirs from checked values, without the check.
+    so nothing is checked again for that layer. ``lora_raw_grads``,
+    ``model.backward`` and ``optim.lorapro_adamw_step`` (a factor-only one)
+    build theirs from checked values, without the check.
     The arrays are neither copied nor frozen: one written in place is not
     re-read.
     """
@@ -237,6 +239,27 @@ def equivalent_gradient(
     return out
 
 
+def _stacked_grams(layer: LoraLayer) -> np.ndarray:
+    """``layer``'s Grams (B^T B, A A^T), stacked and symmetrized."""
+    b, a = layer.b, layer.a
+    grams = np.array((b.T @ b, a @ a.T))
+    return 0.5 * (grams + grams.transpose(0, 2, 1))
+
+
+def factor_ranks(layer: LoraLayer) -> tuple[int, int]:
+    """The numerical ranks of ``layer``'s B and A, as its ``TangentGeometry``
+    counts them: the same rule on the same Grams' eigenvalues, with no
+    eigenvectors and no damping formed."""
+    try:
+        eigvals = np.linalg.eigvalsh(_stacked_grams(layer))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh failure is pathological
+        raise EigenDecompositionError(
+            "symmetric eigendecomposition of the layer Grams did not converge"
+        ) from exc
+    rank_b, rank_a = _gram_rank(eigvals).tolist()
+    return rank_b, rank_a
+
+
 class TangentGeometry:
     """The Gram geometry of one layer at one step, shared by every solve on it.
 
@@ -261,9 +284,7 @@ class TangentGeometry:
     def __init__(self, layer: LoraLayer, policy: DampingPolicy = DampingPolicy()):
         self.layer = layer
         self.policy = policy
-        b, a = layer.b, layer.a
-        grams = np.array((b.T @ b, a @ a.T))
-        self._grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+        self._grams = _stacked_grams(layer)
         self._damping = (policy.damping_for(self._grams[0]), policy.damping_for(self._grams[1]))
         try:
             self._w, self._v = np.linalg.eigh(self._grams)

@@ -39,6 +39,7 @@ from .gradadjust import (
     _check_pair_shapes,
     adjust,
     equivalent_gradient,
+    factor_ranks,
     loss_decrease_certificate,
 )
 from .linalg import as_matrix, build_unchecked, replace_unchecked
@@ -276,8 +277,10 @@ class Trainer:
     merged w0s) and one loop that computes, checks and records each layer's
     update, committing none until all pass; an error gains its layer and step.
     Layers are values (``lora.LoraLayer``): a step replaces each layer.
-    ``geometries`` caches each committed layer's TangentGeometry for the next
-    step and is never saved; a step rebuilds one whose layer was replaced.
+    ``geometries`` caches each committed LoRA-Pro layer's TangentGeometry for
+    the next step and is never saved; a step rebuilds one whose layer was
+    replaced. A ``lora`` or ``full_ft`` layer's entry is None: a ``lora``
+    step counts its ranks by ``gradadjust.factor_ranks`` alone.
     ``states`` holds the method's AdamW states as ``checkpoint_shapes`` lists
     them. full_ft merges each adapter into w0 (w0 := w0 + s*b*a, b := 0) and
     trains w0, so every method's trained state is the layers plus ``states``.
@@ -378,17 +381,21 @@ class Trainer:
                     # needs no check of its own
                     for name, value in values.items():
                         as_matrix(value, f"new {name}")
-                    # the next step's geometry, too; full_ft's layer needs none
-                    committed = (None if cfg.method == "full_ft"
-                                 else TangentGeometry(new_layer, self.policy))
+                    # the next step's geometry, which counts the ranks too; a
+                    # lora layer needs its ranks alone, full_ft's neither
+                    committed, ranks = None, (None, None)
+                    if cfg.method == "lora":
+                        ranks = factor_ranks(new_layer)
+                    elif cfg.method != "full_ft":
+                        committed = TangentGeometry(new_layer, self.policy)
+                        ranks = committed.rank_b, committed.rank_a
                 except LoraProError as exc:
                     exc.args = (f"layer {i}: {exc}",)
                     raise
                 new_layers.append(new_layer)
                 new_geometries.append(committed)
                 new_states += layer_states
-                metrics.append(LayerMetrics(layer_discrepancy, getattr(committed, "rank_a", None),
-                                            getattr(committed, "rank_b", None), certificate))
+                metrics.append(LayerMetrics(layer_discrepancy, ranks[1], ranks[0], certificate))
         except LoraProError as exc:
             # the message gains the step; the type and what the error carries
             # (a SpectrumError's pair, a FactorizationError's leading minor) stay
@@ -428,12 +435,7 @@ class Trainer:
         if geometry is None or geometry.layer is not layer:
             geometry = TangentGeometry(layer, self.policy)
         adjusted = adjust(layer, grad, strategy="zero", policy=self.policy, geometry=geometry)
-        # lora_pro_adamw's moments need the m x n equivalent gradient, which
-        # then serves the discrepancy, too, where it forms the residual
-        g_tilde = None
-        if cfg.method == "lora_pro_adamw":
-            g_tilde = equivalent_gradient(layer, adjusted.g_a, adjusted.g_b, checked=True)
-        layer_discrepancy = discrepancy(grad, adjusted.g_a, adjusted.g_b, g_tilde)
+        layer_discrepancy = discrepancy(grad, adjusted.g_a, adjusted.g_b)
         del grad  # from here the projection of ``adjusted`` alone holds the bundle
         certificate = loss_decrease_certificate(adjusted, hp_now.lr)
         if certificate > CERTIFICATE_CEILING:
@@ -444,13 +446,14 @@ class Trainer:
             new_layer = lorapro_sgd_step(adjusted.projection, hp_now, cfg.x_strategy)
             new_states, moments = [], {}
         else:
-            del adjusted  # with its projection and the bundle: the AdamW step reads g_tilde alone
-            # g_tilde is consumed: it now holds the Adam direction
+            # the AdamW step reads the X = 0 pair alone, so the projection,
+            # and with it the bundle, is dropped before it allocates
+            g_a, g_b = adjusted.g_a, adjusted.g_b
+            del adjusted
             new_layer, state = lorapro_adamw_step(
-                geometry, next(states), g_tilde, hp_now, cfg.x_strategy
+                geometry, next(states), g_a, g_b, hp_now, cfg.x_strategy
             )
             new_states, moments = [state], {"v": state.v}
-            del g_tilde  # free before the next layer allocates its own
         values = {"b": new_layer.b, "a": new_layer.a, **moments}
         return new_layer, new_states, values, layer_discrepancy, certificate
 

@@ -15,16 +15,20 @@ step to step: one matrix's two moments and its step count.
 
 The LoRA-Pro steps start from what one adjustment already solved: the SGD
 step from the X = 0 ``Projection`` of the layer's gradients, which it
-shifts by the strategy's X, and the AdamW step from the equivalent gradient
-of that projection, with the layer's ``TangentGeometry``.
+shifts by the strategy's X, and the AdamW step from that projection's X = 0
+pair, with the layer's ``TangentGeometry``. The AdamW step forms the pair's
+equivalent gradient, the new moments, the Adam direction and the
+direction's re-projection onto the factors in one pass per block of rows,
+so beside its two new moments it holds no m x n array; the Adam arithmetic
+of a block is ``adamw_transform``'s, operation for operation.
 
 All step functions are functional: they return fresh layer/state values and
 write to no input but a buffer handed over for the moment-transformed
-direction. ``lorapro_adamw_step`` always consumes its ``g_tilde`` that way;
-``adamw_transform`` and ``full_ft_adamw_step`` consume the buffer passed as
-``out``, if any. The values they return are computed from inputs that were
-checked where they entered, so they are built without re-running the
-constructors' checks: a layer by ``lora.derived``, its new arrays read-only.
+direction: ``adamw_transform`` and ``full_ft_adamw_step`` consume the buffer
+passed as ``out``, if any. The values they return are computed from inputs
+that were checked where they entered, so they are built without re-running
+the constructors' checks: a layer by ``lora.derived``, its new arrays
+read-only.
 """
 
 from __future__ import annotations
@@ -35,8 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .gradadjust import GradBundle, Projection, TangentGeometry, adjust, lora_raw_grads, shift
-from .linalg import as_matrix, replace_unchecked
+from .gradadjust import (
+    GradBundle,
+    Projection,
+    TangentGeometry,
+    _check_pair_shapes,
+    adjust,
+    shift,
+)
+from .linalg import as_matrix, build_unchecked, replace_unchecked
 from .lora import LoraLayer, apply_decayed_merge_step, derived
 
 __all__ = [
@@ -52,6 +63,9 @@ __all__ = [
 ]
 
 SCHEDULES = ("constant", "cosine_with_warmup")
+# The size of each of lorapro_adamw_step's two block buffers, in bytes: a
+# block is max(1, BLOCK_BYTES // (8 n)) rows of an m x n layer.
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -133,6 +147,32 @@ def lr_at(hp: HyperParams, step: int, total_steps: int) -> float:
     return hp.lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
+def _adam_rows(m0, v0, grad, hp: HyperParams, t: int, m, v, direction, scratch):
+    """The Adam arithmetic of step ``t`` on one set of rows, into the buffers given.
+
+    m = beta1*m0 + (1-beta1)*grad,  v = beta2*v0 + (1-beta2)*grad**2,
+    direction = (m / (1-beta1**t)) / (sqrt(v / (1-beta2**t)) + epsilon),
+    the same operations in the same order wherever it runs, so a row
+    computed in a block has the bits of that row computed whole. ``grad``
+    is read in full before ``direction`` is written, so ``direction`` may
+    be its buffer; ``scratch`` is any float64 buffer of grad's shape.
+    """
+    beta1, beta2 = hp.beta1, hp.beta2
+    np.multiply(grad, 1.0 - beta1, out=scratch)
+    np.multiply(m0, beta1, out=m)
+    m += scratch
+    np.square(grad, out=scratch)
+    scratch *= 1.0 - beta2
+    np.multiply(v0, beta2, out=v)
+    v += scratch
+    np.divide(m, 1.0 - beta1**t, out=direction)
+    np.divide(v, 1.0 - beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += hp.epsilon
+    direction /= scratch
+    return direction
+
+
 def adamw_transform(
     state: AdamWState,
     grad: np.ndarray,
@@ -164,25 +204,11 @@ def adamw_transform(
     ):
         kind = getattr(out, "dtype", type(out).__name__)
         raise ShapeError(f"out must be a float64 {grad.shape} array, got {kind} {np.shape(out)}")
+    # the two new moments, the direction and one scratch array
+    m, v, scratch = np.empty(grad.shape), np.empty(grad.shape), np.empty(grad.shape)
+    direction = np.empty(grad.shape) if out is None else out
     t = state.t + 1
-    beta1, beta2 = hp.beta1, hp.beta2
-    # m = beta1*m + (1-beta1)*g,  v = beta2*v + (1-beta2)*g**2,
-    # direction = (m / (1-beta1**t)) / (sqrt(v / (1-beta2**t)) + epsilon),
-    # in the two new moments, the direction and one scratch array, with the
-    # same operations in the same order
-    scratch = np.multiply(grad, 1.0 - beta1)
-    m = np.multiply(state.m, beta1)
-    m += scratch
-    np.square(grad, out=scratch)
-    scratch *= 1.0 - beta2
-    v = np.multiply(state.v, beta2)
-    v += scratch
-    # grad is not read again, so out may be its buffer
-    direction = np.divide(m, 1.0 - beta1**t, out=out)
-    np.divide(v, 1.0 - beta2**t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += hp.epsilon
-    direction /= scratch
+    _adam_rows(state.m, state.v, grad, hp, t, m, v, direction, scratch)
     return direction, replace_unchecked(state, m=m, v=v, t=t)
 
 
@@ -209,32 +235,73 @@ def lorapro_sgd_step(
 def lorapro_adamw_step(
     geometry: TangentGeometry,
     state: AdamWState,
-    g_tilde: np.ndarray,
+    g_a: np.ndarray,
+    g_b: np.ndarray,
     hp: HyperParams,
     x_strategy: str = "sylvester",
 ) -> tuple[LoraLayer, AdamWState]:
     """AdamW on the equivalent gradient of the layer ``geometry`` describes.
 
-    ``g_tilde`` is the equivalent gradient of the X = 0 adjustment of the
-    layer's gradients (X cannot change the equivalent gradient, so the
-    cheapest choice serves), a float64 array of the layer's shape. The step
-    runs it through the moment transform, re-projects the result onto the
-    factor shapes, adjusts it in ``geometry`` with the configured X
-    selection, applies decomposed weight decay, then updates the factors.
+    (``g_a``, ``g_b``) is the X = 0 adjustment of the layer's gradients (X
+    cannot change the equivalent gradient, so the cheapest choice serves):
+    float64 arrays of the shapes of A and B, derived from checked values.
+    The step runs the equivalent gradient g~ = s*(B g_a + g_b A) through the
+    moment transform, re-projects the direction D onto the factor shapes as
+    (s*B^T D, s*D A^T), adjusts that pair in ``geometry`` with the
+    configured X selection, applies decomposed weight decay, then updates
+    the factors.
 
-    ``g_tilde`` is consumed: the step overwrites it with the
-    moment-transformed direction, so the m x n working set of the step is
-    the two new moments, that buffer and one scratch array. No other input
-    is written to.
+    The m x n work runs in one pass per block of rows: each block forms its
+    rows of g~, writes its rows of the new moments, turns them into its rows
+    of D and adds them into the re-projected pair. So no m x n g~, direction
+    or scratch array exists: the step's m x n working set is its two new
+    moments and two block buffers of ``BLOCK_BYTES`` each. A row's moments
+    have the bits ``adamw_transform`` gives it, and a layer of one block
+    takes the arithmetic of ``equivalent_gradient``, ``adamw_transform`` and
+    ``lora_raw_grads`` whole. No input is written to.
     """
     layer = geometry.layer
     if state.m.shape != layer.shape:
         raise ShapeError(
             f"moment shape {state.m.shape} does not match layer shape {layer.shape}"
         )
-    direction, state = adamw_transform(state, g_tilde, hp, out=g_tilde)
-
-    reprojected = lora_raw_grads(layer, direction)
+    # the block buffers are float64; the entries are not read to check them
+    for name, value in (("g_a", g_a), ("g_b", g_b)):
+        if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+            kind = getattr(value, "dtype", type(value).__name__)
+            raise ShapeError(f"{name} must be a float64 array, got {kind}")
+    _check_pair_shapes(layer, g_a, g_b)
+    m, n = layer.shape
+    s, b, a_t = layer.scaling, layer.b, layer.a.T
+    t = state.t + 1
+    rows = min(m, max(1, BLOCK_BYTES // (8 * n)))
+    new_m, new_v = np.empty((m, n)), np.empty((m, n))
+    tilde, scratch = np.empty((rows, n)), np.empty((rows, n))
+    raw_a, raw_b = None, np.empty((m, layer.rank))
+    for start in range(0, m, rows):
+        block = slice(start, min(start + rows, m))
+        til, scr = tilde[: block.stop - start], scratch[: block.stop - start]
+        # g~'s rows as equivalent_gradient forms them: s*(B g_a) + s*(g_b A)
+        np.matmul(b[block], g_a, out=til)
+        til *= s
+        np.matmul(g_b[block], layer.a, out=scr)
+        scr *= s
+        til += scr
+        # the direction's rows overwrite g~'s, which the moments have read
+        direction = _adam_rows(state.m[block], state.v[block], til, hp, t,
+                               new_m[block], new_v[block], til, scr)
+        # B^T D sums over the row blocks; D A^T is D's rows times A^T
+        part = b[block].T @ direction
+        if raw_a is None:
+            raw_a = part
+        else:
+            raw_a += part
+        np.matmul(direction, a_t, out=raw_b[block])
+    del tilde, scratch, til, scr, direction  # free the block buffers before adjust allocates
+    raw_a *= s
+    raw_b *= s
+    # a factor-only bundle of values derived from checked ones
+    reprojected = build_unchecked(GradBundle, layer=layer, g_a_lora=raw_a, g_b_lora=raw_b)
     second = adjust(
         layer, reprojected, strategy=x_strategy, policy=geometry.policy, geometry=geometry
     )
@@ -245,7 +312,7 @@ def lorapro_adamw_step(
         b=layer.b - hp.lr * second.g_b,
         a=layer.a - hp.lr * second.g_a,
     )
-    return layer, state
+    return layer, replace_unchecked(state, m=new_m, v=new_v, t=t)
 
 
 def lora_adamw_step(

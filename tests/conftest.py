@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lorapro import DampingPolicy, LoraLayer, TangentGeometry, adjust, equivalent_gradient
+from lorapro import DampingPolicy, LoraLayer, TangentGeometry, adjust
 from lorapro.optim import lorapro_adamw_step
 
 # exact Gram inversion for hand-value tests; damped behavior has its own tests
@@ -30,11 +30,10 @@ def unit_instance():
 
 def adamw_step(layer, state, bundle, hp, policy=DampingPolicy(), x_strategy="sylvester"):
     """``lorapro_adamw_step`` as the trainer calls it: in the layer's geometry,
-    on the equivalent gradient of the X = 0 adjustment of ``bundle``."""
+    on the X = 0 adjustment of ``bundle``."""
     geometry = TangentGeometry(layer, policy)
     zero = adjust(layer, bundle, "zero", policy, geometry=geometry)
-    g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
-    return lorapro_adamw_step(geometry, state, g_tilde, hp, x_strategy)
+    return lorapro_adamw_step(geometry, state, zero.g_a, zero.g_b, hp, x_strategy)
 
 
 def assert_layer_is_value(layer, copied=(), shared=None):

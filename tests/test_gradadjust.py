@@ -24,6 +24,7 @@ from lorapro.gradadjust import (
     adjust,
     choose_x,
     equivalent_gradient,
+    factor_ranks,
     lora_raw_grads,
     loss_decrease_certificate,
     shift,
@@ -503,6 +504,29 @@ def test_geometry_ranks_follow_numerical_rank(factors):
     assert (geometry.rank_a, geometry.rank_b) == (numerical_rank(a), numerical_rank(b))
     # counted once, at construction, into plain ints
     assert type(vars(geometry)["rank_a"]) is type(vars(geometry)["rank_b"]) is int
+    # a lora step reads the same ranks from the Grams' eigenvalues alone
+    assert factor_ranks(layer) == (geometry.rank_b, geometry.rank_a)
+
+
+RANK_LAYERS = {
+    "random": lambda rng: (rng.normal(size=(9, 3)), rng.normal(size=(3, 7))),
+    "rank-1": lambda rng: (np.outer(rng.normal(size=9), rng.normal(size=3)),
+                           np.outer(rng.normal(size=3), rng.normal(size=7))),
+    "b-zero": lambda rng: (np.zeros((9, 3)), rng.normal(size=(3, 7))),
+}
+
+
+@pytest.mark.parametrize("make", list(RANK_LAYERS.values()), ids=list(RANK_LAYERS))
+def test_factor_ranks_are_the_geometry_ranks(make):
+    # the rank-only route a lora step takes: the same stacked Grams and rule
+    # as TangentGeometry, with no eigenvectors and no damping
+    rng = np.random.default_rng(48)
+    b, a = make(rng)
+    layer = LoraLayer(w0=np.zeros((9, 7)), b=b, a=a, scaling=2.0)
+    geometry = TangentGeometry(layer)
+    ranks = factor_ranks(layer)
+    assert ranks == (geometry.rank_b, geometry.rank_a) == (numerical_rank(b), numerical_rank(a))
+    assert all(type(rank) is int for rank in ranks)
 
 
 @st.composite

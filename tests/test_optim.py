@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXACT, adamw_step, assert_layer_is_value
+from lorapro import optim
 from lorapro.errors import ShapeError
 from lorapro.gradadjust import (
+    X_STRATEGIES,
     DampingPolicy,
     TangentGeometry,
     adjust,
     equivalent_gradient,
     lora_raw_grads,
 )
-from lorapro.lora import LoraLayer, effective_weight
+from lorapro.lora import LoraLayer, apply_decayed_merge_step, effective_weight
 from lorapro.model import Batch, Network, backward, forward
 from lorapro.optim import (
     AdamWState,
@@ -154,19 +158,22 @@ def test_adamw_moment_recurrences_replay(unit_instance):
         assert states[k].t == k
 
 
-@pytest.mark.parametrize("make", [lambda rng: rng.normal(size=(5, 6)),
-                                  lambda rng: rng.normal(size=(6, 4)),
-                                  lambda rng: rng.normal(size=(6, 5)).astype(np.float32),
-                                  lambda rng: rng.normal(size=(6, 5)).tolist()],
+@pytest.mark.parametrize("make", [lambda rng: (rng.normal(size=(5, 2)), rng.normal(size=(2, 6))),
+                                  lambda rng: (rng.normal(size=(1, 5)), rng.normal(size=(6, 1))),
+                                  lambda rng: (rng.normal(size=(2, 5)).astype(np.float32),
+                                               rng.normal(size=(6, 2))),
+                                  lambda rng: (rng.normal(size=(2, 5)),
+                                               rng.normal(size=(6, 2)).tolist())],
                          ids=["transposed", "narrow", "float32", "list"])
 def test_adamw_step_rejects_g_tilde_of_another_shape(make):
-    # the step writes its Adam direction into g_tilde, so it takes only a
-    # float64 array of the layer's shape
+    # the step forms g_tilde's rows from the X = 0 pair in float64 block
+    # buffers, so it takes only a float64 pair of the factors' shapes: a pair
+    # whose g_tilde would come out of another shape, or not float64, is refused
     rng = np.random.default_rng(45)
     layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
                       a=rng.normal(size=(2, 5)), scaling=2.0)
-    with pytest.raises(ShapeError):
-        lorapro_adamw_step(TangentGeometry(layer), init_adamw_state((6, 5)), make(rng),
+    with pytest.raises(ShapeError, match=r"g_(a|b) must be (a float64 array|2x5|6x2), got"):
+        lorapro_adamw_step(TangentGeometry(layer), init_adamw_state((6, 5)), *make(rng),
                            HyperParams(lr=0.01))
 
 
@@ -225,24 +232,73 @@ def test_adamw_transform_out_must_match_the_state():
 
 
 def test_adamw_step_without_g_tilde_mutates_no_input():
+    # the step forms g_tilde block by block in buffers of its own, so it
+    # consumes no input: none of them, the X = 0 pair included, is written
     rng = np.random.default_rng(46)
     layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
                       a=rng.normal(size=(2, 5)), scaling=2.0)
     state = AdamWState(m=rng.normal(size=(6, 5)), v=rng.normal(size=(6, 5)) ** 2, t=3)
     bundle = lora_raw_grads(layer, rng.normal(size=(6, 5)))
-    inputs = (layer.w0, layer.b, layer.a, state.m, state.v,
-              bundle.g_a_lora, bundle.g_b_lora, bundle.g_full)
-    before = [x.tobytes() for x in inputs]
     geometry = TangentGeometry(layer)
     zero = adjust(layer, bundle, "zero", geometry=geometry)
-    g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
-    hp = HyperParams(lr=0.01, weight_decay=0.1)
-    direction, _ = adamw_transform(state, g_tilde, hp)
-    lorapro_adamw_step(geometry, state, g_tilde, hp)
-    # g_tilde alone is consumed: it now holds the step's Adam direction
-    assert g_tilde.tobytes() == direction.tobytes()
+    inputs = (layer.w0, layer.b, layer.a, state.m, state.v,
+              bundle.g_a_lora, bundle.g_b_lora, bundle.g_full, zero.g_a, zero.g_b)
+    before = [x.tobytes() for x in inputs]
+    lorapro_adamw_step(geometry, state, zero.g_a, zero.g_b, HyperParams(lr=0.01, weight_decay=0.1))
     assert [x.tobytes() for x in inputs] == before
     assert state.t == 3
+
+
+# (m, rows per block): one block of one row, several full blocks, and several
+# blocks whose last one is short
+BLOCKINGS = {"one-row": (1, 1), "several-blocks": (12, 3), "ragged-last-block": (11, 4)}
+
+
+@pytest.mark.parametrize("x_strategy", X_STRATEGIES)
+@pytest.mark.parametrize("m, rows", list(BLOCKINGS.values()), ids=list(BLOCKINGS))
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_blocked_adamw_step_matches_the_whole_array_reference(m, rows, x_strategy, data):
+    # the step's row blocks against the whole-array chain it replaces:
+    # equivalent_gradient, adamw_transform, lora_raw_grads and adjust. Each
+    # row's moments take the same operations in the same order, so they
+    # match bit for bit; s*B^T*D sums over the blocks, so the factors match
+    # to rounding, and bit for bit where the layer is one block
+    n = data.draw(st.integers(1, 7), label="n")
+    r = data.draw(st.integers(1, min(m, n)), label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    b = rng.normal(size=(m, r))
+    if data.draw(st.booleans(), label="b is zero"):  # the standard initialization
+        b = np.zeros((m, r))
+    layer = LoraLayer(w0=rng.normal(size=(m, n)), b=b, a=rng.normal(size=(r, n)), scaling=1.7)
+    t = data.draw(st.sampled_from([0, 1, 9]), label="t")
+    state = AdamWState(m=rng.normal(size=(m, n)), v=rng.normal(size=(m, n)) ** 2, t=t)
+    hp = HyperParams(lr=0.01, weight_decay=data.draw(st.sampled_from([0.0, 0.3]), label="wd"))
+    bundle = lora_raw_grads(layer, rng.normal(size=(m, n)))
+    geometry = TangentGeometry(layer)
+    zero = adjust(layer, bundle, "zero", geometry=geometry)
+
+    g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
+    direction, expected = adamw_transform(state, g_tilde, hp)
+    second = adjust(layer, lora_raw_grads(layer, direction), x_strategy, geometry=geometry)
+    decayed = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
+    want = {"b": decayed.b - hp.lr * second.g_b, "a": decayed.a - hp.lr * second.g_a}
+
+    inputs = (layer.w0, layer.b, layer.a, state.m, state.v, zero.g_a, zero.g_b)
+    before = [x.tobytes() for x in inputs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "BLOCK_BYTES", rows * 8 * n)
+        out, got = lorapro_adamw_step(geometry, state, zero.g_a, zero.g_b, hp, x_strategy)
+    assert [x.tobytes() for x in inputs] == before
+    assert got.m.tobytes() == expected.m.tobytes() and got.v.tobytes() == expected.v.tobytes()
+    assert got.t == t + 1
+    assert out.w0.tobytes() == decayed.w0.tobytes()
+    for name, value in want.items():
+        if rows >= m:
+            assert getattr(out, name).tobytes() == value.tobytes(), name
+        else:
+            gap = np.linalg.norm(getattr(out, name) - value)
+            assert gap <= 1e-14 * np.linalg.norm(value), name
 
 
 def test_adamw_shape_mismatch(unit_instance):
@@ -296,9 +352,9 @@ def test_each_step_returns_a_layer_value(step):
     elif step == "lorapro_adamw":
         geometry = TangentGeometry(layer)
         zero = adjust(layer, bundle, "zero", geometry=geometry)
-        g_tilde = equivalent_gradient(layer, zero.g_a, zero.g_b)
-        out, state = lorapro_adamw_step(geometry, init_adamw_state((6, 5)), g_tilde, hp)
-        given += [g_tilde, state.m, state.v]
+        out, state = lorapro_adamw_step(geometry, init_adamw_state((6, 5)), zero.g_a, zero.g_b,
+                                        hp)
+        given += [zero.g_a, zero.g_b, state.m, state.v]
     else:
         out, sa, sb = lora_adamw_step(layer, init_adamw_state((2, 5)), init_adamw_state((6, 2)),
                                       bundle, hp)
