@@ -120,37 +120,27 @@ class CompareResult:
     json_path: Path
 
 
-def discrepancy(
-    bundle: GradBundle,
-    g_a: np.ndarray,
-    g_b: np.ndarray,
-    g_tilde: np.ndarray | None = None,
-) -> float:
+def discrepancy(bundle: GradBundle, g_a: np.ndarray, g_b: np.ndarray) -> float:
     """||g_tilde - g||_F, for g_tilde the equivalent gradient of (g_a, g_b) on the
     bundle's layer and g the bundle's.
 
     ``g_a`` and ``g_b`` are taken as ``equivalent_gradient(checked=True)``
-    takes them; ``g_tilde``, if given, is their equivalent gradient, already
-    formed, and is not written. For a factored g = x^T delta,
-    g_tilde - g = U V^T with U = [s B, s g_b, -x^T] and
-    V = [g_a^T, A^T, delta^T], so its squared norm is
-    sum((U^T U) o (V^T V)): two k x k Grams, k = 2r + batch, and no m x n
-    array. Their sum's rounding error is a small multiple of eps times
+    takes them. For a factored g = x^T delta, g_tilde - g = U V^T with
+    U = [s B, s g_b, -x^T] and V = [g_a^T, A^T, delta^T], so its squared
+    norm is sum((U^T U) o (V^T V)): two k x k Grams, k = 2r + batch, and no
+    m x n array. Their sum's rounding error is a small multiple of eps times
     (sum_i |u_i| |v_i|)^2 over the columns of U and V, at most k times the
     sum of the diagonal terms, so where the sum falls below
     ``DISCREPANCY_CANCELLATION`` times that bound (g_tilde close to g) the
     residual is formed densely, as it is for a dense g.
 
-    A pair not shaped as the layer's A and B, or a ``g_tilde`` not shaped
-    as the layer, raises ShapeError before either route. A non-finite entry
-    in the pair or the bundle raises NonFiniteError ("g_tilde - g contains
-    non-finite entries"), and so does a norm that overflows, with no numpy
-    warning first.
+    A pair not shaped as the layer's A and B raises ShapeError before either
+    route. A non-finite entry in the pair or the bundle raises NonFiniteError
+    ("g_tilde - g contains non-finite entries"), and so does a norm that
+    overflows, with no numpy warning first.
     """
     layer = bundle.layer
     _check_pair_shapes(layer, g_a, g_b)
-    if g_tilde is not None and np.shape(g_tilde) != layer.shape:
-        raise ShapeError(f"g_tilde must be {layer.shape}, got {np.shape(g_tilde)}")
     r = layer.rank
     if bundle.x is None and bundle.g_full is None:
         raise ShapeError("the bundle holds no full gradient to measure the discrepancy from")
@@ -169,11 +159,8 @@ def discrepancy(
             bound = DISCREPANCY_CANCELLATION * len(terms) * terms.trace()
             if math.isfinite(total) and total >= bound:
                 return math.sqrt(total)
-        if g_tilde is None:
-            residual = equivalent_gradient(layer, g_a, g_b, checked=True)
-            residual -= bundle.full_gradient()
-        else:
-            residual = np.subtract(g_tilde, bundle.full_gradient())
+        residual = equivalent_gradient(layer, g_a, g_b, checked=True)
+        residual -= bundle.full_gradient()
         norm = float(np.linalg.norm(as_matrix(residual, "g_tilde - g")))
     if not math.isfinite(norm):
         raise NonFiniteError(f"||g_tilde - g|| overflows to {norm}")

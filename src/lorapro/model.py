@@ -40,6 +40,17 @@ ACTIVATIONS = ("identity", "relu", "tanh")
 LOSS_KINDS = ("mse", "softmax_cross_entropy")
 
 
+def _check_kinds(count: int, noun: str, activations: Sequence[str], loss_kind: str) -> None:
+    """One known activation per layer of ``count`` (``noun`` names them), and a known loss."""
+    if count != len(activations):
+        raise ShapeError(f"{count} {noun} but {len(activations)} activations")
+    for act in activations:
+        if act not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
+
+
 @dataclass
 class Network:
     layers: list[LoraLayer]
@@ -47,15 +58,7 @@ class Network:
     loss_kind: str = "mse"
 
     def __post_init__(self):
-        if len(self.layers) != len(self.activations):
-            raise ShapeError(
-                f"{len(self.layers)} layers but {len(self.activations)} activations"
-            )
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}, expected one of {LOSS_KINDS}")
+        _check_kinds(len(self.layers), "layers", self.activations, self.loss_kind)
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.shape[1] != nxt.shape[0]:
                 raise ShapeError(
@@ -185,6 +188,7 @@ def forward_with_weights(
     batch: Batch,
 ) -> tuple[float, ForwardCache]:
     """Forward pass over explicit per-layer weights (used directly by full fine-tuning)."""
+    _check_kinds(len(weights), "weights", activations, loss_kind)
     pre, post = [], [batch.inputs]
     for i, (w, act) in enumerate(zip(weights, activations)):
         if post[-1].shape[1] != w.shape[0]:
@@ -228,7 +232,12 @@ def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
 
 
 def backward_weight_grads(cache: ForwardCache) -> list[np.ndarray]:
-    """Exact batch-loss gradient with respect to each layer's weight matrix."""
+    """Exact batch-loss gradient with respect to each layer's weight matrix.
+
+    A cache of ``forward`` holds no weights and raises ShapeError.
+    """
+    if cache.weights is None:
+        raise ShapeError("a forward cache holds no weights; backward takes its gradients")
     delta = _loss_grad(cache.post_activations[-1], cache.batch, cache.loss_kind)
     grads: list[np.ndarray] = [None] * len(cache.weights)  # type: ignore[list-item]
     for i in reversed(range(len(cache.weights))):

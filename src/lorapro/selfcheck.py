@@ -300,7 +300,7 @@ def check_certificate(instances, adjust_fn=adjust) -> PropertyResult:
     return _result("descent_certificate", worst, 1e-12, len(instances))
 
 
-def check_certificate_first_order(seed: int) -> PropertyResult:
+def check_certificate_first_order(seed: int, adjust_fn=adjust) -> PropertyResult:
     """Realized loss change over lr converges to the certificate's slope.
 
     On a quadratic (mse, single linear layer) loss, the ratio of the realized
@@ -323,7 +323,7 @@ def check_certificate_first_order(seed: int) -> PropertyResult:
         net = Network(layers=[layer], activations=["identity"], loss_kind="mse")
         loss0, cache = forward(net, batch)
         bundle = backward(cache)[0]
-        adjusted = adjust(layer, bundle, strategy="sylvester", policy=EXACT)
+        adjusted = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT)
 
         deviations = []
         for gamma in gammas:
@@ -347,7 +347,7 @@ def check_certificate_first_order(seed: int) -> PropertyResult:
     return _result("descent_certificate_first_order", worst, 0.05, count)
 
 
-def check_sylvester_x_optimality(instances) -> PropertyResult:
+def check_sylvester_x_optimality(instances, adjust_fn=adjust) -> PropertyResult:
     """The Sylvester X beats 50 random perturbations per magnitude and solves its equation."""
     rng = np.random.default_rng(np.random.SeedSequence(424242))
     n_perturbations = 50
@@ -355,7 +355,7 @@ def check_sylvester_x_optimality(instances) -> PropertyResult:
     worst_resid = 0.0
     for layer, bundle in instances:
         s = layer.scaling
-        x_star = adjust(layer, bundle, strategy="sylvester", policy=EXACT).x
+        x_star = adjust_fn(layer, bundle, strategy="sylvester", policy=EXACT).x
         best = x_objective_scan(layer, bundle, x_star)
         gram_b = layer.b.T @ layer.b
         gram_a = layer.a @ layer.a.T
@@ -383,13 +383,13 @@ def check_sylvester_x_optimality(instances) -> PropertyResult:
     )
 
 
-def check_rank_bound(instances) -> PropertyResult:
+def check_rank_bound(instances, adjust_fn=adjust) -> PropertyResult:
     """Equivalent gradients never exceed rank 2r."""
     worst = 0.0
     strict_cases = 0
     count = 0
     for layer, bundle in instances:
-        adj = adjust(layer, bundle, strategy="zero", policy=EXACT)
+        adj = adjust_fn(layer, bundle, strategy="zero", policy=EXACT)
         g_tilde = equivalent_gradient(layer, adj.g_a, adj.g_b)
         bound = 2 * layer.rank
         excess = numerical_rank(g_tilde) - bound
@@ -503,14 +503,15 @@ def check_chain_rule_and_gradients(seed: int) -> list[PropertyResult]:
 def run_selfcheck(seed: int = 0, adjust_fn: Callable = adjust) -> SelfcheckReport:
     """Run every property; the oracle's internal consistency goes first.
 
-    ``adjust_fn`` stands in for ``gradadjust.adjust`` and receives its
-    keyword arguments, ``geometry`` included: a property builds one
-    TangentGeometry per instance and passes it to each call it makes on that
-    layer. The oracle minima are computed once, for the two properties that
-    read them. A property that raises counts as failed (with the exception
-    recorded) rather than aborting the rest of the suite; an oracle that
-    raises fails both. A seed that is not a non-negative integer raises
-    ConfigError before any property runs.
+    ``adjust_fn`` stands in for ``gradadjust.adjust`` in every property that
+    adjusts, and receives its keyword arguments, ``geometry`` included: a
+    property that passes one builds one TangentGeometry per instance and
+    passes it to each call it makes on that layer. The oracle minima are
+    computed once, for the two properties that read them. A property that
+    raises counts as failed (with the exception recorded) rather than
+    aborting the rest of the suite; an oracle that raises fails both. A seed
+    that is not a non-negative integer raises ConfigError before any
+    property runs.
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"invalid seed: expected a non-negative integer, got {seed!r}")
@@ -528,9 +529,12 @@ def run_selfcheck(seed: int = 0, adjust_fn: Callable = adjust) -> SelfcheckRepor
         ("equivalent_gradient_x_invariance", lambda: check_x_invariance(instances, adjust_fn)),
         ("adjustment_idempotence", lambda: check_idempotence(instances, adjust_fn)),
         ("descent_certificate", lambda: check_certificate(instances, adjust_fn)),
-        ("descent_certificate_first_order", lambda: check_certificate_first_order(seed)),
-        ("sylvester_x_optimality", lambda: check_sylvester_x_optimality(instances)),
-        ("equivalent_gradient_rank_bound", lambda: check_rank_bound(instances)),
+        (
+            "descent_certificate_first_order",
+            lambda: check_certificate_first_order(seed, adjust_fn),
+        ),
+        ("sylvester_x_optimality", lambda: check_sylvester_x_optimality(instances, adjust_fn)),
+        ("equivalent_gradient_rank_bound", lambda: check_rank_bound(instances, adjust_fn)),
         ("chain_rule_and_gradients", lambda: check_chain_rule_and_gradients(seed)),
     ]
     report = SelfcheckReport(seed=seed)

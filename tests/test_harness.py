@@ -848,10 +848,10 @@ def test_step_discrepancy_matches_the_dense_residual(tmp_path, monkeypatch, meth
         formed.append(None)
         return dense_pair(*args, **kwargs)
 
-    def compared(bundle, g_a, g_b, g_tilde=None):
+    def compared(bundle, g_a, g_b):
         assert (bundle.x is not None) == grams
         assert (bundle.g_full is None) == grams
-        got = real(bundle, g_a, g_b, g_tilde)
+        got = real(bundle, g_a, g_b)
         g_tilde = dense_pair(bundle.layer, g_a, g_b)
         g = bundle.full_gradient()
         scale = float(np.linalg.norm(g_tilde) + np.linalg.norm(g))
@@ -981,7 +981,8 @@ def test_benchmark_tracer_wraps_a_training_step(tmp_path, monkeypatch, method):
             assert metrics[stage] > 0.0, stage
         # an adapter step forms no effective weight. The harness forms each
         # desk layer's equivalent gradient once, for the discrepancy's
-        # residual (desk's layers hold g densely) and lora_pro_adamw's moments
+        # residual alone (desk's layers hold g densely); lora_pro_adamw's step
+        # forms its own row block by row block for the moments
         assert counts.get("lora.effective_weight", 0) == 0
         assert counts["gradadjust.equivalent_gradient"] == 2
     if method.startswith("lora_pro"):
@@ -1503,6 +1504,20 @@ def test_selfcheck_flags_corrupted_adjustment():
     for r in report.results:
         if not r.passed:
             assert r.worst > r.tolerance
+
+
+def test_selfcheck_reaches_every_adjustment_through_its_stand_in(monkeypatch):
+    # with the module's own adjust unusable, a suite handed the real one
+    # passes only if no property calls the module's binding
+    import lorapro.gradadjust as gradadjust
+    import lorapro.selfcheck as selfcheck
+
+    def unusable(*args, **kwargs):
+        raise AssertionError("a property called selfcheck.adjust, not its stand-in")
+
+    monkeypatch.setattr(selfcheck, "adjust", unusable)
+    report = run_selfcheck(seed=0, adjust_fn=gradadjust.adjust)
+    assert report.passed, [r.line() for r in report.results if not r.passed]
 
 
 def test_selfcheck_certifies_the_sylvester_x_that_training_solves(monkeypatch):

@@ -221,6 +221,31 @@ def test_backward_refuses_a_cache_of_bare_weights():
         backward(cache)
 
 
+def test_backward_weight_grads_refuses_a_forward_cache():
+    x = np.random.default_rng(0).normal(size=(2, 3))
+    _, cache = forward(Network([zero_adapter_layer(np.eye(3))], ["identity"], "mse"),
+                       Batch(inputs=x, targets=x))
+    with pytest.raises(ShapeError, match="a forward cache holds no weights"):
+        backward_weight_grads(cache)
+
+
+@pytest.mark.parametrize(
+    "activations, loss_kind, error, match",
+    [
+        (["softplus", "identity"], "mse", ValueError, "unknown activation 'softplus'"),
+        (["relu", "identity"], "hinge", ValueError, "unknown loss kind 'hinge'"),
+        (["relu", "identity", "tanh"], "mse", ShapeError, "2 weights but 3 activations"),
+        (["relu"], "mse", ShapeError, "2 weights but 1 activations"),
+    ],
+    ids=["unknown-activation", "unknown-loss", "extra-activation", "missing-activation"],
+)
+def test_forward_with_weights_checks_its_kinds_as_network_does(activations, loss_kind, error,
+                                                                match):
+    batch = Batch(inputs=np.ones((2, 3)), targets=np.zeros((2, 3)))
+    with pytest.raises(error, match=match):
+        forward_with_weights([np.eye(3), np.eye(3)], activations, loss_kind, batch)
+
+
 def test_dimension_chain_validated():
     l1 = zero_adapter_layer(np.zeros((3, 4)))
     l2 = zero_adapter_layer(np.zeros((5, 2)))
