@@ -18,6 +18,7 @@ from .errors import (
     RankDeficiencyError,
     ShapeError,
     SpectrumError,
+    StateError,
 )
 from .gradadjust import (
     AdjustedGrads,
@@ -72,6 +73,7 @@ __all__ = [
     "RankDeficiencyError",
     "ShapeError",
     "SpectrumError",
+    "StateError",
     "TangentGeometry",
     "adjust",
     "apply_decayed_merge_step",

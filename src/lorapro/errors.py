@@ -53,5 +53,10 @@ class ConfigError(LoraProError, ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
+class StateError(LoraProError, ValueError):
+    """An optimizer state a step cannot write in place: its moments are
+    read-only or may share memory; the message names the fault."""
+
+
 class CheckpointError(LoraProError, ValueError):
     """A checkpoint file is damaged or is not a checkpoint; the message names the fault."""

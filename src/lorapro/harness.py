@@ -55,6 +55,7 @@ from .lora import (
 from .model import Batch, Network, backward, backward_weight_grads, forward, forward_with_weights
 from .optim import (
     AdamWState,
+    MomentWrite,
     full_ft_adamw_step,
     init_adamw_state,
     lora_adamw_step,
@@ -269,8 +270,11 @@ class Trainer:
     replaced. A ``lora`` or ``full_ft`` layer's entry is None: a ``lora``
     step counts its ranks by ``gradadjust.factor_ranks`` alone.
     ``states`` holds the method's AdamW states as ``checkpoint_shapes`` lists
-    them. full_ft merges each adapter into w0 (w0 := w0 + s*b*a, b := 0) and
-    trains w0, so every method's trained state is the layers plus ``states``.
+    them. A ``lora_pro_adamw`` step writes its states' moments in place once
+    every layer has passed, so they stay the same arrays from step to step;
+    ``lora`` and ``full_ft`` steps replace theirs. full_ft merges each
+    adapter into w0 (w0 := w0 + s*b*a, b := 0) and trains w0, so every
+    method's trained state is the layers plus ``states``.
     ``task`` is the trainer's own ``TaskData`` over the read-only arrays that
     every trainer of the same task, seed (and csv file) in the process
     shares; an adapter layer's w0 is the shared base weight itself.
@@ -365,7 +369,8 @@ class Trainer:
                     # make them non-finite, and this catches it without
                     # re-checking every intermediate. A finite second moment
                     # also bounds the gradient that fed it, so the first moment
-                    # needs no check of its own
+                    # needs no check of its own; lorapro_adamw_step checks its
+                    # new second moment block by block, as it forms it
                     for name, value in values.items():
                         as_matrix(value, f"new {name}")
                     # the next step's geometry, which counts the ranks too; a
@@ -389,16 +394,21 @@ class Trainer:
             exc.args = (f"aborting at step {self.step_count + 1}: {exc}",)
             raise
 
+        # every layer passed: the LoRA-Pro AdamW moments are written into the
+        # states' own arrays now; each write is the only one of its state, so
+        # none raises
+        self.states = [state.commit() if isinstance(state, MomentWrite) else state
+                       for state in new_states]
         net.layers[:] = new_layers
         self.geometries = new_geometries
-        self.states = new_states
         self.step_count += 1
         return RunRecord(
             step=self.step_count, lr=lr_now, train_loss=loss, per_layer=metrics
         )
 
     def _update(self, grads: list, i: int, states, hp_now) -> tuple:
-        """Layer ``i``'s update arm: its new value and states, the values to check
+        """Layer ``i``'s update arm: its new value and states (a LoRA-Pro AdamW
+        layer's as the ``MomentWrite`` a commit applies), the values to check
         before a commit, its discrepancy and its certificate. ``grads[i]`` is
         full_ft's weight gradient, which becomes the Adam direction's buffer,
         or a ``GradBundle``; it is taken out of ``grads``, so the update holds
@@ -431,17 +441,17 @@ class Trainer:
             )
         if cfg.method == "lora_pro_sgd":
             new_layer = lorapro_sgd_step(adjusted.projection, hp_now, cfg.x_strategy)
-            new_states, moments = [], {}
+            new_states = []
         else:
             # the AdamW step reads the X = 0 pair alone, so the projection,
             # and with it the bundle, is dropped before it allocates
             g_a, g_b = adjusted.g_a, adjusted.g_b
             del adjusted
-            new_layer, state = lorapro_adamw_step(
+            new_layer, write = lorapro_adamw_step(
                 geometry, next(states), g_a, g_b, hp_now, cfg.x_strategy
             )
-            new_states, moments = [state], {"v": state.v}
-        values = {"b": new_layer.b, "a": new_layer.a, **moments}
+            new_states = [write]
+        values = {"b": new_layer.b, "a": new_layer.a}
         return new_layer, new_states, values, layer_discrepancy, certificate
 
     # --- checkpointing ---------------------------------------------------

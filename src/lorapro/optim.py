@@ -19,16 +19,20 @@ shifts by the strategy's X, and the AdamW step from that projection's X = 0
 pair, with the layer's ``TangentGeometry``. The AdamW step forms the pair's
 equivalent gradient, the new moments, the Adam direction and the
 direction's re-projection onto the factors in one pass per block of rows,
-so beside its two new moments it holds no m x n array; the Adam arithmetic
-of a block is ``adamw_transform``'s, operation for operation.
+so it holds no m x n array; the Adam arithmetic of a block is
+``adamw_transform``'s, operation for operation. It decides the new moments
+and does not write them: it returns a ``MomentWrite``, whose ``commit``
+writes them into the state's own arrays once the caller has decided to keep
+the step, so no second set of m x n moments exists.
 
 All step functions are functional: they return fresh layer/state values and
 write to no input but a buffer handed over for the moment-transformed
 direction: ``adamw_transform`` and ``full_ft_adamw_step`` consume the buffer
-passed as ``out``, if any. The values they return are computed from inputs
-that were checked where they entered, so they are built without re-running
-the constructors' checks: a layer by ``lora.derived``, its new arrays
-read-only.
+passed as ``out``, if any. The one exception is ``MomentWrite.commit``,
+which updates its state in place. The values they return are computed from
+inputs that were checked where they entered, so they are built without
+re-running the constructors' checks: a layer by ``lora.derived``, its new
+arrays read-only.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError, StateError
 from .gradadjust import (
     GradBundle,
     Projection,
@@ -58,14 +62,19 @@ __all__ = [
     "adamw_transform",
     "lorapro_sgd_step",
     "lorapro_adamw_step",
+    "MomentWrite",
     "lora_adamw_step",
     "full_ft_adamw_step",
 ]
 
 SCHEDULES = ("constant", "cosine_with_warmup")
-# The size of each of lorapro_adamw_step's two block buffers, in bytes: a
-# block is max(1, BLOCK_BYTES // (8 n)) rows of an m x n layer.
+# lorapro_adamw_step's row blocks of an m x n layer. The summed s*B^T*D
+# runs over blocks of max(1, BLOCK_BYTES // (8 n)) rows, the partition that
+# fixes its bits; everything else, whose rows take the same bits in any
+# partition, runs over ADAM_BLOCKS of them at a time, in four buffers of that
+# many rows.
 BLOCK_BYTES = 64 * 1024
+ADAM_BLOCKS = 2
 
 
 @dataclass
@@ -106,7 +115,10 @@ class HyperParams:
 
 @dataclass
 class AdamWState:
-    """Exponential moment accumulators and step count for one parameter matrix."""
+    """Exponential moment accumulators and step count for one parameter matrix.
+
+    A ``MomentWrite`` commit updates all three in place.
+    """
 
     m: np.ndarray
     v: np.ndarray
@@ -147,15 +159,13 @@ def lr_at(hp: HyperParams, step: int, total_steps: int) -> float:
     return hp.lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def _adam_rows(m0, v0, grad, hp: HyperParams, t: int, m, v, direction, scratch):
-    """The Adam arithmetic of step ``t`` on one set of rows, into the buffers given.
+def _moment_rows(m0, v0, grad, hp: HyperParams, m, v, scratch) -> None:
+    """Adam's moment recurrences on one set of rows, into ``m`` and ``v``.
 
-    m = beta1*m0 + (1-beta1)*grad,  v = beta2*v0 + (1-beta2)*grad**2,
-    direction = (m / (1-beta1**t)) / (sqrt(v / (1-beta2**t)) + epsilon),
-    the same operations in the same order wherever it runs, so a row
-    computed in a block has the bits of that row computed whole. ``grad``
-    is read in full before ``direction`` is written, so ``direction`` may
-    be its buffer; ``scratch`` is any float64 buffer of grad's shape.
+    m = beta1*m0 + (1-beta1)*grad,  v = beta2*v0 + (1-beta2)*grad**2, in the
+    same operations wherever it runs. ``m`` may be ``m0`` and ``v`` may be
+    ``v0``, which updates the moments in place with the same bits; ``scratch``
+    is any float64 buffer of grad's shape.
     """
     beta1, beta2 = hp.beta1, hp.beta2
     np.multiply(grad, 1.0 - beta1, out=scratch)
@@ -165,12 +175,38 @@ def _adam_rows(m0, v0, grad, hp: HyperParams, t: int, m, v, direction, scratch):
     scratch *= 1.0 - beta2
     np.multiply(v0, beta2, out=v)
     v += scratch
-    np.divide(m, 1.0 - beta1**t, out=direction)
-    np.divide(v, 1.0 - beta2**t, out=scratch)
+
+
+def _adam_rows(m0, v0, grad, hp: HyperParams, t: int, m, v, direction, scratch):
+    """The Adam arithmetic of step ``t`` on one set of rows, into the buffers given.
+
+    ``_moment_rows``, then direction = (m / (1-beta1**t)) / (sqrt(v /
+    (1-beta2**t)) + epsilon), the same operations in the same order
+    wherever it runs, so a row computed in a block has the bits of that row
+    computed whole. ``grad`` is read in full before ``direction`` is
+    written, so ``direction`` may be its buffer.
+    """
+    _moment_rows(m0, v0, grad, hp, m, v, scratch)
+    np.divide(m, 1.0 - hp.beta1**t, out=direction)
+    np.divide(v, 1.0 - hp.beta2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += hp.epsilon
     direction /= scratch
     return direction
+
+
+def _tilde_rows(layer: LoraLayer, g_a, g_b, start: int, stop: int, tilde, scratch):
+    """Rows ``start:stop`` of g~ = s*(B g_a) + s*(g_b A), as ``equivalent_gradient``
+    forms them, into the first rows of ``tilde``; the view is returned.
+    ``scratch`` is a float64 buffer of tilde's shape, free again on return.
+    """
+    til, scr = tilde[: stop - start], scratch[: stop - start]
+    np.matmul(layer.b[start:stop], g_a, out=til)
+    til *= layer.scaling
+    np.matmul(g_b[start:stop], layer.a, out=scr)
+    scr *= layer.scaling
+    til += scr
+    return til
 
 
 def adamw_transform(
@@ -232,6 +268,54 @@ def lorapro_sgd_step(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class MomentWrite:
+    """The new moments a LoRA-Pro AdamW step decided on, not yet written.
+
+    ``commit`` writes them into ``state``'s own m and v and advances its step
+    count, in place, and returns the state. It copies the last row block's
+    moments, which ``m_rows`` and ``v_rows`` still hold, then recomputes
+    each earlier block's rows of g~ from ``layer`` and the X = 0 pair
+    (``g_a``, ``g_b``) by the step's own operations, in those two buffers, so
+    the moments take the bits the step's direction was formed from and the
+    commit allocates no array. A layer of one block recomputes nothing.
+
+    The step checked every value the commit forms, so a commit onto the
+    state as the step found it raises nothing. A write commits once: one
+    whose state's step count has moved since the step (it was committed, or
+    another write of the same state was) raises StateError and writes
+    nothing. Nothing else may write to the state or the pair in between. An
+    interrupt during a commit leaves the moments half-written.
+    """
+
+    state: AdamWState
+    layer: LoraLayer
+    g_a: np.ndarray
+    g_b: np.ndarray
+    hp: HyperParams
+    t: int  # the state's step count once committed
+    last: int  # the first row of the last block
+    m_rows: np.ndarray
+    v_rows: np.ndarray
+
+    def commit(self) -> AdamWState:
+        state, last, m_rows, v_rows = self.state, self.last, self.m_rows, self.v_rows
+        if state.t != self.t - 1:
+            raise StateError(f"a moment write commits once: it was decided at step count "
+                             f"{self.t - 1}, and the state is at {state.t}")
+        rows_left = state.m.shape[0] - last
+        state.m[last:] = m_rows[:rows_left]
+        state.v[last:] = v_rows[:rows_left]
+        span = m_rows.shape[0]
+        for start in range(0, last, span):  # every block before the last is whole
+            stop = start + span
+            til = _tilde_rows(self.layer, self.g_a, self.g_b, start, stop, m_rows, v_rows)
+            m, v = state.m[start:stop], state.v[start:stop]
+            _moment_rows(m, v, til, self.hp, m, v, v_rows)
+        state.t = self.t
+        return state
+
+
 def lorapro_adamw_step(
     geometry: TangentGeometry,
     state: AdamWState,
@@ -239,7 +323,7 @@ def lorapro_adamw_step(
     g_b: np.ndarray,
     hp: HyperParams,
     x_strategy: str = "sylvester",
-) -> tuple[LoraLayer, AdamWState]:
+) -> tuple[LoraLayer, MomentWrite]:
     """AdamW on the equivalent gradient of the layer ``geometry`` describes.
 
     (``g_a``, ``g_b``) is the X = 0 adjustment of the layer's gradients (X
@@ -249,22 +333,36 @@ def lorapro_adamw_step(
     moment transform, re-projects the direction D onto the factor shapes as
     (s*B^T D, s*D A^T), adjusts that pair in ``geometry`` with the
     configured X selection, applies decomposed weight decay, then updates
-    the factors.
+    the factors. It returns the new layer and the ``MomentWrite`` of the new
+    moments; the caller that keeps the step commits the write, which
+    updates ``state`` in place, and one that drops the step drops it.
 
     The m x n work runs in one pass per block of rows: each block forms its
-    rows of g~, writes its rows of the new moments, turns them into its rows
-    of D and adds them into the re-projected pair. So no m x n g~, direction
-    or scratch array exists: the step's m x n working set is its two new
-    moments and two block buffers of ``BLOCK_BYTES`` each. A row's moments
-    have the bits ``adamw_transform`` gives it, and a layer of one block
-    takes the arithmetic of ``equivalent_gradient``, ``adamw_transform`` and
-    ``lora_raw_grads`` whole. No input is written to.
+    rows of g~ and of the new moments, checks the new second moment, turns
+    them into its rows of D and adds them into the re-projected pair. So no
+    m x n array exists: the step's m x n working set is four block buffers
+    of ``ADAM_BLOCKS * BLOCK_BYTES`` each, two of which the write keeps. A
+    row's moments have the bits ``adamw_transform`` gives it, and a layer
+    of one block takes the arithmetic of ``equivalent_gradient``,
+    ``adamw_transform`` and ``lora_raw_grads`` whole. No input is written
+    to.
+
+    A state whose m or v is read-only, or whose m and v may share memory,
+    cannot be written in place and raises StateError. A new second moment
+    that is not finite, as an overflowing g~ makes it, raises
+    NonFiniteError ("new v contains non-finite entries"), with no numpy
+    warning first; a finite one bounds g~ and so the first moment too.
     """
     layer = geometry.layer
     if state.m.shape != layer.shape:
         raise ShapeError(
             f"moment shape {state.m.shape} does not match layer shape {layer.shape}"
         )
+    for name in ("m", "v"):
+        if not getattr(state, name).flags.writeable:
+            raise StateError(f"the moments are written in place, but {name} is read-only")
+    if np.may_share_memory(state.m, state.v):
+        raise StateError("the moments are written in place, but m and v may share memory")
     # the block buffers are float64; the entries are not read to check them
     for name, value in (("g_a", g_a), ("g_b", g_b)):
         if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
@@ -275,29 +373,32 @@ def lorapro_adamw_step(
     s, b, a_t = layer.scaling, layer.b, layer.a.T
     t = state.t + 1
     rows = min(m, max(1, BLOCK_BYTES // (8 * n)))
-    new_m, new_v = np.empty((m, n)), np.empty((m, n))
-    tilde, scratch = np.empty((rows, n)), np.empty((rows, n))
+    span = min(m, ADAM_BLOCKS * rows)
+    tilde, scratch, m_rows, v_rows = (np.empty((span, n)) for _ in range(4))
     raw_a, raw_b = None, np.empty((m, layer.rank))
-    for start in range(0, m, rows):
-        block = slice(start, min(start + rows, m))
-        til, scr = tilde[: block.stop - start], scratch[: block.stop - start]
-        # g~'s rows as equivalent_gradient forms them: s*(B g_a) + s*(g_b A)
-        np.matmul(b[block], g_a, out=til)
-        til *= s
-        np.matmul(g_b[block], layer.a, out=scr)
-        scr *= s
-        til += scr
-        # the direction's rows overwrite g~'s, which the moments have read
-        direction = _adam_rows(state.m[block], state.v[block], til, hp, t,
-                               new_m[block], new_v[block], til, scr)
-        # B^T D sums over the row blocks; D A^T is D's rows times A^T
-        part = b[block].T @ direction
-        if raw_a is None:
-            raw_a = part
-        else:
-            raw_a += part
-        np.matmul(direction, a_t, out=raw_b[block])
-    del tilde, scratch, til, scr, direction  # free the block buffers before adjust allocates
+    # an overflow shows as a non-finite second moment, named below with no
+    # numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, span):
+            stop = min(start + span, m)
+            til = _tilde_rows(layer, g_a, g_b, start, stop, tilde, scratch)
+            new_v = v_rows[: stop - start]
+            # the direction's rows overwrite g~'s, which the moments have read
+            direction = _adam_rows(state.m[start:stop], state.v[start:stop], til, hp, t,
+                                   m_rows[: stop - start], new_v, til, scratch[: stop - start])
+            # v >= 0 where it is finite, so its maximum is finite only if every entry is
+            if not math.isfinite(np.maximum.reduce(new_v, axis=None)):
+                raise NonFiniteError("new v contains non-finite entries")
+            # D A^T is D's rows times A^T; B^T D sums over blocks of `rows` rows
+            np.matmul(direction, a_t, out=raw_b[start:stop])
+            for first in range(start, stop, rows):
+                end = min(first + rows, stop)
+                part = b[first:end].T @ direction[first - start : end - start]
+                if raw_a is None:
+                    raw_a = part
+                else:
+                    raw_a += part
+    del tilde, scratch, til, direction  # free them before adjust allocates
     raw_a *= s
     raw_b *= s
     # a factor-only bundle of values derived from checked ones
@@ -306,13 +407,14 @@ def lorapro_adamw_step(
         layer, reprojected, strategy=x_strategy, policy=geometry.policy, geometry=geometry
     )
 
+    write = MomentWrite(state, layer, g_a, g_b, hp, t, start, m_rows, v_rows)
     layer = apply_decayed_merge_step(layer, hp.lr, hp.weight_decay)
     layer = derived(
         layer,
         b=layer.b - hp.lr * second.g_b,
         a=layer.a - hp.lr * second.g_a,
     )
-    return layer, replace_unchecked(state, m=new_m, v=new_v, t=t)
+    return layer, write
 
 
 def lora_adamw_step(

@@ -30,10 +30,12 @@ def unit_instance():
 
 def adamw_step(layer, state, bundle, hp, policy=DampingPolicy(), x_strategy="sylvester"):
     """``lorapro_adamw_step`` as the trainer calls it: in the layer's geometry,
-    on the X = 0 adjustment of ``bundle``."""
+    on the X = 0 adjustment of ``bundle``, with its moment write committed.
+    The new layer is returned with ``state``, updated in place."""
     geometry = TangentGeometry(layer, policy)
     zero = adjust(layer, bundle, "zero", policy, geometry=geometry)
-    return lorapro_adamw_step(geometry, state, zero.g_a, zero.g_b, hp, x_strategy)
+    new_layer, write = lorapro_adamw_step(geometry, state, zero.g_a, zero.g_b, hp, x_strategy)
+    return new_layer, write.commit()
 
 
 def assert_layer_is_value(layer, copied=(), shared=None):

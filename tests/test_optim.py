@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import EXACT, adamw_step, assert_layer_is_value
 from lorapro import optim
-from lorapro.errors import ShapeError
+from lorapro.errors import NonFiniteError, ShapeError, StateError
 from lorapro.gradadjust import (
     X_STRATEGIES,
     DampingPolicy,
@@ -140,22 +141,23 @@ def test_adamw_moment_recurrences_replay(unit_instance):
     state = init_adamw_state((2, 2))
     grads = []
     current = layer
-    states = [state]
+    # the step updates the state in place, so each step's moments are copied
+    states = [(state.m.copy(), state.v.copy(), state.t)]
     for _ in range(4):
         bundle = lora_raw_grads(current, g)
         # the moments track the equivalent gradient of the projected pair
         adj = adjust(current, bundle, strategy="zero", policy=EXACT)
         grads.append(equivalent_gradient(current, adj.g_a, adj.g_b))
         current, state = adamw_step(current, state, bundle, HyperParams(lr=0.01), policy=EXACT)
-        states.append(state)
+        states.append((state.m.copy(), state.v.copy(), state.t))
     m = np.zeros((2, 2))
     v = np.zeros((2, 2))
     for k, g_t in enumerate(grads, start=1):
         m = 0.9 * m + 0.1 * g_t
         v = 0.999 * v + 0.001 * g_t**2
-        assert np.allclose(states[k].m, m, atol=1e-15)
-        assert np.allclose(states[k].v, v, atol=1e-15)
-        assert states[k].t == k
+        assert np.allclose(states[k][0], m, atol=1e-15)
+        assert np.allclose(states[k][1], v, atol=1e-15)
+        assert states[k][2] == k
 
 
 @pytest.mark.parametrize("make", [lambda rng: (rng.normal(size=(5, 2)), rng.normal(size=(2, 6))),
@@ -249,6 +251,83 @@ def test_adamw_step_without_g_tilde_mutates_no_input():
     assert state.t == 3
 
 
+def _decided_inputs(seed):
+    """A 6x5 rank-2 layer's geometry and X = 0 pair, with a writable state."""
+    rng = np.random.default_rng(seed)
+    layer = LoraLayer(w0=rng.normal(size=(6, 5)), b=rng.normal(size=(6, 2)),
+                      a=rng.normal(size=(2, 5)), scaling=2.0)
+    geometry = TangentGeometry(layer)
+    zero = adjust(layer, lora_raw_grads(layer, rng.normal(size=(6, 5))), "zero",
+                  geometry=geometry)
+    state = AdamWState(m=rng.normal(size=(6, 5)), v=rng.normal(size=(6, 5)) ** 2, t=3)
+    return geometry, zero.g_a, zero.g_b, state
+
+
+def test_overflowing_adamw_step_raises_with_no_warning():
+    # g_tilde ~ 1e160 squares past the largest double: the step names the
+    # second moment it checks block by block, with no numpy warning first, and
+    # returns no write
+    geometry, g_a, g_b, state = _decided_inputs(48)
+    before = state.m.tobytes(), state.v.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (6, 1):  # one block, and the first of three
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(optim, "BLOCK_BYTES", rows * 8 * 5)
+                with pytest.raises(NonFiniteError, match="new v contains non-finite entries"):
+                    lorapro_adamw_step(geometry, state, np.full_like(g_a, 1e160), g_b,
+                                       HyperParams(lr=0.01))
+    assert (state.m.tobytes(), state.v.tobytes()) == before and state.t == 3
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+# states whose moments cannot be written in place, each with the fault named
+UNWRITABLE_STATES = {
+    "m-read-only": (lambda m, v: (_read_only(m), v), "m is read-only"),
+    "v-read-only": (lambda m, v: (m, _read_only(v)), "v is read-only"),
+    "m-is-v": (lambda m, v: (v, v), "m and v may share memory"),
+    "m-overlaps-v": (lambda m, v: (lambda flat: (flat[:30].reshape(6, 5),
+                                                  flat[15:45].reshape(6, 5)))(np.zeros(45)),
+                     "m and v may share memory"),
+}
+
+
+@pytest.mark.parametrize("make, fault", list(UNWRITABLE_STATES.values()),
+                         ids=list(UNWRITABLE_STATES))
+def test_adamw_step_refuses_moments_it_cannot_write_in_place(make, fault):
+    # the commit writes m and v in place; a read-only moment would fail it
+    # partway, and overlapping ones would write each other's rows, so the
+    # step refuses the state before it forms anything
+    geometry, g_a, g_b, state = _decided_inputs(49)
+    state.m, state.v = make(state.m, state.v)
+    before = state.m.tobytes(), state.v.tobytes()
+    with pytest.raises(StateError, match=f"moments are written in place, but {fault}"):
+        lorapro_adamw_step(geometry, state, g_a, g_b, HyperParams(lr=0.01))
+    assert (state.m.tobytes(), state.v.tobytes()) == before and state.t == 3
+
+
+def test_a_moment_write_commits_once():
+    # a commit reads the moments as the step found them, so a second commit,
+    # or one of another write decided from the same state, would apply the
+    # update twice: it is refused and writes nothing
+    geometry, g_a, g_b, state = _decided_inputs(50)
+    hp = HyperParams(lr=0.01)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "BLOCK_BYTES", 8 * 5)  # several blocks, so a commit recomputes
+        _, write = lorapro_adamw_step(geometry, state, g_a, g_b, hp)
+        _, sibling = lorapro_adamw_step(geometry, state, g_a, g_b, hp)
+    assert write.commit() is state and state.t == 4
+    after = state.m.tobytes(), state.v.tobytes()
+    for stale in (write, sibling):
+        with pytest.raises(StateError, match="decided at step count 3, and the state is at 4"):
+            stale.commit()
+        assert (state.m.tobytes(), state.v.tobytes()) == after and state.t == 4
+
+
 # (m, rows per block): one block of one row, several full blocks, and several
 # blocks whose last one is short
 BLOCKINGS = {"one-row": (1, 1), "several-blocks": (12, 3), "ragged-last-block": (11, 4)}
@@ -286,10 +365,17 @@ def test_blocked_adamw_step_matches_the_whole_array_reference(m, rows, x_strateg
 
     inputs = (layer.w0, layer.b, layer.a, state.m, state.v, zero.g_a, zero.g_b)
     before = [x.tobytes() for x in inputs]
+    moments = state.m, state.v
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optim, "BLOCK_BYTES", rows * 8 * n)
-        out, got = lorapro_adamw_step(geometry, state, zero.g_a, zero.g_b, hp, x_strategy)
+        out, write = lorapro_adamw_step(geometry, state, zero.g_a, zero.g_b, hp, x_strategy)
+    # the deciding call writes no input; the commit writes the moments, and
+    # nothing else, into the state's own arrays
     assert [x.tobytes() for x in inputs] == before
+    assert state.t == t
+    got = write.commit()
+    assert got is state and got.m is moments[0] and got.v is moments[1]
+    assert [x.tobytes() for x in inputs[:3] + inputs[5:]] == before[:3] + before[5:]
     assert got.m.tobytes() == expected.m.tobytes() and got.v.tobytes() == expected.v.tobytes()
     assert got.t == t + 1
     assert out.w0.tobytes() == decayed.w0.tobytes()
@@ -352,8 +438,9 @@ def test_each_step_returns_a_layer_value(step):
     elif step == "lorapro_adamw":
         geometry = TangentGeometry(layer)
         zero = adjust(layer, bundle, "zero", geometry=geometry)
-        out, state = lorapro_adamw_step(geometry, init_adamw_state((6, 5)), zero.g_a, zero.g_b,
+        out, write = lorapro_adamw_step(geometry, init_adamw_state((6, 5)), zero.g_a, zero.g_b,
                                         hp)
+        state = write.commit()
         given += [zero.g_a, zero.g_b, state.m, state.v]
     else:
         out, sa, sb = lora_adamw_step(layer, init_adamw_state((2, 5)), init_adamw_state((6, 2)),
