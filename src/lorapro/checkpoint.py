@@ -6,8 +6,9 @@ SHA-256 of the header and payload bytes, then the raw array payloads:
 float64, row-major, little-endian, in the header's order (names sorted).
 Round trips are bit-exact, which is what makes resumed runs
 reproduce the uninterrupted trajectory. A save writes a temporary file in
-the target's directory and renames it over the target, so a save that fails
-partway leaves any earlier checkpoint at that path as it was.
+the target's directory, syncs it and renames it over the target, so a save
+that fails partway leaves any earlier checkpoint at that path as it was and
+no temporary file behind.
 
 A save streams the payload: one pass over the arrays checks their shapes and
 hashes them after the header, a second writes them, both through a byte view
@@ -54,16 +55,19 @@ def save_checkpoint(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> Non
     digest = hashlib.sha256(header)
     for view in views:
         digest.update(view)
+    _write_atomically(path, [MAGIC, struct.pack("<Q", len(header)), header, digest.digest(),
+                             *views])
+
+
+def _write_atomically(path, chunks) -> None:
+    """Write the byte ``chunks`` to ``path`` whole or not at all: into a temporary
+    file beside it, synced and renamed over it; a failure removes the temporary file."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            fh.write(digest.digest())
-            for view in views:
-                fh.write(view)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -20,17 +20,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a single training run")
-    p_run.add_argument("--config", required=True, help="path to a key = value config file")
-    p_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    p_run.add_argument("--out", default=None, help="override [run] out_dir")
-
     p_cmp = sub.add_parser("compare", help="run several methods from one initialization")
-    p_cmp.add_argument("--config", required=True, help="path to a key = value config file")
-    p_cmp.add_argument(
-        "--methods", required=True, help="comma-separated method names (at least two)"
-    )
-    p_cmp.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    p_cmp.add_argument("--out", default=None, help="override [run] out_dir")
+    p_cmp.add_argument("--methods", required=True,
+                       help="comma-separated method names (at least two)")
+    for p in (p_run, p_cmp):
+        p.add_argument("--config", required=True, help="path to a key = value config file")
+        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
+        p.add_argument("--out", default=None, help="override [run] out_dir")
 
     p_chk = sub.add_parser("selfcheck", help="run the numerical certification suite")
     p_chk.add_argument("--seed", type=int, default=0)

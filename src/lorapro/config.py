@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .gradadjust import DampingPolicy, X_STRATEGIES
 from .lora import InitScheme, scaling_factor
 from .optim import HyperParams
-from .tasks import check_task_params, task_keys
+from .tasks import _at_least, check_task_params, task_keys
 
 __all__ = ["METHODS", "RunConfig", "parse_config_file", "parse_config_text"]
 
@@ -54,7 +54,14 @@ _SECTIONS = {
 
 @dataclass
 class RunConfig:
-    """Everything one training run needs; defaults follow the package conventions."""
+    """Everything one training run needs; defaults follow the package conventions.
+
+    Building one checks each value once: its type (an int serves as a float,
+    a bool as no number), finiteness and range, and what a run builds from
+    it. What needs the task's data (a rank above a layer's min(m, n), the
+    task's sizes, a csv file) is checked when a run builds its task and
+    layers, before ``run`` creates ``out_dir``.
+    """
 
     task: str
     method: str = "lora_pro_adamw"
@@ -88,10 +95,8 @@ class RunConfig:
             _check_value(key, value, keys[key].annotation)
         if self.method not in METHODS:
             raise ConfigError(f"invalid config key 'method': {self.method!r} not in {METHODS}")
-        for key, least in (("steps", 1), ("batch_size", 1), ("rank", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if value < least:
-                raise ConfigError(f"invalid config key '{key}': must be >= {least}, got {value}")
+        _at_least(1, steps=self.steps, batch_size=self.batch_size, rank=self.rank)
+        _at_least(0, seed=self.seed)
         if not self.alpha > 0.0:
             raise ConfigError(f"invalid config key 'alpha': must be > 0, got {self.alpha}")
         if self.x_strategy not in X_STRATEGIES:

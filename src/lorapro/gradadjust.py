@@ -179,9 +179,7 @@ def _check_against(layer: LoraLayer, bundle: GradBundle):
     g = bundle.full_gradient()
     if g is None:
         return
-    s = layer.scaling
-    expect_a = s * (layer.b.T @ g)
-    expect_b = s * (g @ layer.a.T)
+    expect_a, expect_b = _raw_pair(layer, g)
     err_a = frob_norm(bundle.g_a_lora - expect_a)
     err_b = frob_norm(bundle.g_b_lora - expect_b)
     if err_a > BUNDLE_CONSISTENCY_TOL * max(1.0, frob_norm(expect_a)):
@@ -203,14 +201,18 @@ def validate_bundle(layer: LoraLayer, bundle: GradBundle):
         _check_against(layer, bundle)
 
 
+def _raw_pair(layer: LoraLayer, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chain-rule pair (s*B^T g, s*g A^T) of the m x n gradient ``g``."""
+    s = layer.scaling
+    return s * (layer.b.T @ g), s * (g @ layer.a.T)
+
+
 def lora_raw_grads(layer: LoraLayer, g_full: np.ndarray) -> GradBundle:
     """Chain-rule factor gradients induced by the full weight gradient."""
     g_full = as_matrix(g_full, "g_full")
     if g_full.shape != layer.shape:
         raise ShapeError(f"g_full must be {layer.shape}, got {g_full.shape}")
-    s = layer.scaling
-    g_a = s * (layer.b.T @ g_full)
-    g_b = s * (g_full @ layer.a.T)
+    g_a, g_b = _raw_pair(layer, g_full)
     return build_unchecked(GradBundle, layer=layer, g_a_lora=g_a, g_b_lora=g_b,
                            g_full=g_full)
 
@@ -229,14 +231,23 @@ def equivalent_gradient(
         g_a = as_matrix(g_a, "g_a")
         g_b = as_matrix(g_b, "g_b")
     _check_pair_shapes(layer, g_a, g_b)
-    # s*(B g_a) + s*(g_b A) in two m x n buffers, same operations in the same order
-    s = layer.scaling
-    out = layer.b @ g_a
-    out *= s
-    right = g_b @ layer.a
-    right *= s
-    out += right
-    return out
+    m, n = layer.shape
+    return _tilde_rows(layer, g_a, g_b, 0, m, np.empty((m, n)), np.empty((m, n)))
+
+
+def _tilde_rows(layer: LoraLayer, g_a, g_b, start: int, stop: int, tilde, scratch):
+    """Rows ``start:stop`` of g~ = s*(B g_a) + s*(g_b A) into the first rows of
+    ``tilde``; the view is returned. The one routine that forms g~, so a row
+    has the same bits wherever it is formed. ``scratch`` is a float64 buffer
+    of tilde's shape, free again on return.
+    """
+    til, scr = tilde[: stop - start], scratch[: stop - start]
+    np.matmul(layer.b[start:stop], g_a, out=til)
+    til *= layer.scaling
+    np.matmul(g_b[start:stop], layer.a, out=scr)
+    scr *= layer.scaling
+    til += scr
+    return til
 
 
 def _stacked_grams(layer: LoraLayer) -> np.ndarray:
@@ -246,17 +257,21 @@ def _stacked_grams(layer: LoraLayer) -> np.ndarray:
     return 0.5 * (grams + grams.transpose(0, 2, 1))
 
 
-def factor_ranks(layer: LoraLayer) -> tuple[int, int]:
-    """The numerical ranks of ``layer``'s B and A, as its ``TangentGeometry``
-    counts them: the same rule on the same Grams' eigenvalues, with no
-    eigenvectors and no damping formed."""
+def _decompose(eig, grams: np.ndarray):
+    """``eig`` (``np.linalg.eigh`` or ``eigvalsh``) of stacked Grams, a failure typed."""
     try:
-        eigvals = np.linalg.eigvalsh(_stacked_grams(layer))
+        return eig(grams)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh failure is pathological
         raise EigenDecompositionError(
             "symmetric eigendecomposition of the layer Grams did not converge"
         ) from exc
-    rank_b, rank_a = _gram_rank(eigvals).tolist()
+
+
+def factor_ranks(layer: LoraLayer) -> tuple[int, int]:
+    """The numerical ranks of ``layer``'s B and A, as its ``TangentGeometry``
+    counts them: the same rule on the same Grams' eigenvalues, with no
+    eigenvectors and no damping formed."""
+    rank_b, rank_a = _gram_rank(_decompose(np.linalg.eigvalsh, _stacked_grams(layer))).tolist()
     return rank_b, rank_a
 
 
@@ -286,12 +301,7 @@ class TangentGeometry:
         self.policy = policy
         self._grams = _stacked_grams(layer)
         self._damping = (policy.damping_for(self._grams[0]), policy.damping_for(self._grams[1]))
-        try:
-            self._w, self._v = np.linalg.eigh(self._grams)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh failure is pathological
-            raise EigenDecompositionError(
-                "symmetric eigendecomposition of the layer Grams did not converge"
-            ) from exc
+        self._w, self._v = _decompose(np.linalg.eigh, self._grams)
         # the numerical ranks of B and A, by linalg.numerical_rank's rule
         self.rank_b, self.rank_a = _gram_rank(self._w).tolist()
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import _write_atomically, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .errors import (
     CheckpointError,
@@ -530,20 +530,9 @@ class Trainer:
 
 def _rows(record: RunRecord) -> list[str]:
     """The metrics.csv lines of one step, one per layer."""
-    head = f"{_fmt(record.step)},{_fmt(record.lr)},{_fmt(record.train_loss)}"
-    return [
-        ",".join(
-            [
-                head,
-                _fmt(i),
-                _fmt(lm.discrepancy),
-                _fmt(lm.rank_a),
-                _fmt(lm.rank_b),
-                _fmt(lm.dl_certificate),
-            ]
-        )
-        for i, lm in enumerate(record.per_layer)
-    ]
+    return [",".join(map(_fmt, (record.step, record.lr, record.train_loss, i, lm.discrepancy,
+                                lm.rank_a, lm.rank_b, lm.dl_certificate)))
+            for i, lm in enumerate(record.per_layer)]
 
 
 def _write_hashed(path: Path, chunks) -> str:
@@ -559,6 +548,12 @@ def _write_hashed(path: Path, chunks) -> str:
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
+
+
+def _write_marker(path: Path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as indented, key-sorted JSON, whole or not at all."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_atomically(path, [text.encode("utf-8")])
 
 
 def run(config: RunConfig) -> RunResult:
@@ -611,7 +606,7 @@ def run(config: RunConfig) -> RunResult:
         "verdicts": verdicts,
         "csv_sha": csv_sha,
     }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_marker(summary_path, summary)
 
     return RunResult(
         config=config,
@@ -669,6 +664,10 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
         config.with_overrides(method=method, out_dir=str(out_dir / label))
         for label, method in zip(labels, methods)
     ]
+    csv_path, json_path = out_dir / "comparison.csv", out_dir / "comparison.json"
+    # an earlier compare's, which would otherwise sit beside runs they do not describe
+    json_path.unlink(missing_ok=True)
+    csv_path.unlink(missing_ok=True)
     results = {label: run(sub) for label, sub in zip(labels, subs)}
 
     steps = config.steps
@@ -696,7 +695,6 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
                         last_half[j, t - half] = discrepancy
                 yield ",".join(row) + "\n"
 
-    csv_path = out_dir / "comparison.csv"
     csv_sha = _write_hashed(csv_path, chunks())
 
     mean_disc = {label: float(np.mean(last_half[j])) for j, label in enumerate(labels)}
@@ -723,8 +721,7 @@ def compare(config: RunConfig, methods: list[str]) -> CompareResult:
         "verdicts": verdicts,
         "csv_sha": csv_sha,
     }
-    json_path = out_dir / "comparison.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_marker(json_path, payload)
 
     return CompareResult(
         labels=labels, results=results, verdicts=verdicts, csv_path=csv_path, json_path=json_path

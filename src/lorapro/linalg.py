@@ -101,7 +101,8 @@ def spd_solve(p, rhs, damping: float = 0.0) -> np.ndarray:
 
     The coefficient is symmetrized as (p + p^T)/2 before factorization, so
     callers may pass Gram matrices carrying rounding asymmetry. The solve goes
-    through a Cholesky factorization; no explicit inverse is formed.
+    through a Cholesky factorization; no explicit inverse is formed. No
+    library code calls it; it stays because perfbench's tracer names it.
     """
     p = as_matrix(p, "p")
     rhs = as_matrix(rhs, "rhs")

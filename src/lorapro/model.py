@@ -160,15 +160,18 @@ def _loss(pred: np.ndarray, batch: Batch, kind: str) -> float:
     targets = _checked_targets(pred, batch, kind)
     batch_size = pred.shape[0]
     # a diverging run overflows here into inf or NaN, which ends in the
-    # caller's NonFiniteError rather than in a numpy warning
+    # NonFiniteError below rather than in a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "mse":
             diff = pred - targets
-            return float(np.sum(diff**2)) / batch_size
-        # softmax cross entropy in the stable shifted form
-        shifted = pred - pred.max(axis=1, keepdims=True)
-        log_z = np.log(np.sum(np.exp(shifted), axis=1))
-        return float(np.sum(log_z - np.sum(shifted * targets, axis=1))) / batch_size
+            loss = float(np.sum(diff**2)) / batch_size
+        else:  # softmax cross entropy in the stable shifted form
+            shifted = pred - pred.max(axis=1, keepdims=True)
+            log_z = np.log(np.sum(np.exp(shifted), axis=1))
+            loss = float(np.sum(log_z - np.sum(shifted * targets, axis=1))) / batch_size
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"forward produced non-finite loss {loss}")
+    return loss
 
 
 def _loss_grad(pred: np.ndarray, batch: Batch, kind: str) -> np.ndarray:
@@ -198,8 +201,6 @@ def forward_with_weights(
         pre.append(z)
         post.append(_activate(z, act))
     loss = _loss(post[-1], batch, loss_kind)
-    if not np.isfinite(loss):
-        raise NonFiniteError(f"forward produced non-finite loss {loss}")
     return loss, ForwardCache(weights=list(weights), pre_activations=pre, post_activations=post,
                               batch=batch, activations=list(activations), loss_kind=loss_kind)
 
@@ -224,8 +225,6 @@ def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
         post.append(_activate(z, act))
         layers.append((layer, xb))
     loss = _loss(post[-1], batch, net.loss_kind)
-    if not np.isfinite(loss):
-        raise NonFiniteError(f"forward produced non-finite loss {loss}")
     return loss, ForwardCache(weights=None, pre_activations=pre, post_activations=post,
                               batch=batch, activations=list(net.activations),
                               loss_kind=net.loss_kind, layers=layers)

@@ -48,6 +48,7 @@ from .gradadjust import (
     Projection,
     TangentGeometry,
     _check_pair_shapes,
+    _tilde_rows,
     adjust,
     shift,
 )
@@ -193,20 +194,6 @@ def _adam_rows(m0, v0, grad, hp: HyperParams, t: int, m, v, direction, scratch):
     scratch += hp.epsilon
     direction /= scratch
     return direction
-
-
-def _tilde_rows(layer: LoraLayer, g_a, g_b, start: int, stop: int, tilde, scratch):
-    """Rows ``start:stop`` of g~ = s*(B g_a) + s*(g_b A), as ``equivalent_gradient``
-    forms them, into the first rows of ``tilde``; the view is returned.
-    ``scratch`` is a float64 buffer of tilde's shape, free again on return.
-    """
-    til, scr = tilde[: stop - start], scratch[: stop - start]
-    np.matmul(layer.b[start:stop], g_a, out=til)
-    til *= layer.scaling
-    np.matmul(g_b[start:stop], layer.a, out=scr)
-    scr *= layer.scaling
-    til += scr
-    return til
 
 
 def adamw_transform(

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -318,6 +319,34 @@ def test_readme_library_quick_start_runs():
     assert namespace["g"].shape == namespace["layer"].shape
     with pytest.raises(ValueError, match="read-only"):
         namespace["layer"].b[0, 0] = 1.0
+
+
+def test_readme_points_only_at_what_exists():
+    # the README points at the code instead of restating it, so each pointer
+    # must resolve: every backticked test name is defined under tests/, every
+    # lorapro.<module>[.<name>] and <module>.<name> is importable, and every
+    # Guarantees item names the test that enforces it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    defined = {name for path in (ROOT / "tests").glob("*.py")
+               for name in re.findall(r"^def (test_\w+)", path.read_text(encoding="utf-8"), re.M)}
+    cited = {name for span in spans for name in re.findall(r"\b(test_\w+)\b(?!\.py)", span)}
+    assert cited and cited <= defined, sorted(cited - defined)
+    modules = "|".join(p.stem for p in (ROOT / "src" / "lorapro").glob("[a-z]*.py"))
+    pointer = rf"\b(?:lorapro\.)?({modules})\b((?:\.(?!(?:bin|cfg|csv|json|md|py)\b)\w+)*)"
+    pointers = {(module, names) for span in spans for module, names in re.findall(pointer, span)
+                if names or span.startswith("lorapro.")}
+    unresolved = []
+    for module, names in sorted(pointers):
+        target = importlib.import_module(f"lorapro.{module}")
+        for name in names.split(".")[1:]:
+            target = getattr(target, name, unresolved)
+        if target is unresolved:
+            unresolved.append(module + names)
+    assert len(pointers) > len(modules.split("|")) and not unresolved, unresolved
+    guarantees = readme.split("\n## Guarantees\n", 1)[1].split("\n## ", 1)[0]
+    items = guarantees.split("\n- ")[1:]
+    assert items and all(re.search(r"`test_\w+`", item) for item in items)
 
 
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) + sorted(

@@ -1505,6 +1505,46 @@ def test_aborted_run_keeps_the_rows_of_its_completed_steps(tmp_path):
     assert (out / "metrics.csv").read_bytes() == expected.encode("utf-8")
 
 
+def test_aborted_compare_leaves_no_earlier_comparison(tmp_path):
+    # the shipped config's lora_pro_sgd at lr 10 with X = 0 overflows within
+    # a 50-step compare; the comparison.json and .csv that an earlier compare
+    # left in the directory are gone, so neither vouches for the new runs
+    text = (ROOT / "configs" / "teacher_student.cfg").read_text(encoding="utf-8")
+    cfg = parse_config_text(text).with_overrides(
+        lr=10.0, x_strategy="zero", steps=50, out_dir=str(tmp_path / "lr10")
+    )
+    out = Path(cfg.out_dir)
+    compare(cfg.with_overrides(steps=5), ["lora", "lora_pro_sgd"])
+    assert {"comparison.json", "comparison.csv"} <= {p.name for p in out.iterdir()}
+    with pytest.raises(NonFiniteError, match="aborting at step"):
+        compare(cfg, ["lora", "lora_pro_sgd"])
+    assert sorted(p.name for p in out.iterdir()) == ["lora", "lora_pro_sgd"]
+    assert (out / "lora" / "summary.json").exists()
+    assert not (out / "lora_pro_sgd" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("marker", ["summary.json", "comparison.json"])
+def test_failed_marker_write_leaves_neither_marker_nor_temporary_file(tmp_path, monkeypatch,
+                                                                       marker):
+    # a run's summary.json and a compare's comparison.json mark them complete,
+    # so each is written whole or not at all: a failure just before its
+    # rename leaves neither the marker nor the temporary file it was written to
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == marker:
+            raise OSError("injected before the rename")
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+    cfg = small_config(tmp_path, steps=3)
+    with pytest.raises(OSError, match="injected"):
+        compare(cfg, ["lora", "lora_pro_sgd"])
+    left = [p.name for p in Path(cfg.out_dir).rglob("*")]
+    assert "metrics.csv" in left
+    assert marker not in left and not any(name.endswith(".tmp") for name in left), left
+
+
 def test_compare_emits_aligned_columns_and_verdicts(tmp_path):
     cfg = small_config(tmp_path, steps=12)
     result = compare(cfg, ["lora", "lora_pro_adamw"])
@@ -1919,35 +1959,55 @@ def test_undamped_zero_b_error_names_its_layer_and_gram(tmp_path, method):
 
 
 
-def test_metrics_csv_bytes_reproduce_at_one_blas_thread(tmp_path):
-    # README: identical config and seed give identical metrics.csv bytes at a
-    # fixed BLAS thread setting; two fresh interpreters, wide shapes, 1 thread
-    import lorapro
-
-    script = textwrap.dedent(
-        """
-        import sys
-        from lorapro.config import RunConfig
-        from lorapro.harness import run
-
+# the BLAS thread counts of two fresh interpreters, and the code each runs
+# in a directory of its own, writing into "out" there so the config echoes match
+BLAS_RUNS = {
+    # 5 steps of the benchmark's wide shapes, at 1 thread in both
+    "wide": (("1", "1"), """
         run(RunConfig(
             task="teacher_student_regression",
             task_params={"d_in": 256, "d_hidden": 512, "d_out": 128, "n_samples": 1024,
                          "noise_sd": 0.01, "perturb_rank": 4, "perturb_scale": 0.5},
-            method="lora_pro_adamw", steps=5, batch_size=64, seed=7, out_dir=sys.argv[1],
+            method="lora_pro_adamw", steps=5, batch_size=64, seed=7, out_dir="out",
             rank=8, alpha=16.0, scaling="rslora",
         ))
-        """
-    )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(lorapro.__file__).resolve().parents[1]))
+        """),
+    # the shipped config's four-method compare, at 1 thread and at 2
+    "desk": (("1", "2"), """
+        compare(parse_config_file(sys.argv[1]).with_overrides(out_dir="out"),
+                ["lora", "lora_pro_sgd", "lora_pro_adamw", "full_ft"])
+        """),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLAS_RUNS))
+def test_metrics_csv_bytes_reproduce_at_one_blas_thread(tmp_path, case):
+    # README: identical config and seed give identical bytes at a fixed BLAS
+    # thread setting, and desk's do not depend on the thread count (wide's
+    # differ between 1 and 2 threads at rounding level)
+    import lorapro
+
+    threads, body = BLAS_RUNS[case]
+    script = ("import sys\nfrom lorapro.config import RunConfig, parse_config_file\n"
+              "from lorapro.harness import compare, run\n" + textwrap.dedent(body))
     written = []
-    for name in ("first", "second"):
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / name)],
-                              capture_output=True, text=True, env=env, timeout=120)
+    for i, count in enumerate(threads):
+        cwd = tmp_path / f"{i}-{count}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count,
+                   PYTHONPATH=str(Path(lorapro.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(ROOT / "configs" / "teacher_student.cfg")],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        )
         assert done.returncode == 0, done.stderr
-        written.append((tmp_path / name / "metrics.csv").read_bytes())
-    assert len(written[0].splitlines()) == 1 + 5 * 2  # header, then 5 steps x 2 layers
+        written.append({p.relative_to(cwd).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (cwd / "out").rglob("*") if p.is_file()})
+    if case == "wide":
+        csv = (tmp_path / "0-1" / "out" / "metrics.csv").read_text(encoding="utf-8")
+        assert len(csv.splitlines()) == 1 + 5 * 2  # header, then 5 steps x 2 layers
+    else:  # each method's three files, and the comparison's two
+        assert len(written[0]) == 4 * 3 + 2
     assert written[0] == written[1]
 
 

@@ -167,7 +167,7 @@ def test_adamw_moment_recurrences_replay(unit_instance):
                                   lambda rng: (rng.normal(size=(2, 5)),
                                                rng.normal(size=(6, 2)).tolist())],
                          ids=["transposed", "narrow", "float32", "list"])
-def test_adamw_step_rejects_g_tilde_of_another_shape(make):
+def test_adamw_step_rejects_a_pair_of_another_shape_or_dtype(make):
     # the step forms g_tilde's rows from the X = 0 pair in float64 block
     # buffers, so it takes only a float64 pair of the factors' shapes: a pair
     # whose g_tilde would come out of another shape, or not float64, is refused
@@ -233,7 +233,7 @@ def test_adamw_transform_out_must_match_the_state():
             adamw_transform(state, grad, HyperParams(lr=1e-3), out=out)
 
 
-def test_adamw_step_without_g_tilde_mutates_no_input():
+def test_adamw_step_writes_to_no_input():
     # the step forms g_tilde block by block in buffers of its own, so it
     # consumes no input: none of them, the X = 0 pair included, is written
     rng = np.random.default_rng(46)
