@@ -121,6 +121,16 @@ class CompareResult:
     json_path: Path
 
 
+def _row_gram(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the rows of [head; tail], formed block by block."""
+    h = len(head)
+    gram = np.empty((h + len(tail),) * 2)
+    np.matmul(head, head.T, out=gram[:h, :h])
+    np.matmul(tail, tail.T, out=gram[h:, h:])
+    gram[:h, h:] = np.matmul(tail, head.T, out=gram[h:, :h]).T
+    return gram
+
+
 def discrepancy(bundle: GradBundle, g_a: np.ndarray, g_b: np.ndarray) -> float:
     """||g_tilde - g||_F, for g_tilde the equivalent gradient of (g_a, g_b) on the
     bundle's layer and g the bundle's.
@@ -129,11 +139,14 @@ def discrepancy(bundle: GradBundle, g_a: np.ndarray, g_b: np.ndarray) -> float:
     takes them. For a factored g = x^T delta, g_tilde - g = U V^T with
     U = [s B, s g_b, -x^T] and V = [g_a^T, A^T, delta^T], so its squared
     norm is sum((U^T U) o (V^T V)): two k x k Grams, k = 2r + batch, and no
-    m x n array. Their sum's rounding error is a small multiple of eps times
-    (sum_i |u_i| |v_i|)^2 over the columns of U and V, at most k times the
-    sum of the diagonal terms, so where the sum falls below
-    ``DISCREPANCY_CANCELLATION`` times that bound (g_tilde close to g) the
-    residual is formed densely, as it is for a dense g.
+    m x n array. Each Gram is filled block by block, from the m x 2r
+    [s B, s g_b] and the 2r x n [g_a; A] and from the bundle's own x and
+    delta, so no m x k U, k x n V or copy of x^T exists. Their sum's
+    rounding error is a small multiple of eps times (sum_i |u_i| |v_i|)^2
+    over the columns of U and V, at most k times the sum of the diagonal
+    terms, so where the sum falls below ``DISCREPANCY_CANCELLATION`` times
+    that bound (g_tilde close to g) the residual is formed densely, as it is
+    for a dense g.
 
     A pair not shaped as the layer's A and B raises ShapeError before either
     route. A non-finite entry in the pair or the bundle raises NonFiniteError
@@ -142,19 +155,16 @@ def discrepancy(bundle: GradBundle, g_a: np.ndarray, g_b: np.ndarray) -> float:
     """
     layer = bundle.layer
     _check_pair_shapes(layer, g_a, g_b)
-    r = layer.rank
     if bundle.x is None and bundle.g_full is None:
         raise ShapeError("the bundle holds no full gradient to measure the discrepancy from")
     # an overflow or a non-finite entry shows as a non-finite sum, which the
     # dense residual's check names, with no numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
         if bundle.x is not None:
-            u = np.concatenate((layer.b, g_b, bundle.x.T), axis=1)
-            u[:, : 2 * r] *= layer.scaling
-            u[:, 2 * r :] *= -1.0
-            v = np.concatenate((g_a, layer.a, bundle.delta))  # V^T
-            terms = u.T @ u
-            terms *= v @ v.T
+            # U^T U, as the Gram of -U's columns, then V^T V
+            terms = _row_gram(np.concatenate((layer.b, g_b), axis=1).T * -layer.scaling,
+                              bundle.x)
+            terms *= _row_gram(np.concatenate((g_a, layer.a)), bundle.delta)
             total = terms.sum()
             # k tr(terms) = k sum_i |u_i|^2 |v_i|^2 >= (sum_i |u_i| |v_i|)^2
             bound = DISCREPANCY_CANCELLATION * len(terms) * terms.trace()
@@ -352,7 +362,8 @@ class Trainer:
                 loss, cache = forward(net, batch)
                 # each bundle is checked at its discrepancy, which names the layer
                 grads = backward(cache)
-            del cache  # what it holds beyond the bundles is not read again
+            # what they hold beyond the bundles is not read again
+            del cache, batch
 
             # every layer is computed and checked before any is committed, so
             # a step that raises leaves the trainer as it was; each layer takes

@@ -90,11 +90,12 @@ class Batch:
 
 @dataclass
 class ForwardCache:
-    """What a forward pass computed, and all that its backward pass reads."""
+    """What a forward pass computed, and all that its backward pass reads:
+    each layer's output, from which backward takes the activation's
+    derivative, and no pre-activation."""
 
     # the weights of ``forward_with_weights``; None when ``forward`` made the cache
     weights: list[np.ndarray] | None
-    pre_activations: list[np.ndarray]
     post_activations: list[np.ndarray]  # index 0 is the input batch
     batch: Batch
     activations: list[str]
@@ -105,23 +106,23 @@ class ForwardCache:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "identity":
-        return z
+    """``z`` with the activation applied in place."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
+    return z
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "identity":
-        return np.ones_like(z)
+def _times_derivative(delta: np.ndarray, y: np.ndarray, kind: str) -> None:
+    """Scale ``delta`` in place by the activation's derivative, read from its
+    output ``y``: 1 - y^2 for tanh, y > 0 for relu (whose subgradient at 0 is
+    fixed to 0), and nothing for identity, whose derivative is 1 exactly."""
     if kind == "relu":
-        # subgradient at exactly 0 is fixed to 0
-        return (z > 0.0).astype(np.float64)
-    # 1 - tanh(z)^2 in one buffer
-    grad = np.tanh(z)
-    grad *= grad
-    return np.subtract(1.0, grad, out=grad)
+        delta *= y > 0.0
+    elif kind == "tanh":
+        grad = y * y
+        delta *= np.subtract(1.0, grad, out=grad)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -192,17 +193,15 @@ def forward_with_weights(
 ) -> tuple[float, ForwardCache]:
     """Forward pass over explicit per-layer weights (used directly by full fine-tuning)."""
     _check_kinds(len(weights), "weights", activations, loss_kind)
-    pre, post = [], [batch.inputs]
+    post = [batch.inputs]
     for i, (w, act) in enumerate(zip(weights, activations)):
         if post[-1].shape[1] != w.shape[0]:
             raise ShapeError(f"layer {i} gets inputs of dim {post[-1].shape[1]}, "
                              f"but its weight has {w.shape[0]} rows")
-        z = post[-1] @ w
-        pre.append(z)
-        post.append(_activate(z, act))
+        post.append(_activate(post[-1] @ w, act))
     loss = _loss(post[-1], batch, loss_kind)
-    return loss, ForwardCache(weights=list(weights), pre_activations=pre, post_activations=post,
-                              batch=batch, activations=list(activations), loss_kind=loss_kind)
+    return loss, ForwardCache(weights=list(weights), post_activations=post, batch=batch,
+                              activations=list(activations), loss_kind=loss_kind)
 
 
 def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
@@ -210,9 +209,9 @@ def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
 
     The cache keeps, per layer, the layer itself, which cannot change, and
     x @ B, so ``backward`` differentiates this pass whatever the network
-    holds afterwards.
+    holds afterwards. Each activation is applied in place.
     """
-    pre, post, layers = [], [batch.inputs], []
+    post, layers = [batch.inputs], []
     for i, (layer, act) in enumerate(zip(net.layers, net.activations)):
         x = post[-1]
         if x.shape[1] != layer.w0.shape[0]:
@@ -221,13 +220,12 @@ def forward(net: Network, batch: Batch) -> tuple[float, ForwardCache]:
         xb = x @ layer.b
         z = x @ layer.w0
         z += (layer.scaling * xb) @ layer.a
-        pre.append(z)
         post.append(_activate(z, act))
         layers.append((layer, xb))
     loss = _loss(post[-1], batch, net.loss_kind)
-    return loss, ForwardCache(weights=None, pre_activations=pre, post_activations=post,
-                              batch=batch, activations=list(net.activations),
-                              loss_kind=net.loss_kind, layers=layers)
+    return loss, ForwardCache(weights=None, post_activations=post, batch=batch,
+                              activations=list(net.activations), loss_kind=net.loss_kind,
+                              layers=layers)
 
 
 def backward_weight_grads(cache: ForwardCache) -> list[np.ndarray]:
@@ -240,7 +238,8 @@ def backward_weight_grads(cache: ForwardCache) -> list[np.ndarray]:
     delta = _loss_grad(cache.post_activations[-1], cache.batch, cache.loss_kind)
     grads: list[np.ndarray] = [None] * len(cache.weights)  # type: ignore[list-item]
     for i in reversed(range(len(cache.weights))):
-        delta = delta * _activate_grad(cache.pre_activations[i], cache.activations[i])
+        # in place: delta is this pass's own array
+        _times_derivative(delta, cache.post_activations[i + 1], cache.activations[i])
         grads[i] = cache.post_activations[i].T @ delta
         if i > 0:
             delta = delta @ cache.weights[i].T
@@ -256,7 +255,9 @@ def backward(cache: ForwardCache) -> list[GradBundle]:
     weight gradient g = x^T delta. Where (2r + batch)(m + n) < m n, as on
     layers much wider than the batch, g is held as its factors ``x`` and
     ``delta`` and no m x n array is formed (``GradBundle.full_gradient``
-    forms g on request); on smaller layers it is held as ``g_full``.
+    forms g on request); on smaller layers it is held as ``g_full``. Each
+    activation's derivative is read from the layer's cached output, with the
+    bits its pre-activation would give.
 
     Differentiates the forward pass that made ``cache``, at the layers it
     saw, whatever the network has held since. A cache of
@@ -274,10 +275,9 @@ def backward(cache: ForwardCache) -> list[GradBundle]:
     for i in reversed(range(len(cache.layers))):
         layer, xb = cache.layers[i]
         x = cache.post_activations[i]
-        if cache.activations[i] != "identity":  # whose derivative is 1, exactly
-            # in place: delta is this pass's own array, the loss gradient or
-            # the product carried down from the layer above
-            delta *= _activate_grad(cache.pre_activations[i], cache.activations[i])
+        # in place: delta is this pass's own array, the loss gradient or the
+        # product carried down from the layer above
+        _times_derivative(delta, cache.post_activations[i + 1], cache.activations[i])
         # s scales the rank-sized products, not delta, which the bundle keeps
         s = layer.scaling
         g_a = xb.T @ delta

@@ -433,8 +433,10 @@ def _random_network(rng: np.random.Generator, loss_kind: str, activations_pool) 
 
 
 def _relu_safe(cache: ForwardCache) -> bool:
-    return all(act != "relu" or np.min(np.abs(z)) >= 0.01
-               for z, act in zip(cache.pre_activations, cache.activations))
+    """No relu layer's pre-activation, formed anew from the dense cache, lies
+    within 0.01 of the kink."""
+    return all(act != "relu" or np.min(np.abs(x @ w)) >= 0.01
+               for x, w, act in zip(cache.post_activations, cache.weights, cache.activations))
 
 
 def _loss_at_w0(net: Network, batch: Batch, weights, i: int) -> Callable:

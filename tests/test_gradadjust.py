@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +31,9 @@ from lorapro.gradadjust import (
     shift,
     validate_bundle,
 )
+import lorapro.harness as harness
 from lorapro.harness import discrepancy
-from lorapro.linalg import frob_norm, numerical_rank
+from lorapro.linalg import build_unchecked, frob_norm, numerical_rank
 from lorapro.lora import LoraLayer
 from lorapro.model import Batch, Network, backward, forward
 from lorapro.oracle import (
@@ -818,6 +821,78 @@ def test_discrepancy_checks_the_pair_and_takes_any_sign_of_scaling(monkeypatch):
         with monkeypatch.context() as patch:  # the factored sum, not the residual
             patch.setattr(harness, "equivalent_gradient", None)
             assert discrepancy(signed_bundle, *pair) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def _factored_discrepancies(draw):
+    """A factored bundle on an m x n layer at rank r <= min(m, n), for a batch of
+    1 to 80 rows, and a pair: a random one, or the X = 0 adjustment of a g in
+    the layer's tangent space, whose factored sum cancels (``tangent``). The
+    factors have orthogonal columns and rows of norms within a decade, so the
+    Grams the adjustment inverts are well conditioned."""
+    m, n = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    r, rows = draw(st.integers(1, min(m, n))), draw(st.integers(1, 80))
+    tangent = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = np.linalg.qr(rng.normal(size=(m, r)))[0] * rng.uniform(0.5, 5.0, size=r)
+    a = (np.linalg.qr(rng.normal(size=(n, r)))[0] * rng.uniform(0.5, 5.0, size=r)).T
+    layer = LoraLayer(w0=np.zeros((m, n)), b=b, a=a,
+                      scaling=draw(st.sampled_from((0.5, 2.0 * math.sqrt(r), -3.0))))
+    x = rng.normal(size=(rows, m))
+    delta = rng.normal(size=(rows, r)) @ a if tangent else rng.normal(size=(rows, n))
+    bundle = _factored_bundle(layer, x, delta)
+    if tangent:
+        adjusted = adjust(layer, bundle, strategy="zero", policy=EXACT)
+        pair = adjusted.g_a, adjusted.g_b
+    else:
+        pair = rng.normal(size=(r, n)), rng.normal(size=(m, r))
+    return layer, bundle, pair, tangent
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_factored_discrepancies())
+def test_discrepancy_block_route_matches_the_dense_residual(case):
+    # the Grams filled block by block give the dense residual's norm within
+    # 1e-12 of ||g_tilde|| + ||g||; where g_tilde = g up to rounding, the sum
+    # cancels and the residual itself is formed, so the two agree bit for
+    # bit. A random pair's sum cancels too on a few small layers (1 x 1 has
+    # one term), and is then formed densely as well
+    layer, bundle, (g_a, g_b), tangent = case
+    g_tilde, g = equivalent_gradient(layer, g_a, g_b), bundle.full_gradient()
+    dense = float(np.linalg.norm(g_tilde - g))
+    with mock.patch.object(harness, "equivalent_gradient",
+                           wraps=harness.equivalent_gradient) as residual:
+        got = discrepancy(bundle, g_a, g_b)
+    if tangent:
+        assert residual.called and got == dense
+    else:
+        scale = float(np.linalg.norm(g_tilde) + np.linalg.norm(g))
+        assert abs(got - dense) <= 1e-12 * scale, (got, dense)
+
+
+def test_discrepancy_holds_no_m_by_k_array():
+    # at m = n = 1500, r = 1 and a batch of 40, k = 42: one m x k array is 6.6
+    # times the two k x k Grams and the m x 2r and 2r x n factors together.
+    # The call's peak read 0.11 m x k arrays; concatenating U = [s B, s g_b,
+    # -x^T] and V = [g_a^T, A^T, delta^T] read 2.06
+    rng = np.random.default_rng(37)
+    m = n = 1500
+    r, rows = 1, 40
+    layer = LoraLayer(w0=np.zeros((m, n)), b=rng.normal(size=(m, r)),
+                      a=rng.normal(size=(r, n)), scaling=2.0)
+    # the arrays' values need not be consistent, so no m x n g is formed to check them
+    bundle = build_unchecked(GradBundle, layer=layer, g_a_lora=rng.normal(size=(r, n)),
+                             g_b_lora=rng.normal(size=(m, r)), x=rng.normal(size=(rows, m)),
+                             delta=rng.normal(size=(rows, n)))
+    tracemalloc.start()
+    try:
+        steady = tracemalloc.get_traced_memory()[0]
+        discrepancy(bundle, bundle.g_a_lora, bundle.g_b_lora)
+        peak = tracemalloc.get_traced_memory()[1] - steady
+    finally:
+        tracemalloc.stop()
+    one_u = 8 * m * (2 * r + rows)
+    assert peak < 0.25 * one_u, peak / one_u
 
 
 def test_user_built_factored_bundle_is_checked_against_its_dense_gradient():

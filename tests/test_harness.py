@@ -89,6 +89,12 @@ def desk_config(tmp_path, steps=2):
     return parse_config_text(text.format(steps=steps, seed=3, out_dir=tmp_path / "desk"))
 
 
+def wide_config(tmp_path, steps=4):
+    """The benchmark's wide workload: 256-512-128, r=8, batch 64."""
+    text = (ROOT / "perfbench" / "configs" / "wide.cfg").read_text(encoding="utf-8")
+    return parse_config_text(text.format(steps=steps, seed=3, out_dir=tmp_path / "wide"))
+
+
 def test_run_writes_artifacts_and_schema(tmp_path):
     cfg = small_config(tmp_path)
     result = run(cfg)
@@ -659,8 +665,10 @@ def test_adamw_step_and_save_working_set(tmp_path):
     # a step holds the AdamW step's four row block buffers (half a unit each
     # here) and the two its moment write keeps for each layer before it until
     # the commit, beside the factored gradients of the layers after it and
-    # the activations, all batch-sized: 3.35 units measured, bounded with a
-    # margin of 0.15. New moments held beside the old ones until the commit
+    # the activations, all batch-sized: 3.26 units measured, bounded with a
+    # margin of 0.24. Caching the pre-activations as well, holding the batch
+    # through the layer loop and concatenating the discrepancy's U and V
+    # read 3.35. New moments held beside the old ones until the commit
     # read 3.81. The whole-array step, with its direction in an m x n
     # equivalent gradient's buffer and one m x n scratch array, read 4.32.
     # Keeping the layer's own factors through its update read 4.49, and the
@@ -673,12 +681,35 @@ def test_adamw_step_and_save_working_set(tmp_path):
     assert max(save_over) < 1.0, save_over
 
 
+def test_step_holds_each_batch_sized_array_once(tmp_path):
+    # a wide lora_pro_adamw step above its steady state, in units of one
+    # batch x 512 float64 array (0.25 MiB). It peaks in the first layer's
+    # discrepancy, beside both layers' factored gradients, the X = 0 pair and
+    # its projection: 4.51 units measured. The discrepancy's concatenated
+    # m x k U and k x n V, each forward pre-activation kept through backward
+    # and the batch held through the layer loop read 6.38
+    cfg = wide_config(tmp_path)
+    trainer = Trainer(cfg)
+    unit = 8 * cfg.batch_size * max(max(layer.shape) for layer in trainer.network.layers)
+    trainer.step()  # from here on the moments exist between steps
+    trainer.step()
+    tracemalloc.start()
+    try:
+        steady = tracemalloc.get_traced_memory()[0]
+        trainer.step()
+        over = (tracemalloc.get_traced_memory()[1] - steady) / unit
+    finally:
+        tracemalloc.stop()
+    assert over < 5.0, over
+
+
 def test_full_ft_step_working_set(tmp_path):
     step_over, _ = _step_and_save_over(tmp_path, "full_ft")
     # every layer is computed before any is committed, so a step holds the
     # new weights and moments of the layers before the one being updated,
     # plus that layer's gradient buffer (holding its direction) and scratch
-    # array and the gradients of the layers after it: 5.1 units measured.
+    # array and the gradients of the layers after it: 5.0 units measured,
+    # 5.1 with each pre-activation cached through backward.
     # Keeping every gradient and a separate direction until the step ends
     # reads 6.9.
     assert max(step_over) < 5.5, step_over

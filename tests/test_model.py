@@ -295,11 +295,17 @@ def test_split_loss_and_gradient_match_the_fused_routine_bit_for_bit(loss_kind, 
         loss, cache = forward(net, batch)
         ref_loss, delta = _fused_loss_and_grad(cache.post_activations[-1], batch, loss_kind)
         assert loss == ref_loss
-        # backward's factored chain, fed the fused routine's gradient
+        # backward's factored chain, fed the fused routine's gradient, with
+        # each derivative taken from the pre-activation, formed as forward does
+        derivative = {"identity": np.ones_like,
+                      "relu": lambda z: (z > 0.0).astype(np.float64),
+                      "tanh": lambda z: 1.0 - np.tanh(z) ** 2}[activation]
         ref_grads = [None] * depth
         for i in reversed(range(depth)):
             layer, x = layers[i], cache.post_activations[i]
-            delta = delta * model._activate_grad(cache.pre_activations[i], activation)
+            z = x @ layer.w0
+            z += (layer.scaling * (x @ layer.b)) @ layer.a
+            delta = delta * derivative(z)
             scaled_a = (delta @ layer.a.T) * layer.scaling
             g_a = ((x @ layer.b).T @ delta) * layer.scaling
             ref_grads[i] = (g_a, x.T @ scaled_a, x.T @ delta)
